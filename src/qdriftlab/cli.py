@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -59,10 +60,11 @@ def _resolve_out(path: str | None, default_name: str | None = None) -> Path | No
     return outdir / default_name
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_text(path: Path, text: str | Iterable[str]) -> None:
+    """Write ``text``, or each piece of an iterable of text, with \\n line ends."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines([text] if isinstance(text, str) else text)
 
 
 def _emit_table(header: str, rows: list[list], fmt: str, out: Path | None) -> None:
@@ -114,7 +116,7 @@ def cmd_compile(args) -> int:
         h, args.t, args.eps, args.seed, mode=args.mode, controlled=args.controlled
     )
     out = _resolve_out(args.out, Path(args.ham).stem + ".circ")
-    _write_text(out, circuit.to_text())
+    _write_text(out, circuit.iter_text())
     summary = {
         "N": circuit.meta.N,
         "tau": circuit.tau,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -30,6 +31,10 @@ _N_LIMIT = 2**512
 
 _LOG_2 = math.log(2.0)
 
+# Gates are drawn and serialized in blocks of this many, so the memory a
+# compile needs beyond its index array does not grow with N.
+_CHUNK = 1 << 16
+
 
 def _check_positive(**values: float) -> None:
     for name, v in values.items():
@@ -37,10 +42,20 @@ def _check_positive(**values: float) -> None:
             raise ValueError(f"{name} must be finite and > 0, got {v!r}")
 
 
+def _exp_or_inf(log_value: float) -> float:
+    """e^log_value, or inf where the result would overflow a float."""
+    if log_value > 709.0:
+        return math.inf
+    return math.exp(log_value)
+
+
 def segment_error_bound(lam: float, t: float, n: int) -> float:
-    """Rigorous channel distance bound for one step: (2 lam^2 t^2 / N^2) e^{2 lam t / N}."""
+    """Rigorous channel distance bound for one step: (2 lam^2 t^2 / N^2) e^{2 lam t / N}.
+
+    Returns inf instead of raising once the bound exceeds the float range.
+    """
     x = 2.0 * lam * t / n
-    return 0.5 * x * x * math.exp(x)
+    return 0.5 * x * x * _exp_or_inf(x)
 
 
 def total_error_bound(lam: float, t: float, n: int) -> float:
@@ -92,6 +107,11 @@ def rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
+def _index_dtype(size: int) -> np.dtype:
+    """Narrowest unsigned dtype holding every index below ``size``."""
+    return np.dtype(np.uint16 if size <= 1 << 16 else np.uint32)
+
+
 class AliasSampler:
     """Vose alias table over a positive weight vector: O(L) build, O(1) draw.
 
@@ -141,10 +161,21 @@ class AliasSampler:
         return int(self.sample_many(rng, 1)[0])
 
     def sample_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        x = rng.random(count) * self.size
-        idx = np.minimum(x.astype(np.int64), self.size - 1)
-        frac = x - idx
-        return np.where(frac < self._prob[idx], idx, self._alias[idx])
+        """Draw ``count`` indices, one uniform each, in the narrowest unsigned dtype.
+
+        Uniforms are drawn in blocks of 2**16.  The blocks consume the
+        generator's stream in order, so the indices equal those from a
+        single ``rng.random(count)`` call.  The dtype is uint16 for up to
+        65536 weights, else uint32.
+        """
+        size = self.size
+        out = np.empty(count, dtype=_index_dtype(size))
+        for start in range(0, count, _CHUNK):
+            x = rng.random(min(_CHUNK, count - start)) * size
+            idx = np.minimum(x.astype(np.int64), size - 1)
+            frac = x - idx
+            out[start : start + x.size] = np.where(frac < self._prob[idx], idx, self._alias[idx])
+        return out
 
 
 def sample_term(h: Hamiltonian, rng: np.random.Generator) -> int:
@@ -173,12 +204,18 @@ class CircuitMeta:
 
 
 class Circuit:
-    """Ordered gate list sharing one angle tau = lam * t / N."""
+    """Ordered gate list sharing one angle tau = lam * t / N.
+
+    Gate indices are stored in the narrowest unsigned dtype that holds
+    every term index of ``source`` (uint16 for up to 65536 terms, else
+    uint32), so a circuit costs 2 or 4 bytes per gate.  ``term_indices``
+    returns an int64 copy.
+    """
 
     __slots__ = ("_indices", "tau", "meta", "source")
 
     def __init__(self, term_indices: np.ndarray, tau: float, meta: CircuitMeta, source: Hamiltonian):
-        self._indices = np.asarray(term_indices, dtype=np.int64)
+        self._indices = np.asarray(term_indices, dtype=_index_dtype(source.L))
         self.tau = tau
         self.meta = meta
         self.source = source
@@ -188,7 +225,7 @@ class Circuit:
 
     @property
     def term_indices(self) -> np.ndarray:
-        return self._indices.copy()
+        return self._indices.astype(np.int64)
 
     @property
     def gates(self) -> tuple[GateOp, ...]:
@@ -204,20 +241,24 @@ class Circuit:
             and np.array_equal(self._indices, other._indices)
         )
 
+    def iter_text(self) -> Iterator[str]:
+        """Yield the ``qdrift-circ v1`` text in pieces: the header, then one piece per 2**16 gates.
+
+        Each term's gate line is formatted once into a table, and a piece
+        is the join of table lookups, so memory beyond the index array
+        stays bounded whatever N is.
+        """
+        tau_text = format(self.tau, ".17g")
+        yield f"# qdrift-circ v1\n# seed={self.meta.seed}\n# N={self.meta.N}\n# tau={tau_text}\n"
+        op = "CROT" if self.meta.controlled else "ROT"
+        table = [f"{op} {j} {term.op} {tau_text}\n" for j, term in enumerate(self.source.terms)]
+        line = table.__getitem__
+        for start in range(0, self._indices.size, _CHUNK):
+            yield "".join(map(line, self._indices[start : start + _CHUNK].tolist()))
+
     def to_text(self) -> str:
         """Serialize as ``qdrift-circ v1``: header comments then one gate per line."""
-        tau_text = format(self.tau, ".17g")
-        lines = [
-            "# qdrift-circ v1",
-            f"# seed={self.meta.seed}",
-            f"# N={self.meta.N}",
-            f"# tau={tau_text}",
-        ]
-        op = "CROT" if self.meta.controlled else "ROT"
-        terms = self.source.terms
-        for j in self._indices:
-            lines.append(f"{op} {j} {terms[j].op} {tau_text}")
-        return "\n".join(lines) + "\n"
+        return "".join(self.iter_text())
 
 
 def _resolve_gate_count(lam: float, t: float, eps: float, mode: str) -> int:

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .compiler import gate_count_exact, total_error_bound
+from .compiler import _exp_or_inf, gate_count_exact, total_error_bound
 from .hamiltonian import WeightProfile
 
 R_MAX = 2**63
@@ -33,12 +33,6 @@ INT64_MAX = 2**63 - 1
 SUPPORTED_K = (1, 2, 3)
 
 _FACTORIAL = {n: math.factorial(n) for n in range(0, 9)}
-
-
-def _exp_or_inf(log_value: float) -> float:
-    if log_value > 709.0:
-        return math.inf
-    return math.exp(log_value)
 
 
 def _check_r(r: int) -> None:

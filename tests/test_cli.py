@@ -199,6 +199,10 @@ class TestPhaseEstCommand:
 
 
 class TestVerifyCommand:
+    def test_huge_t_bound_is_inf_not_an_error(self, capsys):
+        assert main(["verify", "--t", "5000"]) == EXIT_OK
+        assert "VERIFY: PASS" in capsys.readouterr().out
+
     def test_builtin_suite_passes(self, capsys):
         assert main(["verify"]) == EXIT_OK
         out = capsys.readouterr().out

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_segment_error_bound
+from qdriftlab import compiler, trotter
 from qdriftlab.compiler import (
     AliasSampler,
     compile_circuit,
@@ -14,6 +16,7 @@ from qdriftlab.compiler import (
     gate_count_exact,
     rng_from_seed,
     sample_term,
+    segment_error_bound,
     total_error_bound,
 )
 from qdriftlab.hamiltonian import Hamiltonian
@@ -80,6 +83,24 @@ class TestGateCountExact:
             assert gate_count_exact(1, t_lo, 1e-3) <= gate_count_exact(1, t_hi, 1e-3)
         for lam_lo, lam_hi in ((0.5, 1.0), (1.0, 2.0)):
             assert gate_count_exact(lam_lo, 1, 1e-3) <= gate_count_exact(lam_hi, 1, 1e-3)
+
+
+class TestErrorBoundOverflow:
+    def test_huge_t_gives_inf(self):
+        assert segment_error_bound(1.0, 1e6, 10) == math.inf
+        assert total_error_bound(1.0, 1e6, 10) == math.inf
+        # verify --t 5000 evaluates N = 10 rows: x = 2 lam t / N = 1000 lam, past 709 for lam = 1.
+        assert segment_error_bound(1.0, 5000.0, 10) == math.inf
+
+    @pytest.mark.parametrize("x", [1e-9, 0.3, 1.0, 17.5, 300.0, 690.0, 697.0, 700.0, 709.0, 709.7])
+    def test_bit_identical_to_unguarded_formula(self, x):
+        # lam * t chosen so that 2 lam t / N = x at N = 10.
+        for lam, t, n in ((1.0, 5.0 * x, 10), (0.25, 20.0 * x, 10)):
+            assert segment_error_bound(lam, t, n) == reference_segment_error_bound(lam, t, n)
+            assert total_error_bound(lam, t, n) == n * reference_segment_error_bound(lam, t, n)
+
+    def test_one_exp_helper(self):
+        assert trotter._exp_or_inf is compiler._exp_or_inf
 
 
 class TestAliasSampler:

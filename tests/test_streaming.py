@@ -1,0 +1,97 @@
+"""The streamed compile path against its one-line-per-gate and unchunked oracles."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_hamiltonian
+from oracles import reference_circuit_text, reference_sample_many
+from qdriftlab.cli import EXIT_OK, main
+from qdriftlab.compiler import AliasSampler, compile_circuit, rng_from_seed
+
+CHUNK = 1 << 16
+
+seeds = st.integers(min_value=0, max_value=2**64 - 1)
+# Counts and gate totals within a few of 0..3 whole blocks.
+near_block = st.builds(
+    lambda blocks, offset: max(1, blocks * CHUNK + offset),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=-2, max_value=2),
+)
+
+
+def _compile_near(h, n_target, seed, controlled):
+    # Approx mode gives N = ceil(2 lam^2 t^2 / eps); with t = 1 this eps lands
+    # on n_target up to rounding.
+    eps = 2.0 * h.lam**2 / n_target
+    return compile_circuit(h, 1.0, eps, seed, mode="approx", controlled=controlled)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    ham_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_target=near_block,
+    seed=seeds,
+    controlled=st.booleans(),
+)
+def test_to_text_equals_per_gate_serializer(ham_seed, n_target, seed, controlled):
+    rng = np.random.Generator(np.random.Philox(key=ham_seed))
+    h = random_hamiltonian(rng, int(rng.integers(1, 4)))
+    circuit = _compile_near(h, n_target, seed, controlled)
+    assert abs(len(circuit) - n_target) <= 1
+    assert circuit.to_text() == reference_circuit_text(circuit)
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    ham_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_target=near_block,
+    seed=seeds,
+    controlled=st.booleans(),
+)
+def test_cli_file_bytes_equal_to_text(ham_seed, n_target, seed, controlled, tmp_path_factory):
+    rng = np.random.Generator(np.random.Philox(key=ham_seed))
+    h = random_hamiltonian(rng, int(rng.integers(1, 4)))
+    circuit = _compile_near(h, n_target, seed, controlled)
+    work = tmp_path_factory.mktemp("cli")
+    ham, out = work / "h.txt", work / "c.circ"
+    ham.write_text(h.serialize())
+    argv = ["compile", "--ham", str(ham), "--t", "1.0", "--eps", repr(circuit.meta.eps),
+            "--seed", str(seed), "--mode", "approx", "--out", str(out)]
+    if controlled:
+        argv.append("--controlled")
+    assert main(argv) == EXIT_OK
+    assert out.read_bytes() == circuit.to_text().encode()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_weights=st.sampled_from([1, 2, 7, 1 << 16, (1 << 16) + 1]),
+    weight_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    count=st.one_of(near_block, st.integers(min_value=0, max_value=300)),
+    seed=seeds,
+)
+def test_sample_many_equals_unchunked_formula(n_weights, weight_seed, count, seed):
+    weights = 0.05 + np.random.Generator(np.random.Philox(key=weight_seed)).random(n_weights)
+    sampler = AliasSampler(weights)
+    draws = sampler.sample_many(rng_from_seed(seed), count)
+    expected = reference_sample_many(sampler, rng_from_seed(seed), count)
+    assert draws.dtype == (np.uint16 if n_weights <= 1 << 16 else np.uint32)
+    np.testing.assert_array_equal(draws.astype(np.int64), expected)
+
+
+def test_sample_many_leaves_generator_where_one_call_would():
+    sampler = AliasSampler([0.2, 0.3, 0.5])
+    chunked, single = rng_from_seed(3), rng_from_seed(3)
+    sampler.sample_many(chunked, 2 * CHUNK + 5)
+    single.random(2 * CHUNK + 5)
+    assert chunked.random() == single.random()
+
+
+def test_term_indices_stay_int64(three_term_2q):
+    circuit = compile_circuit(three_term_2q, 1.0, 1e-3, seed=1)
+    indices = circuit.term_indices
+    assert indices.dtype == np.int64
+    assert circuit._indices.dtype == np.uint16
+    indices[0] = -1
+    assert circuit.term_indices[0] != -1  # a copy, not a view of the stored array
