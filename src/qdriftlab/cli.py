@@ -89,9 +89,11 @@ def _positive(value: float, name: str) -> float:
 
 def _load_hamiltonian(path: str) -> Hamiltonian:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise HamiltonianParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise HamiltonianParseError(f"cannot decode {path} as UTF-8: {exc}") from exc
     return parse_hamiltonian(text)
 
 

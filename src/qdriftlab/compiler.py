@@ -129,11 +129,13 @@ class AliasSampler:
             raise ValueError("weights must be finite and > 0")
         self._p = w / math.fsum(w.tolist())
         n = w.size
-        scaled = self._p * n
-        small = [i for i in range(n) if scaled[i] < 1.0]
-        large = [i for i in range(n) if scaled[i] >= 1.0]
-        prob = np.ones(n)
-        alias = np.arange(n, dtype=np.int64)
+        # The loop runs on Python floats, which round exactly as numpy
+        # float64 scalars do but index far faster.
+        scaled = (self._p * n).tolist()
+        small = [i for i, x in enumerate(scaled) if x < 1.0]
+        large = [i for i, x in enumerate(scaled) if x >= 1.0]
+        prob = [1.0] * n
+        alias = list(range(n))
         while small and large:
             s = small.pop()
             g = large.pop()
@@ -145,8 +147,8 @@ class AliasSampler:
             else:
                 large.append(g)
         # Leftovers are 1 up to roundoff; both stacks keep prob = 1.
-        self._prob = prob
-        self._alias = alias
+        self._prob = np.array(prob)
+        self._alias = np.array(alias, dtype=np.int64)
 
     @property
     def probabilities(self) -> np.ndarray:
@@ -251,7 +253,11 @@ class Circuit:
         tau_text = format(self.tau, ".17g")
         yield f"# qdrift-circ v1\n# seed={self.meta.seed}\n# N={self.meta.N}\n# tau={tau_text}\n"
         op = "CROT" if self.meta.controlled else "ROT"
-        table = [f"{op} {j} {term.op} {tau_text}\n" for j, term in enumerate(self.source.terms)]
+        h = self.source
+        table = [
+            f"{op} {j} {'+' if c > 0 else '-'}{word} {tau_text}\n"
+            for j, (c, word) in enumerate(zip(h.coefficients.tolist(), h.words))
+        ]
         line = table.__getitem__
         for start in range(0, self._indices.size, _CHUNK):
             yield "".join(map(line, self._indices[start : start + _CHUNK].tolist()))

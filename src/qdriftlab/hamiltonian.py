@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Iterator
+
+import numpy as np
 
 PAULI_AXES = "IXYZ"
 
@@ -39,6 +42,15 @@ class HamiltonianParseError(HamiltonianError):
         super().__init__(message)
 
 
+def _check_term(weight: float, word: str) -> None:
+    if not (math.isfinite(weight) and weight > 0):
+        raise HamiltonianError(f"term weight must be finite and > 0, got {weight!r}")
+    if not word.strip("I"):
+        # The identity component only shifts energy and breaks the
+        # norm-1 term invariant; callers must strip it.
+        raise HamiltonianError("all-identity Pauli word is not a valid term")
+
+
 @dataclass(frozen=True)
 class PauliString:
     """Tensor product of single-qubit Paulis with a global sign.
@@ -51,7 +63,7 @@ class PauliString:
     sign: int = 1
 
     def __post_init__(self):
-        if not self.axes or any(c not in PAULI_AXES for c in self.axes):
+        if not self.axes or self.axes.strip(PAULI_AXES):
             raise HamiltonianError(f"invalid Pauli word {self.axes!r}")
         if self.sign not in (1, -1):
             raise HamiltonianError(f"sign must be +1 or -1, got {self.sign!r}")
@@ -62,7 +74,7 @@ class PauliString:
 
     @property
     def is_identity(self) -> bool:
-        return set(self.axes) == {"I"}
+        return not self.axes.strip("I")
 
     def __str__(self) -> str:
         return ("+" if self.sign > 0 else "-") + self.axes
@@ -76,12 +88,7 @@ class Term:
     op: PauliString
 
     def __post_init__(self):
-        if not (math.isfinite(self.weight) and self.weight > 0):
-            raise HamiltonianError(f"term weight must be finite and > 0, got {self.weight!r}")
-        if self.op.is_identity:
-            # The identity component only shifts energy and breaks the
-            # norm-1 term invariant; callers must strip it.
-            raise HamiltonianError("all-identity Pauli word is not a valid term")
+        _check_term(self.weight, self.op.axes)
 
     @property
     def signed_coefficient(self) -> float:
@@ -133,11 +140,17 @@ class Hamiltonian:
 
     Construction merges duplicate Pauli words by signed-coefficient
     addition (exact zeros are dropped), absorbs negative coefficients into
-    the string sign, and rejects all-identity words.  Instances are
+    the string sign, and rejects all-identity words.  Terms keep the order
+    in which their words first appear.
+
+    Storage is columnar: a tuple of words and one read-only float64 array
+    of signed coefficients; ``weights`` is their absolute value, and ``lam``
+    and ``lam_max`` are computed once from it.  The ``Term`` objects in
+    ``terms`` are built on first access and cached.  Instances are
     immutable and safe to share across threads.
     """
 
-    __slots__ = ("_n_qubits", "_terms", "_lam", "_lam_max")
+    __slots__ = ("_n_qubits", "_words", "_coeffs", "_weights", "_lam", "_lam_max", "_terms")
 
     def __init__(self, entries: Iterable[tuple[float, str]]):
         merged: dict[str, float] = {}
@@ -149,7 +162,7 @@ class Hamiltonian:
                 raise HamiltonianError(
                     f"inconsistent Pauli word length: {word!r} vs {n_qubits} qubits"
                 )
-            if not word or any(c not in PAULI_AXES for c in word):
+            if not word or word.strip(PAULI_AXES):
                 raise HamiltonianError(f"invalid Pauli word {word!r}")
             if not math.isfinite(coeff):
                 raise HamiltonianError(f"non-finite coefficient {coeff!r}")
@@ -158,20 +171,50 @@ class Hamiltonian:
             else:
                 merged[word] = coeff
 
-        terms = []
-        for word, coeff in merged.items():
-            if coeff == 0.0:
-                continue
-            sign = 1 if coeff > 0 else -1
-            terms.append(Term(abs(coeff), PauliString(word, sign)))
-        if not terms:
+        coeffs = np.fromiter(merged.values(), dtype=float, count=len(merged))
+        keep = coeffs != 0.0
+        words = tuple(compress(merged, keep.tolist()))
+        coeffs = coeffs[keep]
+        weights = np.abs(coeffs)
+        if not words:
             raise HamiltonianError("Hamiltonian has no terms")
+        if not np.isfinite(weights).all() or "I" * n_qubits in words:
+            # Rerun the checks Term makes in term order, so the first
+            # failing term raises its usual error.
+            for weight, word in zip(weights.tolist(), words):
+                _check_term(weight, word)
+        try:
+            lam = math.fsum(weights.tolist())
+        except OverflowError:
+            raise HamiltonianError(
+                f"l1 norm lam of the {len(words)} term weights overflows a float"
+            ) from None
+        self._set(n_qubits, words, coeffs, weights, lam, float(weights.max()))
 
+    def _set(self, n_qubits, words, coeffs, weights, lam, lam_max) -> None:
+        coeffs.flags.writeable = False
+        weights.flags.writeable = False
         self._n_qubits = n_qubits
-        self._terms = tuple(terms)
-        weights = [t.weight for t in terms]
-        self._lam = math.fsum(weights)
-        self._lam_max = max(weights)
+        self._words = words
+        self._coeffs = coeffs
+        self._weights = weights
+        self._lam = lam
+        self._lam_max = lam_max
+        self._terms = None
+
+    def _select(self, index: np.ndarray, lam: float, lam_max: float) -> "Hamiltonian":
+        """New instance holding the terms at ``index``; skips validation and merging."""
+        out = Hamiltonian.__new__(Hamiltonian)
+        words = self._words
+        out._set(
+            self._n_qubits,
+            tuple([words[i] for i in index.tolist()]),
+            self._coeffs[index],
+            self._weights[index],
+            lam,
+            lam_max,
+        )
+        return out
 
     @classmethod
     def from_terms(cls, terms: Iterable[Term]) -> "Hamiltonian":
@@ -183,11 +226,31 @@ class Hamiltonian:
 
     @property
     def terms(self) -> tuple[Term, ...]:
+        if self._terms is None:
+            self._terms = tuple(
+                Term(w, PauliString(word, 1 if c > 0 else -1))
+                for c, w, word in zip(self._coeffs.tolist(), self._weights.tolist(), self._words)
+            )
         return self._terms
 
     @property
+    def words(self) -> tuple[str, ...]:
+        """Pauli word of each term."""
+        return self._words
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        """Signed coefficient of each term (read-only float64)."""
+        return self._coeffs
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Weight of each term, the absolute coefficient (read-only float64)."""
+        return self._weights
+
+    @property
     def L(self) -> int:
-        return len(self._terms)
+        return len(self._words)
 
     @property
     def lam(self) -> float:
@@ -199,23 +262,23 @@ class Hamiltonian:
         """Largest single term weight."""
         return self._lam_max
 
-    @property
-    def weights(self) -> tuple[float, ...]:
-        return tuple(t.weight for t in self._terms)
-
     def profile(self) -> WeightProfile:
         return WeightProfile(self.L, self._lam, self._lam_max)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._words)
 
     def __iter__(self) -> Iterator[Term]:
-        return iter(self._terms)
+        return iter(self.terms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Hamiltonian):
             return NotImplemented
-        return self._n_qubits == other._n_qubits and self._terms == other._terms
+        return (
+            self._n_qubits == other._n_qubits
+            and self._words == other._words
+            and np.array_equal(self._coeffs, other._coeffs)
+        )
 
     def __repr__(self) -> str:
         return (
@@ -223,16 +286,20 @@ class Hamiltonian:
             f"lam={self._lam!r}, lam_max={self._lam_max!r})"
         )
 
+    def _canonical_order(self) -> np.ndarray:
+        """Term positions by weight descending, then word ascending."""
+        return np.lexsort((np.array(self._words), -self._weights))
+
     def canonical(self) -> "Hamiltonian":
         """Copy with terms in canonical order: weight descending, then word."""
-        ordered = sorted(self._terms, key=lambda t: (-t.weight, t.op.axes))
-        return Hamiltonian.from_terms(ordered)
+        return self._select(self._canonical_order(), self._lam, self._lam_max)
 
     def serialize(self) -> str:
         """Canonical ``hamtxt v1`` text; parse(serialize(h)) == h.canonical()."""
+        order = self._canonical_order().tolist()
+        coeffs, words = self._coeffs.tolist(), self._words
         lines = ["# hamtxt v1"]
-        for term in sorted(self._terms, key=lambda t: (-t.weight, t.op.axes)):
-            lines.append(f"{term.signed_coefficient!r} {term.op.axes}")
+        lines.extend(f"{coeffs[i]!r} {words[i]}" for i in order)
         return "\n".join(lines) + "\n"
 
     def truncate(self, eps: float) -> "Hamiltonian":
@@ -248,17 +315,21 @@ class Hamiltonian:
             raise HamiltonianError(
                 f"truncation budget {eps} >= lam {self._lam} would remove every term"
             )
-        order = sorted(range(self.L), key=lambda i: (self._terms[i].weight, -i))
-        removed: set[int] = set()
+        order = np.lexsort((-np.arange(self.L), self._weights))
+        weights = self._weights.tolist()
+        removed = 0
         budget = 0.0
-        for i in order:
-            w = self._terms[i].weight
+        for i in order.tolist():
+            w = weights[i]
             if budget + w > eps:
                 break
             budget += w
-            removed.add(i)
-        kept = [t for i, t in enumerate(self._terms) if i not in removed]
-        return Hamiltonian.from_terms(kept)
+            removed += 1
+        if removed == self.L:
+            raise HamiltonianError("Hamiltonian has no terms")
+        kept = np.sort(order[removed:])
+        kept_weights = self._weights[kept]
+        return self._select(kept, math.fsum(kept_weights.tolist()), float(kept_weights.max()))
 
     def controlled_extension(self) -> "ControlledExtension":
         """Lift every term to |1><1| (x) H_j on n+1 qubits.
@@ -266,7 +337,7 @@ class Hamiltonian:
         L, lam and lam_max are unchanged by the lift.
         """
         return ControlledExtension(
-            terms=tuple(ControlledTerm(t) for t in self._terms),
+            terms=tuple(ControlledTerm(t) for t in self.terms),
             n_qubits=self._n_qubits + 1,
             profile=self.profile(),
         )
@@ -304,7 +375,7 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
             raise HamiltonianParseError(f"malformed coefficient {coeff_text!r}", line_no) from None
         if not math.isfinite(coeff):
             raise HamiltonianParseError(f"non-finite coefficient {coeff_text!r}", line_no)
-        if any(c not in PAULI_AXES for c in word):
+        if word.strip(PAULI_AXES):
             raise HamiltonianParseError(f"characters outside {{I,X,Y,Z}} in {word!r}", line_no)
         if word_len is None:
             word_len = len(word)
@@ -312,7 +383,7 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
             raise HamiltonianParseError(
                 f"word {word!r} has length {len(word)}, expected {word_len}", line_no
             )
-        if set(word) == {"I"}:
+        if not word.strip("I"):
             raise HamiltonianParseError(
                 "all-identity term is not allowed (it only shifts energy)", line_no
             )

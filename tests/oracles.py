@@ -1,8 +1,11 @@
 """Reference implementations that the fast paths in ``qdriftlab`` must match.
 
 These are the straightforward forms the library used before it streamed
-compile output: one f-string per gate, and the alias draw applied to a
-single ``rng.random(count)`` call.  They are kept for tests only.
+compile output (one f-string per gate, the alias draw applied to a single
+``rng.random(count)`` call) and before the Hamiltonian became columnar
+(an object-based Hamiltonian that keeps a tuple of ``Term`` objects, its
+per-character parser, and the alias table built on numpy scalars).  They
+are kept for tests only.
 """
 
 from __future__ import annotations
@@ -12,7 +15,14 @@ import math
 
 import numpy as np
 
-from qdriftlab.hamiltonian import Hamiltonian
+from qdriftlab.hamiltonian import (
+    PAULI_AXES,
+    Hamiltonian,
+    HamiltonianError,
+    HamiltonianParseError,
+    PauliString,
+    Term,
+)
 
 
 def reference_circuit_text(circuit) -> str:
@@ -71,3 +81,201 @@ def sha256_text(text: str) -> str:
 def sha256_indices(indices: np.ndarray) -> str:
     """Hash of the indices as little-endian int64, whatever their stored dtype."""
     return hashlib.sha256(np.asarray(indices, dtype="<i8").tobytes()).hexdigest()
+
+
+def reference_alias_tables(weights) -> tuple[np.ndarray, np.ndarray]:
+    """Vose's (prob, alias) arrays, built by indexing numpy scalars."""
+    w = np.asarray(weights, dtype=float)
+    p = w / math.fsum(w.tolist())
+    n = w.size
+    scaled = p * n
+    small = [i for i in range(n) if scaled[i] < 1.0]
+    large = [i for i in range(n) if scaled[i] >= 1.0]
+    prob = np.ones(n)
+    alias = np.arange(n, dtype=np.int64)
+    while small and large:
+        s = small.pop()
+        g = large.pop()
+        prob[s] = scaled[s]
+        alias[s] = g
+        scaled[g] -= 1.0 - scaled[s]
+        if scaled[g] < 1.0:
+            small.append(g)
+        else:
+            large.append(g)
+    return prob, alias
+
+
+class ReferenceHamiltonian:
+    """The object-based Hamiltonian: a tuple of validated ``Term`` objects.
+
+    Construction merges duplicate words, drops exact zeros and builds one
+    ``Term`` per surviving word; ``canonical`` and ``truncate`` build a new
+    instance through ``from_terms``.
+    """
+
+    def __init__(self, entries):
+        merged: dict[str, float] = {}
+        n_qubits = None
+        for coeff, word in entries:
+            if n_qubits is None:
+                n_qubits = len(word)
+            elif len(word) != n_qubits:
+                raise HamiltonianError(
+                    f"inconsistent Pauli word length: {word!r} vs {n_qubits} qubits"
+                )
+            if not word or any(c not in PAULI_AXES for c in word):
+                raise HamiltonianError(f"invalid Pauli word {word!r}")
+            if not math.isfinite(coeff):
+                raise HamiltonianError(f"non-finite coefficient {coeff!r}")
+            if word in merged:
+                merged[word] += coeff
+            else:
+                merged[word] = coeff
+        terms = []
+        for word, coeff in merged.items():
+            if coeff == 0.0:
+                continue
+            sign = 1 if coeff > 0 else -1
+            terms.append(Term(abs(coeff), PauliString(word, sign)))
+        if not terms:
+            raise HamiltonianError("Hamiltonian has no terms")
+        self.n_qubits = n_qubits
+        self.terms = tuple(terms)
+        weights = [t.weight for t in terms]
+        self.lam = math.fsum(weights)
+        self.lam_max = max(weights)
+
+    @classmethod
+    def from_terms(cls, terms) -> "ReferenceHamiltonian":
+        return cls((t.signed_coefficient, t.op.axes) for t in terms)
+
+    @property
+    def L(self) -> int:
+        return len(self.terms)
+
+    @property
+    def weights(self) -> tuple[float, ...]:
+        return tuple(t.weight for t in self.terms)
+
+    def canonical(self) -> "ReferenceHamiltonian":
+        ordered = sorted(self.terms, key=lambda t: (-t.weight, t.op.axes))
+        return ReferenceHamiltonian.from_terms(ordered)
+
+    def serialize(self) -> str:
+        lines = ["# hamtxt v1"]
+        for term in sorted(self.terms, key=lambda t: (-t.weight, t.op.axes)):
+            lines.append(f"{term.signed_coefficient!r} {term.op.axes}")
+        return "\n".join(lines) + "\n"
+
+    def truncate(self, eps: float) -> "ReferenceHamiltonian":
+        if not (math.isfinite(eps) and eps > 0):
+            raise HamiltonianError(f"truncation budget must be > 0, got {eps!r}")
+        if eps >= self.lam:
+            raise HamiltonianError(
+                f"truncation budget {eps} >= lam {self.lam} would remove every term"
+            )
+        order = sorted(range(self.L), key=lambda i: (self.terms[i].weight, -i))
+        removed: set[int] = set()
+        budget = 0.0
+        for i in order:
+            w = self.terms[i].weight
+            if budget + w > eps:
+                break
+            budget += w
+            removed.add(i)
+        kept = [t for i, t in enumerate(self.terms) if i not in removed]
+        return ReferenceHamiltonian.from_terms(kept)
+
+
+def reference_parse_hamiltonian(text: str) -> ReferenceHamiltonian:
+    """``hamtxt v1`` parser with per-character word checks."""
+    entries: list[tuple[float, str]] = []
+    word_len = None
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        if len(fields) != 2:
+            raise HamiltonianParseError(
+                f"expected '<coefficient> <pauli-word>', got {raw.strip()!r}", line_no
+            )
+        coeff_text, word = fields
+        try:
+            coeff = float(coeff_text)
+        except ValueError:
+            raise HamiltonianParseError(f"malformed coefficient {coeff_text!r}", line_no) from None
+        if not math.isfinite(coeff):
+            raise HamiltonianParseError(f"non-finite coefficient {coeff_text!r}", line_no)
+        if any(c not in PAULI_AXES for c in word):
+            raise HamiltonianParseError(f"characters outside {{I,X,Y,Z}} in {word!r}", line_no)
+        if word_len is None:
+            word_len = len(word)
+        elif len(word) != word_len:
+            raise HamiltonianParseError(
+                f"word {word!r} has length {len(word)}, expected {word_len}", line_no
+            )
+        if set(word) == {"I"}:
+            raise HamiltonianParseError(
+                "all-identity term is not allowed (it only shifts energy)", line_no
+            )
+        entries.append((coeff, word))
+    if not entries:
+        raise HamiltonianParseError("no Hamiltonian terms found")
+    try:
+        return ReferenceHamiltonian(entries)
+    except HamiltonianParseError:
+        raise
+    except HamiltonianError as exc:
+        raise HamiltonianParseError(str(exc)) from exc
+
+
+def wide_hamtxt(n_words: int = 5500, n_qubits: int = 30, key: int = 5000) -> str:
+    """A shuffled ``hamtxt v1`` document of about 5000 terms on 30 qubits.
+
+    Coefficients are signed; half come from the 64 dyadic values k/64, so
+    many different words share a weight.  Every tenth word is split over
+    two lines, every tenth cancels to exactly zero (+c and -c), every
+    tenth flips sign through c and -2c, and every tenth is spread over
+    three lines.  Lines are shuffled, and comments, inline comments and
+    blank lines are mixed in.
+    """
+    rng = np.random.Generator(np.random.Philox(key=key))
+    codes = rng.integers(0, 4, size=(n_words, n_qubits)).tolist()
+    dyadic = rng.integers(1, 65, size=n_words).tolist()
+    uniform = (0.1 + 0.9 * rng.random(n_words)).tolist()
+    negative = (rng.random(n_words) < 0.5).tolist()
+    lines = []
+    seen = set()
+    for i in range(n_words):
+        word = "".join("IXYZ"[c] for c in codes[i])
+        if word in seen or set(word) == {"I"}:
+            continue
+        seen.add(word)
+        mag = dyadic[i] / 64 if i % 2 else uniform[i]
+        c = -mag if negative[i] else mag
+        kind = i % 10
+        if kind == 0:
+            parts = [0.5 * c, 0.5 * c]
+        elif kind == 3:
+            parts = [c, -c]
+        elif kind == 6:
+            parts = [c, -2.0 * c]
+        elif kind == 9:
+            parts = [0.25 * c, 0.25 * c, 0.5 * c]
+        else:
+            parts = [c]
+        lines.extend(f"{part!r} {word}" for part in parts)
+    order = rng.permutation(len(lines)).tolist()
+    out = ["# wide test Hamiltonian", ""]
+    for k, j in enumerate(order):
+        line = lines[j]
+        if k % 97 == 0:
+            out.append(f"# block {k}")
+        if k % 89 == 0:
+            out.append("")
+        if k % 83 == 0:
+            line += "  # inline note"
+        out.append(line)
+    return "\n".join(out) + "\n"

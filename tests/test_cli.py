@@ -70,6 +70,26 @@ class TestCompileCommand:
                      "--eps", "1e-3", "--seed", "1", "--out", str(tmp_path / "o.circ")])
         assert code == EXIT_PARSE
 
+    def test_non_utf8_file_is_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.hamtxt"
+        bad.write_bytes(b"\xff\xfe1.0 ZZ\n")
+        code = main(["compile", "--ham", str(bad), "--t", "1", "--eps", "1e-3", "--seed", "1",
+                     "--out", str(tmp_path / "o.circ")])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: cannot decode ") and str(bad) in err
+        assert err.count("\n") == 1
+
+    def test_l1_norm_overflow_is_parse_error(self, tmp_path, capsys):
+        ham = tmp_path / "big.hamtxt"
+        ham.write_text("1e308 ZZ\n1e308 XX\n")
+        code = main(["compile", "--ham", str(ham), "--t", "1", "--eps", "1e-3", "--seed", "1",
+                     "--out", str(tmp_path / "o.circ")])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and "l1 norm" in err
+        assert err.count("\n") == 1
+
     def test_domain_error_exit_code(self, ham_file, tmp_path):
         code = main(["compile", "--ham", str(ham_file), "--t", "-1", "--eps", "1e-3",
                      "--seed", "1", "--out", str(tmp_path / "o.circ")])

@@ -3,19 +3,27 @@
 Every hash below was produced by the one-f-string-per-gate serializer and
 the unchunked sampler, before compile output was streamed in blocks of
 2**16 gates.  The N values sit below one block, at exactly one block, one
-past it, and beyond three blocks.  Never regenerate these hashes: a
-mismatch means the output bytes changed.
+past it, and beyond three blocks.  The wide-Hamiltonian hashes at the end
+were produced by the object-based Hamiltonian.  Never regenerate these
+hashes: a mismatch means the output bytes changed.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
-from oracles import scrambled_hamiltonian, sha256_indices, sha256_text
+from oracles import (
+    reference_parse_hamiltonian,
+    scrambled_hamiltonian,
+    sha256_indices,
+    sha256_text,
+    wide_hamtxt,
+)
 from qdriftlab.cli import EXIT_OK, main
 from qdriftlab.compiler import AliasSampler, compile_circuit, rng_from_seed
-from qdriftlab.hamiltonian import Hamiltonian
+from qdriftlab.hamiltonian import Hamiltonian, parse_hamiltonian
 
 TOP_SEED = 2**64 - 1
 
@@ -87,3 +95,60 @@ def test_sampler_uint32_path_matches_golden_hash():
     draws = AliasSampler(weights).sample_many(rng_from_seed(11), 3 * 2**16 + 7)
     assert draws.max() == 65536
     assert sha256_indices(draws) == SAMPLER_GOLDEN
+
+
+# The shuffled 30-qubit document from ``wide_hamtxt`` (4950 terms after
+# merging, with duplicates, exact cancellations, sign flips and weight ties
+# across different words).  These hashes come from the object-based
+# Hamiltonian, before it became columnar; never regenerate them.
+WIDE_DOC = "21156c0948b64d952ed2d45ba16e6586ba03d7bcbd5f749aa581aca8b2845a56"
+WIDE_SERIALIZED = "64ba4f5bae0ac5a8044368ee635d57b8d2206004d037de8f5f961380fb3a43f0"
+# `truncate --eps 0.75` removes all 39 terms of weight 1/64 and 4 of the 34
+# of weight 2/64, so the tie-break on input order decides which.
+WIDE_TRUNCATED = "1bf0935f8e880e9a64c22a83cba6fa7cf2f0695cd2a1cc9dd4151b325321c7bf"
+# (mode, controlled, N, sha256 of the .circ file) at t = eps = 1e-3, seed 2024.
+WIDE_CIRCUITS = [
+    ("exact", False, 13925, "58f208d26507dc676b94f049a5b645a74163adc7986d9b0264c9a87c984c1e91"),
+    ("exact", True, 13925, "8de8538c19df6dc0ee7e0b7ce5c4e3c838267bdb8534131a0a5fbf45706c14a8"),
+    ("approx", False, 13920, "d82a9eb9452a0e98e32c0862e695a1341f57308c3f4ce2d674cf9caa80ecf3dd"),
+]
+
+
+@pytest.fixture(scope="module")
+def wide_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("wide") / "wide.txt"
+    path.write_text(wide_hamtxt())
+    return path
+
+
+def test_wide_document_matches_golden_hash():
+    assert sha256_text(wide_hamtxt()) == WIDE_DOC
+
+
+@pytest.mark.parametrize("parse", [parse_hamiltonian, reference_parse_hamiltonian])
+def test_wide_serialize_matches_golden_hash(parse):
+    h = parse(wide_hamtxt())
+    assert h.L == 4950
+    assert sha256_text(h.serialize()) == WIDE_SERIALIZED
+    assert sha256_text(h.truncate(0.75).serialize()) == WIDE_TRUNCATED
+
+
+def test_wide_cli_truncate_matches_golden_hash(wide_file, tmp_path, capsys):
+    out = tmp_path / "t.txt"
+    assert main(["truncate", "--ham", str(wide_file), "--eps", "0.75", "--out", str(out)]) == EXIT_OK
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["L_before"], summary["L_after"]) == (4950, 4907)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == WIDE_TRUNCATED
+
+
+@pytest.mark.parametrize("case", WIDE_CIRCUITS, ids=lambda c: f"{c[0]}{'-ctrl' if c[1] else ''}")
+def test_wide_cli_compile_matches_golden_hash(case, wide_file, tmp_path, capsys):
+    mode, controlled, n, digest = case
+    out = tmp_path / "w.circ"
+    argv = ["compile", "--ham", str(wide_file), "--t", "0.001", "--eps", "0.001",
+            "--seed", "2024", "--mode", mode, "--out", str(out)]
+    if controlled:
+        argv.append("--controlled")
+    assert main(argv) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["N"] == n
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -69,6 +70,15 @@ class TestParse:
         with pytest.raises(HamiltonianParseError, match="identity"):
             parse_hamiltonian("1.0 II")
 
+    def test_l1_norm_overflow_is_a_parse_error(self):
+        with pytest.raises(HamiltonianParseError, match="l1 norm") as info:
+            parse_hamiltonian("1e308 ZZ\n1e308 XX")
+        assert info.value.line_no is None
+
+    def test_merged_weight_overflow_is_a_parse_error(self):
+        with pytest.raises(HamiltonianParseError, match="finite and > 0, got inf"):
+            parse_hamiltonian("1e308 ZZ\n1e308 ZZ")
+
     def test_all_terms_cancelling_is_empty(self):
         with pytest.raises(HamiltonianParseError, match="no terms"):
             parse_hamiltonian("0.5 ZZ\n-0.5 ZZ")
@@ -89,6 +99,12 @@ class TestAggregates:
         h = parse_hamiltonian("1.0 ZZ\n0.5 XI")
         p = h.profile()
         assert (p.L, p.lam, p.lam_max) == (2, 1.5, 1.0)
+
+    def test_l1_norm_overflow_raises_domain_error(self):
+        with pytest.raises(HamiltonianError, match="l1 norm lam of the 2 term weights overflows"):
+            Hamiltonian([(1e308, "ZZ"), (-1e308, "XX")])
+        h = Hamiltonian([(1e308, "ZZ"), (7e307, "XX")])
+        assert h.lam == 1.7e308
 
     def test_weight_profile_rejects_inconsistent(self):
         with pytest.raises(HamiltonianError):
@@ -114,6 +130,11 @@ class TestSerialize:
         for text in ("1.0 ZZ\n0.5 XI", "-0.5 XI", "0.25 ZZ\n0.25 ZZ\n-0.125 XY"):
             h = parse_hamiltonian(text)
             assert parse_hamiltonian(h.serialize()) == h.canonical()
+
+    def test_numpy_and_int_coefficients_serialize_as_floats(self):
+        h = Hamiltonian([(np.float64(0.5), "ZZ"), (np.float32(-0.25), "XI"), (1, "IY")])
+        assert h.serialize() == "# hamtxt v1\n1.0 IY\n0.5 ZZ\n-0.25 XI\n"
+        assert parse_hamiltonian(h.serialize()) == h.canonical()
 
     @given(
         st.dictionaries(
