@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .compiler import Circuit, compile_circuit, segment_error_bound, total_error_bound
+from .compiler import Circuit, compile_circuit, rng_from_seed, segment_error_bound, total_error_bound
 from .hamiltonian import Hamiltonian, PauliString
 
 MAX_CHANNEL_QUBITS = 6
@@ -261,7 +261,7 @@ def composition_check(
     composed = np.linalg.matrix_power(qdrift_channel(h, h.lam * t / n), n)
     delta = composed - target
     budget = total_error_bound(h.lam, t, n)
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    rng = rng_from_seed(seed)
     out = []
     for i in range(trials):
         psi = _random_pure_state(rng, dim)

@@ -21,13 +21,20 @@ from typing import Iterable
 import numpy as np
 
 from . import channels, phase_estimation as pe, trotter
-from .compiler import AliasSampler, compile_circuit, elementary_gate_estimate
+from .compiler import (
+    AliasSampler,
+    _check_positive,
+    compile_circuit,
+    elementary_gate_estimate,
+    rng_from_seed,
+)
 from .hamiltonian import (
     Hamiltonian,
     HamiltonianError,
     HamiltonianParseError,
     WeightProfile,
     parse_hamiltonian,
+    random_hamiltonian,
 )
 
 EXIT_OK = 0
@@ -81,12 +88,6 @@ def _emit_table(header: str, rows: list[list], fmt: str, out: Path | None) -> No
         _write_text(out, text)
 
 
-def _positive(value: float, name: str) -> float:
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-    return value
-
-
 def _load_hamiltonian(path: str) -> Hamiltonian:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -111,8 +112,8 @@ def _profile_from_args(args) -> tuple[WeightProfile, Hamiltonian | None]:
 
 
 def cmd_compile(args) -> int:
-    _positive(args.t, "--t")
-    _positive(args.eps, "--eps")
+    _check_positive(args.t, "--t")
+    _check_positive(args.eps, "--eps")
     h = _load_hamiltonian(args.ham)
     circuit = compile_circuit(
         h, args.t, args.eps, args.seed, mode=args.mode, controlled=args.controlled
@@ -134,7 +135,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_truncate(args) -> int:
-    _positive(args.eps, "--eps")
+    _check_positive(args.eps, "--eps")
     h = _load_hamiltonian(args.ham)
     truncated = h.truncate(args.eps)
     out = _resolve_out(args.out, Path(args.ham).stem + ".truncated.txt")
@@ -206,8 +207,8 @@ def _fair_profile(args, eps: float) -> WeightProfile:
 
 
 def cmd_cost(args) -> int:
-    _positive(args.t, "--t")
-    _positive(args.eps, "--eps")
+    _check_positive(args.t, "--t")
+    _check_positive(args.eps, "--eps")
     profile = _fair_profile(args, args.eps)
     rows = _cost_rows(profile, args.t, args.eps)
     _emit_table(trotter.COST_CSV_HEADER, rows, args.format, _resolve_out(args.out))
@@ -215,9 +216,9 @@ def cmd_cost(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _positive(args.t_min, "--t-min")
-    _positive(args.t_max, "--t-max")
-    _positive(args.eps, "--eps")
+    _check_positive(args.t_min, "--t-min")
+    _check_positive(args.t_max, "--t-max")
+    _check_positive(args.eps, "--eps")
     if args.t_min >= args.t_max or args.points < 2:
         raise ValueError("need --t-min < --t-max and --points >= 2")
     profile = _fair_profile(args, args.eps)
@@ -252,9 +253,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_phase_est(args) -> int:
-    _positive(args.lam, "--lambda")
-    _positive(args.lam_max, "--Lambda")
-    _positive(args.delta_e, "--delta-e")
+    _check_positive(args.lam, "--lambda")
+    _check_positive(args.lam_max, "--Lambda")
+    _check_positive(args.delta_e, "--delta-e")
     if args.L < 1:
         raise ValueError(f"--L must be >= 1, got {args.L}")
     if args.pf is not None:
@@ -304,29 +305,11 @@ def _builtin_suite(seed: int) -> list[tuple[str, Hamiltonian]]:
         ("three-term-2q", Hamiltonian([(0.6, "ZZ"), (0.4, "XI"), (0.25, "IY")])),
         ("four-term-3q", Hamiltonian([(0.5, "ZZI"), (0.35, "IXX"), (0.2, "YIY"), (0.1, "XZX")])),
     ]
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = rng_from_seed(seed)
     for i in range(5):
         n = int(rng.integers(1, 4))
-        suite.append((f"random-{i}-{n}q", _random_hamiltonian(rng, n)))
+        suite.append((f"random-{i}-{n}q", random_hamiltonian(rng, n)))
     return suite
-
-
-def _random_hamiltonian(rng: np.random.Generator, n_qubits: int) -> Hamiltonian:
-    """Random Pauli sum with distinct non-identity words and lam ~ O(1)."""
-    n_words = 4**n_qubits - 1
-    count = int(rng.integers(2, min(8, n_words) + 1))
-    picks = rng.choice(n_words, size=count, replace=False)
-    entries = []
-    for p in picks:
-        word = ""
-        value = int(p) + 1  # skip the all-identity word at 0
-        for _ in range(n_qubits):
-            word += "IXYZ"[value % 4]
-            value //= 4
-        entries.append((float(rng.uniform(0.1, 1.0)), word))
-    target_lam = float(rng.uniform(0.5, 2.0))
-    scale = target_lam / math.fsum(w for w, _ in entries)
-    return Hamiltonian([(w * scale, word) for w, word in entries])
 
 
 class _Report:
@@ -349,6 +332,7 @@ class _Report:
 
 
 def cmd_verify(args) -> int:
+    rng_from_seed(args.seed)  # reject a seed outside [0, 2**64) before any channel work
     report = _Report()
     tau_scale = 2.0 if args.negative_control else 1.0
     if args.ham is not None:

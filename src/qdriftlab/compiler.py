@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from functools import partial
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -36,10 +37,9 @@ _LOG_2 = math.log(2.0)
 _CHUNK = 1 << 16
 
 
-def _check_positive(**values: float) -> None:
-    for name, v in values.items():
-        if not (math.isfinite(v) and v > 0):
-            raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+def _check_positive(value: float, name: str) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 def _exp_or_inf(log_value: float) -> float:
@@ -47,6 +47,28 @@ def _exp_or_inf(log_value: float) -> float:
     if log_value > 709.0:
         return math.inf
     return math.exp(log_value)
+
+
+def _smallest_within(bound: Callable[[int], float], target: float, limit: int) -> int | None:
+    """Smallest n >= 1 with bound(n) <= target, or None once the bracket passes ``limit``.
+
+    ``bound`` must be decreasing in n.  Doubling brackets the answer and
+    bisection narrows it; n - 1 is known to fail, so the answer is minimal.
+    """
+    if bound(1) <= target:
+        return 1
+    lo, hi = 1, 2
+    while bound(hi) > target:
+        lo, hi = hi, hi * 2
+        if hi > limit:
+            return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if bound(mid) <= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def segment_error_bound(lam: float, t: float, n: int) -> float:
@@ -69,7 +91,9 @@ def _log_total_bound(lam: float, t: float, n: int) -> float:
 
 def gate_count_approx(lam: float, t: float, eps: float) -> int:
     """Gate count from the quadratic bound: ceil(2 lam^2 t^2 / eps), at least 1."""
-    _check_positive(lam=lam, t=t, eps=eps)
+    _check_positive(lam, "lam")
+    _check_positive(t, "t")
+    _check_positive(eps, "eps")
     return max(1, math.ceil(2.0 * (lam * t) ** 2 / eps))
 
 
@@ -77,25 +101,18 @@ def gate_count_exact(lam: float, t: float, eps: float) -> int:
     """Smallest N with (2 lam^2 t^2 / N) e^{2 lam t / N} <= eps.
 
     The bound is strictly decreasing in N, so the answer is unique; it is
-    located by doubling then bisection, evaluated in log space so huge
-    lam*t never overflows.
+    searched in log space so huge lam*t never overflows.  A lam*t that
+    underflows to 0 has bound 0 and gives N = 1.
     """
-    _check_positive(lam=lam, t=t, eps=eps)
-    log_eps = math.log(eps)
-    if _log_total_bound(lam, t, 1) <= log_eps:
+    _check_positive(lam, "lam")
+    _check_positive(t, "t")
+    _check_positive(eps, "eps")
+    if lam * t == 0.0:
         return 1
-    lo, hi = 1, 2
-    while _log_total_bound(lam, t, hi) > log_eps:
-        lo, hi = hi, hi * 2
-        if hi > _N_LIMIT:
-            raise OverflowError(f"no gate count <= 2**512 reaches eps={eps}")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _log_total_bound(lam, t, mid) <= log_eps:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    n = _smallest_within(partial(_log_total_bound, lam, t), math.log(eps), _N_LIMIT)
+    if n is None:
+        raise OverflowError(f"no gate count <= 2**512 reaches eps={eps}")
+    return n
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -180,20 +197,6 @@ class AliasSampler:
         return out
 
 
-def sample_term(h: Hamiltonian, rng: np.random.Generator) -> int:
-    """Draw one term index j with probability h_j / lam."""
-    return AliasSampler(h.weights).sample(rng)
-
-
-@dataclass(frozen=True)
-class GateOp:
-    """One rotation exp(i * tau * sign * Pauli) applied to the state."""
-
-    term_index: int
-    angle: float
-    controlled: bool = False
-
-
 @dataclass(frozen=True)
 class CircuitMeta:
     seed: int
@@ -228,11 +231,6 @@ class Circuit:
     @property
     def term_indices(self) -> np.ndarray:
         return self._indices.astype(np.int64)
-
-    @property
-    def gates(self) -> tuple[GateOp, ...]:
-        c = self.meta.controlled
-        return tuple(GateOp(int(j), self.tau, c) for j in self._indices)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Circuit):
@@ -291,7 +289,8 @@ def compile_circuit(
     making the output a pure function of (canonical form, t, eps, seed,
     mode) regardless of input term order.
     """
-    _check_positive(t=t, eps=eps)
+    _check_positive(t, "t")
+    _check_positive(eps, "eps")
     if h.L == 0:
         raise ValueError("cannot compile an empty Hamiltonian")
     h = h.canonical()

@@ -96,25 +96,6 @@ class Term:
 
 
 @dataclass(frozen=True)
-class ControlledTerm:
-    """Term lifted to |1><1| (x) op on one extra (control) qubit.
-
-    The lifted operator keeps operator norm 1, so weights and aggregates
-    are unchanged relative to the base term.
-    """
-
-    base: Term
-
-    @property
-    def weight(self) -> float:
-        return self.base.weight
-
-    @property
-    def n_qubits(self) -> int:
-        return self.base.op.n_qubits + 1
-
-
-@dataclass(frozen=True)
 class WeightProfile:
     """Aggregate view (L, lam, lam_max) detached from explicit Pauli data."""
 
@@ -331,23 +312,23 @@ class Hamiltonian:
         kept_weights = self._weights[kept]
         return self._select(kept, math.fsum(kept_weights.tolist()), float(kept_weights.max()))
 
-    def controlled_extension(self) -> "ControlledExtension":
-        """Lift every term to |1><1| (x) H_j on n+1 qubits.
 
-        L, lam and lam_max are unchanged by the lift.
-        """
-        return ControlledExtension(
-            terms=tuple(ControlledTerm(t) for t in self.terms),
-            n_qubits=self._n_qubits + 1,
-            profile=self.profile(),
-        )
-
-
-@dataclass(frozen=True)
-class ControlledExtension:
-    terms: tuple[ControlledTerm, ...]
-    n_qubits: int
-    profile: WeightProfile
+def random_hamiltonian(rng: np.random.Generator, n_qubits: int) -> Hamiltonian:
+    """Random Pauli sum of 2 to 8 distinct non-identity words with lam in [0.5, 2]."""
+    n_words = 4**n_qubits - 1
+    count = int(rng.integers(2, min(8, n_words) + 1))
+    picks = rng.choice(n_words, size=count, replace=False)
+    entries = []
+    for p in picks:
+        word = ""
+        value = int(p) + 1  # skip the all-identity word at 0
+        for _ in range(n_qubits):
+            word += PAULI_AXES[value % 4]
+            value //= 4
+        entries.append((float(rng.uniform(0.1, 1.0)), word))
+    target_lam = float(rng.uniform(0.5, 2.0))
+    scale = target_lam / math.fsum(w for w, _ in entries)
+    return Hamiltonian([(w * scale, word) for w, word in entries])
 
 
 def parse_hamiltonian(text: str) -> Hamiltonian:

@@ -25,7 +25,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .compiler import _exp_or_inf, gate_count_exact, total_error_bound
+from .compiler import (
+    _check_positive,
+    _exp_or_inf,
+    _smallest_within,
+    gate_count_exact,
+    total_error_bound,
+)
 from .hamiltonian import WeightProfile
 
 R_MAX = 2**63
@@ -43,8 +49,7 @@ def _check_r(r: int) -> None:
 def _check_profile_args(L: int, lam_max: float, t: float) -> None:
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
-    if not (math.isfinite(lam_max) and lam_max > 0):
-        raise ValueError(f"lam_max must be > 0, got {lam_max!r}")
+    _check_positive(lam_max, "lam_max")
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"t must be >= 0, got {t!r}")
 
@@ -59,9 +64,9 @@ def trotter_error_det(
     """
     _check_r(r)
     _check_profile_args(L, lam_max, t)
-    if t == 0.0:
-        return 0.0
     x = L * lam_max * t
+    if x == 0.0:
+        return 0.0
     exp_arg = lam_max * t * (L if main_text_exponent else 1) / r
     return _exp_or_inf(2 * math.log(x) - math.log(2 * r) + exp_arg)
 
@@ -70,9 +75,9 @@ def trotter_error_random(L: int, lam_max: float, t: float, r: int) -> float:
     """First-order randomized bound (r/2)(a^2 + 2 b)."""
     _check_r(r)
     _check_profile_args(L, lam_max, t)
-    if t == 0.0:
-        return 0.0
     x = L * lam_max * t
+    if x == 0.0:
+        return 0.0
     exp_arg = lam_max * t / r
     log_a = 2 * math.log(x) - 2 * math.log(r) + exp_arg
     log_b = 3 * math.log(x) - math.log(3) - 3 * math.log(r) + exp_arg
@@ -90,12 +95,9 @@ def _combine_random(log_a: float, log_b: float, r: int) -> float:
     return _exp_or_inf(total)
 
 
-def _suzuki_logs(k: int, L: int, lam_max: float, t: float, r: int) -> tuple[float, float]:
-    if k not in SUPPORTED_K:
-        raise ValueError(f"suzuki order parameter k must be in {SUPPORTED_K}, got {k}")
-    big = 2 * 5 ** (k - 1)
-    xt = big * lam_max * t
-    exp_arg = big * lam_max * t / r
+def _suzuki_logs(k: int, L: int, xt: float, r: int) -> tuple[float, float]:
+    # xt = 2 5^(k-1) lam_max t
+    exp_arg = xt / r
     log_a = (
         math.log(2)
         + (2 * k + 1) * (math.log(xt) + math.log(L))
@@ -119,9 +121,12 @@ def suzuki_error(k: int, L: int, lam_max: float, t: float, r: int, variant: str 
     _check_profile_args(L, lam_max, t)
     if variant not in ("det", "random"):
         raise ValueError(f"variant must be 'det' or 'random', got {variant!r}")
-    if t == 0.0:
+    if k not in SUPPORTED_K:
+        raise ValueError(f"suzuki order parameter k must be in {SUPPORTED_K}, got {k}")
+    xt = 2 * 5 ** (k - 1) * lam_max * t
+    if xt == 0.0:
         return 0.0
-    log_a, log_b = _suzuki_logs(k, L, lam_max, t, r)
+    log_a, log_b = _suzuki_logs(k, L, xt, r)
     if variant == "det":
         return _exp_or_inf(math.log(r) - math.log(2) + log_a)
     return _combine_random(log_a, log_b, r)
@@ -130,25 +135,14 @@ def suzuki_error(k: int, L: int, lam_max: float, t: float, r: int, variant: str 
 def solve_r(error_fn: Callable[[int], float], eps: float) -> int:
     """Smallest integer r >= 1 with error_fn(r) <= eps.
 
-    error_fn must be (eventually) monotone decreasing in r.  Brackets by
-    doubling, then bisects; the bisection invariant guarantees r - 1 fails.
+    error_fn must be (eventually) monotone decreasing in r; r - 1 is
+    known to fail, so the answer is minimal.
     """
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be > 0, got {eps!r}")
-    if error_fn(1) <= eps:
-        return 1
-    lo, hi = 1, 2
-    while error_fn(hi) > eps:
-        lo, hi = hi, hi * 2
-        if hi > R_MAX:
-            raise OverflowError(f"no segment count <= 2**63 reaches eps={eps}")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if error_fn(mid) <= eps:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    _check_positive(eps, "eps")
+    r = _smallest_within(error_fn, eps, R_MAX)
+    if r is None:
+        raise OverflowError(f"no segment count <= 2**63 reaches eps={eps}")
+    return r
 
 
 @dataclass(frozen=True)
@@ -213,10 +207,8 @@ class CostQuery:
     eps: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.t) and self.t > 0):
-            raise ValueError(f"t must be > 0, got {self.t!r}")
-        if not (math.isfinite(self.eps) and self.eps > 0):
-            raise ValueError(f"eps must be > 0, got {self.eps!r}")
+        _check_positive(self.t, "t")
+        _check_positive(self.eps, "eps")
         if self.eps >= 1:
             warnings.warn(f"target precision eps={self.eps} >= 1 is unusually loose", stacklevel=2)
 
@@ -314,14 +306,9 @@ def closed_form_suzuki_count(k: int, L: int, lam_max: float, t: float, eps: floa
     if k not in SUPPORTED_K:
         raise ValueError(f"k must be in {SUPPORTED_K}, got {k}")
     _check_profile_args(L, lam_max, t)
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be > 0, got {eps!r}")
+    _check_positive(eps, "eps")
     xt = lam_max * t
     return 2 * 5 ** (k - 1) * xt * L**2 * (xt * suzuki_b_constant(k) / eps) ** (1.0 / (2 * k))
-
-
-def qdrift_gates(profile: WeightProfile, t: float, eps: float) -> int:
-    return gate_count_exact(profile.lam, t, eps)
 
 
 def crossover_time(
@@ -342,7 +329,7 @@ def crossover_time(
 
     def qdrift_exceeds(t: float) -> bool:
         best = best_method(CostQuery(profile, t, eps), candidates)
-        return qdrift_gates(profile, t, eps) > best.gates
+        return gate_count_exact(profile.lam, t, eps) > best.gates
 
     grid = np.logspace(math.log10(t_lo), math.log10(t_hi), points)
     previous = qdrift_exceeds(float(grid[0]))
@@ -366,30 +353,3 @@ def crossover_time(
 
 
 COST_CSV_HEADER = "method,order,variant,r,gates,bound,t,eps,L,Lambda,lambda"
-
-
-def _fmt_float(x: float) -> str:
-    return format(x, ".17g")
-
-
-def cost_csv_row(report: CostReport, query: CostQuery) -> str:
-    """One strict-CSV row; counts beyond int64 serialize as log10_gates."""
-    m = report.method
-    if report.gates <= INT64_MAX:
-        gates_cell = str(report.gates)
-    else:
-        gates_cell = f"log10_gates={_fmt_float(report.log10_gates)}"
-    cells = [
-        m.family,
-        str(m.order) if m.family != "qdrift" else "",
-        m.variant,
-        str(report.r) if report.r is not None else "",
-        gates_cell,
-        _fmt_float(report.bound),
-        _fmt_float(query.t),
-        _fmt_float(query.eps),
-        str(query.profile.L),
-        _fmt_float(query.profile.lam_max),
-        _fmt_float(query.profile.lam),
-    ]
-    return ",".join(cells)

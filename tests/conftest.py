@@ -1,9 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
-from qdriftlab.hamiltonian import Hamiltonian
+# random_hamiltonian is the library's generator, shared by the test modules.
+from qdriftlab.hamiltonian import Hamiltonian, random_hamiltonian  # noqa: F401
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -18,24 +17,6 @@ def pauli_word_matrix(word: str) -> np.ndarray:
     for c in word[1:]:
         out = np.kron(out, PAULI[c])
     return out
-
-
-def random_hamiltonian(rng: np.random.Generator, n_qubits: int, max_terms: int = 8) -> Hamiltonian:
-    """Random Pauli sum with distinct non-identity words and lam in [0.5, 2]."""
-    n_words = 4**n_qubits - 1
-    count = int(rng.integers(2, min(max_terms, n_words) + 1))
-    picks = rng.choice(n_words, size=count, replace=False)
-    entries = []
-    for p in picks:
-        word = ""
-        value = int(p) + 1  # index 0 would be the all-identity word
-        for _ in range(n_qubits):
-            word += "IXYZ"[value % 4]
-            value //= 4
-        entries.append((float(rng.uniform(0.1, 1.0)), word))
-    target_lam = float(rng.uniform(0.5, 2.0))
-    scale = target_lam / math.fsum(w for w, _ in entries)
-    return Hamiltonian([(w * scale, word) for w, word in entries])
 
 
 @pytest.fixture

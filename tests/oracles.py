@@ -4,8 +4,9 @@ These are the straightforward forms the library used before it streamed
 compile output (one f-string per gate, the alias draw applied to a single
 ``rng.random(count)`` call) and before the Hamiltonian became columnar
 (an object-based Hamiltonian that keeps a tuple of ``Term`` objects, its
-per-character parser, and the alias table built on numpy scalars).  They
-are kept for tests only.
+per-character parser, and the alias table built on numpy scalars), plus
+the doubling-plus-bisection loop that ``gate_count_exact`` and ``solve_r``
+each carried before they shared one search.  They are kept for tests only.
 """
 
 from __future__ import annotations
@@ -53,6 +54,24 @@ def reference_segment_error_bound(lam: float, t: float, n: int) -> float:
     """(2 lam^2 t^2 / N^2) e^{2 lam t / N} with an unguarded ``math.exp``."""
     x = 2.0 * lam * t / n
     return 0.5 * x * x * math.exp(x)
+
+
+def reference_doubling_search(bound, target: float, limit: int) -> int | None:
+    """Smallest n >= 1 with bound(n) <= target by doubling then bisection; None past ``limit``."""
+    if bound(1) <= target:
+        return 1
+    lo, hi = 1, 2
+    while bound(hi) > target:
+        lo, hi = hi, hi * 2
+        if hi > limit:
+            return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if bound(mid) <= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def scrambled_hamiltonian(L: int, n_qubits: int, key: int) -> Hamiltonian:

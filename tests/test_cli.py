@@ -143,6 +143,19 @@ class TestCostCommand:
     def test_requires_profile_or_ham(self):
         assert main(["cost", "--t", "1", "--eps", "1e-3"]) == EXIT_DOMAIN
 
+    def test_tiny_t_gives_one_gate_and_zero_bound(self, capsys):
+        # lam * t underflows to 0, so every bound is 0 and every solve stops at 1
+        code = main(["cost", "--L", "1", "--Lambda", "1e-10", "--lambda", "1e-10",
+                     "--t", "1e-320", "--eps", "1e-3"])
+        assert code == EXIT_OK
+        rows = [ln.split(",") for ln in capsys.readouterr().out.strip().splitlines()[1:]]
+        assert len(rows) == 9
+        assert rows[0][:6] == ["qdrift", "", "", "", "1", "0"]
+        assert all(row[3] == "1" and row[5] == "0" for row in rows[1:])
+        gates = {row[0] + row[1] + row[2]: int(row[4]) for row in rows[1:]}
+        assert gates == {"trotter1det": 1, "trotter1random": 1, "suzuki2det": 2, "suzuki2random": 2,
+                         "suzuki4det": 10, "suzuki4random": 10, "suzuki6det": 50, "suzuki6random": 50}
+
 
 class TestSweepCommand:
     def test_grid_shape_and_ascending_t(self, capsys):
@@ -219,6 +232,17 @@ class TestPhaseEstCommand:
 
 
 class TestVerifyCommand:
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_domain_is_domain_error(self, seed, capsys):
+        assert main(["verify", "--seed", seed]) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.err == f"error: seed must be in [0, 2**64), got {seed}\n"
+        assert captured.out == ""
+
+    def test_seed_checked_with_explicit_hamiltonian(self, small_ham_file, capsys):
+        assert main(["verify", "--ham", str(small_ham_file), "--seed", "-1"]) == EXIT_DOMAIN
+        assert capsys.readouterr().err == "error: seed must be in [0, 2**64), got -1\n"
+
     def test_huge_t_bound_is_inf_not_an_error(self, capsys):
         assert main(["verify", "--t", "5000"]) == EXIT_OK
         assert "VERIFY: PASS" in capsys.readouterr().out
@@ -288,3 +312,32 @@ class TestTruncateCommand:
         path.write_text("0.5 ZZ\n0.3 XI\n")
         assert main(["truncate", "--ham", str(path), "--eps", "0.9",
                      "--out", str(tmp_path / "t.txt")]) == EXIT_DOMAIN
+
+
+# The exact stderr line of a rejected numeric argument, pinned from the code
+# before the finite-and-positive checks were merged into one.
+ERROR_TEXT = [
+    ("compile --ham {ham} --t 0 --eps 1e-3 --seed 1", "error: --t must be finite and > 0, got 0.0"),
+    ("cost --L 2 --Lambda 0.5 --lambda 1.0 --t 1 --eps -1",
+     "error: --eps must be finite and > 0, got -1.0"),
+    ("sweep --L 2 --Lambda 0.5 --lambda 1.0 --t-min nan --t-max 10 --eps 1e-3",
+     "error: --t-min must be finite and > 0, got nan"),
+    ("phase-est --lambda inf --delta-e 1e-3 --pf 0.1", "error: --lambda must be finite and > 0, got inf"),
+    ("phase-est --lambda 1.0 --delta-e 0 --pf 0.1", "error: --delta-e must be finite and > 0, got 0.0"),
+    ("cost --L 1 --Lambda inf --lambda inf --t 1 --eps 1e-3", "error: lam must be finite and > 0, got inf"),
+    ("truncate --ham {ham} --eps -0.5", "error: --eps must be finite and > 0, got -0.5"),
+    ("sweep --L 2 --Lambda 0.5 --lambda 1.0 --t-min 1 --t-max inf --eps 1e-3",
+     "error: --t-max must be finite and > 0, got inf"),
+    ("phase-est --lambda 1.0 --Lambda nan --delta-e 0.1 --pf 0.1",
+     "error: --Lambda must be finite and > 0, got nan"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, message", ERROR_TEXT, ids=[f"{c.split()[0]}-{i}" for i, (c, _) in enumerate(ERROR_TEXT)]
+)
+def test_rejected_argument_error_text(command, message, ham_file, capsys):
+    assert main(command.format(ham=ham_file).split()) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n"
+    assert captured.out == ""

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_segment_error_bound
+from oracles import reference_doubling_search, reference_segment_error_bound
 from qdriftlab import compiler, trotter
 from qdriftlab.compiler import (
     AliasSampler,
@@ -15,7 +15,6 @@ from qdriftlab.compiler import (
     gate_count_approx,
     gate_count_exact,
     rng_from_seed,
-    sample_term,
     segment_error_bound,
     total_error_bound,
 )
@@ -57,6 +56,38 @@ class TestGateCountExact:
     def test_tiny_time_gives_one(self):
         assert gate_count_exact(1.0, 1e-12, 1e-3) == 1
 
+    @pytest.mark.parametrize("lam,t", [(1e-10, 1e-320), (1e-300, 1e-300), (1.0, 5e-324)])
+    def test_underflowing_lam_t_gives_one_with_zero_bound(self, lam, t):
+        # log(lam * t) of a product that is not 0 would be fine; 0 has no log.
+        n = gate_count_exact(lam, t, 1e-3)
+        assert n == 1
+        assert total_error_bound(lam, t, n) <= 1e-300
+
+    def test_evaluations_match_the_reference_search(self, monkeypatch):
+        # The merged search evaluates the log bound at the same N, in the
+        # same order, as the loop gate_count_exact carried before.
+        log_bound = compiler._log_total_bound
+        calls = []
+
+        def recorded(lam, t, n):
+            calls.append(n)
+            return log_bound(lam, t, n)
+
+        monkeypatch.setattr(compiler, "_log_total_bound", recorded)
+        cases = [(1.0, 1.0, 1e-3), (3.0, 7.0, 1e-9), (0.5, 0.01, 0.3), (2.0, 1e70, 1e-3), (1.0, 1e80, 1e-3)]
+        for lam, t, eps in cases:
+            calls.clear()
+            try:
+                n = gate_count_exact(lam, t, eps)
+            except OverflowError:
+                n = None
+            got = calls[:]
+            calls.clear()
+            reference = reference_doubling_search(
+                lambda m: recorded(lam, t, m), math.log(eps), compiler._N_LIMIT
+            )
+            assert (n, got) == (reference, calls)
+
     def test_exact_at_least_approx_on_random_grid(self):
         rng = np.random.default_rng(2024)
         for _ in range(100):
@@ -83,6 +114,30 @@ class TestGateCountExact:
             assert gate_count_exact(1, t_lo, 1e-3) <= gate_count_exact(1, t_hi, 1e-3)
         for lam_lo, lam_hi in ((0.5, 1.0), (1.0, 2.0)):
             assert gate_count_exact(lam_lo, 1, 1e-3) <= gate_count_exact(lam_hi, 1, 1e-3)
+
+
+class TestSmallestWithin:
+    @settings(max_examples=300, deadline=None)
+    @given(threshold=st.integers(1, 2**70), limit=st.sampled_from([2**10, 2**63, 2**512]))
+    def test_same_answer_and_evaluations_as_reference(self, threshold, limit):
+        def recorder():
+            calls = []
+
+            def bound(n):
+                calls.append(n)
+                return 0.0 if n >= threshold else 1.0
+
+            return bound, calls
+
+        bound, calls = recorder()
+        ref_bound, ref_calls = recorder()
+        n = compiler._smallest_within(bound, 0.5, limit)
+        assert n == reference_doubling_search(ref_bound, 0.5, limit)
+        assert calls == ref_calls
+        if n is None:
+            assert threshold > limit
+        else:
+            assert n == threshold
 
 
 class TestErrorBoundOverflow:
@@ -144,8 +199,8 @@ class TestAliasSampler:
             sigma = math.sqrt(p * (1 - p) / m)
             assert abs(counts[j] / m - p) <= 5 * sigma
 
-    def test_sample_term_uses_hamiltonian_weights(self, two_term_1q):
-        j = sample_term(two_term_1q, rng_from_seed(0))
+    def test_sample_uses_hamiltonian_weights(self, two_term_1q):
+        j = AliasSampler(two_term_1q.weights).sample(rng_from_seed(0))
         assert j in (0, 1)
 
     def test_rejects_bad_weights(self):
@@ -160,7 +215,9 @@ class TestCompile:
         c = compile_circuit(two_term_1q, 1.0, 1e-3, seed=5, mode="approx")
         assert len(c) == 2000
         assert c.tau == 1.0 / 2000
-        assert all(g.angle == c.tau for g in c.gates)
+        gate_lines = c.to_text().splitlines()[4:]
+        assert len(gate_lines) == 2000
+        assert {float(line.split()[-1]) for line in gate_lines} == {c.tau}
 
     def test_angle_times_count_recovers_lam_t(self, three_term_2q):
         c = compile_circuit(three_term_2q, 0.7, 1e-2, seed=9)
@@ -243,7 +300,7 @@ class TestControlledCompile:
         ctrl = compile_controlled(two_term_1q, 1.0, 1e-3, seed=77)
         assert ctrl.meta.N == plain.meta.N
         assert np.array_equal(ctrl.term_indices, plain.term_indices)
-        assert all(g.controlled for g in ctrl.gates)
+        assert ctrl.meta.controlled and not plain.meta.controlled
 
     def test_elementary_estimate_doubles(self, two_term_1q):
         # eps = 0.02 puts the quadratic count at exactly 100

@@ -1,4 +1,5 @@
-"""Golden sha256 hashes of compiled circuits.
+"""Golden sha256 hashes of compiled circuits and of the cost, sweep,
+phase-est and verify outputs.
 
 Every hash below was produced by the one-f-string-per-gate serializer and
 the unchunked sampler, before compile output was streamed in blocks of
@@ -152,3 +153,66 @@ def test_wide_cli_compile_matches_golden_hash(case, wide_file, tmp_path, capsys)
     assert main(argv) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["N"] == n
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# (id, argv, line count, sha256 of stdout, sha256 of the verify --out CSV).
+# These come from the code before the gate-count and segment-count searches
+# were merged into one and the finite-and-positive checks into one; never
+# regenerate them.  The cost rows at t = 1e80 hold `overflow` and
+# `log10_gates=` cells, sweep-a and sweep-c end in a crossover row and
+# sweep-b has none, and verify-top uses the largest seed, 2**64 - 1.
+CLI_GOLDEN = [
+    ("cost-small", "cost --L 2 --Lambda 0.5 --lambda 1.0 --t 1.0 --eps 0.001", 10,
+     "d9f9e72e1e9dc5b1c4cb1d155d09a11811969c62986d1814307030d7f92ae104", None),
+    ("cost-mid", "cost --L 100 --Lambda 1.0 --lambda 50.0 --t 10.0 --eps 1e-06", 10,
+     "7c30366aa7b0b593128a8c6c854deb1001a2fa4b652aaaae75ad871eee2e8c0f", None),
+    ("cost-json", "cost --L 1000 --Lambda 0.01 --lambda 3.0 --t 100.0 --eps 0.001 --format json", 119,
+     "1cf981ded0b274294fdf5e5dfffa1dc3d8ac844498877f1f535a9ad3b0ecc198", None),
+    ("cost-huge-t", "cost --L 10 --Lambda 1.0 --lambda 10.0 --t 1e80 --eps 0.001", 10,
+     "d01dcded05989d47a1167e5b135147182ec8679b7ab623d5443507ba1eb43aa1", None),
+    ("cost-huge-t-wide", "cost --L 100000 --Lambda 0.3 --lambda 7.5 --t 1e40 --eps 1e-09", 10,
+     "bed73cce5ac6eee395a73677bb24708b9dc1e01c5b6423c34ecee88db704f39a", None),
+    ("cost-huge-t-log10", "cost --L 3 --Lambda 1e-10 --lambda 2e-10 --t 1e80 --eps 0.001", 10,
+     "38ccea2294458fbf0e99da3ed3da9ac7e5082d98f63435865f27826cd841efdb", None),
+    ("sweep-a", "sweep --L 2000 --Lambda 0.01 --lambda 5.0 --t-min 0.001 --t-max 1e10 --points 50 "
+     "--eps 0.001 --crossover", 452,
+     "ce3a7952a72e4b07b1bb175976702704172c522b6c2a637e88fd0bf117485eba", None),
+    ("sweep-b", "sweep --L 30 --Lambda 1.0 --lambda 12.0 --t-min 0.01 --t-max 1e6 --points 25 "
+     "--eps 1e-06 --crossover", 226,
+     "1963c42983b8246712ab425b48c739df881db2d40f141bfb1f063f8264d1cd04", None),
+    ("sweep-c", "sweep --L 500000 --Lambda 0.002 --lambda 40.0 --t-min 0.1 --t-max 1e12 --points 30 "
+     "--eps 0.01 --crossover --format json", 3525,
+     "4e58db7dfa35fe9ead7a067ce18c8b995db04c228a42115d0587550bb543497c", None),
+    ("pe-grid", "phase-est --lambda 100.0 --Lambda 1.0 --L 500 --delta-e 0.001 --pf-min 0.0001 "
+     "--pf-max 0.5 --pf-points 20", 41,
+     "b21e9f34310c934e75ae3bd89704f70f3d8dea8cfe9580c11da01d55c7b360da", None),
+    ("pe-grid-b", "phase-est --lambda 3.0 --Lambda 0.05 --L 2000 --delta-e 0.003 --pf-min 0.001 "
+     "--pf-max 0.1 --pf-points 20 --format json", 402,
+     "926481713f8891dca65f80d4b497a2dd5e442c1f8f280c7d2451f47133ca1be8", None),
+    ("pe-single", "phase-est --lambda 10.0 --L 20 --Lambda 1.0 --delta-e 0.01 --pf 0.05", 3,
+     "5847c2e6004d26709f2ac8f8ed3a56ca64b41ffbbb9c072460dbc9ea3a634393", None),
+    ("verify-42", "verify", 31,
+     "6a548864fcca97173b85aaacbb0bc6c4de2f31dfd53b529104691c59df8cf658",
+     "ced39a03f9f3d8b27ae7602e0a80f3fda626ef7dd4adec7866395398622d6381"),
+    ("verify-7", "verify --seed 7", 31,
+     "1450815b9a581afe5078e9b4a949226859896561579a949b5a59a7e05454fffb",
+     "7fa5a028a18d428b2d9206e4a2a9f263eca7af16cbb5300f95c1d3fb11be6928"),
+    ("verify-top", "verify --seed 18446744073709551615", 31,
+     "3e37486b0ef837e1c6d65c7449e43ecfa311a0813fdaef8c137f5d0098745f06",
+     "62126365db07d574e8024827cc72013a12860388bc88d5e9303f1a47e656919d"),
+]
+
+
+@pytest.mark.parametrize("case", CLI_GOLDEN, ids=lambda c: c[0])
+def test_cli_report_matches_golden_hash(case, tmp_path, capsys):
+    _, command, n_lines, digest, csv_digest = case
+    argv = command.split()
+    csv = tmp_path / "rows.csv"
+    if csv_digest is not None:
+        argv += ["--out", str(csv)]
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.count("\n") == n_lines
+    assert sha256_text(out) == digest
+    if csv_digest is not None:
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == csv_digest

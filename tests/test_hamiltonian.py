@@ -185,23 +185,3 @@ class TestTruncate:
         h = Hamiltonian([(0.5, "ZZ")])
         with pytest.raises(HamiltonianError):
             h.truncate(0.0)
-
-
-class TestControlledExtension:
-    def test_aggregates_unchanged(self):
-        h = parse_hamiltonian("1.0 ZZ\n0.5 XI")
-        ext = h.controlled_extension()
-        assert (ext.profile.L, ext.profile.lam, ext.profile.lam_max) == (2, 1.5, 1.0)
-
-    def test_single_term(self):
-        h = Hamiltonian([(0.7, "Z")])
-        ext = h.controlled_extension()
-        (ct,) = ext.terms
-        assert ct.weight == 0.7
-        assert ct.n_qubits == 2
-
-    def test_dimension_bookkeeping(self):
-        h = Hamiltonian([(1.0, "X")])
-        ext = h.controlled_extension()
-        assert ext.n_qubits == 2
-        assert all(ct.n_qubits == 2 for ct in ext.terms)

@@ -1,0 +1,67 @@
+"""The package's public names, listed once so that adding or removing one is a visible change."""
+
+import pytest
+
+import qdriftlab
+from qdriftlab import compiler, hamiltonian, trotter
+
+PUBLIC_NAMES = [
+    "AliasSampler",
+    "Circuit",
+    "CircuitMeta",
+    "CostQuery",
+    "CostReport",
+    "Hamiltonian",
+    "HamiltonianError",
+    "HamiltonianParseError",
+    "Method",
+    "PauliString",
+    "Term",
+    "WeightProfile",
+    "best_method",
+    "closed_form_suzuki_count",
+    "compile_circuit",
+    "compile_controlled",
+    "crossover_time",
+    "elementary_gate_estimate",
+    "gate_count",
+    "gate_count_approx",
+    "gate_count_exact",
+    "parse_hamiltonian",
+    "rng_from_seed",
+    "segment_error_bound",
+    "solve_r",
+    "suzuki_error",
+    "suzuki_prefactor",
+    "total_error_bound",
+    "trotter_error_det",
+    "trotter_error_random",
+]
+
+
+def test_all_lists_exactly_the_public_names():
+    assert len(PUBLIC_NAMES) == 30
+    assert sorted(qdriftlab.__all__) == PUBLIC_NAMES
+
+
+def test_every_public_name_resolves():
+    for name in PUBLIC_NAMES:
+        assert getattr(qdriftlab, name) is not None, name
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    [
+        (compiler, "GateOp"),
+        (compiler, "sample_term"),
+        (compiler.Circuit, "gates"),
+        (trotter, "qdrift_gates"),
+        (trotter, "cost_csv_row"),
+        (hamiltonian, "ControlledTerm"),
+        (hamiltonian, "ControlledExtension"),
+        (hamiltonian.Hamiltonian, "controlled_extension"),
+    ],
+)
+def test_removed_names_stay_removed(owner, name):
+    assert not hasattr(owner, name)
+    assert not hasattr(qdriftlab, name)

@@ -3,23 +3,26 @@ import math
 import numpy as np
 import pytest
 
+from oracles import reference_doubling_search
+from qdriftlab import cli
 from qdriftlab.hamiltonian import WeightProfile
 from qdriftlab.trotter import (
+    COST_CSV_HEADER,
     DEFAULT_CANDIDATES,
     PRINTED_NK_CONSTANTS,
     QDRIFT,
+    R_MAX,
     SUZUKI_DET,
     SUZUKI_RANDOM,
     TROTTER_DET,
     TROTTER_RANDOM,
     CostQuery,
-    CostReport,
     best_method,
     closed_form_suzuki_count,
-    cost_csv_row,
     crossover_time,
     error_function,
     gate_count,
+    gates_per_segment,
     solve_r,
     suzuki_b_constant,
     suzuki_error,
@@ -200,6 +203,53 @@ class TestSolveR:
             solve_r(fn, 1e-30)
 
 
+class TestSolveREvaluations:
+    @pytest.mark.parametrize("method", DEFAULT_CANDIDATES, ids=lambda m: m.label)
+    def test_evaluations_match_the_reference_search(self, method):
+        # The merged search evaluates error_fn at the same r, in the same
+        # order, as the loop solve_r carried before.
+        err = error_function(method, WeightProfile(7, 5.0, 0.9), 3.5)
+
+        def recorder(calls):
+            def bound(r):
+                calls.append(r)
+                return err(r)
+
+            return bound
+
+        for eps in (0.5, 1e-3, 1e-9, 1e-300):
+            got, expected = [], []
+            try:
+                r = solve_r(recorder(got), eps)
+            except OverflowError:
+                r = None
+            assert r == reference_doubling_search(recorder(expected), eps, R_MAX)
+            assert got == expected
+
+
+class TestTinyTime:
+    """L * lam_max * t underflows to 0: every bound is 0 and one segment suffices."""
+
+    PROFILE = WeightProfile(1, 1e-10, 1e-10)
+
+    @pytest.mark.parametrize("method", [QDRIFT, *DEFAULT_CANDIDATES], ids=lambda m: m.label)
+    def test_every_method_costs_one_segment(self, method):
+        report = gate_count(method, CostQuery(self.PROFILE, 1e-320, 1e-3))
+        assert report.bound == 0.0
+        if method is QDRIFT:
+            assert (report.r, report.gates) == (None, 1)
+        else:
+            assert (report.r, report.gates) == (1, gates_per_segment(method, 1))
+            bound = error_function(method, self.PROFILE, 1e-320)
+            assert [bound(2), bound(1000)] == [0.0, 0.0]
+
+    def test_main_text_exponent_and_denormal_product(self):
+        assert trotter_error_det(1, 1e-10, 1e-320, 3, main_text_exponent=True) == 0.0
+        # 1e-10 * 1e-310 = 1e-320 is not 0, so the logs run; the bound underflows.
+        assert trotter_error_det(1, 1e-10, 1e-310, 1) == 0.0
+        assert suzuki_error(1, 1, 1e-10, 1e-310, 1, "random") == 0.0
+
+
 class TestGateCount:
     def test_first_order_det_frozen(self):
         query = CostQuery(WeightProfile(2, 1.5, 1.0), 1.0, 1e-3)
@@ -335,17 +385,25 @@ class TestCrossover:
 
 
 class TestCsvRow:
+    """The one CSV writer is the CLI's: cost rows from ``cli._cost_rows``, cells by ``cli._fmt``."""
+
+    @staticmethod
+    def csv_line(row) -> str:
+        return ",".join(cli._fmt(c) for c in row)
+
     def test_plain_row_shape(self):
-        query = CostQuery(WeightProfile(2, 1.0, 0.5), 1.0, 1e-3)
-        row = cost_csv_row(gate_count(QDRIFT, query), query)
-        assert len(row.split(",")) == 11
+        rows = cli._cost_rows(WeightProfile(2, 1.0, 0.5), 1.0, 1e-3)
+        assert [len(self.csv_line(row).split(",")) for row in rows] == [11] * 9
+        assert len(COST_CSV_HEADER.split(",")) == 11
 
     def test_huge_counts_serialize_as_log10(self):
-        report = CostReport(QDRIFT, None, 10**25, 1e-3)
-        query = CostQuery(WeightProfile(2, 1.0, 0.5), 1.0, 1e-3)
-        row = cost_csv_row(report, query)
-        assert "log10_gates=25" in row
-        assert len(row.split(",")) == 11
+        # qDRIFT needs about 2 (lam t)^2 / eps = 2e27 gates, beyond int64
+        query = CostQuery(WeightProfile(2, 1e12, 5e11), 1.0, 1e-3)
+        report = gate_count(QDRIFT, query)
+        line = self.csv_line(cli._cost_rows(query.profile, query.t, query.eps)[0])
+        assert line.split(",")[4] == f"log10_gates={report.log10_gates:.17g}"
+        assert "log10_gates=27" in line
+        assert len(line.split(",")) == 11
 
     def test_eps_above_one_warns(self):
         with pytest.warns(UserWarning):
