@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -184,6 +184,27 @@ class BoundRow:
         return self.d_lower / self.bound if self.bound > 0 else math.nan
 
 
+def _bound_rows(
+    h: Hamiltonian, t: float, n_list: Sequence[int], tau_scale: float = 1.0
+) -> Iterator[tuple[BoundRow, np.ndarray]]:
+    """Yield each row of ``verify_bound`` with the mixing channel it measured.
+
+    The target channel is dropped before each yield and the mixing channel
+    after it, so a caller that drops its reference too holds at most one
+    row's two superoperators at a time.
+    """
+    _check_qubits(h.n_qubits, MAX_CHANNEL_QUBITS)
+    for n in n_list:
+        if n < 1:
+            raise ValueError(f"N must be >= 1, got {n}")
+        target = segment_channel(h, t, n)
+        mix = qdrift_channel(h, tau_scale * h.lam * t / n)
+        row = BoundRow(int(n), choi_distance(target, mix), segment_error_bound(h.lam, t, n))
+        del target
+        yield row, mix
+        del mix
+
+
 def verify_bound(
     h: Hamiltonian, t: float, n_list: Sequence[int], tau_scale: float = 1.0
 ) -> list[BoundRow]:
@@ -195,14 +216,10 @@ def verify_bound(
     the analytic bound always refers to the matched protocol.  Violating
     rows are surfaced in the returned table, not raised.
     """
-    _check_qubits(h.n_qubits, MAX_CHANNEL_QUBITS)
     rows = []
-    for n in n_list:
-        if n < 1:
-            raise ValueError(f"N must be >= 1, got {n}")
-        target = segment_channel(h, t, n)
-        mix = qdrift_channel(h, tau_scale * h.lam * t / n)
-        rows.append(BoundRow(int(n), choi_distance(target, mix), segment_error_bound(h.lam, t, n)))
+    for row, mix in _bound_rows(h, t, n_list, tau_scale):
+        del mix  # before the next row's channels are built
+        rows.append(row)
     return rows
 
 
@@ -254,11 +271,19 @@ def composition_check(
     checks |Tr[M (E^N - U)(rho)]| <= 2 ||M|| d_tr with the measured d_tr.
     """
     _check_qubits(h.n_qubits, MAX_POWER_QUBITS)
+    return _composition_trials(h, t, n, qdrift_channel(h, h.lam * t / n), trials, seed)
+
+
+def _composition_trials(
+    h: Hamiltonian, t: float, n: int, step: np.ndarray, trials: int, seed: int
+) -> list[CompositionTrial]:
+    """``composition_check`` given its one-step channel, qdrift_channel(h, lam t / n)."""
+    _check_qubits(h.n_qubits, MAX_POWER_QUBITS)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     dim = 2**h.n_qubits
     target = unitary_channel(unitary_exp(hamiltonian_matrix(h), t))
-    composed = np.linalg.matrix_power(qdrift_channel(h, h.lam * t / n), n)
+    composed = np.linalg.matrix_power(step, n)
     delta = composed - target
     budget = total_error_bound(h.lam, t, n)
     rng = rng_from_seed(seed)

@@ -47,6 +47,9 @@ OUTDIR_ENV = "QDRIFTLAB_OUTDIR"
 VERIFY_N_LIST = (10, 100, 1000)
 SLOPE_BAND = (-2.3, -1.7)
 NEGATIVE_CONTROL_FLOOR = -1.5
+# The composition check runs at this N, one of VERIFY_N_LIST, and reuses
+# that row's mixing channel as its one step.
+_COMPOSITION_N = 100
 
 
 def _fmt(x) -> str:
@@ -332,17 +335,34 @@ class _Report:
 
 
 def cmd_verify(args) -> int:
+    _check_positive(args.t, "--t")
+    _check_positive(args.tol, "--tol")
     rng_from_seed(args.seed)  # reject a seed outside [0, 2**64) before any channel work
     report = _Report()
-    tau_scale = 2.0 if args.negative_control else 1.0
     if args.ham is not None:
         suite = [(Path(args.ham).stem, _load_hamiltonian(args.ham))]
     else:
         suite = _builtin_suite(args.seed)
 
     csv_rows: list[list] = []
-    for name, h in suite:
-        rows = channels.verify_bound(h, args.t, VERIFY_N_LIST)
+    comp_step = None
+    for index, (name, h) in enumerate(suite):
+        # Each mixing channel is dropped once used.  The first row's also
+        # serves the validity check, and the first Hamiltonian's
+        # N = _COMPOSITION_N one, within the channel-power cap, the
+        # composition check.
+        keep_step = index == 0 and h.n_qubits <= channels.MAX_POWER_QUBITS
+        rows = []
+        for row, mix in channels._bound_rows(h, args.t, VERIFY_N_LIST):
+            rows.append(row)
+            if row.N == VERIFY_N_LIST[0]:
+                valid = (
+                    channels.is_trace_preserving(mix, tol=args.tol)
+                    and channels.choi_min_eigenvalue(mix) >= -args.tol
+                )
+            elif keep_step and row.N == _COMPOSITION_N:
+                comp_step = mix
+            del mix
         for row in rows:
             csv_rows.append([row.N, row.d_lower, row.bound, row.ratio])
         worst = max(rows, key=lambda r: r.ratio if not math.isnan(r.ratio) else 0.0)
@@ -358,15 +378,11 @@ def cmd_verify(args) -> int:
                     f"violating row {name}",
                     f"N={row.N} d_lower={_fmt(row.d_lower)} bound={_fmt(row.bound)}",
                 )
-        mix = channels.qdrift_channel(h, h.lam * args.t / VERIFY_N_LIST[0])
-        report.check(
-            True,
-            f"channel validity {name}",
-            channels.is_trace_preserving(mix, tol=args.tol)
-            and channels.choi_min_eigenvalue(mix) >= -args.tol,
-            f"TP and CP to {args.tol:g}",
-        )
-        slope_rows = channels.verify_bound(h, args.t, VERIFY_N_LIST, tau_scale=tau_scale)
+        report.check(True, f"channel validity {name}", valid, f"TP and CP to {args.tol:g}")
+        if args.negative_control:
+            slope_rows = channels.verify_bound(h, args.t, VERIFY_N_LIST, tau_scale=2.0)
+        else:
+            slope_rows = rows
         slope = channels.decay_slope(slope_rows)
         in_band = SLOPE_BAND[0] <= slope <= SLOPE_BAND[1]
         if h.L == 1 or math.isnan(slope):
@@ -387,11 +403,12 @@ def cmd_verify(args) -> int:
         else:
             report.check(False, f"slope {name}", in_band, f"slope {slope:.3f}, band {SLOPE_BAND}")
 
-    comp_h = suite[0][1] if suite[0][1].n_qubits <= channels.MAX_POWER_QUBITS else None
-    if comp_h is None:
+    if comp_step is None:
         report.info("composition", "skipped: input exceeds the channel-power qubit cap")
     else:
-        trials = channels.composition_check(comp_h, args.t, 100, trials=20, seed=args.seed)
+        trials = channels._composition_trials(
+            suite[0][1], args.t, _COMPOSITION_N, comp_step, trials=20, seed=args.seed
+        )
         report.check(
             True,
             "composition subadditivity",

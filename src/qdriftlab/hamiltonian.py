@@ -106,8 +106,9 @@ class WeightProfile:
     def __post_init__(self):
         if self.L < 1:
             raise HamiltonianError(f"L must be >= 1, got {self.L}")
-        if not (self.lam > 0 and self.lam_max > 0):
-            raise HamiltonianError("lam and lam_max must be > 0")
+        for name, value in (("lam", self.lam), ("lam_max", self.lam_max)):
+            if not (math.isfinite(value) and value > 0):
+                raise HamiltonianError(f"{name} must be finite and > 0, got {value!r}")
         if self.lam_max > self.lam * (1 + _AGG_RTOL):
             raise HamiltonianError(f"lam_max={self.lam_max} exceeds lam={self.lam}")
         if self.lam > self.lam_max * self.L * (1 + _AGG_RTOL):

@@ -176,6 +176,15 @@ class TestVerifyBound:
         with pytest.raises(ValueError):
             ch.verify_bound(two_term_1q, 1.0, [0])
 
+    def test_row_mixing_channels_equal_rebuilt_ones(self, three_term_2q):
+        # verify reuses these for its validity (N=10) and composition (N=100)
+        # checks, which used to rebuild them at tau = lam t / N.
+        t = 0.7
+        pairs = list(ch._bound_rows(three_term_2q, t, [10, 100]))
+        assert [row for row, _ in pairs] == ch.verify_bound(three_term_2q, t, [10, 100])
+        for row, mix in pairs:
+            assert np.array_equal(mix, ch.qdrift_channel(three_term_2q, three_term_2q.lam * t / row.N))
+
 
 class TestComposition:
     def test_single_term_is_exact(self, single_term_1q):
@@ -183,6 +192,12 @@ class TestComposition:
         for tr in trials:
             assert tr.d_tr <= 1e-10
             assert tr.ok
+
+    def test_given_step_matches_built_step(self, three_term_2q):
+        step = ch.qdrift_channel(three_term_2q, three_term_2q.lam * 1.0 / 100)
+        assert ch._composition_trials(three_term_2q, 1.0, 100, step, 5, 7) == ch.composition_check(
+            three_term_2q, 1.0, 100, trials=5, seed=7
+        )
 
     def test_two_term_within_budget(self, two_term_1q):
         trials = ch.composition_check(two_term_1q, 1.0, 100, trials=20, seed=99)

@@ -1,8 +1,13 @@
 import json
+import warnings
+import weakref
 
+import numpy as np
 import pytest
 
+from qdriftlab import channels
 from qdriftlab.cli import EXIT_BOUND, EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, main
+from qdriftlab.hamiltonian import parse_hamiltonian
 
 HAM_TEXT = "1.0 ZZ\n0.5 XI\n-0.25 IY\n"
 SMALL_HAM = "0.5 Z\n0.5 X\n"
@@ -287,6 +292,26 @@ class TestVerifyCommand:
         for ln in out.read_text().strip().splitlines()[1:]:
             assert float(ln.split(",")[1]) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--t", "0"], "error: --t must be finite and > 0, got 0.0"),
+            (["--t", "-1"], "error: --t must be finite and > 0, got -1.0"),
+            (["--t", "nan"], "error: --t must be finite and > 0, got nan"),
+            (["--t", "inf"], "error: --t must be finite and > 0, got inf"),
+            (["--tol", "-1"], "error: --tol must be finite and > 0, got -1.0"),
+            (["--tol", "0"], "error: --tol must be finite and > 0, got 0.0"),
+            (["--ham", "missing.txt", "--t", "0"], "error: --t must be finite and > 0, got 0.0"),
+        ],
+    )
+    def test_t_and_tol_must_be_finite_and_positive(self, args, message, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", *args]) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n"
+        assert captured.out == ""
+
     def test_tolerance_flag(self, small_ham_file, capsys):
         # an absurdly tight tolerance makes the TP/CP validity check fail
         assert main(["verify", "--ham", str(small_ham_file), "--tol", "1e-30"]) == EXIT_BOUND
@@ -341,3 +366,103 @@ def test_rejected_argument_error_text(command, message, ham_file, capsys):
     captured = capsys.readouterr()
     assert captured.err == message + "\n"
     assert captured.out == ""
+
+
+# A 4-qubit file of L terms; L = 1 has vanishing distances.
+CHANNEL_COUNT_HAMS = {
+    1: "0.7 ZXIY\n",
+    4: "0.8 ZZII\n-0.45 IXXI\n0.3 IIYY\n0.25 XIIZ\n",
+    7: "0.8 ZZII\n-0.45 IXXI\n0.3 IIYY\n0.25 XIIZ\n-0.2 YZXI\n0.15 IIZX\n0.1 ZYIY\n",
+}
+
+
+def _record_calls(monkeypatch, name, calls):
+    original = getattr(channels, name)
+
+    def wrapper(*args, **kwargs):
+        calls.setdefault(name, []).append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(channels, name, wrapper)
+
+
+class TestVerifyChannelBuilds:
+    """`verify` builds each segment and mixing channel once per (Hamiltonian, N)."""
+
+    @pytest.mark.parametrize("negative_control", [False, True], ids=["matched", "negative-control"])
+    @pytest.mark.parametrize("L", sorted(CHANNEL_COUNT_HAMS))
+    def test_channel_and_exponential_counts(self, L, negative_control, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "h.txt"
+        path.write_text(CHANNEL_COUNT_HAMS[L])
+        calls = {}
+        for name in ("qdrift_channel", "unitary_exp"):
+            _record_calls(monkeypatch, name, calls)
+        argv = ["verify", "--ham", str(path)] + (["--negative-control"] if negative_control else [])
+        assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        # Three rows of one segment channel (one exponential) and one mixing
+        # channel (L exponentials), plus the composition target's exponential;
+        # the negative control adds its own three mismatched rows.
+        rows = 2 if negative_control else 1
+        assert len(calls["qdrift_channel"]) == 3 * rows
+        assert len(calls["unitary_exp"]) == rows * (3 * L + 3) + 1
+
+    def test_checks_reuse_the_n10_and_n100_mixing_channels(self, ham_file, monkeypatch, capsys):
+        # The validity check gets the N = 10 mixing channel and the
+        # composition check the N = 100 one; rebuilding them is the oracle.
+        seen = {}
+        for name in ("is_trace_preserving", "choi_min_eigenvalue", "_composition_trials"):
+            _record_calls(monkeypatch, name, seen)
+        assert main(["verify", "--ham", str(ham_file), "--t", "0.8"]) == EXIT_OK
+        capsys.readouterr()
+        h = parse_hamiltonian(HAM_TEXT)
+        n10 = channels.qdrift_channel(h, h.lam * 0.8 / 10)
+        assert [len(seen[name]) for name in sorted(seen)] == [1, 1, 1]
+        assert np.array_equal(seen["is_trace_preserving"][0][0], n10)
+        assert np.array_equal(seen["choi_min_eigenvalue"][0][0], n10)
+        h_arg, t_arg, n_arg, step = seen["_composition_trials"][0][:4]
+        assert (h_arg.serialize(), t_arg, n_arg) == (h.serialize(), 0.8, 100)
+        assert np.array_equal(step, channels.qdrift_channel(h, h.lam * 0.8 / 100))
+
+    @pytest.mark.parametrize("power_cap, most", [(channels.MAX_POWER_QUBITS, 3), (1, 2)])
+    @pytest.mark.parametrize("negative_control", [False, True], ids=["matched", "negative-control"])
+    def test_superoperators_alive_at_once(
+        self, power_cap, most, negative_control, ham_file, monkeypatch, capsys
+    ):
+        # A cap below the input's 2 qubits skips the composition check, as
+        # for a 5- or 6-qubit input: then at most one row's target and
+        # mixing channel are alive at once, and only the mixing channel
+        # during the validity check.  Within the cap, the N = 100 mixing
+        # channel is kept for the composition check as well.
+        monkeypatch.setattr(channels, "MAX_POWER_QUBITS", power_cap)
+        alive: set[int] = set()
+        peak = [0]
+        during_validity = []
+
+        def tracked(fn):
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                alive.add(id(out))
+                weakref.finalize(out, alive.discard, id(out))
+                peak[0] = max(peak[0], len(alive))
+                return out
+
+            return wrapper
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                during_validity.append(len(alive))
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("segment_channel", "qdrift_channel"):
+            monkeypatch.setattr(channels, name, tracked(getattr(channels, name)))
+        for name in ("is_trace_preserving", "choi_min_eigenvalue"):
+            monkeypatch.setattr(channels, name, counted(getattr(channels, name)))
+        argv = ["verify", "--ham", str(ham_file)] + (["--negative-control"] if negative_control else [])
+        assert main(argv) == EXIT_OK
+        skipped = "composition: skipped" in capsys.readouterr().out
+        assert skipped == (power_cap == 1)
+        assert peak[0] == most
+        assert during_validity == [1, 1]

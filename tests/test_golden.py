@@ -22,7 +22,7 @@ from oracles import (
     sha256_text,
     wide_hamtxt,
 )
-from qdriftlab.cli import EXIT_OK, main
+from qdriftlab.cli import EXIT_BOUND, EXIT_OK, main
 from qdriftlab.compiler import AliasSampler, compile_circuit, rng_from_seed
 from qdriftlab.hamiltonian import Hamiltonian, parse_hamiltonian
 
@@ -211,6 +211,53 @@ def test_cli_report_matches_golden_hash(case, tmp_path, capsys):
     if csv_digest is not None:
         argv += ["--out", str(csv)]
     assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.count("\n") == n_lines
+    assert sha256_text(out) == digest
+    if csv_digest is not None:
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == csv_digest
+
+
+# `verify` on explicit 4-qubit (7-term) and 5-qubit (5-term) Hamiltonians
+# and with the mismatched-angle negative control, plus its --strict exit;
+# the 5-qubit input is over the channel-power cap, so it skips the
+# composition check.  (id, argv, exit code, line count, sha256 of stdout,
+# sha256 of the --out CSV).  These come from the code before `verify` built
+# each segment and mixing channel once per N; never regenerate them.
+VERIFY_HAMS = {
+    "dense4": "0.8 ZZII\n-0.45 IXXI\n0.3 IIYY\n0.25 XIIZ\n-0.2 YZXI\n0.15 IIZX\n0.1 ZYIY\n",
+    "wide5": "0.7 ZZIIX\n-0.4 IXXIY\n0.3 IIYYZ\n0.2 XIIZI\n-0.15 YZXIX\n",
+}
+VERIFY_GOLDEN = [
+    ("ham-4q", "verify --ham {dense4}", EXIT_OK, 10,
+     "a475b2b006ff318cccd00cde4b414cbbc7c52a872d3afc4cfde7f3bd54f8241b",
+     "c4e4b9208be1d43bfb747a359003888e4c0c8350118b2d17a4e88540611eac4d"),
+    ("ham-4q-negative-control", "verify --ham {dense4} --negative-control", EXIT_OK, 11,
+     "3de4e12fe3975c9f952d10652ad8448c2805130c063ddc9b23eaebc31b706571",
+     "c4e4b9208be1d43bfb747a359003888e4c0c8350118b2d17a4e88540611eac4d"),
+    ("ham-5q", "verify --ham {wide5}", EXIT_OK, 9,
+     "9cdad6b25b6d8bebc57f0d602b58a0123b1aa868a13214865439721a80421197",
+     "7634a7e779a1b871521692472f8a59e5e13ee45b430ea1a7761dc6d1bb83b937"),
+    ("negative-control", "verify --negative-control", EXIT_OK, 39,
+     "37a577c59e8356b587d8ef73e4ba35662972f0b70a7bb06959c6a3eb56fa9b42",
+     "ced39a03f9f3d8b27ae7602e0a80f3fda626ef7dd4adec7866395398622d6381"),
+    ("negative-control-strict", "verify --negative-control --strict", EXIT_BOUND, 39,
+     "b0c470ea5cb1ca992ad31e0c4efb8a1f0784b78fb915ace52e2d84b1a4afde96", None),
+]
+
+
+@pytest.mark.parametrize("case", VERIFY_GOLDEN, ids=lambda c: c[0])
+def test_verify_report_matches_golden_hash(case, tmp_path, capsys):
+    _, command, code, n_lines, digest, csv_digest = case
+    paths = {}
+    for stem, text in VERIFY_HAMS.items():
+        paths[stem] = tmp_path / f"{stem}.txt"
+        paths[stem].write_text(text)
+    argv = command.format(**paths).split()
+    csv = tmp_path / "rows.csv"
+    if csv_digest is not None:
+        argv += ["--out", str(csv)]
+    assert main(argv) == code
     out = capsys.readouterr().out
     assert out.count("\n") == n_lines
     assert sha256_text(out) == digest

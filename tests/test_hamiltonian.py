@@ -112,6 +112,21 @@ class TestAggregates:
         with pytest.raises(HamiltonianError):
             WeightProfile(L=2, lam=3.0, lam_max=1.0)
 
+    @pytest.mark.parametrize(
+        "lam, lam_max, message",
+        [
+            (math.inf, math.inf, "lam must be finite and > 0, got inf"),
+            (1.0, math.inf, "lam_max must be finite and > 0, got inf"),
+            (math.nan, 1.0, "lam must be finite and > 0, got nan"),
+            (0.0, 1.0, "lam must be finite and > 0, got 0.0"),
+            (1.0, -1.0, "lam_max must be finite and > 0, got -1.0"),
+        ],
+    )
+    def test_weight_profile_rejects_non_finite_or_non_positive(self, lam, lam_max, message):
+        with pytest.raises(HamiltonianError) as info:
+            WeightProfile(1, lam, lam_max)
+        assert str(info.value) == message
+
     def test_term_rejects_nonpositive_weight(self):
         with pytest.raises(HamiltonianError):
             Term(0.0, PauliString("Z"))
