@@ -1,41 +1,50 @@
-"""Dense desk-scale channel numerics in the column-stacking convention.
+"""Desk-scale channel certification from Kraus data.
 
-vec stacks columns, so the map rho -> K rho K^dag has superoperator matrix
-kron(conj(K), K) acting on vec(rho), and the normalized Choi state of a
-superoperator S is reshuffle(S) / dim with
+Both channels that ``verify`` compares are mixed unitary.  The one-segment
+target is rho -> V rho V^dag with V = e^{i t H / N}; the qDRIFT mixing
+channel is sum_k p_k U_k rho U_k^dag with p_k = h_k / lam and the closed-form
+gate U_k = e^{i tau s_k P_k} = cos(tau) I + i sin(tau) s_k P_k (P_k^2 = I).
+Every quantity is therefore measured from d x d matrices and one
+(L+1)-column factor; only ``empirical_channel`` returns a d^2 x d^2
+superoperator.
 
-    reshuffle(S) = S.reshape(d, d, d, d).swapaxes(0, 3).reshape(d*d, d*d).
-
-One convention is used everywhere; mixing two silently is the classic
-defect.  Channel distances here are Choi-state trace distances, a standard
-lower bound on the diamond distance, which keeps the direction of every
+Distance.  With w = vec(U) / sqrt(d), the normalized Choi state of a
+mixed-unitary channel is sum_k p_k w_k w_k^dag, so the Choi difference of
+target and mixture is W C W^dag with W = [w_V, w_1, ..., w_L] (d^2 x (L+1))
+and C = diag(1, -p_1, ..., -p_L).  Write W = Q R with Q's columns
+orthonormal; then ||Q M Q^dag||_1 = ||M||_1, so the Choi trace distance is
+0.5 ||R C R^dag||_1, one eigvalsh of a matrix of side at most L+1.  The
+Choi state is one admissible input of the diamond norm's supremum, so this
+is a lower bound on the diamond distance and keeps the direction of every
 certified inequality sound (lower bound <= diamond distance <= analytic
-bound).
+bound).  The vec convention does not matter: any fixed ordering of the
+entries changes W by a permutation, which leaves the trace norm unchanged.
 
-Dimension caps: 6 qubits for single channels (4096^2 superoperators),
-4 qubits for N-fold channel powers and empirical averages.
+Validity.  A mixed-unitary map is trace preserving iff
+sum_k p_k U_k^dag U_k = I, and its Choi state's nonzero spectrum is that of
+R diag(p) R^dag for the R factor of its Kraus columns.
+
+Dimension caps: 6 qubits for one segment, 4 qubits for N-fold compositions
+and empirical averages.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .compiler import Circuit, compile_circuit, rng_from_seed, segment_error_bound, total_error_bound
-from .hamiltonian import Hamiltonian, PauliString
+from .hamiltonian import Hamiltonian
 
 MAX_CHANNEL_QUBITS = 6
 MAX_POWER_QUBITS = 4
 
-HERMITICITY_TOL = 1e-10
 UNITARITY_TOL = 1e-10
-TRACE_PRESERVING_TOL = 1e-10
-CP_EIGENVALUE_TOL = -1e-10
 
-PAULI_MATRICES = {
+_PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -48,123 +57,97 @@ def _check_qubits(n: int, cap: int) -> None:
         raise ValueError(f"{n} qubits exceeds the {cap}-qubit dense cap")
 
 
-def pauli_to_matrix(p: PauliString) -> np.ndarray:
-    """Dense matrix of sign * P(axes) via Kronecker products."""
-    _check_qubits(p.n_qubits, MAX_CHANNEL_QUBITS)
-    out = PAULI_MATRICES[p.axes[0]].copy()
-    for c in p.axes[1:]:
-        out = np.kron(out, PAULI_MATRICES[c])
-    return p.sign * out
-
-
-def hamiltonian_matrix(h: Hamiltonian) -> np.ndarray:
-    """Dense sum_j h_j * sign_j * P_j."""
-    _check_qubits(h.n_qubits, MAX_CHANNEL_QUBITS)
-    dim = 2**h.n_qubits
-    out = np.zeros((dim, dim), dtype=complex)
-    for term in h.terms:
-        out += term.weight * pauli_to_matrix(term.op)
+def _signed_paulis(h: Hamiltonian) -> np.ndarray:
+    """The L x d x d stack of s_k P_k, the sign of each coefficient times its Pauli word."""
+    out = np.empty((h.L, 2**h.n_qubits, 2**h.n_qubits), dtype=complex)
+    for k, (word, coeff) in enumerate(zip(h.words, h.coefficients.tolist())):
+        m = _PAULI_MATRICES[word[0]]
+        for c in word[1:]:
+            m = np.kron(m, _PAULI_MATRICES[c])
+        out[k] = m if coeff > 0 else -m
     return out
 
 
-def unitary_exp(h_matrix: np.ndarray, theta: float) -> np.ndarray:
-    """exp(i theta H) for Hermitian H via eigendecomposition.
-
-    Hermiticity of the input and unitarity of the output are both checked
-    to 1e-10.
-    """
-    h_matrix = np.asarray(h_matrix, dtype=complex)
-    if np.max(np.abs(h_matrix - h_matrix.conj().T)) > HERMITICITY_TOL:
-        raise ValueError("matrix is not Hermitian to 1e-10")
-    w, v = np.linalg.eigh(h_matrix)
-    u = (v * np.exp(1j * theta * w)) @ v.conj().T
-    dev = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
-    if dev > UNITARITY_TOL:
-        raise ValueError(f"exponential lost unitarity (deviation {dev:.2e})")
-    return u
-
-
-def vec(matrix: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(matrix).T.reshape(-1)
-
-
-def unvec(vector: np.ndarray) -> np.ndarray:
-    v = np.asarray(vector).reshape(-1)
-    d = int(round(math.sqrt(v.size)))
-    return v.reshape(d, d).T
-
-
-def unitary_channel(u: np.ndarray) -> np.ndarray:
-    """Superoperator of rho -> U rho U^dag."""
-    u = np.asarray(u, dtype=complex)
-    return np.kron(u.conj(), u)
-
-
-def identity_channel(dim: int) -> np.ndarray:
-    return np.eye(dim * dim, dtype=complex)
-
-
-def apply_channel(superop: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    return unvec(superop @ vec(rho))
-
-
-def qdrift_channel(h: Hamiltonian, tau: float) -> np.ndarray:
-    """Single-step mixing channel sum_j (h_j/lam) e^{i tau H_j} rho e^{-i tau H_j}."""
-    _check_qubits(h.n_qubits, MAX_CHANNEL_QUBITS)
-    dim = 2**h.n_qubits
-    out = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for term in h.terms:
-        u = unitary_exp(pauli_to_matrix(term.op), tau)
-        out += (term.weight / h.lam) * unitary_channel(u)
+def _rotations(signed_paulis: np.ndarray, tau: float) -> np.ndarray:
+    """e^{i tau s_k P_k} = cos(tau) I + i sin(tau) s_k P_k for each term."""
+    out = (1j * math.sin(tau)) * signed_paulis
+    diag = np.arange(signed_paulis.shape[-1])
+    out[:, diag, diag] += math.cos(tau)
     return out
 
 
-def segment_channel(h: Hamiltonian, t: float, n: int) -> np.ndarray:
-    """Target channel of one segment, rho -> e^{i t H / N} rho e^{-i t H / N}."""
-    _check_qubits(h.n_qubits, MAX_CHANNEL_QUBITS)
-    return unitary_channel(unitary_exp(hamiltonian_matrix(h), t / n))
+@dataclass(frozen=True)
+class _Step:
+    """One qDRIFT step rho -> sum_k probs[k] gates[k] rho gates[k]^dag at angle tau."""
+
+    tau: float
+    gates: np.ndarray
+    probs: np.ndarray
 
 
-def choi_state(superop: np.ndarray) -> np.ndarray:
-    """Normalized (trace 1) Choi density matrix of a superoperator."""
-    s = np.asarray(superop)
-    d = int(round(math.sqrt(s.shape[0])))
-    return s.reshape(d, d, d, d).swapaxes(0, 3).reshape(d * d, d * d) / d
+class _KrausData:
+    """The d x d data of one Hamiltonian that every check reads.
 
-
-def trace_norm(matrix: np.ndarray) -> float:
-    return float(np.sum(np.linalg.svd(np.asarray(matrix), compute_uv=False)))
-
-
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    return 0.5 * trace_norm(np.asarray(a) - np.asarray(b))
-
-
-def choi_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Trace distance between the channels' Choi states.
-
-    A lower bound on the diamond distance (the maximally entangled probe is
-    one admissible input of the defining supremum).
+    Holds the signed Pauli matrices, the mixing probabilities h_k / lam and
+    one eigendecomposition of the dense H = sum_k h_k s_k P_k, from which
+    every segment target e^{i t H / N} and the composition target e^{i t H}
+    are formed.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"superoperator shape mismatch: {a.shape} vs {b.shape}")
-    return trace_distance(choi_state(a), choi_state(b))
+
+    def __init__(self, h: Hamiltonian):
+        _check_qubits(h.n_qubits, MAX_CHANNEL_QUBITS)
+        self.h = h
+        self.dim = 2**h.n_qubits
+        self.paulis = _signed_paulis(h)
+        self.probs = h.weights / h.lam
+        self._eigvals, self._eigvecs = np.linalg.eigh(np.tensordot(h.weights, self.paulis, axes=1))
+        v = self._eigvecs
+        dev = float(np.max(np.abs(v @ v.conj().T - np.eye(self.dim))))
+        if dev > UNITARITY_TOL:
+            raise ValueError(f"eigenvectors of H lost unitarity (deviation {dev:.2e})")
+
+    def evolution(self, theta: float) -> np.ndarray:
+        """e^{i theta H}."""
+        v = self._eigvecs
+        return (v * np.exp(1j * theta * self._eigvals)) @ v.conj().T
+
+    def segment_targets(self, t: float, n_list: Sequence[int]) -> list[np.ndarray]:
+        """e^{i t H / N} for each N, checked N >= 1."""
+        for n in n_list:
+            if n < 1:
+                raise ValueError(f"N must be >= 1, got {n}")
+        return [self.evolution(t / n) for n in n_list]
+
+    def step(self, tau: float) -> _Step:
+        return _Step(tau, _rotations(self.paulis, tau), self.probs)
 
 
-def is_trace_preserving(superop: np.ndarray, tol: float = TRACE_PRESERVING_TOL) -> bool:
-    s = np.asarray(superop)
-    d = int(round(math.sqrt(s.shape[0])))
-    id_vec = vec(np.eye(d, dtype=complex))
-    return bool(np.max(np.abs(s.conj().T @ id_vec - id_vec)) <= tol)
+def _kraus_r(unitaries: np.ndarray) -> np.ndarray:
+    """R of the QR factorization of the columns vec(U_k) / sqrt(d)."""
+    count, dim, _ = unitaries.shape
+    w = unitaries.reshape(count, dim * dim).T / math.sqrt(dim)
+    return np.linalg.qr(w, mode="r")
 
 
-def choi_min_eigenvalue(superop: np.ndarray) -> float:
-    """Smallest Choi eigenvalue; >= -1e-10 certifies complete positivity."""
-    j = choi_state(superop)
-    return float(np.min(np.linalg.eigvalsh(0.5 * (j + j.conj().T))))
+def _row_distance(target: np.ndarray, step: _Step) -> float:
+    """Choi trace distance between rho -> V rho V^dag and the step: 0.5 ||R C R^dag||_1."""
+    r = _kraus_r(np.concatenate((target[None], step.gates)))
+    c = np.concatenate(([1.0], -step.probs))
+    m = (r * c) @ r.conj().T
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(m))))
+
+
+def _trace_preservation_error(step: _Step) -> float:
+    """max |sum_k p_k U_k^dag U_k - I|; 0 for an exactly trace-preserving step."""
+    gates = step.gates
+    s = np.tensordot(step.probs, gates.conj().swapaxes(1, 2) @ gates, axes=1)
+    return float(np.max(np.abs(s - np.eye(gates.shape[-1]))))
+
+
+def _choi_min_eigenvalue(step: _Step) -> float:
+    """Smallest eigenvalue of R diag(p) R^dag, the Choi state's nonzero spectrum; >= -tol certifies CP."""
+    r = _kraus_r(step.gates)
+    return float(np.min(np.linalg.eigvalsh((r * step.probs) @ r.conj().T)))
 
 
 @dataclass(frozen=True)
@@ -185,24 +168,23 @@ class BoundRow:
 
 
 def _bound_rows(
-    h: Hamiltonian, t: float, n_list: Sequence[int], tau_scale: float = 1.0
-) -> Iterator[tuple[BoundRow, np.ndarray]]:
-    """Yield each row of ``verify_bound`` with the mixing channel it measured.
+    data: _KrausData,
+    t: float,
+    n_list: Sequence[int],
+    targets: Sequence[np.ndarray],
+    tau_scale: float = 1.0,
+) -> list[tuple[BoundRow, _Step]]:
+    """Each row of ``verify_bound`` with the mixing step it measured.
 
-    The target channel is dropped before each yield and the mixing channel
-    after it, so a caller that drops its reference too holds at most one
-    row's two superoperators at a time.
+    ``targets`` are ``data.segment_targets(t, n_list)``; they do not depend
+    on the angle, so matched and mismatched rows can share them.
     """
-    _check_qubits(h.n_qubits, MAX_CHANNEL_QUBITS)
-    for n in n_list:
-        if n < 1:
-            raise ValueError(f"N must be >= 1, got {n}")
-        target = segment_channel(h, t, n)
-        mix = qdrift_channel(h, tau_scale * h.lam * t / n)
-        row = BoundRow(int(n), choi_distance(target, mix), segment_error_bound(h.lam, t, n))
-        del target
-        yield row, mix
-        del mix
+    lam = data.h.lam
+    out = []
+    for n, target in zip(n_list, targets):
+        step = data.step(tau_scale * lam * t / n)
+        out.append((BoundRow(int(n), _row_distance(target, step), segment_error_bound(lam, t, n)), step))
+    return out
 
 
 def verify_bound(
@@ -216,11 +198,9 @@ def verify_bound(
     the analytic bound always refers to the matched protocol.  Violating
     rows are surfaced in the returned table, not raised.
     """
-    rows = []
-    for row, mix in _bound_rows(h, t, n_list, tau_scale):
-        del mix  # before the next row's channels are built
-        rows.append(row)
-    return rows
+    data = _KrausData(h)
+    targets = data.segment_targets(t, n_list)
+    return [row for row, _ in _bound_rows(data, t, n_list, targets, tau_scale)]
 
 
 def decay_slope(rows: Sequence[BoundRow]) -> float:
@@ -271,54 +251,82 @@ def composition_check(
     checks |Tr[M (E^N - U)(rho)]| <= 2 ||M|| d_tr with the measured d_tr.
     """
     _check_qubits(h.n_qubits, MAX_POWER_QUBITS)
-    return _composition_trials(h, t, n, qdrift_channel(h, h.lam * t / n), trials, seed)
+    data = _KrausData(h)
+    return _composition_trials(data, t, n, data.step(h.lam * t / n), trials, seed)
 
 
 def _composition_trials(
-    h: Hamiltonian, t: float, n: int, step: np.ndarray, trials: int, seed: int
+    data: _KrausData, t: float, n: int, step: _Step, trials: int, seed: int
 ) -> list[CompositionTrial]:
-    """``composition_check`` given its one-step channel, qdrift_channel(h, lam t / n)."""
-    _check_qubits(h.n_qubits, MAX_POWER_QUBITS)
+    """``composition_check`` given its one-step map, ``data.step(lam t / n)``.
+
+    The step is applied n times to all probe states at once, in d x d form:
+    with U_k = c I + i s S_k (c = cos tau, s = sin tau, S_k the signed
+    Pauli) and A = sum_k p_k S_k,
+
+        sum_k p_k U_k rho U_k^dag = c^2 rho + i c s [A, rho] + s^2 sum_k p_k S_k rho S_k.
+
+    A Pauli word has one nonzero per row, S_k[i, pi(i)] = phi_i, and is
+    Hermitian with pi an involution, so (S_k rho S_k)[i, j] is
+    phi_i conj(phi_j) rho[pi(i), pi(j)]: a gather, not a product.  The
+    states come from the generator in the order psi_0, phi_0, psi_1, ...
+    """
+    _check_qubits(data.h.n_qubits, MAX_POWER_QUBITS)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    dim = 2**h.n_qubits
-    target = unitary_channel(unitary_exp(hamiltonian_matrix(h), t))
-    composed = np.linalg.matrix_power(step, n)
-    delta = composed - target
-    budget = total_error_bound(h.lam, t, n)
+    dim = data.dim
     rng = rng_from_seed(seed)
-    out = []
-    for i in range(trials):
-        psi = _random_pure_state(rng, dim)
-        rho = np.outer(psi, psi.conj())
-        diff = apply_channel(delta, rho)
-        d_tr = 0.5 * trace_norm(diff)
-        phi = _random_pure_state(rng, dim)
-        projector = np.outer(phi, phi.conj())
-        expval_err = abs(np.trace(projector @ diff))
-        out.append(CompositionTrial(i, d_tr, budget, float(expval_err), 2.0 * d_tr))
-    return out
+    states = np.array([_random_pure_state(rng, dim) for _ in range(2 * trials)])
+    psi, phi = states[0::2], states[1::2]
+    rho = psi[:, :, None] * psi.conj()[:, None, :]
+    u = data.evolution(t)
+    exact = u @ rho @ u.conj().T
+
+    c, s = math.cos(step.tau), math.sin(step.tau)
+    paulis = data.paulis
+    count = len(paulis)
+    perm = np.argmax(np.abs(paulis), axis=2)
+    phases = np.take_along_axis(paulis, perm[:, :, None], axis=2)[:, :, 0]
+    gather = (perm[:, :, None] * dim + perm[:, None, :]).reshape(count, -1)
+    weight = (s * s) * step.probs[:, None, None] * phases[:, :, None] * phases.conj()[:, None, :]
+    weight = weight.reshape(count, -1)
+    drift = (1j * c * s) * np.tensordot(step.probs, paulis, axes=1)  # i c s A
+    for _ in range(n):
+        b = drift @ rho
+        out = (c * c) * rho + b + b.conj().swapaxes(1, 2)
+        flat, out_flat = rho.reshape(trials, -1), out.reshape(trials, -1)
+        for k in range(count):
+            out_flat += weight[k] * flat[:, gather[k]]
+        rho = out
+    diff = rho - exact
+    d_tr = 0.5 * np.linalg.svd(diff, compute_uv=False).sum(axis=1)
+    expval_err = np.abs(np.einsum("ta,tab,tb->t", phi.conj(), diff, phi))
+    budget = total_error_bound(data.h.lam, t, n)
+    return [
+        CompositionTrial(i, float(d_tr[i]), budget, float(expval_err[i]), 2.0 * float(d_tr[i]))
+        for i in range(trials)
+    ]
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Dense product unitary of a compiled gate list (first gate acts first)."""
     h = circuit.source
     _check_qubits(h.n_qubits, MAX_POWER_QUBITS)
-    gate_cache = [unitary_exp(pauli_to_matrix(term.op), circuit.tau) for term in h.terms]
-    dim = 2**h.n_qubits
-    u = np.eye(dim, dtype=complex)
+    gates = _rotations(_signed_paulis(h), circuit.tau)
+    u = np.eye(2**h.n_qubits, dtype=complex)
     for j in circuit.term_indices:
-        u = gate_cache[j] @ u
+        u = gates[j] @ u
     return u
 
 
 def empirical_channel(h: Hamiltonian, t: float, eps: float, seeds: Sequence[int]) -> np.ndarray:
-    """Seed-averaged channel of compiled circuits; converges to E^N."""
+    """Seed-averaged superoperator of compiled circuits (column stacking); converges to E^N."""
     if len(seeds) == 0:
         raise ValueError("seed list must be non-empty")
     _check_qubits(h.n_qubits, MAX_POWER_QUBITS)
     dim = 2**h.n_qubits
     acc = np.zeros((dim * dim, dim * dim), dtype=complex)
     for seed in seeds:
-        acc += unitary_channel(circuit_unitary(compile_circuit(h, t, eps, seed)))
+        u = circuit_unitary(compile_circuit(h, t, eps, seed))
+        acc += np.kron(u.conj(), u)
     return acc / len(seeds)

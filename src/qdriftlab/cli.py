@@ -48,7 +48,7 @@ VERIFY_N_LIST = (10, 100, 1000)
 SLOPE_BAND = (-2.3, -1.7)
 NEGATIVE_CONTROL_FLOOR = -1.5
 # The composition check runs at this N, one of VERIFY_N_LIST, and reuses
-# that row's mixing channel as its one step.
+# that row's mixing step.
 _COMPOSITION_N = 100
 
 
@@ -345,24 +345,24 @@ def cmd_verify(args) -> int:
         suite = _builtin_suite(args.seed)
 
     csv_rows: list[list] = []
-    comp_step = None
+    composition = None
     for index, (name, h) in enumerate(suite):
-        # Each mixing channel is dropped once used.  The first row's also
-        # serves the validity check, and the first Hamiltonian's
+        # One eigendecomposition of H gives every segment target, which the
+        # matched and the mismatched rows share.  The N = VERIFY_N_LIST[0]
+        # row's step serves the validity check, and the first Hamiltonian's
         # N = _COMPOSITION_N one, within the channel-power cap, the
         # composition check.
-        keep_step = index == 0 and h.n_qubits <= channels.MAX_POWER_QUBITS
-        rows = []
-        for row, mix in channels._bound_rows(h, args.t, VERIFY_N_LIST):
-            rows.append(row)
-            if row.N == VERIFY_N_LIST[0]:
-                valid = (
-                    channels.is_trace_preserving(mix, tol=args.tol)
-                    and channels.choi_min_eigenvalue(mix) >= -args.tol
-                )
-            elif keep_step and row.N == _COMPOSITION_N:
-                comp_step = mix
-            del mix
+        data = channels._KrausData(h)
+        targets = data.segment_targets(args.t, VERIFY_N_LIST)
+        pairs = channels._bound_rows(data, args.t, VERIFY_N_LIST, targets)
+        rows = [row for row, _ in pairs]
+        steps = {row.N: step for row, step in pairs}
+        valid = (
+            channels._trace_preservation_error(steps[VERIFY_N_LIST[0]]) <= args.tol
+            and channels._choi_min_eigenvalue(steps[VERIFY_N_LIST[0]]) >= -args.tol
+        )
+        if index == 0 and h.n_qubits <= channels.MAX_POWER_QUBITS:
+            composition = (data, steps[_COMPOSITION_N])
         for row in rows:
             csv_rows.append([row.N, row.d_lower, row.bound, row.ratio])
         worst = max(rows, key=lambda r: r.ratio if not math.isnan(r.ratio) else 0.0)
@@ -380,7 +380,8 @@ def cmd_verify(args) -> int:
                 )
         report.check(True, f"channel validity {name}", valid, f"TP and CP to {args.tol:g}")
         if args.negative_control:
-            slope_rows = channels.verify_bound(h, args.t, VERIFY_N_LIST, tau_scale=2.0)
+            mismatched = channels._bound_rows(data, args.t, VERIFY_N_LIST, targets, tau_scale=2.0)
+            slope_rows = [row for row, _ in mismatched]
         else:
             slope_rows = rows
         slope = channels.decay_slope(slope_rows)
@@ -403,11 +404,12 @@ def cmd_verify(args) -> int:
         else:
             report.check(False, f"slope {name}", in_band, f"slope {slope:.3f}, band {SLOPE_BAND}")
 
-    if comp_step is None:
+    if composition is None:
         report.info("composition", "skipped: input exceeds the channel-power qubit cap")
     else:
+        data, step = composition
         trials = channels._composition_trials(
-            suite[0][1], args.t, _COMPOSITION_N, comp_step, trials=20, seed=args.seed
+            data, args.t, _COMPOSITION_N, step, trials=20, seed=args.seed
         )
         report.check(
             True,

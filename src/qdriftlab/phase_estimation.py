@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .compiler import _check_positive
 from .trotter import SUZUKI_RANDOM, gates_per_segment, solve_r, suzuki_error
 
 METHODS = ("qdrift", "trotter")
@@ -57,14 +58,15 @@ class PEQuery:
     lam_max: float = 1.0
 
     def __post_init__(self):
-        if not (self.lam > 0 and self.delta_E > 0):
-            raise ValueError("lam and delta_E must be > 0")
+        _check_positive(self.lam, "lam")
+        _check_positive(self.delta_E, "delta_E")
         if self.delta_E > self.lam:
             raise ValueError(f"delta_E={self.delta_E} exceeds lam={self.lam}")
         if not (0 < self.P_f < 1):
             raise ValueError(f"P_f must be in (0, 1), got {self.P_f}")
-        if self.L < 1 or self.lam_max <= 0:
-            raise ValueError("L must be >= 1 and lam_max > 0")
+        if self.L < 1:
+            raise ValueError(f"L must be >= 1, got {self.L}")
+        _check_positive(self.lam_max, "lam_max")
 
     @property
     def delta(self) -> float:

@@ -6,7 +6,9 @@ compile output (one f-string per gate, the alias draw applied to a single
 (an object-based Hamiltonian that keeps a tuple of ``Term`` objects, its
 per-character parser, and the alias table built on numpy scalars), plus
 the doubling-plus-bisection loop that ``gate_count_exact`` and ``solve_r``
-each carried before they shared one search.  They are kept for tests only.
+each carried before they shared one search, and the dense d^2 x d^2
+superoperator path that ``verify`` measured before it certified from Kraus
+data.  They are kept for tests only.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import math
 
 import numpy as np
 
+from qdriftlab.channels import MAX_CHANNEL_QUBITS, MAX_POWER_QUBITS, BoundRow, CompositionTrial
+from qdriftlab.compiler import rng_from_seed, segment_error_bound, total_error_bound
 from qdriftlab.hamiltonian import (
     PAULI_AXES,
     Hamiltonian,
@@ -298,3 +302,161 @@ def wide_hamtxt(n_words: int = 5500, n_qubits: int = 30, key: int = 5000) -> str
             line += "  # inline note"
         out.append(line)
     return "\n".join(out) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Dense superoperators in the column-stacking convention: the map
+# rho -> K rho K^dag has matrix kron(conj(K), K) acting on vec(rho), and the
+# normalized Choi state of a superoperator S is reshuffle(S) / d with
+# reshuffle(S) = S.reshape(d, d, d, d).swapaxes(0, 3).reshape(d*d, d*d).
+
+PAULI_MATRICES = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def _check_qubits(n: int, cap: int) -> None:
+    if n > cap:
+        raise ValueError(f"{n} qubits exceeds the {cap}-qubit dense cap")
+
+
+def pauli_to_matrix(p: PauliString) -> np.ndarray:
+    """Dense matrix of sign * P(axes) via Kronecker products."""
+    _check_qubits(p.n_qubits, MAX_CHANNEL_QUBITS)
+    out = PAULI_MATRICES[p.axes[0]].copy()
+    for c in p.axes[1:]:
+        out = np.kron(out, PAULI_MATRICES[c])
+    return p.sign * out
+
+
+def hamiltonian_matrix(h) -> np.ndarray:
+    """Dense sum_j h_j * sign_j * P_j."""
+    _check_qubits(h.n_qubits, MAX_CHANNEL_QUBITS)
+    dim = 2**h.n_qubits
+    out = np.zeros((dim, dim), dtype=complex)
+    for term in h.terms:
+        out += term.weight * pauli_to_matrix(term.op)
+    return out
+
+
+def unitary_exp(h_matrix: np.ndarray, theta: float) -> np.ndarray:
+    """exp(i theta H) for Hermitian H via eigendecomposition, both checked to 1e-10."""
+    h_matrix = np.asarray(h_matrix, dtype=complex)
+    if np.max(np.abs(h_matrix - h_matrix.conj().T)) > 1e-10:
+        raise ValueError("matrix is not Hermitian to 1e-10")
+    w, v = np.linalg.eigh(h_matrix)
+    u = (v * np.exp(1j * theta * w)) @ v.conj().T
+    dev = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
+    if dev > 1e-10:
+        raise ValueError(f"exponential lost unitarity (deviation {dev:.2e})")
+    return u
+
+
+def vec(matrix: np.ndarray) -> np.ndarray:
+    """Column-stacking vectorization."""
+    return np.asarray(matrix).T.reshape(-1)
+
+
+def unvec(vector: np.ndarray) -> np.ndarray:
+    v = np.asarray(vector).reshape(-1)
+    d = int(round(math.sqrt(v.size)))
+    return v.reshape(d, d).T
+
+
+def unitary_channel(u: np.ndarray) -> np.ndarray:
+    """Superoperator of rho -> U rho U^dag."""
+    u = np.asarray(u, dtype=complex)
+    return np.kron(u.conj(), u)
+
+
+def apply_channel(superop: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    return unvec(superop @ vec(rho))
+
+
+def qdrift_channel(h, tau: float) -> np.ndarray:
+    """Single-step mixing channel sum_j (h_j/lam) e^{i tau H_j} rho e^{-i tau H_j}."""
+    _check_qubits(h.n_qubits, MAX_CHANNEL_QUBITS)
+    dim = 2**h.n_qubits
+    out = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for term in h.terms:
+        u = unitary_exp(pauli_to_matrix(term.op), tau)
+        out += (term.weight / h.lam) * unitary_channel(u)
+    return out
+
+
+def segment_channel(h, t: float, n: int) -> np.ndarray:
+    """Target channel of one segment, rho -> e^{i t H / N} rho e^{-i t H / N}."""
+    _check_qubits(h.n_qubits, MAX_CHANNEL_QUBITS)
+    return unitary_channel(unitary_exp(hamiltonian_matrix(h), t / n))
+
+
+def choi_state(superop: np.ndarray) -> np.ndarray:
+    """Normalized (trace 1) Choi density matrix of a superoperator."""
+    s = np.asarray(superop)
+    d = int(round(math.sqrt(s.shape[0])))
+    return s.reshape(d, d, d, d).swapaxes(0, 3).reshape(d * d, d * d) / d
+
+
+def trace_norm(matrix: np.ndarray) -> float:
+    return float(np.sum(np.linalg.svd(np.asarray(matrix), compute_uv=False)))
+
+
+def choi_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Trace distance between the channels' Choi states (dense SVD)."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.shape != b.shape:
+        raise ValueError(f"superoperator shape mismatch: {a.shape} vs {b.shape}")
+    return 0.5 * trace_norm(choi_state(a) - choi_state(b))
+
+
+def trace_preservation_error(superop: np.ndarray) -> float:
+    """max |S^dag vec(I) - vec(I)|, the deviation of the dual map from unital."""
+    s = np.asarray(superop)
+    d = int(round(math.sqrt(s.shape[0])))
+    id_vec = vec(np.eye(d, dtype=complex))
+    return float(np.max(np.abs(s.conj().T @ id_vec - id_vec)))
+
+
+def is_trace_preserving(superop: np.ndarray, tol: float = 1e-10) -> bool:
+    return trace_preservation_error(superop) <= tol
+
+
+def choi_min_eigenvalue(superop: np.ndarray) -> float:
+    """Smallest Choi eigenvalue; >= -1e-10 certifies complete positivity."""
+    j = choi_state(superop)
+    return float(np.min(np.linalg.eigvalsh(0.5 * (j + j.conj().T))))
+
+
+def dense_verify_bound(h, t: float, n_list, tau_scale: float = 1.0) -> list:
+    """``channels.verify_bound`` measured on dense superoperators."""
+    rows = []
+    for n in n_list:
+        target = segment_channel(h, t, n)
+        mix = qdrift_channel(h, tau_scale * h.lam * t / n)
+        rows.append(BoundRow(int(n), choi_distance(target, mix), segment_error_bound(h.lam, t, n)))
+    return rows
+
+
+def dense_composition_check(h, t: float, n: int, trials: int = 20, seed: int = 1234) -> list:
+    """``channels.composition_check`` through a ``matrix_power`` of the step superoperator."""
+    _check_qubits(h.n_qubits, MAX_POWER_QUBITS)
+    dim = 2**h.n_qubits
+    target = unitary_channel(unitary_exp(hamiltonian_matrix(h), t))
+    delta = np.linalg.matrix_power(qdrift_channel(h, h.lam * t / n), n) - target
+    budget = total_error_bound(h.lam, t, n)
+    rng = rng_from_seed(seed)
+    out = []
+    for i in range(trials):
+        psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        psi /= np.linalg.norm(psi)
+        diff = apply_channel(delta, np.outer(psi, psi.conj()))
+        d_tr = 0.5 * trace_norm(diff)
+        phi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        phi /= np.linalg.norm(phi)
+        expval_err = abs(np.trace(np.outer(phi, phi.conj()) @ diff))
+        out.append(CompositionTrial(i, d_tr, budget, float(expval_err), 2.0 * d_tr))
+    return out

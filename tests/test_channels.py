@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles as dense
 from conftest import pauli_word_matrix, random_hamiltonian
 from qdriftlab import channels as ch
 from qdriftlab.compiler import compile_circuit, segment_error_bound, total_error_bound
@@ -11,24 +12,24 @@ from qdriftlab.hamiltonian import Hamiltonian, PauliString
 
 class TestPauliMatrices:
     def test_z(self):
-        np.testing.assert_array_equal(ch.pauli_to_matrix(PauliString("Z")), np.diag([1, -1]))
+        np.testing.assert_array_equal(dense.pauli_to_matrix(PauliString("Z")), np.diag([1, -1]))
 
     def test_xx_antidiagonal(self):
-        m = ch.pauli_to_matrix(PauliString("XX"))
+        m = dense.pauli_to_matrix(PauliString("XX"))
         np.testing.assert_array_equal(m, np.fliplr(np.eye(4)))
 
     def test_negative_sign(self):
         np.testing.assert_array_equal(
-            ch.pauli_to_matrix(PauliString("Z", -1)), np.diag([-1, 1])
+            dense.pauli_to_matrix(PauliString("Z", -1)), np.diag([-1, 1])
         )
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="cap"):
-            ch.pauli_to_matrix(PauliString("Z" * 7))
+            dense.pauli_to_matrix(PauliString("Z" * 7))
 
     @pytest.mark.parametrize("word,sign", [("X", 1), ("ZZ", -1), ("XYZ", 1), ("IYI", -1)])
     def test_hermitian_with_unit_norm(self, word, sign):
-        m = ch.pauli_to_matrix(PauliString(word, sign))
+        m = dense.pauli_to_matrix(PauliString(word, sign))
         np.testing.assert_allclose(m, m.conj().T, atol=1e-14)
         sv = np.linalg.svd(m, compute_uv=False)
         np.testing.assert_allclose(sv, 1.0, atol=1e-14)
@@ -37,16 +38,16 @@ class TestPauliMatrices:
         expected = sum(
             t.weight * t.op.sign * pauli_word_matrix(t.op.axes) for t in three_term_2q.terms
         )
-        np.testing.assert_allclose(ch.hamiltonian_matrix(three_term_2q), expected, atol=1e-14)
+        np.testing.assert_allclose(dense.hamiltonian_matrix(three_term_2q), expected, atol=1e-14)
 
 
 class TestUnitaryExp:
     def test_zero_angle_is_identity(self):
-        u = ch.unitary_exp(ch.pauli_to_matrix(PauliString("XY")), 0.0)
+        u = dense.unitary_exp(dense.pauli_to_matrix(PauliString("XY")), 0.0)
         np.testing.assert_allclose(u, np.eye(4), atol=1e-12)
 
     def test_z_at_pi_is_minus_identity(self):
-        u = ch.unitary_exp(np.diag([1.0, -1.0]).astype(complex), math.pi)
+        u = dense.unitary_exp(np.diag([1.0, -1.0]).astype(complex), math.pi)
         np.testing.assert_allclose(u, -np.eye(2), atol=1e-12)
 
     @pytest.mark.parametrize("word", ["X", "ZZ", "XY", "YZX"])
@@ -55,53 +56,53 @@ class TestUnitaryExp:
         theta = 0.37
         p = pauli_word_matrix(word)
         expected = math.cos(theta) * np.eye(p.shape[0]) + 1j * math.sin(theta) * p
-        np.testing.assert_allclose(ch.unitary_exp(p, theta), expected, atol=1e-12)
+        np.testing.assert_allclose(dense.unitary_exp(p, theta), expected, atol=1e-12)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            ch.unitary_exp(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
+            dense.unitary_exp(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
 
 
 class TestChannelConstruction:
     def test_single_term_is_unitary_channel(self, single_term_1q):
         tau = 0.21
-        got = ch.qdrift_channel(single_term_1q, tau)
-        u = ch.unitary_exp(ch.pauli_to_matrix(single_term_1q.terms[0].op), tau)
-        np.testing.assert_allclose(got, ch.unitary_channel(u), atol=1e-14)
+        got = dense.qdrift_channel(single_term_1q, tau)
+        u = dense.unitary_exp(dense.pauli_to_matrix(single_term_1q.terms[0].op), tau)
+        np.testing.assert_allclose(got, dense.unitary_channel(u), atol=1e-14)
 
     def test_zero_angle_is_identity_superoperator(self, three_term_2q):
         np.testing.assert_allclose(
-            ch.qdrift_channel(three_term_2q, 0.0), ch.identity_channel(4), atol=1e-12
+            dense.qdrift_channel(three_term_2q, 0.0), np.eye(16), atol=1e-12
         )
 
     def test_summation_order_permutation_oracle(self, three_term_2q):
         tau = 0.11
-        got = ch.qdrift_channel(three_term_2q, tau)
+        got = dense.qdrift_channel(three_term_2q, tau)
         acc = np.zeros_like(got)
         for term in reversed(three_term_2q.terms):
-            u = ch.unitary_exp(ch.pauli_to_matrix(term.op), tau)
+            u = dense.unitary_exp(dense.pauli_to_matrix(term.op), tau)
             acc += (term.weight / three_term_2q.lam) * np.kron(u.conj(), u)
         np.testing.assert_allclose(got, acc, atol=1e-13)
 
     def test_channels_are_tp_and_cp(self, three_term_2q):
-        for s in (ch.qdrift_channel(three_term_2q, 0.3), ch.segment_channel(three_term_2q, 1.0, 7)):
-            assert ch.is_trace_preserving(s)
-            assert ch.choi_min_eigenvalue(s) >= -1e-10
+        for s in (dense.qdrift_channel(three_term_2q, 0.3), dense.segment_channel(three_term_2q, 1.0, 7)):
+            assert dense.is_trace_preserving(s)
+            assert dense.choi_min_eigenvalue(s) >= -1e-10
 
     def test_segment_composes_to_full_unitary(self, three_term_2q):
         n = 9
-        seg = ch.segment_channel(three_term_2q, 1.3, n)
-        full = ch.unitary_channel(ch.unitary_exp(ch.hamiltonian_matrix(three_term_2q), 1.3))
+        seg = dense.segment_channel(three_term_2q, 1.3, n)
+        full = dense.unitary_channel(dense.unitary_exp(dense.hamiltonian_matrix(three_term_2q), 1.3))
         np.testing.assert_allclose(np.linalg.matrix_power(seg, n), full, atol=1e-8)
 
     def test_segment_approaches_identity(self, three_term_2q):
-        d = np.abs(ch.segment_channel(three_term_2q, 1.0, 10**6) - ch.identity_channel(4)).max()
+        d = np.abs(dense.segment_channel(three_term_2q, 1.0, 10**6) - np.eye(16)).max()
         assert d < 1e-5
 
     def test_single_term_segment_equals_mixing_channel(self, single_term_1q):
         t, n = 0.9, 11
-        seg = ch.segment_channel(single_term_1q, t, n)
-        mix = ch.qdrift_channel(single_term_1q, single_term_1q.lam * t / n)
+        seg = dense.segment_channel(single_term_1q, t, n)
+        mix = dense.qdrift_channel(single_term_1q, single_term_1q.lam * t / n)
         np.testing.assert_allclose(seg, mix, atol=1e-13)
 
 
@@ -114,40 +115,40 @@ class TestChoi:
         d = 4
         acc = np.zeros((d * d, d * d), dtype=complex)
         for term in h.terms:
-            v = ch.unitary_exp(ch.pauli_to_matrix(term.op), tau)
+            v = dense.unitary_exp(dense.pauli_to_matrix(term.op), tau)
             vv = v.T.reshape(-1, 1)
             acc += (term.weight / h.lam) * (vv @ vv.conj().T)
-        np.testing.assert_allclose(ch.choi_state(ch.qdrift_channel(h, tau)), acc / d, atol=1e-12)
+        np.testing.assert_allclose(dense.choi_state(dense.qdrift_channel(h, tau)), acc / d, atol=1e-12)
 
     def test_choi_state_properties(self, three_term_2q):
-        j = ch.choi_state(ch.qdrift_channel(three_term_2q, 0.4))
+        j = dense.choi_state(dense.qdrift_channel(three_term_2q, 0.4))
         assert np.trace(j).real == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(j, j.conj().T, atol=1e-12)
         assert np.linalg.eigvalsh(j).min() >= -1e-10
 
     def test_distance_of_channel_with_itself(self, three_term_2q):
-        s = ch.qdrift_channel(three_term_2q, 0.2)
-        assert ch.choi_distance(s, s) == pytest.approx(0.0, abs=1e-13)
+        s = dense.qdrift_channel(three_term_2q, 0.2)
+        assert dense.choi_distance(s, s) == pytest.approx(0.0, abs=1e-13)
 
     def test_distance_is_symmetric(self, three_term_2q):
-        a = ch.qdrift_channel(three_term_2q, 0.2)
-        b = ch.segment_channel(three_term_2q, 0.7, 3)
-        assert ch.choi_distance(a, b) == pytest.approx(ch.choi_distance(b, a), rel=1e-12)
+        a = dense.qdrift_channel(three_term_2q, 0.2)
+        b = dense.segment_channel(three_term_2q, 0.7, 3)
+        assert dense.choi_distance(a, b) == pytest.approx(dense.choi_distance(b, a), rel=1e-12)
 
     def test_identity_vs_quarter_z_rotation(self):
         # eigenvalue oracle on the 16-dim Choi difference
         z = np.diag([1.0, -1.0]).astype(complex)
-        a = ch.identity_channel(2)
-        b = ch.unitary_channel(ch.unitary_exp(z, math.pi / 2))
-        diff = ch.choi_state(a) - ch.choi_state(b)
+        a = np.eye(4, dtype=complex)
+        b = dense.unitary_channel(dense.unitary_exp(z, math.pi / 2))
+        diff = dense.choi_state(a) - dense.choi_state(b)
         oracle = 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum()
-        assert ch.choi_distance(a, b) == pytest.approx(oracle, rel=1e-12)
+        assert dense.choi_distance(a, b) == pytest.approx(oracle, rel=1e-12)
         # exp(i pi Z / 2) is Z up to phase; the Choi states are orthogonal pure states
-        assert ch.choi_distance(a, b) == pytest.approx(1.0, abs=1e-12)
+        assert dense.choi_distance(a, b) == pytest.approx(1.0, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            ch.choi_distance(ch.identity_channel(2), ch.identity_channel(4))
+            dense.choi_distance(np.eye(4), np.eye(16))
 
 
 class TestVerifyBound:
@@ -177,13 +178,31 @@ class TestVerifyBound:
             ch.verify_bound(two_term_1q, 1.0, [0])
 
     def test_row_mixing_channels_equal_rebuilt_ones(self, three_term_2q):
-        # verify reuses these for its validity (N=10) and composition (N=100)
-        # checks, which used to rebuild them at tau = lam t / N.
+        # verify reuses these steps for its validity (N=10) and composition
+        # (N=100) checks; the dense mixing channel at tau = lam t / N is the oracle.
         t = 0.7
-        pairs = list(ch._bound_rows(three_term_2q, t, [10, 100]))
+        data = ch._KrausData(three_term_2q)
+        pairs = ch._bound_rows(data, t, [10, 100], data.segment_targets(t, [10, 100]))
         assert [row for row, _ in pairs] == ch.verify_bound(three_term_2q, t, [10, 100])
-        for row, mix in pairs:
-            assert np.array_equal(mix, ch.qdrift_channel(three_term_2q, three_term_2q.lam * t / row.N))
+        for row, step in pairs:
+            superop = sum(p * np.kron(u.conj(), u) for p, u in zip(step.probs, step.gates))
+            expected = dense.qdrift_channel(three_term_2q, three_term_2q.lam * t / row.N)
+            np.testing.assert_allclose(superop, expected, rtol=0, atol=1e-14)
+
+    def test_closed_form_gates_match_eigendecomposition(self, three_term_2q):
+        tau = 0.37
+        gates = ch._KrausData(three_term_2q).step(tau).gates
+        for gate, term in zip(gates, three_term_2q.terms):
+            expected = dense.unitary_exp(dense.pauli_to_matrix(term.op), tau)
+            np.testing.assert_allclose(gate, expected, rtol=0, atol=1e-14)
+
+    def test_one_eigendecomposition_gives_every_target(self, three_term_2q):
+        data = ch._KrausData(three_term_2q)
+        h_matrix = dense.hamiltonian_matrix(three_term_2q)
+        for theta in (1.0, 0.1, 0.01, -0.3):
+            np.testing.assert_allclose(
+                data.evolution(theta), dense.unitary_exp(h_matrix, theta), rtol=0, atol=1e-14
+            )
 
 
 class TestComposition:
@@ -194,8 +213,9 @@ class TestComposition:
             assert tr.ok
 
     def test_given_step_matches_built_step(self, three_term_2q):
-        step = ch.qdrift_channel(three_term_2q, three_term_2q.lam * 1.0 / 100)
-        assert ch._composition_trials(three_term_2q, 1.0, 100, step, 5, 7) == ch.composition_check(
+        data = ch._KrausData(three_term_2q)
+        step = data.step(three_term_2q.lam * 1.0 / 100)
+        assert ch._composition_trials(data, 1.0, 100, step, 5, 7) == ch.composition_check(
             three_term_2q, 1.0, 100, trials=5, seed=7
         )
 
@@ -222,32 +242,32 @@ class TestComposition:
 class TestEmpiricalChannel:
     def test_single_seed_is_pure_unitary_channel(self, two_term_1q):
         s = ch.empirical_channel(two_term_1q, 1.0, 0.1, [3])
-        j = ch.choi_state(s)
+        j = dense.choi_state(s)
         # pure Choi state: trace of J^2 equals 1
         assert np.trace(j @ j).real == pytest.approx(1.0, abs=1e-10)
 
     def test_seed_average_is_tp_and_cp(self, two_term_1q):
         s = ch.empirical_channel(two_term_1q, 1.0, 0.1, range(5))
-        assert ch.is_trace_preserving(s)
-        assert ch.choi_min_eigenvalue(s) >= -1e-10
+        assert dense.is_trace_preserving(s)
+        assert dense.choi_min_eigenvalue(s) >= -1e-10
 
     def test_single_term_matches_target_exactly(self, single_term_1q):
         t, eps = 0.8, 0.05
         s = ch.empirical_channel(single_term_1q, t, eps, [1, 2, 3])
         n = compile_circuit(single_term_1q, t, eps, 1).meta.N
         target = np.linalg.matrix_power(
-            ch.qdrift_channel(single_term_1q, single_term_1q.lam * t / n), n
+            dense.qdrift_channel(single_term_1q, single_term_1q.lam * t / n), n
         )
-        assert ch.choi_distance(s, target) <= 1e-12
+        assert dense.choi_distance(s, target) <= 1e-12
 
     def test_monte_carlo_convergence_report(self, two_term_1q):
         t, eps = 1.0, 0.1
         n = compile_circuit(two_term_1q, t, eps, 0).meta.N
-        target = np.linalg.matrix_power(ch.qdrift_channel(two_term_1q, t / n), n)
-        dist_small = ch.choi_distance(
+        target = np.linalg.matrix_power(dense.qdrift_channel(two_term_1q, t / n), n)
+        dist_small = dense.choi_distance(
             ch.empirical_channel(two_term_1q, t, eps, range(1000)), target
         )
-        dist_large = ch.choi_distance(
+        dist_large = dense.choi_distance(
             ch.empirical_channel(two_term_1q, t, eps, range(10000)), target
         )
         print(f"empirical channel MC distances: 1e3 seeds {dist_small:.3e}, "

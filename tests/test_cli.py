@@ -1,10 +1,11 @@
 import json
+import tracemalloc
 import warnings
-import weakref
 
 import numpy as np
 import pytest
 
+import oracles as dense
 from qdriftlab import channels
 from qdriftlab.cli import EXIT_BOUND, EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, main
 from qdriftlab.hamiltonian import parse_hamiltonian
@@ -376,18 +377,23 @@ CHANNEL_COUNT_HAMS = {
 }
 
 
-def _record_calls(monkeypatch, name, calls):
-    original = getattr(channels, name)
+# The 5-qubit file of the `verify` golden pins; it is over the
+# channel-power cap, so its run skips the composition check.
+WIDE5_HAM = "0.7 ZZIIX\n-0.4 IXXIY\n0.3 IIYYZ\n0.2 XIIZI\n-0.15 YZXIX\n"
+
+
+def _record_calls(monkeypatch, owner, name, calls):
+    original = getattr(owner, name)
 
     def wrapper(*args, **kwargs):
         calls.setdefault(name, []).append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(channels, name, wrapper)
+    monkeypatch.setattr(owner, name, wrapper)
 
 
 class TestVerifyChannelBuilds:
-    """`verify` builds each segment and mixing channel once per (Hamiltonian, N)."""
+    """`verify` measures from one eigendecomposition of H and one closed-form step per row."""
 
     @pytest.mark.parametrize("negative_control", [False, True], ids=["matched", "negative-control"])
     @pytest.mark.parametrize("L", sorted(CHANNEL_COUNT_HAMS))
@@ -395,74 +401,56 @@ class TestVerifyChannelBuilds:
         path = tmp_path / "h.txt"
         path.write_text(CHANNEL_COUNT_HAMS[L])
         calls = {}
-        for name in ("qdrift_channel", "unitary_exp"):
-            _record_calls(monkeypatch, name, calls)
+        _record_calls(monkeypatch, np.linalg, "eigh", calls)
+        for name in ("step", "evolution"):
+            _record_calls(monkeypatch, channels._KrausData, name, calls)
         argv = ["verify", "--ham", str(path)] + (["--negative-control"] if negative_control else [])
         assert main(argv) == EXIT_OK
         capsys.readouterr()
-        # Three rows of one segment channel (one exponential) and one mixing
-        # channel (L exponentials), plus the composition target's exponential;
-        # the negative control adds its own three mismatched rows.
-        rows = 2 if negative_control else 1
-        assert len(calls["qdrift_channel"]) == 3 * rows
-        assert len(calls["unitary_exp"]) == rows * (3 * L + 3) + 1
+        # One eigh of the 16 x 16 H gives the three segment targets and the
+        # composition target; the negative control's mismatched rows reuse
+        # those targets and add only their three closed-form steps.
+        assert [a[0].shape for a in calls["eigh"]] == [(16, 16)]
+        assert len(calls["evolution"]) == 4
+        assert len(calls["step"]) == (6 if negative_control else 3)
+
+    def test_builtin_suite_has_one_eigendecomposition_per_hamiltonian(self, monkeypatch, capsys):
+        calls = {}
+        _record_calls(monkeypatch, np.linalg, "eigh", calls)
+        assert main(["verify", "--negative-control"]) == EXIT_OK
+        assert len(calls["eigh"]) == capsys.readouterr().out.count("[PASS] bound ") == 8
 
     def test_checks_reuse_the_n10_and_n100_mixing_channels(self, ham_file, monkeypatch, capsys):
-        # The validity check gets the N = 10 mixing channel and the
-        # composition check the N = 100 one; rebuilding them is the oracle.
+        # The validity check gets the N = 10 mixing step and the composition
+        # check the N = 100 one; the dense qDRIFT channel is the oracle.
         seen = {}
-        for name in ("is_trace_preserving", "choi_min_eigenvalue", "_composition_trials"):
-            _record_calls(monkeypatch, name, seen)
+        for name in ("_trace_preservation_error", "_choi_min_eigenvalue", "_composition_trials"):
+            _record_calls(monkeypatch, channels, name, seen)
         assert main(["verify", "--ham", str(ham_file), "--t", "0.8"]) == EXIT_OK
         capsys.readouterr()
         h = parse_hamiltonian(HAM_TEXT)
-        n10 = channels.qdrift_channel(h, h.lam * 0.8 / 10)
         assert [len(seen[name]) for name in sorted(seen)] == [1, 1, 1]
-        assert np.array_equal(seen["is_trace_preserving"][0][0], n10)
-        assert np.array_equal(seen["choi_min_eigenvalue"][0][0], n10)
-        h_arg, t_arg, n_arg, step = seen["_composition_trials"][0][:4]
-        assert (h_arg.serialize(), t_arg, n_arg) == (h.serialize(), 0.8, 100)
-        assert np.array_equal(step, channels.qdrift_channel(h, h.lam * 0.8 / 100))
+        assert seen["_trace_preservation_error"][0][0] is seen["_choi_min_eigenvalue"][0][0]
+        data, t_arg, n_arg, step = seen["_composition_trials"][0][:4]
+        assert (data.h.serialize(), t_arg, n_arg) == (h.serialize(), 0.8, 100)
+        for got, n in ((seen["_choi_min_eigenvalue"][0][0], 10), (step, 100)):
+            superop = sum(p * np.kron(u.conj(), u) for p, u in zip(got.probs, got.gates))
+            expected = dense.qdrift_channel(h, h.lam * 0.8 / n)
+            np.testing.assert_allclose(superop, expected, rtol=0, atol=1e-14)
 
-    @pytest.mark.parametrize("power_cap, most", [(channels.MAX_POWER_QUBITS, 3), (1, 2)])
     @pytest.mark.parametrize("negative_control", [False, True], ids=["matched", "negative-control"])
-    def test_superoperators_alive_at_once(
-        self, power_cap, most, negative_control, ham_file, monkeypatch, capsys
-    ):
-        # A cap below the input's 2 qubits skips the composition check, as
-        # for a 5- or 6-qubit input: then at most one row's target and
-        # mixing channel are alive at once, and only the mixing channel
-        # during the validity check.  Within the cap, the N = 100 mixing
-        # channel is kept for the composition check as well.
-        monkeypatch.setattr(channels, "MAX_POWER_QUBITS", power_cap)
-        alive: set[int] = set()
-        peak = [0]
-        during_validity = []
-
-        def tracked(fn):
-            def wrapper(*args, **kwargs):
-                out = fn(*args, **kwargs)
-                alive.add(id(out))
-                weakref.finalize(out, alive.discard, id(out))
-                peak[0] = max(peak[0], len(alive))
-                return out
-
-            return wrapper
-
-        def counted(fn):
-            def wrapper(*args, **kwargs):
-                during_validity.append(len(alive))
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        for name in ("segment_channel", "qdrift_channel"):
-            monkeypatch.setattr(channels, name, tracked(getattr(channels, name)))
-        for name in ("is_trace_preserving", "choi_min_eigenvalue"):
-            monkeypatch.setattr(channels, name, counted(getattr(channels, name)))
-        argv = ["verify", "--ham", str(ham_file)] + (["--negative-control"] if negative_control else [])
-        assert main(argv) == EXIT_OK
-        skipped = "composition: skipped" in capsys.readouterr().out
-        assert skipped == (power_cap == 1)
-        assert peak[0] == most
-        assert during_validity == [1, 1]
+    def test_traced_peak_of_5_qubit_verify(self, negative_control, tmp_path, capsys):
+        # The dense path held 16 MB superoperators here (a traced peak of
+        # 80-96 MB); the Kraus path holds d x d matrices and one 1024 x 6 factor.
+        path = tmp_path / "wide5.txt"
+        path.write_text(WIDE5_HAM)
+        argv = ["verify", "--ham", str(path)] + (["--negative-control"] if negative_control else [])
+        assert main(argv) == EXIT_OK  # imports and first-call set-up stay out of the trace
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "composition: skipped" in capsys.readouterr().out
+        assert peak < 4_000_000

@@ -158,7 +158,8 @@ def test_wide_cli_compile_matches_golden_hash(case, wide_file, tmp_path, capsys)
 # (id, argv, line count, sha256 of stdout, sha256 of the verify --out CSV).
 # These come from the code before the gate-count and segment-count searches
 # were merged into one and the finite-and-positive checks into one; never
-# regenerate them.  The cost rows at t = 1e80 hold `overflow` and
+# regenerate them.  The one exception is the verify CSV hashes; see
+# PARENT_VERIFY_ROWS below.  The cost rows at t = 1e80 hold `overflow` and
 # `log10_gates=` cells, sweep-a and sweep-c end in a crossover row and
 # sweep-b has none, and verify-top uses the largest seed, 2**64 - 1.
 CLI_GOLDEN = [
@@ -193,14 +194,112 @@ CLI_GOLDEN = [
      "5847c2e6004d26709f2ac8f8ed3a56ca64b41ffbbb9c072460dbc9ea3a634393", None),
     ("verify-42", "verify", 31,
      "6a548864fcca97173b85aaacbb0bc6c4de2f31dfd53b529104691c59df8cf658",
-     "ced39a03f9f3d8b27ae7602e0a80f3fda626ef7dd4adec7866395398622d6381"),
+     "079f155edabe4538d82ef31ba9a7fe3484e8112526af964bdf095b1615f55a37"),
     ("verify-7", "verify --seed 7", 31,
      "1450815b9a581afe5078e9b4a949226859896561579a949b5a59a7e05454fffb",
-     "7fa5a028a18d428b2d9206e4a2a9f263eca7af16cbb5300f95c1d3fb11be6928"),
+     "f5691b3a95aaf87f0e91b44f6b4d31505fb2b539c0a24b63e69d1cc8404be182"),
     ("verify-top", "verify --seed 18446744073709551615", 31,
      "3e37486b0ef837e1c6d65c7449e43ecfa311a0813fdaef8c137f5d0098745f06",
-     "62126365db07d574e8024827cc72013a12860388bc88d5e9303f1a47e656919d"),
+     "2c93b8667e4c04ab2f76600335305fb135d18389d49f4944a4c7f92fe9ce5713"),
 ]
+
+
+# The verify --out CSV rows (N, d_lower, bound) as the dense superoperator
+# path wrote them, before `verify` measured from Kraus data.  The two paths
+# round differently, so the last of d_lower's 17 digits (and the ratio's)
+# moved by at most 6.3e-16, and the CSV hashes above were retaken on purpose
+# from the Kraus path.  These rows keep the old numbers pinned: N and bound
+# must match as text, d_lower to an absolute 1e-12.  (The old dense path's
+# 4- and 5-qubit rows also differed with the BLAS thread count; these pins
+# are its output with two threads, the one its hashes held.)
+# The three fixed Hamiltonians of the built-in suite, shared by every seed.
+_FIXED_SUITE_ROWS = (
+    ("10", 0.0049861326984998377, "0.024428055163203403"),
+    ("100", 4.9998611132838838e-05, "0.00020404026800535115"),
+    ("1000", 4.9999986114685159e-07, "2.0040040026680004e-06"),
+    ("10", 0.0098551330547680931, "0.040125794271491919"),
+    ("100", 9.9005401347735311e-05, "0.00032041097516388408"),
+    ("1000", 9.9009953042819235e-07, "3.1328222737681099e-06"),
+    ("10", 0.0089682298650006591, "0.03328997026263468"),
+    ("100", 9.004079398118642e-05, "0.000270653999710239"),
+    ("1000", 9.0044386205677838e-07, "2.651090501391705e-06"),
+)
+PARENT_VERIFY_ROWS = {
+    "verify-42": _FIXED_SUITE_ROWS + (
+        ("10", 0.004167545320055345, "0.014696612939714859"),
+        ("100", 4.1752203159073849e-05, "0.00012744062441788742"),
+        ("1000", 4.175297140704143e-07, "1.256368254129141e-06"),
+        ("10", 0.0013475655410954196, "0.0081067740192698277"),
+        ("100", 1.3489650428582456e-05, "7.2773758920449734e-05"),
+        ("1000", 1.348979050165732e-07, "7.1992537587953404e-07"),
+        ("10", 0.017201386073923183, "0.060576240964518704"),
+        ("100", 0.00017317248629202027, "0.00046257636000619681"),
+        ("1000", 1.7318411059154163e-06, "4.502684795390683e-06"),
+        ("10", 0.0056359210280693545, "0.017313501059621265"),
+        ("100", 5.6484346691712959e-05, "0.00014845903001377091"),
+        ("1000", 5.6485599470130772e-07, "1.4619374477372998e-06"),
+        ("10", 0.0067598725853524992, "0.038125734479810602"),
+        ("100", 6.7881817207643619e-05, "0.00030598503674635736"),
+        ("1000", 6.7884654847534308e-07, "2.9932871838121043e-06"),
+    ),
+    "verify-7": _FIXED_SUITE_ROWS + (
+        ("10", 0.0052041016671437084, "0.021553051767158604"),
+        ("100", 5.2177865208433007e-05, "0.0001818325053124015"),
+        ("1000", 5.2179235617940088e-07, "1.787671833995873e-06"),
+        ("10", 0.01135504974734218, "0.035357947264938711"),
+        ("100", 0.00011404172203386441, "0.00028584387300868925"),
+        ("1000", 1.1404664432117602e-06, "2.7982922652948273e-06"),
+        ("10", 0.024232152631386828, "0.11334073033045691"),
+        ("100", 0.00024507145059806838, "0.00079684384420218948"),
+        ("1000", 2.4509911270953429e-06, "7.6925786191119628e-06"),
+        ("10", 0.0017430853843297511, "0.0060107495127487195"),
+        ("100", 1.744505451323766e-05, "5.4732638800033267e-05"),
+        ("1000", 1.7445196578435194e-07, "5.4222328376771291e-07"),
+        ("10", 0.022005818975876515, "0.076558707281983121"),
+        ("100", 0.00022192972674708769, "0.00056808255944159724"),
+        ("1000", 2.2194851751888911e-06, "5.5138270899071536e-06"),
+    ),
+    "verify-top": _FIXED_SUITE_ROWS + (
+        ("10", 0.0060645655082634366, "0.022295544179963003"),
+        ("100", 6.0808697042504389e-05, "0.00018759887119215255"),
+        ("1000", 6.0810329705745397e-07, "1.8438748268605041e-06"),
+        ("10", 0.021557795142508711, "0.06995474621720886"),
+        ("100", 0.00021730444294206048, "0.00052500709581855911"),
+        ("1000", 2.1732177104534742e-06, "5.1015244450240166e-06"),
+        ("10", 0.006400741503427689, "0.021566387030454236"),
+        ("100", 6.4179285843436116e-05, "0.00018193626642917565"),
+        ("1000", 6.4181006881778261e-07, "1.7886833588266799e-06"),
+        ("10", 0.0055341709195542554, "0.016833381127831816"),
+        ("100", 5.5462717200581529e-05, "0.00014462821481531229"),
+        ("1000", 5.5463928538367019e-07, "1.4244958637597451e-06"),
+        ("10", 0.023670381581360221, "0.10706825186244896"),
+        ("100", 0.00023925628498558049, "0.0007590222029651199"),
+        ("1000", 2.3928195390257575e-06, "7.333543238328308e-06"),
+    ),
+    "ham-4q": (
+        ("10", 0.03953463802008584, "0.15879160878087961"),
+        ("100", 0.00040164168401865232, "0.0010591032081575759"),
+        ("1000", 4.0170510942035986e-06, "1.0170665169571586e-05"),
+    ),
+    "ham-5q": (
+        ("10", 0.022838106911478317, "0.086917887351336987"),
+        ("100", 0.00023052504391875799, "0.00063431707163976933"),
+        ("1000", 2.3054658164511682e-06, "6.1464750594315546e-06"),
+    ),
+}
+PARENT_VERIFY_ROWS["negative-control"] = PARENT_VERIFY_ROWS["verify-42"]
+PARENT_VERIFY_ROWS["ham-4q-negative-control"] = PARENT_VERIFY_ROWS["ham-4q"]
+
+
+def _check_parent_rows(case_id: str, csv_text: str) -> None:
+    lines = csv_text.splitlines()
+    assert lines[0] == "N,d_lower,bound,ratio"
+    expected = PARENT_VERIFY_ROWS[case_id]
+    assert len(lines) == 1 + len(expected)
+    for line, (n, d_lower, bound) in zip(lines[1:], expected):
+        n_text, d_text, bound_text, _ = line.split(",")
+        assert (n_text, bound_text) == (n, bound)
+        assert abs(float(d_text) - d_lower) <= 1e-12
 
 
 @pytest.mark.parametrize("case", CLI_GOLDEN, ids=lambda c: c[0])
@@ -215,6 +314,7 @@ def test_cli_report_matches_golden_hash(case, tmp_path, capsys):
     assert out.count("\n") == n_lines
     assert sha256_text(out) == digest
     if csv_digest is not None:
+        _check_parent_rows(case[0], csv.read_text())
         assert hashlib.sha256(csv.read_bytes()).hexdigest() == csv_digest
 
 
@@ -222,8 +322,10 @@ def test_cli_report_matches_golden_hash(case, tmp_path, capsys):
 # and with the mismatched-angle negative control, plus its --strict exit;
 # the 5-qubit input is over the channel-power cap, so it skips the
 # composition check.  (id, argv, exit code, line count, sha256 of stdout,
-# sha256 of the --out CSV).  These come from the code before `verify` built
-# each segment and mixing channel once per N; never regenerate them.
+# sha256 of the --out CSV).  The stdout hashes come from the code before
+# `verify` built each segment and mixing channel once per N; never
+# regenerate them.  The CSV hashes were retaken on purpose; see
+# PARENT_VERIFY_ROWS below.
 VERIFY_HAMS = {
     "dense4": "0.8 ZZII\n-0.45 IXXI\n0.3 IIYY\n0.25 XIIZ\n-0.2 YZXI\n0.15 IIZX\n0.1 ZYIY\n",
     "wide5": "0.7 ZZIIX\n-0.4 IXXIY\n0.3 IIYYZ\n0.2 XIIZI\n-0.15 YZXIX\n",
@@ -231,16 +333,16 @@ VERIFY_HAMS = {
 VERIFY_GOLDEN = [
     ("ham-4q", "verify --ham {dense4}", EXIT_OK, 10,
      "a475b2b006ff318cccd00cde4b414cbbc7c52a872d3afc4cfde7f3bd54f8241b",
-     "c4e4b9208be1d43bfb747a359003888e4c0c8350118b2d17a4e88540611eac4d"),
+     "0a4fb4e9859dc16d8e9feb295971180988e8e2b8dff0463df0fa1a17d4ea4a0c"),
     ("ham-4q-negative-control", "verify --ham {dense4} --negative-control", EXIT_OK, 11,
      "3de4e12fe3975c9f952d10652ad8448c2805130c063ddc9b23eaebc31b706571",
-     "c4e4b9208be1d43bfb747a359003888e4c0c8350118b2d17a4e88540611eac4d"),
+     "0a4fb4e9859dc16d8e9feb295971180988e8e2b8dff0463df0fa1a17d4ea4a0c"),
     ("ham-5q", "verify --ham {wide5}", EXIT_OK, 9,
      "9cdad6b25b6d8bebc57f0d602b58a0123b1aa868a13214865439721a80421197",
-     "7634a7e779a1b871521692472f8a59e5e13ee45b430ea1a7761dc6d1bb83b937"),
+     "27ca059a1aa8d5c44e8c5486103fc0998712683ca79fd9623b3215336fb5a75d"),
     ("negative-control", "verify --negative-control", EXIT_OK, 39,
      "37a577c59e8356b587d8ef73e4ba35662972f0b70a7bb06959c6a3eb56fa9b42",
-     "ced39a03f9f3d8b27ae7602e0a80f3fda626ef7dd4adec7866395398622d6381"),
+     "079f155edabe4538d82ef31ba9a7fe3484e8112526af964bdf095b1615f55a37"),
     ("negative-control-strict", "verify --negative-control --strict", EXIT_BOUND, 39,
      "b0c470ea5cb1ca992ad31e0c4efb8a1f0784b78fb915ace52e2d84b1a4afde96", None),
 ]
@@ -262,4 +364,5 @@ def test_verify_report_matches_golden_hash(case, tmp_path, capsys):
     assert out.count("\n") == n_lines
     assert sha256_text(out) == digest
     if csv_digest is not None:
+        _check_parent_rows(case[0], csv.read_text())
         assert hashlib.sha256(csv.read_bytes()).hexdigest() == csv_digest

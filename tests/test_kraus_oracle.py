@@ -1,0 +1,116 @@
+"""The Kraus-data certification path against the dense superoperator oracle.
+
+Error budget.  The fast and dense paths must agree to an absolute 1e-12 on
+every row; on the golden corpus they differ by at most 6.3e-16.  A row
+flips between certified and violated only if d_lower moves by
+(1 - ratio) * bound.  On the benchmark's certify inputs (4 qubits, t = 1,
+lam in [0.5, 2], N <= 1000) the smallest bound,
+(2 lam^2 t^2 / N^2) e^{2 lam t / N} at lam = 0.5 and N = 1000, is about
+5.0e-7, and the largest ratio over 300 such Hamiltonians was 0.437.  A flip
+therefore needs an error of at least 0.56 * 5.0e-7 = 2.8e-7, more than five
+orders of magnitude above 1e-12.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles as dense
+from qdriftlab import channels as ch
+from qdriftlab.compiler import segment_error_bound
+from qdriftlab.hamiltonian import Hamiltonian
+
+TOL = 1e-12
+
+
+@st.composite
+def hamiltonians(draw, max_qubits: int = 4) -> Hamiltonian:
+    n = draw(st.integers(1, max_qubits))
+    words = draw(
+        st.lists(
+            st.text("IXYZ", min_size=n, max_size=n).filter(lambda w: w.strip("I")),
+            min_size=1,
+            max_size=6,
+            unique=True,
+        )
+    )
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(words), max_size=len(words)))
+    signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=len(words), max_size=len(words)))
+    return Hamiltonian([(s * w, word) for s, w, word in zip(signs, weights, words)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    h=hamiltonians(),
+    t=st.floats(0.05, 3.0),
+    n_list=st.lists(st.integers(1, 2000), min_size=1, max_size=3),
+    tau_scale=st.sampled_from([1.0, 2.0]),
+)
+def test_rows_equal_the_dense_path(h, t, n_list, tau_scale):
+    fast = ch.verify_bound(h, t, n_list, tau_scale=tau_scale)
+    slow = dense.dense_verify_bound(h, t, n_list, tau_scale=tau_scale)
+    for got, want in zip(fast, slow):
+        assert (got.N, got.bound) == (want.N, want.bound)
+        assert abs(got.d_lower - want.d_lower) <= TOL
+        if tau_scale == 1.0:
+            assert got.d_lower <= segment_error_bound(h.lam, t, got.N)
+
+
+@settings(max_examples=40, deadline=None)
+@given(h=hamiltonians(), tau=st.floats(-3.0, 3.0))
+def test_validity_numbers_equal_the_dense_path(h, tau):
+    step = ch._KrausData(h).step(tau)
+    superop = dense.qdrift_channel(h, tau)
+    tp_error = ch._trace_preservation_error(step)
+    assert tp_error <= TOL
+    assert abs(tp_error - dense.trace_preservation_error(superop)) <= TOL
+    # The dense spectrum adds d^2 - L zero eigenvalues, which the factor omits.
+    cp_min = ch._choi_min_eigenvalue(step)
+    assert cp_min >= -TOL
+    assert abs(min(cp_min, 0.0) - min(dense.choi_min_eigenvalue(superop), 0.0)) <= TOL
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    h=hamiltonians(max_qubits=3),
+    t=st.floats(0.05, 2.0),
+    n=st.integers(1, 120),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_composition_trials_equal_the_dense_path(h, t, n, seed):
+    fast = ch.composition_check(h, t, n, trials=4, seed=seed)
+    slow = dense.dense_composition_check(h, t, n, trials=4, seed=seed)
+    for got, want in zip(fast, slow):
+        assert (got.index, got.budget) == (want.index, want.budget)
+        assert abs(got.d_tr - want.d_tr) <= TOL
+        assert abs(got.expval_err - want.expval_err) <= TOL
+        assert got.state_ok == want.state_ok and got.expval_ok == want.expval_ok
+
+
+def test_four_qubit_composition_equals_the_dense_path():
+    h = Hamiltonian(
+        [(0.8, "ZZII"), (-0.45, "IXXI"), (0.3, "IIYY"), (0.25, "XIIZ"), (-0.2, "YZXI")]
+    )
+    fast = ch.composition_check(h, 1.0, 100, trials=20, seed=42)
+    slow = dense.dense_composition_check(h, 1.0, 100, trials=20, seed=42)
+    assert max(abs(a.d_tr - b.d_tr) for a, b in zip(fast, slow)) <= TOL
+
+
+def test_every_two_qubit_word_fills_the_choi_dimension():
+    # Words are distinct and not the identity, so L + 1 <= 4^n = d^2; with
+    # all 15 two-qubit words W is square and R is 16 x 16.
+    words = [a + b for a in "IXYZ" for b in "IXYZ" if a + b != "II"]
+    h = Hamiltonian([((-1) ** k * (0.1 + 0.05 * k), w) for k, w in enumerate(words)])
+    data = ch._KrausData(h)
+    w = np.concatenate((data.evolution(0.1)[None], data.step(0.3).gates))
+    assert ch._kraus_r(w).shape == (16, 16)
+    for got, want in zip(ch.verify_bound(h, 0.7, [3, 30]), dense.dense_verify_bound(h, 0.7, [3, 30])):
+        assert abs(got.d_lower - want.d_lower) <= TOL
+
+
+@pytest.mark.parametrize("n_qubits, fn", [(7, "verify_bound"), (5, "composition_check")])
+def test_dimension_caps(n_qubits, fn):
+    h = Hamiltonian([(1.0, "Z" * n_qubits), (0.5, "X" * n_qubits)])
+    with pytest.raises(ValueError, match="cap"):
+        getattr(ch, fn)(h, 1.0, [10] if fn == "verify_bound" else 10)

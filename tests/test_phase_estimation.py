@@ -255,3 +255,31 @@ class TestSpeedup:
         assert len(crossings) == 1
         lo, hi = crossings[0]
         assert 1e-5 < lo < hi < 1e-3
+
+
+class TestQueryValidation:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"lam": math.inf}, "lam must be finite and > 0, got inf"),
+            ({"lam": math.nan}, "lam must be finite and > 0, got nan"),
+            ({"lam": 0.0}, "lam must be finite and > 0, got 0.0"),
+            ({"delta_E": math.nan}, "delta_E must be finite and > 0, got nan"),
+            ({"delta_E": -1e-4}, "delta_E must be finite and > 0, got -0.0001"),
+            ({"lam_max": math.nan}, "lam_max must be finite and > 0, got nan"),
+            ({"lam_max": math.inf}, "lam_max must be finite and > 0, got inf"),
+            ({"lam_max": 0.0}, "lam_max must be finite and > 0, got 0.0"),
+            ({"L": 0}, "L must be >= 1, got 0"),
+            ({"P_f": math.nan}, "P_f must be in (0, 1), got nan"),
+        ],
+    )
+    def test_rejects_non_finite_or_non_positive(self, kwargs, message):
+        args = {"lam": 1.0, "delta_E": 1e-4, "P_f": 0.05, "L": 10, "lam_max": 0.5, **kwargs}
+        with pytest.raises(ValueError) as excinfo:
+            pe.PEQuery(**args)
+        assert str(excinfo.value) == message
+
+    def test_non_finite_lam_max_never_reaches_a_plan(self):
+        for lam_max in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="lam_max"):
+                pe.build_plan("trotter", pe.PEQuery(1.0, 1e-3, 0.05, L=3, lam_max=lam_max))

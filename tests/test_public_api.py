@@ -3,7 +3,7 @@
 import pytest
 
 import qdriftlab
-from qdriftlab import compiler, hamiltonian, trotter
+from qdriftlab import channels, compiler, hamiltonian, trotter
 
 PUBLIC_NAMES = [
     "AliasSampler",
@@ -60,6 +60,15 @@ def test_every_public_name_resolves():
         (hamiltonian, "ControlledTerm"),
         (hamiltonian, "ControlledExtension"),
         (hamiltonian.Hamiltonian, "controlled_extension"),
+        # The dense superoperator path lives in tests/oracles.py.
+        (channels, "qdrift_channel"),
+        (channels, "segment_channel"),
+        (channels, "unitary_channel"),
+        (channels, "identity_channel"),
+        (channels, "choi_state"),
+        (channels, "choi_distance"),
+        (channels, "is_trace_preserving"),
+        (channels, "choi_min_eigenvalue"),
     ],
 )
 def test_removed_names_stay_removed(owner, name):
