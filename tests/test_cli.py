@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -437,6 +438,71 @@ class TestVerifyChannelBuilds:
             superop = sum(p * np.kron(u.conj(), u) for p, u in zip(got.probs, got.gates))
             expected = dense.qdrift_channel(h, h.lam * 0.8 / n)
             np.testing.assert_allclose(superop, expected, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("power_cap, checks", [(channels.MAX_POWER_QUBITS, 3), (1, 2)])
+    @pytest.mark.parametrize("negative_control", [False, True], ids=["matched", "negative-control"])
+    def test_superoperators_alive_at_once(
+        self, power_cap, checks, negative_control, ham_file, monkeypatch, capsys
+    ):
+        # A cap below the input's 2 qubits skips the composition check, as
+        # for a 5- or 6-qubit input.  The dense path held up to three
+        # d^2 x d^2 superoperators at once (two with the check skipped); the
+        # Kraus path holds none: no array that the channel layer or the
+        # numpy builders it calls return is superoperator-shaped, and each
+        # of the `checks` checks (TP, CP and, within the cap, composition)
+        # gets its step as d x d Kraus gates.
+        monkeypatch.setattr(channels, "MAX_POWER_QUBITS", power_cap)
+        h = parse_hamiltonian(HAM_TEXT)
+        dim = 2**h.n_qubits
+        alive: set[int] = set()
+        peak = [0]
+        during_checks = []
+
+        def arrays(out):
+            if isinstance(out, np.ndarray):
+                yield out
+            elif isinstance(out, channels._Step):
+                yield out.gates
+            elif isinstance(out, (tuple, list)):
+                for item in out:
+                    yield from arrays(item)
+
+        def tracked(fn):
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                for arr in arrays(out):
+                    if arr.ndim >= 2 and arr.shape[-2:] == (dim * dim, dim * dim):
+                        alive.add(id(arr))
+                        weakref.finalize(arr, alive.discard, id(arr))
+                        peak[0] = max(peak[0], len(alive))
+                return out
+
+            return wrapper
+
+        def counted(fn):
+            def wrapper(data_or_step, *args, **kwargs):
+                step = args[2] if isinstance(data_or_step, channels._KrausData) else data_or_step
+                during_checks.append((len(alive), step.gates.shape))
+                return fn(data_or_step, *args, **kwargs)
+
+            return wrapper
+
+        for name in ("evolution", "segment_targets", "step"):
+            monkeypatch.setattr(channels._KrausData, name, tracked(getattr(channels._KrausData, name)))
+        for name in ("_signed_paulis", "_rotations", "_kraus_r"):
+            monkeypatch.setattr(channels, name, tracked(getattr(channels, name)))
+        for name in ("kron", "tensordot", "einsum", "concatenate", "outer"):
+            monkeypatch.setattr(np, name, tracked(getattr(np, name)))
+        for name in ("eigh", "qr", "svd"):
+            monkeypatch.setattr(np.linalg, name, tracked(getattr(np.linalg, name)))
+        for name in ("_trace_preservation_error", "_choi_min_eigenvalue", "_composition_trials"):
+            monkeypatch.setattr(channels, name, counted(getattr(channels, name)))
+        argv = ["verify", "--ham", str(ham_file)] + (["--negative-control"] if negative_control else [])
+        assert main(argv) == EXIT_OK
+        skipped = "composition: skipped" in capsys.readouterr().out
+        assert skipped == (power_cap == 1)
+        assert peak[0] == 0
+        assert during_checks == [(0, (h.L, dim, dim))] * checks
 
     @pytest.mark.parametrize("negative_control", [False, True], ids=["matched", "negative-control"])
     def test_traced_peak_of_5_qubit_verify(self, negative_control, tmp_path, capsys):
