@@ -19,8 +19,6 @@ from .hamiltonian import (
     Hamiltonian,
     HamiltonianError,
     HamiltonianParseError,
-    PauliString,
-    Term,
     WeightProfile,
     parse_hamiltonian,
 )
@@ -51,8 +49,6 @@ __all__ = [
     "HamiltonianError",
     "HamiltonianParseError",
     "Method",
-    "PauliString",
-    "Term",
     "WeightProfile",
     "best_method",
     "closed_form_suzuki_count",

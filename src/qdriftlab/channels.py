@@ -5,8 +5,7 @@ target is rho -> V rho V^dag with V = e^{i t H / N}; the qDRIFT mixing
 channel is sum_k p_k U_k rho U_k^dag with p_k = h_k / lam and the closed-form
 gate U_k = e^{i tau s_k P_k} = cos(tau) I + i sin(tau) s_k P_k (P_k^2 = I).
 Every quantity is therefore measured from d x d matrices and one
-(L+1)-column factor; only ``empirical_channel`` returns a d^2 x d^2
-superoperator.
+(L+1)-column factor; no d^2 x d^2 superoperator is built.
 
 Distance.  With w = vec(U) / sqrt(d), the normalized Choi state of a
 mixed-unitary channel is sum_k p_k w_k w_k^dag, so the Choi difference of
@@ -24,8 +23,7 @@ Validity.  A mixed-unitary map is trace preserving iff
 sum_k p_k U_k^dag U_k = I, and its Choi state's nonzero spectrum is that of
 R diag(p) R^dag for the R factor of its Kraus columns.
 
-Dimension caps: 6 qubits for one segment, 4 qubits for N-fold compositions
-and empirical averages.
+Dimension caps: 6 qubits for one segment, 4 qubits for N-fold compositions.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .compiler import Circuit, compile_circuit, rng_from_seed, segment_error_bound, total_error_bound
+from .compiler import rng_from_seed, segment_error_bound, total_error_bound
 from .hamiltonian import Hamiltonian
 
 MAX_CHANNEL_QUBITS = 6
@@ -307,26 +305,3 @@ def _composition_trials(
         for i in range(trials)
     ]
 
-
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Dense product unitary of a compiled gate list (first gate acts first)."""
-    h = circuit.source
-    _check_qubits(h.n_qubits, MAX_POWER_QUBITS)
-    gates = _rotations(_signed_paulis(h), circuit.tau)
-    u = np.eye(2**h.n_qubits, dtype=complex)
-    for j in circuit.term_indices:
-        u = gates[j] @ u
-    return u
-
-
-def empirical_channel(h: Hamiltonian, t: float, eps: float, seeds: Sequence[int]) -> np.ndarray:
-    """Seed-averaged superoperator of compiled circuits (column stacking); converges to E^N."""
-    if len(seeds) == 0:
-        raise ValueError("seed list must be non-empty")
-    _check_qubits(h.n_qubits, MAX_POWER_QUBITS)
-    dim = 2**h.n_qubits
-    acc = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for seed in seeds:
-        u = circuit_unitary(compile_circuit(h, t, eps, seed))
-        acc += np.kron(u.conj(), u)
-    return acc / len(seeds)

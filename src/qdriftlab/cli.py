@@ -268,6 +268,8 @@ def cmd_phase_est(args) -> int:
             raise ValueError("provide --pf or both --pf-min and --pf-max")
         if not (0 < args.pf_min < args.pf_max < 1):
             raise ValueError("need 0 < --pf-min < --pf-max < 1")
+        if args.pf_points < 1:
+            raise ValueError(f"--pf-points must be >= 1, got {args.pf_points}")
         pf_values = np.logspace(
             math.log10(args.pf_min), math.log10(args.pf_max), args.pf_points
         ).tolist()

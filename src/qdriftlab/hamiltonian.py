@@ -1,11 +1,11 @@
 """Weighted Pauli-sum Hamiltonians: parsing, normalization, truncation.
 
-A Hamiltonian is an ordered list of strictly positive weights attached to
-signed Pauli strings.  Negative input coefficients are absorbed into the
-string's sign at construction so the weight vector is always a valid
-(unnormalized) probability distribution.  The aggregates every downstream
-consumer needs are cached: ``L`` (term count), ``lam`` (sum of weights,
-the l1 norm) and ``lam_max`` (largest single weight).
+A Hamiltonian is an ordered list of Pauli words with signed coefficients.
+Each term's weight is the absolute value of its coefficient, so the weight
+vector is always a valid (unnormalized) probability distribution.  The
+aggregates every downstream consumer needs are cached: ``L`` (term count),
+``lam`` (sum of weights, the l1 norm) and ``lam_max`` (largest single
+weight).
 
 Text format ``hamtxt v1``: one ``<coefficient> <pauli-word>`` pair per
 line, ``#`` starts a comment, blank lines allowed, all words the same
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -52,50 +52,6 @@ def _check_term(weight: float, word: str) -> None:
 
 
 @dataclass(frozen=True)
-class PauliString:
-    """Tensor product of single-qubit Paulis with a global sign.
-
-    The represented operator is ``sign * P(axes)``, Hermitian with operator
-    norm exactly 1 for any word that is not all-identity.
-    """
-
-    axes: str
-    sign: int = 1
-
-    def __post_init__(self):
-        if not self.axes or self.axes.strip(PAULI_AXES):
-            raise HamiltonianError(f"invalid Pauli word {self.axes!r}")
-        if self.sign not in (1, -1):
-            raise HamiltonianError(f"sign must be +1 or -1, got {self.sign!r}")
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.axes)
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.axes.strip("I")
-
-    def __str__(self) -> str:
-        return ("+" if self.sign > 0 else "-") + self.axes
-
-
-@dataclass(frozen=True)
-class Term:
-    """One Hamiltonian term: strictly positive weight times a signed Pauli."""
-
-    weight: float
-    op: PauliString
-
-    def __post_init__(self):
-        _check_term(self.weight, self.op.axes)
-
-    @property
-    def signed_coefficient(self) -> float:
-        return self.op.sign * self.weight
-
-
-@dataclass(frozen=True)
 class WeightProfile:
     """Aggregate view (L, lam, lam_max) detached from explicit Pauli data."""
 
@@ -121,18 +77,19 @@ class Hamiltonian:
     """Normalized weighted Pauli sum with cached (L, lam, lam_max).
 
     Construction merges duplicate Pauli words by signed-coefficient
-    addition (exact zeros are dropped), absorbs negative coefficients into
-    the string sign, and rejects all-identity words.  Terms keep the order
-    in which their words first appear.
+    addition (exact zeros are dropped) and rejects all-identity words.
+    Terms keep the order in which their words first appear.
 
-    Storage is columnar: a tuple of words and one read-only float64 array
-    of signed coefficients; ``weights`` is their absolute value, and ``lam``
-    and ``lam_max`` are computed once from it.  The ``Term`` objects in
-    ``terms`` are built on first access and cached.  Instances are
-    immutable and safe to share across threads.
+    The columns are the only representation: ``words``, a tuple of Pauli
+    words, and ``coefficients``, a read-only float64 array of signed
+    coefficients; ``weights`` is their absolute value, and ``lam`` and
+    ``lam_max`` are computed once from it.  Term k is the operator
+    ``coefficients[k] * P(words[k])``, drawn by qDRIFT with probability
+    ``weights[k] / lam``.  Instances are immutable and safe to share
+    across threads.
     """
 
-    __slots__ = ("_n_qubits", "_words", "_coeffs", "_weights", "_lam", "_lam_max", "_terms")
+    __slots__ = ("_n_qubits", "_words", "_coeffs", "_weights", "_lam", "_lam_max")
 
     def __init__(self, entries: Iterable[tuple[float, str]]):
         merged: dict[str, float] = {}
@@ -161,8 +118,8 @@ class Hamiltonian:
         if not words:
             raise HamiltonianError("Hamiltonian has no terms")
         if not np.isfinite(weights).all() or "I" * n_qubits in words:
-            # Rerun the checks Term makes in term order, so the first
-            # failing term raises its usual error.
+            # Check each term in order, so the first failing term
+            # raises its usual error.
             for weight, word in zip(weights.tolist(), words):
                 _check_term(weight, word)
         try:
@@ -182,7 +139,6 @@ class Hamiltonian:
         self._weights = weights
         self._lam = lam
         self._lam_max = lam_max
-        self._terms = None
 
     def _select(self, index: np.ndarray, lam: float, lam_max: float) -> "Hamiltonian":
         """New instance holding the terms at ``index``; skips validation and merging."""
@@ -198,22 +154,9 @@ class Hamiltonian:
         )
         return out
 
-    @classmethod
-    def from_terms(cls, terms: Iterable[Term]) -> "Hamiltonian":
-        return cls((t.signed_coefficient, t.op.axes) for t in terms)
-
     @property
     def n_qubits(self) -> int:
         return self._n_qubits
-
-    @property
-    def terms(self) -> tuple[Term, ...]:
-        if self._terms is None:
-            self._terms = tuple(
-                Term(w, PauliString(word, 1 if c > 0 else -1))
-                for c, w, word in zip(self._coeffs.tolist(), self._weights.tolist(), self._words)
-            )
-        return self._terms
 
     @property
     def words(self) -> tuple[str, ...]:
@@ -249,9 +192,6 @@ class Hamiltonian:
 
     def __len__(self) -> int:
         return len(self._words)
-
-    def __iter__(self) -> Iterator[Term]:
-        return iter(self.terms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Hamiltonian):

@@ -54,21 +54,14 @@ def _check_profile_args(L: int, lam_max: float, t: float) -> None:
         raise ValueError(f"t must be >= 0, got {t!r}")
 
 
-def trotter_error_det(
-    L: int, lam_max: float, t: float, r: int, *, main_text_exponent: bool = False
-) -> float:
-    """First-order deterministic bound (r/2) a = (L lam_max t)^2 / (2r) * e^(lam_max t / r).
-
-    ``main_text_exponent`` switches to the looser e^(lam_max t L / r) factor
-    for comparison; the default is the definitive form.
-    """
+def trotter_error_det(L: int, lam_max: float, t: float, r: int) -> float:
+    """First-order deterministic bound (r/2) a = (L lam_max t)^2 / (2r) * e^(lam_max t / r)."""
     _check_r(r)
     _check_profile_args(L, lam_max, t)
     x = L * lam_max * t
     if x == 0.0:
         return 0.0
-    exp_arg = lam_max * t * (L if main_text_exponent else 1) / r
-    return _exp_or_inf(2 * math.log(x) - math.log(2 * r) + exp_arg)
+    return _exp_or_inf(2 * math.log(x) - math.log(2 * r) + lam_max * t / r)
 
 
 def trotter_error_random(L: int, lam_max: float, t: float, r: int) -> float:

@@ -3,31 +3,27 @@
 These are the straightforward forms the library used before it streamed
 compile output (one f-string per gate, the alias draw applied to a single
 ``rng.random(count)`` call) and before the Hamiltonian became columnar
-(an object-based Hamiltonian that keeps a tuple of ``Term`` objects, its
-per-character parser, and the alias table built on numpy scalars), plus
-the doubling-plus-bisection loop that ``gate_count_exact`` and ``solve_r``
-each carried before they shared one search, and the dense d^2 x d^2
-superoperator path that ``verify`` measured before it certified from Kraus
-data.  They are kept for tests only.
+(an object-based Hamiltonian that keeps a tuple of the ``Term`` and
+``PauliString`` objects defined here, its per-character parser, and the
+alias table built on numpy scalars), plus the doubling-plus-bisection loop
+that ``gate_count_exact`` and ``solve_r`` each carried before they shared
+one search, and the dense d^2 x d^2 superoperator path that ``verify``
+measured before it certified from Kraus data, with the seed-averaged
+channel of compiled circuits that converges to E^N.  They are kept for
+tests only.  The dense builders read a ``Hamiltonian``'s columns.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from qdriftlab.channels import MAX_CHANNEL_QUBITS, MAX_POWER_QUBITS, BoundRow, CompositionTrial
-from qdriftlab.compiler import rng_from_seed, segment_error_bound, total_error_bound
-from qdriftlab.hamiltonian import (
-    PAULI_AXES,
-    Hamiltonian,
-    HamiltonianError,
-    HamiltonianParseError,
-    PauliString,
-    Term,
-)
+from qdriftlab.compiler import compile_circuit, rng_from_seed, segment_error_bound, total_error_bound
+from qdriftlab.hamiltonian import PAULI_AXES, Hamiltonian, HamiltonianError, HamiltonianParseError
 
 
 def reference_circuit_text(circuit) -> str:
@@ -40,9 +36,10 @@ def reference_circuit_text(circuit) -> str:
         f"# tau={tau_text}",
     ]
     op = "CROT" if circuit.meta.controlled else "ROT"
-    terms = circuit.source.terms
+    h = circuit.source
+    paulis = [("+" if c > 0 else "-") + w for w, c in zip(h.words, h.coefficients.tolist())]
     for j in circuit.term_indices:
-        lines.append(f"{op} {j} {terms[j].op} {tau_text}")
+        lines.append(f"{op} {j} {paulis[j]} {tau_text}")
     return "\n".join(lines) + "\n"
 
 
@@ -127,6 +124,38 @@ def reference_alias_tables(weights) -> tuple[np.ndarray, np.ndarray]:
         else:
             large.append(g)
     return prob, alias
+
+
+@dataclass(frozen=True)
+class PauliString:
+    """Tensor product of single-qubit Paulis with a global sign, ``sign * P(axes)``."""
+
+    axes: str
+    sign: int = 1
+
+    def __post_init__(self):
+        if not self.axes or self.axes.strip(PAULI_AXES):
+            raise HamiltonianError(f"invalid Pauli word {self.axes!r}")
+        if self.sign not in (1, -1):
+            raise HamiltonianError(f"sign must be +1 or -1, got {self.sign!r}")
+
+
+@dataclass(frozen=True)
+class Term:
+    """One Hamiltonian term: strictly positive weight times a signed Pauli."""
+
+    weight: float
+    op: PauliString
+
+    def __post_init__(self):
+        if not (math.isfinite(self.weight) and self.weight > 0):
+            raise HamiltonianError(f"term weight must be finite and > 0, got {self.weight!r}")
+        if not self.op.axes.strip("I"):
+            raise HamiltonianError("all-identity Pauli word is not a valid term")
+
+    @property
+    def signed_coefficient(self) -> float:
+        return self.op.sign * self.weight
 
 
 class ReferenceHamiltonian:
@@ -323,22 +352,30 @@ def _check_qubits(n: int, cap: int) -> None:
         raise ValueError(f"{n} qubits exceeds the {cap}-qubit dense cap")
 
 
-def pauli_to_matrix(p: PauliString) -> np.ndarray:
-    """Dense matrix of sign * P(axes) via Kronecker products."""
-    _check_qubits(p.n_qubits, MAX_CHANNEL_QUBITS)
-    out = PAULI_MATRICES[p.axes[0]].copy()
-    for c in p.axes[1:]:
+def pauli_to_matrix(word: str, sign: int = 1) -> np.ndarray:
+    """Dense matrix of sign * P(word) via Kronecker products."""
+    _check_qubits(len(word), MAX_CHANNEL_QUBITS)
+    out = PAULI_MATRICES[word[0]].copy()
+    for c in word[1:]:
         out = np.kron(out, PAULI_MATRICES[c])
-    return p.sign * out
+    return sign * out
 
 
-def hamiltonian_matrix(h) -> np.ndarray:
+def signed_paulis(h: Hamiltonian) -> list[np.ndarray]:
+    """Dense s_j P_j for each term, s_j the sign of its coefficient."""
+    return [
+        pauli_to_matrix(word, 1 if c > 0 else -1)
+        for word, c in zip(h.words, h.coefficients.tolist())
+    ]
+
+
+def hamiltonian_matrix(h: Hamiltonian) -> np.ndarray:
     """Dense sum_j h_j * sign_j * P_j."""
     _check_qubits(h.n_qubits, MAX_CHANNEL_QUBITS)
     dim = 2**h.n_qubits
     out = np.zeros((dim, dim), dtype=complex)
-    for term in h.terms:
-        out += term.weight * pauli_to_matrix(term.op)
+    for weight, p in zip(h.weights.tolist(), signed_paulis(h)):
+        out += weight * p
     return out
 
 
@@ -376,18 +413,17 @@ def apply_channel(superop: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return unvec(superop @ vec(rho))
 
 
-def qdrift_channel(h, tau: float) -> np.ndarray:
+def qdrift_channel(h: Hamiltonian, tau: float) -> np.ndarray:
     """Single-step mixing channel sum_j (h_j/lam) e^{i tau H_j} rho e^{-i tau H_j}."""
     _check_qubits(h.n_qubits, MAX_CHANNEL_QUBITS)
     dim = 2**h.n_qubits
     out = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for term in h.terms:
-        u = unitary_exp(pauli_to_matrix(term.op), tau)
-        out += (term.weight / h.lam) * unitary_channel(u)
+    for weight, p in zip(h.weights.tolist(), signed_paulis(h)):
+        out += (weight / h.lam) * unitary_channel(unitary_exp(p, tau))
     return out
 
 
-def segment_channel(h, t: float, n: int) -> np.ndarray:
+def segment_channel(h: Hamiltonian, t: float, n: int) -> np.ndarray:
     """Target channel of one segment, rho -> e^{i t H / N} rho e^{-i t H / N}."""
     _check_qubits(h.n_qubits, MAX_CHANNEL_QUBITS)
     return unitary_channel(unitary_exp(hamiltonian_matrix(h), t / n))
@@ -460,3 +496,26 @@ def dense_composition_check(h, t: float, n: int, trials: int = 20, seed: int = 1
         expval_err = abs(np.trace(np.outer(phi, phi.conj()) @ diff))
         out.append(CompositionTrial(i, d_tr, budget, float(expval_err), 2.0 * d_tr))
     return out
+
+
+def circuit_unitary(circuit) -> np.ndarray:
+    """Dense product unitary of a compiled gate list (first gate acts first)."""
+    h = circuit.source
+    _check_qubits(h.n_qubits, MAX_POWER_QUBITS)
+    gates = [unitary_exp(p, circuit.tau) for p in signed_paulis(h)]
+    u = np.eye(2**h.n_qubits, dtype=complex)
+    for j in circuit.term_indices.tolist():
+        u = gates[j] @ u
+    return u
+
+
+def empirical_channel(h: Hamiltonian, t: float, eps: float, seeds) -> np.ndarray:
+    """Seed-averaged superoperator of compiled circuits; converges to E^N."""
+    if len(seeds) == 0:
+        raise ValueError("seed list must be non-empty")
+    _check_qubits(h.n_qubits, MAX_POWER_QUBITS)
+    dim = 2**h.n_qubits
+    acc = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for seed in seeds:
+        acc += unitary_channel(circuit_unitary(compile_circuit(h, t, eps, seed)))
+    return acc / len(seeds)

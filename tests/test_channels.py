@@ -7,43 +7,40 @@ import oracles as dense
 from conftest import pauli_word_matrix, random_hamiltonian
 from qdriftlab import channels as ch
 from qdriftlab.compiler import compile_circuit, segment_error_bound, total_error_bound
-from qdriftlab.hamiltonian import Hamiltonian, PauliString
+from qdriftlab.hamiltonian import Hamiltonian
 
 
 class TestPauliMatrices:
     def test_z(self):
-        np.testing.assert_array_equal(dense.pauli_to_matrix(PauliString("Z")), np.diag([1, -1]))
+        np.testing.assert_array_equal(dense.pauli_to_matrix("Z"), np.diag([1, -1]))
 
     def test_xx_antidiagonal(self):
-        m = dense.pauli_to_matrix(PauliString("XX"))
+        m = dense.pauli_to_matrix("XX")
         np.testing.assert_array_equal(m, np.fliplr(np.eye(4)))
 
     def test_negative_sign(self):
-        np.testing.assert_array_equal(
-            dense.pauli_to_matrix(PauliString("Z", -1)), np.diag([-1, 1])
-        )
+        np.testing.assert_array_equal(dense.pauli_to_matrix("Z", -1), np.diag([-1, 1]))
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="cap"):
-            dense.pauli_to_matrix(PauliString("Z" * 7))
+            dense.pauli_to_matrix("Z" * 7)
 
     @pytest.mark.parametrize("word,sign", [("X", 1), ("ZZ", -1), ("XYZ", 1), ("IYI", -1)])
     def test_hermitian_with_unit_norm(self, word, sign):
-        m = dense.pauli_to_matrix(PauliString(word, sign))
+        m = dense.pauli_to_matrix(word, sign)
         np.testing.assert_allclose(m, m.conj().T, atol=1e-14)
         sv = np.linalg.svd(m, compute_uv=False)
         np.testing.assert_allclose(sv, 1.0, atol=1e-14)
 
     def test_hamiltonian_matrix_is_weighted_sum(self, three_term_2q):
-        expected = sum(
-            t.weight * t.op.sign * pauli_word_matrix(t.op.axes) for t in three_term_2q.terms
-        )
+        h = three_term_2q
+        expected = sum(c * pauli_word_matrix(w) for w, c in zip(h.words, h.coefficients.tolist()))
         np.testing.assert_allclose(dense.hamiltonian_matrix(three_term_2q), expected, atol=1e-14)
 
 
 class TestUnitaryExp:
     def test_zero_angle_is_identity(self):
-        u = dense.unitary_exp(dense.pauli_to_matrix(PauliString("XY")), 0.0)
+        u = dense.unitary_exp(dense.pauli_to_matrix("XY"), 0.0)
         np.testing.assert_allclose(u, np.eye(4), atol=1e-12)
 
     def test_z_at_pi_is_minus_identity(self):
@@ -67,7 +64,7 @@ class TestChannelConstruction:
     def test_single_term_is_unitary_channel(self, single_term_1q):
         tau = 0.21
         got = dense.qdrift_channel(single_term_1q, tau)
-        u = dense.unitary_exp(dense.pauli_to_matrix(single_term_1q.terms[0].op), tau)
+        u = dense.unitary_exp(dense.signed_paulis(single_term_1q)[0], tau)
         np.testing.assert_allclose(got, dense.unitary_channel(u), atol=1e-14)
 
     def test_zero_angle_is_identity_superoperator(self, three_term_2q):
@@ -79,9 +76,10 @@ class TestChannelConstruction:
         tau = 0.11
         got = dense.qdrift_channel(three_term_2q, tau)
         acc = np.zeros_like(got)
-        for term in reversed(three_term_2q.terms):
-            u = dense.unitary_exp(dense.pauli_to_matrix(term.op), tau)
-            acc += (term.weight / three_term_2q.lam) * np.kron(u.conj(), u)
+        terms = list(zip(three_term_2q.weights.tolist(), dense.signed_paulis(three_term_2q)))
+        for weight, p in reversed(terms):
+            u = dense.unitary_exp(p, tau)
+            acc += (weight / three_term_2q.lam) * np.kron(u.conj(), u)
         np.testing.assert_allclose(got, acc, atol=1e-13)
 
     def test_channels_are_tp_and_cp(self, three_term_2q):
@@ -114,10 +112,10 @@ class TestChoi:
         tau = 0.17
         d = 4
         acc = np.zeros((d * d, d * d), dtype=complex)
-        for term in h.terms:
-            v = dense.unitary_exp(dense.pauli_to_matrix(term.op), tau)
+        for weight, p in zip(h.weights.tolist(), dense.signed_paulis(h)):
+            v = dense.unitary_exp(p, tau)
             vv = v.T.reshape(-1, 1)
-            acc += (term.weight / h.lam) * (vv @ vv.conj().T)
+            acc += (weight / h.lam) * (vv @ vv.conj().T)
         np.testing.assert_allclose(dense.choi_state(dense.qdrift_channel(h, tau)), acc / d, atol=1e-12)
 
     def test_choi_state_properties(self, three_term_2q):
@@ -192,8 +190,8 @@ class TestVerifyBound:
     def test_closed_form_gates_match_eigendecomposition(self, three_term_2q):
         tau = 0.37
         gates = ch._KrausData(three_term_2q).step(tau).gates
-        for gate, term in zip(gates, three_term_2q.terms):
-            expected = dense.unitary_exp(dense.pauli_to_matrix(term.op), tau)
+        for gate, p in zip(gates, dense.signed_paulis(three_term_2q)):
+            expected = dense.unitary_exp(p, tau)
             np.testing.assert_allclose(gate, expected, rtol=0, atol=1e-14)
 
     def test_one_eigendecomposition_gives_every_target(self, three_term_2q):
@@ -241,19 +239,19 @@ class TestComposition:
 
 class TestEmpiricalChannel:
     def test_single_seed_is_pure_unitary_channel(self, two_term_1q):
-        s = ch.empirical_channel(two_term_1q, 1.0, 0.1, [3])
+        s = dense.empirical_channel(two_term_1q, 1.0, 0.1, [3])
         j = dense.choi_state(s)
         # pure Choi state: trace of J^2 equals 1
         assert np.trace(j @ j).real == pytest.approx(1.0, abs=1e-10)
 
     def test_seed_average_is_tp_and_cp(self, two_term_1q):
-        s = ch.empirical_channel(two_term_1q, 1.0, 0.1, range(5))
+        s = dense.empirical_channel(two_term_1q, 1.0, 0.1, range(5))
         assert dense.is_trace_preserving(s)
         assert dense.choi_min_eigenvalue(s) >= -1e-10
 
     def test_single_term_matches_target_exactly(self, single_term_1q):
         t, eps = 0.8, 0.05
-        s = ch.empirical_channel(single_term_1q, t, eps, [1, 2, 3])
+        s = dense.empirical_channel(single_term_1q, t, eps, [1, 2, 3])
         n = compile_circuit(single_term_1q, t, eps, 1).meta.N
         target = np.linalg.matrix_power(
             dense.qdrift_channel(single_term_1q, single_term_1q.lam * t / n), n
@@ -265,10 +263,10 @@ class TestEmpiricalChannel:
         n = compile_circuit(two_term_1q, t, eps, 0).meta.N
         target = np.linalg.matrix_power(dense.qdrift_channel(two_term_1q, t / n), n)
         dist_small = dense.choi_distance(
-            ch.empirical_channel(two_term_1q, t, eps, range(1000)), target
+            dense.empirical_channel(two_term_1q, t, eps, range(1000)), target
         )
         dist_large = dense.choi_distance(
-            ch.empirical_channel(two_term_1q, t, eps, range(10000)), target
+            dense.empirical_channel(two_term_1q, t, eps, range(10000)), target
         )
         print(f"empirical channel MC distances: 1e3 seeds {dist_small:.3e}, "
               f"1e4 seeds {dist_large:.3e}")
@@ -277,4 +275,4 @@ class TestEmpiricalChannel:
 
     def test_empty_seed_list_rejected(self, two_term_1q):
         with pytest.raises(ValueError, match="non-empty"):
-            ch.empirical_channel(two_term_1q, 1.0, 0.1, [])
+            dense.empirical_channel(two_term_1q, 1.0, 0.1, [])

