@@ -23,6 +23,10 @@ Validity.  A mixed-unitary map is trace preserving iff
 sum_k p_k U_k^dag U_k = I, and its Choi state's nonzero spectrum is that of
 R diag(p) R^dag for the R factor of its Kraus columns.
 
+``verify`` runs exactly the three public checks: ``verify_bound`` (one
+eigendecomposition of H for all rows), ``validity_check`` (closed-form
+gates only) and ``composition_check`` (one eigendecomposition of H).
+
 Dimension caps: 6 qubits for one segment, 4 qubits for N-fold compositions.
 """
 
@@ -35,19 +39,17 @@ from typing import Sequence
 import numpy as np
 
 from .compiler import rng_from_seed, segment_error_bound, total_error_bound
-from .hamiltonian import Hamiltonian
+from .hamiltonian import PAULI_AXES, Hamiltonian
 
 MAX_CHANNEL_QUBITS = 6
 MAX_POWER_QUBITS = 4
 
 UNITARITY_TOL = 1e-10
 
-_PAULI_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+# I, X, Y, Z in PAULI_AXES order.
+_PAULIS = np.array(
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex
+)
 
 
 def _check_qubits(n: int, cap: int) -> None:
@@ -56,13 +58,14 @@ def _check_qubits(n: int, cap: int) -> None:
 
 
 def _signed_paulis(h: Hamiltonian) -> np.ndarray:
-    """The L x d x d stack of s_k P_k, the sign of each coefficient times its Pauli word."""
-    out = np.empty((h.L, 2**h.n_qubits, 2**h.n_qubits), dtype=complex)
-    for k, (word, coeff) in enumerate(zip(h.words, h.coefficients.tolist())):
-        m = _PAULI_MATRICES[word[0]]
-        for c in word[1:]:
-            m = np.kron(m, _PAULI_MATRICES[c])
-        out[k] = m if coeff > 0 else -m
+    """The L x d x d stack of s_k P_k, one exact Kronecker step per qubit for all k at once."""
+    codes = np.array([[PAULI_AXES.index(c) for c in word] for word in h.words])
+    out = _PAULIS[codes[:, 0]]
+    for q in range(1, h.n_qubits):
+        m = _PAULIS[codes[:, q]][:, None, :, None, :]
+        out = (out[:, :, None, :, None] * m).reshape(h.L, 2 ** (q + 1), -1)
+    negative = h.coefficients < 0
+    out[negative] = -out[negative]
     return out
 
 
@@ -74,17 +77,8 @@ def _rotations(signed_paulis: np.ndarray, tau: float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class _Step:
-    """One qDRIFT step rho -> sum_k probs[k] gates[k] rho gates[k]^dag at angle tau."""
-
-    tau: float
-    gates: np.ndarray
-    probs: np.ndarray
-
-
 class _KrausData:
-    """The d x d data of one Hamiltonian that every check reads.
+    """The d x d data of one Hamiltonian that the row and composition checks read.
 
     Holds the signed Pauli matrices, the mixing probabilities h_k / lam and
     one eigendecomposition of the dense H = sum_k h_k s_k P_k, from which
@@ -109,15 +103,9 @@ class _KrausData:
         v = self._eigvecs
         return (v * np.exp(1j * theta * self._eigvals)) @ v.conj().T
 
-    def segment_targets(self, t: float, n_list: Sequence[int]) -> list[np.ndarray]:
-        """e^{i t H / N} for each N, checked N >= 1."""
-        for n in n_list:
-            if n < 1:
-                raise ValueError(f"N must be >= 1, got {n}")
-        return [self.evolution(t / n) for n in n_list]
-
-    def step(self, tau: float) -> _Step:
-        return _Step(tau, _rotations(self.paulis, tau), self.probs)
+    def gates(self, tau: float) -> np.ndarray:
+        """The Kraus unitaries e^{i tau s_k P_k} of the mixing channel at angle tau."""
+        return _rotations(self.paulis, tau)
 
 
 def _kraus_r(unitaries: np.ndarray) -> np.ndarray:
@@ -127,25 +115,32 @@ def _kraus_r(unitaries: np.ndarray) -> np.ndarray:
     return np.linalg.qr(w, mode="r")
 
 
-def _row_distance(target: np.ndarray, step: _Step) -> float:
-    """Choi trace distance between rho -> V rho V^dag and the step: 0.5 ||R C R^dag||_1."""
-    r = _kraus_r(np.concatenate((target[None], step.gates)))
-    c = np.concatenate(([1.0], -step.probs))
+def _row_distance(target: np.ndarray, gates: np.ndarray, probs: np.ndarray) -> float:
+    """Choi trace distance between rho -> V rho V^dag and the mixture: 0.5 ||R C R^dag||_1."""
+    r = _kraus_r(np.concatenate((target[None], gates)))
+    c = np.concatenate(([1.0], -probs))
     m = (r * c) @ r.conj().T
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(m))))
 
 
-def _trace_preservation_error(step: _Step) -> float:
-    """max |sum_k p_k U_k^dag U_k - I|; 0 for an exactly trace-preserving step."""
-    gates = step.gates
-    s = np.tensordot(step.probs, gates.conj().swapaxes(1, 2) @ gates, axes=1)
-    return float(np.max(np.abs(s - np.eye(gates.shape[-1]))))
+def validity_check(h: Hamiltonian, t: float, n: int) -> tuple[float, float]:
+    """(tp_error, cp_min) of the mixing channel at tau = lam t / N.
 
-
-def _choi_min_eigenvalue(step: _Step) -> float:
-    """Smallest eigenvalue of R diag(p) R^dag, the Choi state's nonzero spectrum; >= -tol certifies CP."""
-    r = _kraus_r(step.gates)
-    return float(np.min(np.linalg.eigvalsh((r * step.probs) @ r.conj().T)))
+    tp_error is max |sum_k p_k U_k^dag U_k - I|, 0 for an exactly trace
+    preserving channel; cp_min is the smallest eigenvalue of
+    R diag(p) R^dag, the Choi state's nonzero spectrum, and >= -tol
+    certifies complete positivity.  No eigendecomposition of H is needed.
+    """
+    _check_qubits(h.n_qubits, MAX_CHANNEL_QUBITS)
+    if n < 1:
+        raise ValueError(f"N must be >= 1, got {n}")
+    gates = _rotations(_signed_paulis(h), h.lam * t / n)
+    probs = h.weights / h.lam
+    s = np.tensordot(probs, gates.conj().swapaxes(1, 2) @ gates, axes=1)
+    tp_error = float(np.max(np.abs(s - np.eye(gates.shape[-1]))))
+    r = _kraus_r(gates)
+    cp_min = float(np.min(np.linalg.eigvalsh((r * probs) @ r.conj().T)))
+    return tp_error, cp_min
 
 
 @dataclass(frozen=True)
@@ -165,26 +160,6 @@ class BoundRow:
         return self.d_lower / self.bound if self.bound > 0 else math.nan
 
 
-def _bound_rows(
-    data: _KrausData,
-    t: float,
-    n_list: Sequence[int],
-    targets: Sequence[np.ndarray],
-    tau_scale: float = 1.0,
-) -> list[tuple[BoundRow, _Step]]:
-    """Each row of ``verify_bound`` with the mixing step it measured.
-
-    ``targets`` are ``data.segment_targets(t, n_list)``; they do not depend
-    on the angle, so matched and mismatched rows can share them.
-    """
-    lam = data.h.lam
-    out = []
-    for n, target in zip(n_list, targets):
-        step = data.step(tau_scale * lam * t / n)
-        out.append((BoundRow(int(n), _row_distance(target, step), segment_error_bound(lam, t, n)), step))
-    return out
-
-
 def verify_bound(
     h: Hamiltonian, t: float, n_list: Sequence[int], tau_scale: float = 1.0
 ) -> list[BoundRow]:
@@ -196,9 +171,17 @@ def verify_bound(
     the analytic bound always refers to the matched protocol.  Violating
     rows are surfaced in the returned table, not raised.
     """
+    for n in n_list:
+        if n < 1:
+            raise ValueError(f"N must be >= 1, got {n}")
     data = _KrausData(h)
-    targets = data.segment_targets(t, n_list)
-    return [row for row, _ in _bound_rows(data, t, n_list, targets, tau_scale)]
+    lam = h.lam
+    rows = []
+    for n in n_list:
+        gates = data.gates(tau_scale * lam * t / n)
+        d_lower = _row_distance(data.evolution(t / n), gates, data.probs)
+        rows.append(BoundRow(int(n), d_lower, segment_error_bound(lam, t, n)))
+    return rows
 
 
 def decay_slope(rows: Sequence[BoundRow]) -> float:
@@ -247,20 +230,10 @@ def composition_check(
     For random pure rho, checks 0.5 ||(E^N - U)(rho)||_1 <= the N-step
     bound (2 lam^2 t^2 / N) e^{2 lam t / N}; for random rank-1 projectors M,
     checks |Tr[M (E^N - U)(rho)]| <= 2 ||M|| d_tr with the measured d_tr.
-    """
-    _check_qubits(h.n_qubits, MAX_POWER_QUBITS)
-    data = _KrausData(h)
-    return _composition_trials(data, t, n, data.step(h.lam * t / n), trials, seed)
 
-
-def _composition_trials(
-    data: _KrausData, t: float, n: int, step: _Step, trials: int, seed: int
-) -> list[CompositionTrial]:
-    """``composition_check`` given its one-step map, ``data.step(lam t / n)``.
-
-    The step is applied n times to all probe states at once, in d x d form:
-    with U_k = c I + i s S_k (c = cos tau, s = sin tau, S_k the signed
-    Pauli) and A = sum_k p_k S_k,
+    The step at tau = lam t / n is applied n times to all probe states at
+    once, in d x d form: with U_k = c I + i s S_k (c = cos tau, s = sin tau,
+    S_k the signed Pauli) and A = sum_k p_k S_k,
 
         sum_k p_k U_k rho U_k^dag = c^2 rho + i c s [A, rho] + s^2 sum_k p_k S_k rho S_k.
 
@@ -269,9 +242,12 @@ def _composition_trials(
     phi_i conj(phi_j) rho[pi(i), pi(j)]: a gather, not a product.  The
     states come from the generator in the order psi_0, phi_0, psi_1, ...
     """
-    _check_qubits(data.h.n_qubits, MAX_POWER_QUBITS)
+    _check_qubits(h.n_qubits, MAX_POWER_QUBITS)
+    if n < 1:
+        raise ValueError(f"N must be >= 1, got {n}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    data = _KrausData(h)
     dim = data.dim
     rng = rng_from_seed(seed)
     states = np.array([_random_pure_state(rng, dim) for _ in range(2 * trials)])
@@ -280,15 +256,16 @@ def _composition_trials(
     u = data.evolution(t)
     exact = u @ rho @ u.conj().T
 
-    c, s = math.cos(step.tau), math.sin(step.tau)
+    tau = h.lam * t / n
+    c, s = math.cos(tau), math.sin(tau)
     paulis = data.paulis
     count = len(paulis)
     perm = np.argmax(np.abs(paulis), axis=2)
     phases = np.take_along_axis(paulis, perm[:, :, None], axis=2)[:, :, 0]
     gather = (perm[:, :, None] * dim + perm[:, None, :]).reshape(count, -1)
-    weight = (s * s) * step.probs[:, None, None] * phases[:, :, None] * phases.conj()[:, None, :]
+    weight = (s * s) * data.probs[:, None, None] * phases[:, :, None] * phases.conj()[:, None, :]
     weight = weight.reshape(count, -1)
-    drift = (1j * c * s) * np.tensordot(step.probs, paulis, axes=1)  # i c s A
+    drift = (1j * c * s) * np.tensordot(data.probs, paulis, axes=1)  # i c s A
     for _ in range(n):
         b = drift @ rho
         out = (c * c) * rho + b + b.conj().swapaxes(1, 2)
@@ -299,7 +276,7 @@ def _composition_trials(
     diff = rho - exact
     d_tr = 0.5 * np.linalg.svd(diff, compute_uv=False).sum(axis=1)
     expval_err = np.abs(np.einsum("ta,tab,tb->t", phi.conj(), diff, phi))
-    budget = total_error_bound(data.h.lam, t, n)
+    budget = total_error_bound(h.lam, t, n)
     return [
         CompositionTrial(i, float(d_tr[i]), budget, float(expval_err[i]), 2.0 * float(d_tr[i]))
         for i in range(trials)

@@ -1,11 +1,11 @@
 """Batch front door: compile circuits, cost reports and sweeps, phase-estimation
 budgets, and the numerical verification suite.
 
-Exit codes: 0 success, 2 Hamiltonian parse error, 3 numeric-domain error,
-4 verification bound violation.  Output is deterministic: no timestamps,
-17-significant-digit decimals, version tags in headers only.  The
-QDRIFTLAB_OUTDIR environment variable sets the default output directory
-for written files.
+Exit codes: 0 success, 2 Hamiltonian parse error, 3 invalid argument or
+unwritable output, 4 verification bound violation.  Output is
+deterministic: no timestamps, 17-significant-digit decimals, version tags
+in headers only.  The QDRIFTLAB_OUTDIR environment variable sets the
+default output directory for written files.
 """
 
 from __future__ import annotations
@@ -47,9 +47,6 @@ OUTDIR_ENV = "QDRIFTLAB_OUTDIR"
 VERIFY_N_LIST = (10, 100, 1000)
 SLOPE_BAND = (-2.3, -1.7)
 NEGATIVE_CONTROL_FLOOR = -1.5
-# The composition check runs at this N, one of VERIFY_N_LIST, and reuses
-# that row's mixing step.
-_COMPOSITION_N = 100
 
 
 def _fmt(x) -> str:
@@ -72,9 +69,12 @@ def _resolve_out(path: str | None, default_name: str | None = None) -> Path | No
 
 def _write_text(path: Path, text: str | Iterable[str]) -> None:
     """Write ``text``, or each piece of an iterable of text, with \\n line ends."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.writelines([text] if isinstance(text, str) else text)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="\n") as fh:
+            fh.writelines([text] if isinstance(text, str) else text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _emit_table(header: str, rows: list[list], fmt: str, out: Path | None) -> None:
@@ -347,24 +347,10 @@ def cmd_verify(args) -> int:
         suite = _builtin_suite(args.seed)
 
     csv_rows: list[list] = []
-    composition = None
-    for index, (name, h) in enumerate(suite):
-        # One eigendecomposition of H gives every segment target, which the
-        # matched and the mismatched rows share.  The N = VERIFY_N_LIST[0]
-        # row's step serves the validity check, and the first Hamiltonian's
-        # N = _COMPOSITION_N one, within the channel-power cap, the
-        # composition check.
-        data = channels._KrausData(h)
-        targets = data.segment_targets(args.t, VERIFY_N_LIST)
-        pairs = channels._bound_rows(data, args.t, VERIFY_N_LIST, targets)
-        rows = [row for row, _ in pairs]
-        steps = {row.N: step for row, step in pairs}
-        valid = (
-            channels._trace_preservation_error(steps[VERIFY_N_LIST[0]]) <= args.tol
-            and channels._choi_min_eigenvalue(steps[VERIFY_N_LIST[0]]) >= -args.tol
-        )
-        if index == 0 and h.n_qubits <= channels.MAX_POWER_QUBITS:
-            composition = (data, steps[_COMPOSITION_N])
+    for name, h in suite:
+        rows = channels.verify_bound(h, args.t, VERIFY_N_LIST)
+        tp_error, cp_min = channels.validity_check(h, args.t, VERIFY_N_LIST[0])
+        valid = tp_error <= args.tol and cp_min >= -args.tol
         for row in rows:
             csv_rows.append([row.N, row.d_lower, row.bound, row.ratio])
         worst = max(rows, key=lambda r: r.ratio if not math.isnan(r.ratio) else 0.0)
@@ -382,8 +368,7 @@ def cmd_verify(args) -> int:
                 )
         report.check(True, f"channel validity {name}", valid, f"TP and CP to {args.tol:g}")
         if args.negative_control:
-            mismatched = channels._bound_rows(data, args.t, VERIFY_N_LIST, targets, tau_scale=2.0)
-            slope_rows = [row for row, _ in mismatched]
+            slope_rows = channels.verify_bound(h, args.t, VERIFY_N_LIST, tau_scale=2.0)
         else:
             slope_rows = rows
         slope = channels.decay_slope(slope_rows)
@@ -406,13 +391,11 @@ def cmd_verify(args) -> int:
         else:
             report.check(False, f"slope {name}", in_band, f"slope {slope:.3f}, band {SLOPE_BAND}")
 
-    if composition is None:
+    first = suite[0][1]
+    if first.n_qubits > channels.MAX_POWER_QUBITS:
         report.info("composition", "skipped: input exceeds the channel-power qubit cap")
     else:
-        data, step = composition
-        trials = channels._composition_trials(
-            data, args.t, _COMPOSITION_N, step, trials=20, seed=args.seed
-        )
+        trials = channels.composition_check(first, args.t, 100, trials=20, seed=args.seed)
         report.check(
             True,
             "composition subadditivity",
@@ -462,8 +445,7 @@ def cmd_verify(args) -> int:
         print(line)
     out = _resolve_out(args.out)
     if out is not None:
-        lines = ["N,d_lower,bound,ratio"] + [",".join(_fmt(c) for c in r) for r in csv_rows]
-        _write_text(out, "\n".join(lines) + "\n")
+        _emit_table("N,d_lower,bound,ratio", csv_rows, "csv", out)
 
     if report.rigorous_failure or (args.strict and report.any_failure):
         print("VERIFY: FAIL")

@@ -33,8 +33,6 @@ from .trotter import SUZUKI_RANDOM, gates_per_segment, solve_r, suzuki_error
 
 METHODS = ("qdrift", "trotter")
 
-PLAN_TOL = 1e-12
-
 # Small-P_f optimal failure shares and rounded total-count constants.
 QDRIFT_PF_FRACTION = 2.0 / 3.0
 TROTTER_PF_FRACTION = 3.0 / 4.0

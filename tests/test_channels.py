@@ -175,21 +175,9 @@ class TestVerifyBound:
         with pytest.raises(ValueError):
             ch.verify_bound(two_term_1q, 1.0, [0])
 
-    def test_row_mixing_channels_equal_rebuilt_ones(self, three_term_2q):
-        # verify reuses these steps for its validity (N=10) and composition
-        # (N=100) checks; the dense mixing channel at tau = lam t / N is the oracle.
-        t = 0.7
-        data = ch._KrausData(three_term_2q)
-        pairs = ch._bound_rows(data, t, [10, 100], data.segment_targets(t, [10, 100]))
-        assert [row for row, _ in pairs] == ch.verify_bound(three_term_2q, t, [10, 100])
-        for row, step in pairs:
-            superop = sum(p * np.kron(u.conj(), u) for p, u in zip(step.probs, step.gates))
-            expected = dense.qdrift_channel(three_term_2q, three_term_2q.lam * t / row.N)
-            np.testing.assert_allclose(superop, expected, rtol=0, atol=1e-14)
-
     def test_closed_form_gates_match_eigendecomposition(self, three_term_2q):
         tau = 0.37
-        gates = ch._KrausData(three_term_2q).step(tau).gates
+        gates = ch._KrausData(three_term_2q).gates(tau)
         for gate, p in zip(gates, dense.signed_paulis(three_term_2q)):
             expected = dense.unitary_exp(p, tau)
             np.testing.assert_allclose(gate, expected, rtol=0, atol=1e-14)
@@ -209,13 +197,6 @@ class TestComposition:
         for tr in trials:
             assert tr.d_tr <= 1e-10
             assert tr.ok
-
-    def test_given_step_matches_built_step(self, three_term_2q):
-        data = ch._KrausData(three_term_2q)
-        step = data.step(three_term_2q.lam * 1.0 / 100)
-        assert ch._composition_trials(data, 1.0, 100, step, 5, 7) == ch.composition_check(
-            three_term_2q, 1.0, 100, trials=5, seed=7
-        )
 
     def test_two_term_within_budget(self, two_term_1q):
         trials = ch.composition_check(two_term_1q, 1.0, 100, trials=20, seed=99)

@@ -6,8 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-import oracles as dense
-from qdriftlab import channels
+from qdriftlab import channels, cli
 from qdriftlab.cli import EXIT_BOUND, EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, main
 from qdriftlab.hamiltonian import parse_hamiltonian
 
@@ -398,7 +397,7 @@ def _record_calls(monkeypatch, owner, name, calls):
 
 
 class TestVerifyChannelBuilds:
-    """`verify` measures from one eigendecomposition of H and one closed-form step per row."""
+    """`verify` runs the public checks, each from one closed-form step per row."""
 
     @pytest.mark.parametrize("negative_control", [False, True], ids=["matched", "negative-control"])
     @pytest.mark.parametrize("L", sorted(CHANNEL_COUNT_HAMS))
@@ -407,41 +406,53 @@ class TestVerifyChannelBuilds:
         path.write_text(CHANNEL_COUNT_HAMS[L])
         calls = {}
         _record_calls(monkeypatch, np.linalg, "eigh", calls)
-        for name in ("step", "evolution"):
+        for name in ("gates", "evolution"):
             _record_calls(monkeypatch, channels._KrausData, name, calls)
         argv = ["verify", "--ham", str(path)] + (["--negative-control"] if negative_control else [])
         assert main(argv) == EXIT_OK
         capsys.readouterr()
-        # One eigh of the 16 x 16 H gives the three segment targets and the
-        # composition target; the negative control's mismatched rows reuse
-        # those targets and add only their three closed-form steps.
-        assert [a[0].shape for a in calls["eigh"]] == [(16, 16)]
-        assert len(calls["evolution"]) == 4
-        assert len(calls["step"]) == (6 if negative_control else 3)
+        # verify_bound takes one eigh of the 16 x 16 H for its three segment
+        # targets, the composition check one more for its target, and the
+        # negative control's verify_bound a third; validity_check needs none.
+        assert [a[0].shape for a in calls["eigh"]] == [(16, 16)] * (3 if negative_control else 2)
+        assert len(calls["evolution"]) == (7 if negative_control else 4)
+        assert len(calls["gates"]) == (6 if negative_control else 3)
 
-    def test_builtin_suite_has_one_eigendecomposition_per_hamiltonian(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("negative_control", [False, True], ids=["matched", "negative-control"])
+    def test_eigendecompositions_do_not_grow_with_the_n_list(
+        self, negative_control, ham_file, monkeypatch, capsys
+    ):
+        # Six rows per Hamiltonian in place of three; the eigh count is the
+        # one pinned above.
+        monkeypatch.setattr(cli, "VERIFY_N_LIST", (10, 30, 100, 300, 1000, 3000))
+        calls = {}
+        _record_calls(monkeypatch, np.linalg, "eigh", calls)
+        argv = ["verify", "--ham", str(ham_file)] + (["--negative-control"] if negative_control else [])
+        assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        assert len(calls["eigh"]) == (3 if negative_control else 2)
+
+    def test_builtin_suite_eigendecompositions_per_hamiltonian(self, monkeypatch, capsys):
+        # Two per Hamiltonian with the negative control (matched and
+        # mismatched rows), plus one for the composition check's target.
         calls = {}
         _record_calls(monkeypatch, np.linalg, "eigh", calls)
         assert main(["verify", "--negative-control"]) == EXIT_OK
-        assert len(calls["eigh"]) == capsys.readouterr().out.count("[PASS] bound ") == 8
+        hamiltonians = capsys.readouterr().out.count("[PASS] bound ")
+        assert (hamiltonians, len(calls["eigh"])) == (8, 2 * 8 + 1)
 
-    def test_checks_reuse_the_n10_and_n100_mixing_channels(self, ham_file, monkeypatch, capsys):
-        # The validity check gets the N = 10 mixing step and the composition
-        # check the N = 100 one; the dense qDRIFT channel is the oracle.
+    def test_validity_gets_n10_and_composition_gets_n100(self, ham_file, monkeypatch, capsys):
         seen = {}
-        for name in ("_trace_preservation_error", "_choi_min_eigenvalue", "_composition_trials"):
+        for name in ("verify_bound", "validity_check", "composition_check"):
             _record_calls(monkeypatch, channels, name, seen)
         assert main(["verify", "--ham", str(ham_file), "--t", "0.8"]) == EXIT_OK
         capsys.readouterr()
         h = parse_hamiltonian(HAM_TEXT)
         assert [len(seen[name]) for name in sorted(seen)] == [1, 1, 1]
-        assert seen["_trace_preservation_error"][0][0] is seen["_choi_min_eigenvalue"][0][0]
-        data, t_arg, n_arg, step = seen["_composition_trials"][0][:4]
-        assert (data.h.serialize(), t_arg, n_arg) == (h.serialize(), 0.8, 100)
-        for got, n in ((seen["_choi_min_eigenvalue"][0][0], 10), (step, 100)):
-            superop = sum(p * np.kron(u.conj(), u) for p, u in zip(got.probs, got.gates))
-            expected = dense.qdrift_channel(h, h.lam * 0.8 / n)
-            np.testing.assert_allclose(superop, expected, rtol=0, atol=1e-14)
+        expected = {"verify_bound": (10, 100, 1000), "validity_check": 10, "composition_check": 100}
+        for name, n in expected.items():
+            got_h, t_arg, n_arg = seen[name][0][:3]
+            assert (got_h.serialize(), t_arg, n_arg) == (h.serialize(), 0.8, n)
 
     @pytest.mark.parametrize("power_cap, checks", [(channels.MAX_POWER_QUBITS, 3), (1, 2)])
     @pytest.mark.parametrize("negative_control", [False, True], ids=["matched", "negative-control"])
@@ -452,21 +463,20 @@ class TestVerifyChannelBuilds:
         # for a 5- or 6-qubit input.  The dense path held up to three
         # d^2 x d^2 superoperators at once (two with the check skipped); the
         # Kraus path holds none: no array that the channel layer or the
-        # numpy builders it calls return is superoperator-shaped, and each
-        # of the `checks` checks (TP, CP and, within the cap, composition)
-        # gets its step as d x d Kraus gates.
+        # numpy builders it calls return is superoperator-shaped, during any
+        # of the `checks` public checks (rows, validity and, within the cap,
+        # composition), and every gate stack they build is L x d x d.
         monkeypatch.setattr(channels, "MAX_POWER_QUBITS", power_cap)
         h = parse_hamiltonian(HAM_TEXT)
         dim = 2**h.n_qubits
         alive: set[int] = set()
         peak = [0]
-        during_checks = []
+        called = set()
+        gate_shapes = set()
 
         def arrays(out):
             if isinstance(out, np.ndarray):
                 yield out
-            elif isinstance(out, channels._Step):
-                yield out.gates
             elif isinstance(out, (tuple, list)):
                 for item in out:
                     yield from arrays(item)
@@ -484,29 +494,38 @@ class TestVerifyChannelBuilds:
             return wrapper
 
         def counted(fn):
-            def wrapper(data_or_step, *args, **kwargs):
-                step = args[2] if isinstance(data_or_step, channels._KrausData) else data_or_step
-                during_checks.append((len(alive), step.gates.shape))
-                return fn(data_or_step, *args, **kwargs)
+            def wrapper(*args, **kwargs):
+                called.add(fn.__name__)
+                return fn(*args, **kwargs)
 
             return wrapper
 
-        for name in ("evolution", "segment_targets", "step"):
+        def shaped(fn):
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                gate_shapes.add(out.shape)
+                return out
+
+            return wrapper
+
+        for name in ("evolution", "gates"):
             monkeypatch.setattr(channels._KrausData, name, tracked(getattr(channels._KrausData, name)))
-        for name in ("_signed_paulis", "_rotations", "_kraus_r"):
+        for name in ("_signed_paulis", "_kraus_r"):
             monkeypatch.setattr(channels, name, tracked(getattr(channels, name)))
+        monkeypatch.setattr(channels, "_rotations", shaped(tracked(channels._rotations)))
         for name in ("kron", "tensordot", "einsum", "concatenate", "outer"):
             monkeypatch.setattr(np, name, tracked(getattr(np, name)))
         for name in ("eigh", "qr", "svd"):
             monkeypatch.setattr(np.linalg, name, tracked(getattr(np.linalg, name)))
-        for name in ("_trace_preservation_error", "_choi_min_eigenvalue", "_composition_trials"):
+        for name in ("verify_bound", "validity_check", "composition_check"):
             monkeypatch.setattr(channels, name, counted(getattr(channels, name)))
         argv = ["verify", "--ham", str(ham_file)] + (["--negative-control"] if negative_control else [])
         assert main(argv) == EXIT_OK
         skipped = "composition: skipped" in capsys.readouterr().out
         assert skipped == (power_cap == 1)
         assert peak[0] == 0
-        assert during_checks == [(0, (h.L, dim, dim))] * checks
+        assert len(called) == checks
+        assert gate_shapes == {(h.L, dim, dim)}
 
     @pytest.mark.parametrize("negative_control", [False, True], ids=["matched", "negative-control"])
     def test_traced_peak_of_5_qubit_verify(self, negative_control, tmp_path, capsys):
@@ -524,3 +543,23 @@ class TestVerifyChannelBuilds:
             tracemalloc.stop()
         assert "composition: skipped" in capsys.readouterr().out
         assert peak < 4_000_000
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "compile --ham {ham} --t 1 --eps 1e-3 --seed 7",
+        "cost --L 10 --Lambda 1 --lambda 10 --t 1 --eps 1e-3",
+        "verify --ham {ham}",
+    ],
+    ids=["compile", "cost", "verify"],
+)
+def test_unwritable_out_is_a_domain_error(command, ham_file, tmp_path, capsys):
+    # A regular file cannot be a directory, so <file>/x cannot be created.
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "x"
+    assert main(command.format(ham=ham_file).split() + ["--out", str(out)]) == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in err

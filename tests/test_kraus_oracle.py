@@ -11,6 +11,8 @@ therefore needs an error of at least 0.56 * 5.0e-7 = 2.8e-7, more than five
 orders of magnitude above 1e-12.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,15 +60,13 @@ def test_rows_equal_the_dense_path(h, t, n_list, tau_scale):
 
 
 @settings(max_examples=40, deadline=None)
-@given(h=hamiltonians(), tau=st.floats(-3.0, 3.0))
-def test_validity_numbers_equal_the_dense_path(h, tau):
-    step = ch._KrausData(h).step(tau)
-    superop = dense.qdrift_channel(h, tau)
-    tp_error = ch._trace_preservation_error(step)
+@given(h=hamiltonians(), t=st.floats(0.05, 3.0), n=st.integers(1, 2000))
+def test_validity_numbers_equal_the_dense_path(h, t, n):
+    tp_error, cp_min = ch.validity_check(h, t, n)
+    superop = dense.qdrift_channel(h, h.lam * t / n)
     assert tp_error <= TOL
     assert abs(tp_error - dense.trace_preservation_error(superop)) <= TOL
     # The dense spectrum adds d^2 - L zero eigenvalues, which the factor omits.
-    cp_min = ch._choi_min_eigenvalue(step)
     assert cp_min >= -TOL
     assert abs(min(cp_min, 0.0) - min(dense.choi_min_eigenvalue(superop), 0.0)) <= TOL
 
@@ -103,14 +103,34 @@ def test_every_two_qubit_word_fills_the_choi_dimension():
     words = [a + b for a in "IXYZ" for b in "IXYZ" if a + b != "II"]
     h = Hamiltonian([((-1) ** k * (0.1 + 0.05 * k), w) for k, w in enumerate(words)])
     data = ch._KrausData(h)
-    w = np.concatenate((data.evolution(0.1)[None], data.step(0.3).gates))
+    w = np.concatenate((data.evolution(0.1)[None], data.gates(0.3)))
     assert ch._kraus_r(w).shape == (16, 16)
     for got, want in zip(ch.verify_bound(h, 0.7, [3, 30]), dense.dense_verify_bound(h, 0.7, [3, 30])):
         assert abs(got.d_lower - want.d_lower) <= TOL
 
 
-@pytest.mark.parametrize("n_qubits, fn", [(7, "verify_bound"), (5, "composition_check")])
+@pytest.mark.parametrize(
+    "n_qubits, fn", [(7, "verify_bound"), (7, "validity_check"), (5, "composition_check")]
+)
 def test_dimension_caps(n_qubits, fn):
     h = Hamiltonian([(1.0, "Z" * n_qubits), (0.5, "X" * n_qubits)])
     with pytest.raises(ValueError, match="cap"):
         getattr(ch, fn)(h, 1.0, [10] if fn == "verify_bound" else 10)
+
+
+@pytest.mark.parametrize("fn", ["verify_bound", "validity_check", "composition_check"])
+def test_n_below_one_is_rejected(fn):
+    h = Hamiltonian([(0.5, "Z"), (0.5, "X")])
+    with pytest.raises(ValueError, match="N must be >= 1, got 0"):
+        getattr(ch, fn)(h, 1.0, [0] if fn == "verify_bound" else 0)
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3])
+def test_signed_paulis_equal_the_oracle_matrices(n_qubits):
+    words = ["".join(w) for w in itertools.product("IXYZ", repeat=n_qubits)][1:]
+    for signs in ([1] * len(words), [-1] * len(words), [(-1) ** k for k in range(len(words))]):
+        h = Hamiltonian([(s * 0.5, w) for s, w in zip(signs, words)])
+        stack = ch._signed_paulis(h)
+        assert stack.shape == (len(words), 2**n_qubits, 2**n_qubits)
+        for got, word, c in zip(stack, h.words, h.coefficients.tolist()):
+            assert np.array_equal(got, dense.pauli_to_matrix(word, 1 if c > 0 else -1))

@@ -75,6 +75,14 @@ def test_every_public_name_resolves():
         (channels, "choi_min_eigenvalue"),
         (channels, "empirical_channel"),
         (channels, "circuit_unitary"),
+        # verify calls the public checks; the private reuse path is gone.
+        (channels, "_Step"),
+        (channels, "_bound_rows"),
+        (channels, "_composition_trials"),
+        (channels, "_trace_preservation_error"),
+        (channels, "_choi_min_eigenvalue"),
+        (channels._KrausData, "step"),
+        (channels._KrausData, "segment_targets"),
     ],
 )
 def test_removed_names_stay_removed(owner, name):
