@@ -167,13 +167,26 @@ def _method_sequence() -> list[trotter.Method]:
     return [trotter.QDRIFT, *trotter.DEFAULT_CANDIDATES]
 
 
-def _cost_rows(profile: WeightProfile, t: float, eps: float) -> list[list]:
-    rows = []
+def _cost_reports(profile: WeightProfile, t: float, eps: float) -> list[trotter.CostReport | None]:
+    """One report per method of ``_method_sequence``; None where the segment count overflows."""
     query = trotter.CostQuery(profile, t, eps)
+    reports = []
     for method in _method_sequence():
         try:
-            report = trotter.gate_count(method, query)
+            reports.append(trotter.gate_count(method, query))
         except OverflowError:
+            reports.append(None)
+    return reports
+
+
+def _cost_rows(
+    profile: WeightProfile, t: float, eps: float, reports: list[trotter.CostReport | None] | None = None
+) -> list[list]:
+    if reports is None:
+        reports = _cost_reports(profile, t, eps)
+    rows = []
+    for method, report in zip(_method_sequence(), reports):
+        if report is None:
             # Needs more than 2**63 segments; keep the row shape with an
             # explicit sentinel instead of a silent infinity.
             r_cell, gates_cell, bound_cell = None, "overflow", None
@@ -227,10 +240,16 @@ def cmd_sweep(args) -> int:
     profile = _fair_profile(args, args.eps)
     grid = np.logspace(math.log10(args.t_min), math.log10(args.t_max), args.points)
     rows = []
-    for t in grid:
-        rows.extend(_cost_rows(profile, float(t), args.eps))
+    # Whether qDRIFT costs more at each grid time; the crossover scan
+    # reuses these instead of solving those times again.
+    verdicts = {}
+    for t in map(float, grid):
+        reports = _cost_reports(profile, t, args.eps)
+        rows.extend(_cost_rows(profile, t, args.eps, reports))
+        gates = [math.inf if report is None else report.gates for report in reports]
+        verdicts[t] = trotter._qdrift_exceeds(gates[0], gates[1:])
     if args.crossover:
-        t_star = trotter.crossover_time(profile, args.eps, (args.t_min, args.t_max))
+        t_star = trotter.crossover_time(profile, args.eps, (args.t_min, args.t_max), verdicts=verdicts)
         if t_star is not None:
             rows.append(
                 [

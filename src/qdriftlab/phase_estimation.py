@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compiler import _check_positive
-from .trotter import SUZUKI_RANDOM, gates_per_segment, solve_r, suzuki_error
+from .hamiltonian import WeightProfile
+from .trotter import SUZUKI_RANDOM, error_function, gates_per_segment, solve_r
 
 METHODS = ("qdrift", "trotter")
 
@@ -124,7 +125,9 @@ def trotter_bit_cost_exact(j: int, eps_j: float, L: int, lam_max_rescaled: float
     if j < 1:
         raise ValueError(f"bit index j must be >= 1, got {j}")
     t_j = math.pi * 2.0**j
-    r = solve_r(lambda r: suzuki_error(1, L, lam_max_rescaled, t_j, r, "random"), eps_j)
+    # The bound reads only L and lam_max; lam = lam_max is a valid profile for any L.
+    profile = WeightProfile(L, lam_max_rescaled, lam_max_rescaled)
+    r = solve_r(error_function(SUZUKI_RANDOM[1], profile, t_j), eps_j)
     return 2.0 * gates_per_segment(SUZUKI_RANDOM[1], L) * r
 
 

@@ -21,11 +21,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import partial
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .compiler import (
+    _LOG_2,
     _check_positive,
     _exp_or_inf,
     _smallest_within,
@@ -54,58 +56,88 @@ def _check_profile_args(L: int, lam_max: float, t: float) -> None:
         raise ValueError(f"t must be >= 0, got {t!r}")
 
 
+def _first_order_bound(L: int, lam_max: float, t: float, variant: str):
+    """Unchecked r -> first-order bound, and its leading terms.
+
+    A leading term (log C, p) is C / r^p, the bound's term without its
+    exponential factor (which is >= 1).
+    """
+    x = L * lam_max * t
+    if x == 0.0:
+        return (lambda r: 0.0), ()
+    e = lam_max * t
+    log_x2 = 2 * math.log(x)
+    if variant == "det":
+        return (lambda r: _exp_or_inf(log_x2 - math.log(2 * r) + e / r)), ((log_x2 - _LOG_2, 1),)
+    log_x3 = 3 * math.log(x) - math.log(3)
+
+    def bound(r: int) -> float:
+        log_r = math.log(r)
+        exp_arg = e / r
+        return _combine_random(log_x2 - 2 * log_r + exp_arg, log_x3 - 3 * log_r + exp_arg, log_r)
+
+    return bound, ((2 * log_x2 - _LOG_2, 3), (log_x3, 2))
+
+
+def _suzuki_bound(k: int, L: int, lam_max: float, t: float, variant: str):
+    """Unchecked r -> order-2k bound, and its leading terms (see _first_order_bound)."""
+    xt = 2 * 5 ** (k - 1) * lam_max * t
+    if xt == 0.0:
+        return (lambda r: 0.0), ()
+    p = 2 * k + 1
+    log_a0 = math.log(2) + p * (math.log(xt) + math.log(L)) - math.log(_FACTORIAL[p])
+    log_b0 = p * math.log(xt) + 2 * k * math.log(L) - math.log(_FACTORIAL[2 * k - 1])
+    if variant == "det":
+
+        def bound(r: int) -> float:
+            log_r = math.log(r)
+            return _exp_or_inf(log_r - _LOG_2 + (log_a0 - p * log_r + xt / r))
+
+        return bound, ((log_a0 - _LOG_2, 2 * k),)
+
+    def bound(r: int) -> float:
+        log_r = math.log(r)
+        exp_arg = xt / r
+        return _combine_random(log_a0 - p * log_r + exp_arg, log_b0 - p * log_r + exp_arg, log_r)
+
+    return bound, ((2 * log_a0 - _LOG_2, 4 * k + 1), (log_b0, 2 * k))
+
+
+def _combine_random(log_a: float, log_b: float, log_r: float) -> float:
+    # (r/2)(a^2 + 2b) assembled in log space.
+    la2 = 2 * log_a
+    lb2 = _LOG_2 + log_b
+    m = max(la2, lb2)
+    if m == math.inf:
+        return math.inf
+    total = log_r - _LOG_2 + m + math.log(math.exp(la2 - m) + math.exp(lb2 - m))
+    return _exp_or_inf(total)
+
+
+def _leading_root(terms: tuple[tuple[float, int], ...], eps: float) -> float:
+    """Largest root of C / r^p = eps over the leading terms.
+
+    Below it some term, and so the bound, exceeds eps: a lower bound on
+    the answer.
+    """
+    if not terms:
+        return 1.0
+    log_eps = math.log(eps)
+    return math.exp(min(700.0, max((log_c - log_eps) / p for log_c, p in terms)))
+
+
 def trotter_error_det(L: int, lam_max: float, t: float, r: int) -> float:
     """First-order deterministic bound (r/2) a = (L lam_max t)^2 / (2r) * e^(lam_max t / r)."""
     _check_r(r)
     _check_profile_args(L, lam_max, t)
-    x = L * lam_max * t
-    if x == 0.0:
-        return 0.0
-    return _exp_or_inf(2 * math.log(x) - math.log(2 * r) + lam_max * t / r)
+    return _first_order_bound(L, lam_max, t, "det")[0](r)
 
 
 def trotter_error_random(L: int, lam_max: float, t: float, r: int) -> float:
     """First-order randomized bound (r/2)(a^2 + 2 b)."""
     _check_r(r)
     _check_profile_args(L, lam_max, t)
-    x = L * lam_max * t
-    if x == 0.0:
-        return 0.0
-    exp_arg = lam_max * t / r
-    log_a = 2 * math.log(x) - 2 * math.log(r) + exp_arg
-    log_b = 3 * math.log(x) - math.log(3) - 3 * math.log(r) + exp_arg
-    return _combine_random(log_a, log_b, r)
-
-
-def _combine_random(log_a: float, log_b: float, r: int) -> float:
-    # (r/2)(a^2 + 2b) assembled in log space.
-    la2 = 2 * log_a
-    lb2 = math.log(2) + log_b
-    m = max(la2, lb2)
-    if m == math.inf:
-        return math.inf
-    total = math.log(r) - math.log(2) + m + math.log(math.exp(la2 - m) + math.exp(lb2 - m))
-    return _exp_or_inf(total)
-
-
-def _suzuki_logs(k: int, L: int, xt: float, r: int) -> tuple[float, float]:
-    # xt = 2 5^(k-1) lam_max t
-    exp_arg = xt / r
-    log_a = (
-        math.log(2)
-        + (2 * k + 1) * (math.log(xt) + math.log(L))
-        - math.log(_FACTORIAL[2 * k + 1])
-        - (2 * k + 1) * math.log(r)
-        + exp_arg
-    )
-    log_b = (
-        (2 * k + 1) * math.log(xt)
-        + 2 * k * math.log(L)
-        - math.log(_FACTORIAL[2 * k - 1])
-        - (2 * k + 1) * math.log(r)
-        + exp_arg
-    )
-    return log_a, log_b
+    return _first_order_bound(L, lam_max, t, "random")[0](r)
 
 
 def suzuki_error(k: int, L: int, lam_max: float, t: float, r: int, variant: str = "det") -> float:
@@ -116,23 +148,22 @@ def suzuki_error(k: int, L: int, lam_max: float, t: float, r: int, variant: str 
         raise ValueError(f"variant must be 'det' or 'random', got {variant!r}")
     if k not in SUPPORTED_K:
         raise ValueError(f"suzuki order parameter k must be in {SUPPORTED_K}, got {k}")
-    xt = 2 * 5 ** (k - 1) * lam_max * t
-    if xt == 0.0:
-        return 0.0
-    log_a, log_b = _suzuki_logs(k, L, xt, r)
-    if variant == "det":
-        return _exp_or_inf(math.log(r) - math.log(2) + log_a)
-    return _combine_random(log_a, log_b, r)
+    return _suzuki_bound(k, L, lam_max, t, variant)[0](r)
 
 
 def solve_r(error_fn: Callable[[int], float], eps: float) -> int:
     """Smallest integer r >= 1 with error_fn(r) <= eps.
 
-    error_fn must be (eventually) monotone decreasing in r; r - 1 is
-    known to fail, so the answer is minimal.
+    error_fn must be decreasing in r.  The result equals that of the
+    doubling-then-bisection reference search (r - 1 fails, so it is
+    minimal); see ``compiler._smallest_within`` for the margin argument
+    that lets the search skip most of the reference's evaluations.  A
+    callable from ``error_function`` carries ``start(eps)``, where the
+    search begins; any other callable starts at r = 1.
     """
     _check_positive(eps, "eps")
-    r = _smallest_within(error_fn, eps, R_MAX)
+    start = getattr(error_fn, "start", None)
+    r = _smallest_within(error_fn, eps, R_MAX, 1.0 if start is None else start(eps))
     if r is None:
         raise OverflowError(f"no segment count <= 2**63 reaches eps={eps}")
     return r
@@ -221,15 +252,24 @@ class CostReport:
 
 
 def error_function(method: Method, profile: WeightProfile, t: float) -> Callable[[int], float]:
-    """Bound-vs-r callable for a product-formula method."""
+    """Bound-vs-r callable for a product-formula method.
+
+    The arguments are checked once, here.  The callable checks nothing
+    and evaluates the same float expressions as the public bound function,
+    so its values are bit-identical.  Its ``start(eps)`` inverts the
+    bound's leading terms at eps, a lower bound on the answer that
+    ``solve_r`` starts from.
+    """
+    if method.family not in ("trotter", "suzuki"):
+        raise ValueError(f"no segment error function for {method.label}")
     L, lam_max = profile.L, profile.lam_max
+    _check_profile_args(L, lam_max, t)
     if method.family == "trotter":
-        if method.variant == "det":
-            return lambda r: trotter_error_det(L, lam_max, t, r)
-        return lambda r: trotter_error_random(L, lam_max, t, r)
-    if method.family == "suzuki":
-        return lambda r: suzuki_error(method.k, L, lam_max, t, r, method.variant)
-    raise ValueError(f"no segment error function for {method.label}")
+        bound, terms = _first_order_bound(L, lam_max, t, method.variant)
+    else:
+        bound, terms = _suzuki_bound(method.k, L, lam_max, t, method.variant)
+    bound.start = partial(_leading_root, terms)
+    return bound
 
 
 def gates_per_segment(method: Method, L: int) -> int:
@@ -304,25 +344,48 @@ def closed_form_suzuki_count(k: int, L: int, lam_max: float, t: float, eps: floa
     return 2 * 5 ** (k - 1) * xt * L**2 * (xt * suzuki_b_constant(k) / eps) ** (1.0 / (2 * k))
 
 
+def _qdrift_exceeds(qdrift_gates: float, candidate_gates: Sequence[float]) -> bool:
+    """qDRIFT needs more gates than the cheapest candidate.
+
+    An overflowed count is passed as inf; inf against inf is no crossing.
+    """
+    return qdrift_gates > min(candidate_gates, default=math.inf)
+
+
+def _gates_or_inf(method: Method, query: CostQuery) -> float:
+    try:
+        return gate_count(method, query).gates
+    except OverflowError:
+        return math.inf
+
+
 def crossover_time(
     profile: WeightProfile,
     eps: float,
     t_range: tuple[float, float],
     points: int = 50,
     candidates: Sequence[Method] = DEFAULT_CANDIDATES,
+    verdicts: Mapping[float, bool] | None = None,
 ) -> float | None:
     """Smallest t in range where qDRIFT costs more than the best candidate.
 
     Scans a log-spaced grid, then bisects in log t to 3 significant
-    figures.  Returns None when the grid shows no crossing.
+    figures.  Returns None when the grid shows no crossing.  A method
+    whose segment count overflows costs infinitely many gates.
+    ``verdicts`` maps times already costed for the same profile, eps and
+    candidates (a sweep's grid) to whether qDRIFT costs more there; those
+    times are not solved again.
     """
     t_lo, t_hi = t_range
     if not (0 < t_lo < t_hi) or points < 2:
         raise ValueError(f"invalid scan range {t_range!r} with {points} points")
+    known = verdicts or {}
 
     def qdrift_exceeds(t: float) -> bool:
-        best = best_method(CostQuery(profile, t, eps), candidates)
-        return gate_count_exact(profile.lam, t, eps) > best.gates
+        if t in known:
+            return known[t]
+        query = CostQuery(profile, t, eps)
+        return _qdrift_exceeds(_gates_or_inf(QDRIFT, query), [_gates_or_inf(m, query) for m in candidates])
 
     grid = np.logspace(math.log10(t_lo), math.log10(t_hi), points)
     previous = qdrift_exceeds(float(grid[0]))

@@ -75,6 +75,28 @@ def reference_doubling_search(bound, target: float, limit: int) -> int | None:
     return hi
 
 
+def max_search_evaluations(answer: int | None) -> int:
+    """Stated cost of ``compiler._smallest_within`` on the package's bounds.
+
+    At most 12 bound evaluations while the answer is below 2**30 (or None);
+    past that the replay bisects inside a window of relative width about
+    3e-9 around the answer, so each further bit adds at most one.
+    """
+    return 12 + max(0, (answer or 0).bit_length() - 30)
+
+
+def answer_range(answer: int | None) -> str:
+    """Which range of the search an answer falls in; above 2**53 the bound's floats have plateaus."""
+    if answer is None:
+        return "overflow"
+    if answer == 1:
+        return "one"
+    return "below 2**53" if answer < 2**53 else "2**53 and up"
+
+
+ANSWER_RANGES = {"one", "below 2**53", "2**53 and up", "overflow"}
+
+
 def scrambled_hamiltonian(L: int, n_qubits: int, key: int) -> Hamiltonian:
     """L distinct signed words with Philox weights in [0.1, 1).
 

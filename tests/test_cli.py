@@ -6,9 +6,9 @@ import weakref
 import numpy as np
 import pytest
 
-from qdriftlab import channels, cli
+from qdriftlab import channels, cli, trotter
 from qdriftlab.cli import EXIT_BOUND, EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, main
-from qdriftlab.hamiltonian import parse_hamiltonian
+from qdriftlab.hamiltonian import WeightProfile, parse_hamiltonian
 
 HAM_TEXT = "1.0 ZZ\n0.5 XI\n-0.25 IY\n"
 SMALL_HAM = "0.5 Z\n0.5 X\n"
@@ -181,6 +181,43 @@ class TestSweepCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 1 + 13 * 9 + 1
         assert lines[-1].startswith("crossover,")
+
+    OVERFLOW_SWEEP = ["sweep", "--L", "10", "--Lambda", "1.0", "--lambda", "10.0", "--t-min", "1",
+                      "--t-max", "1e80", "--points", "5", "--eps", "1e-3"]
+    # The profile on which the crossover scan used to solve the sweep's grid again.
+    REUSE_SWEEP = ["sweep", "--L", "2000", "--Lambda", "0.01", "--lambda", "5.0",
+                   "--t-min", "0.001", "--t-max", "1e10", "--eps", "0.001"]
+
+    def test_crossover_survives_every_method_overflowing(self, capsys):
+        assert main(self.OVERFLOW_SWEEP) == EXIT_OK
+        table = capsys.readouterr().out.splitlines()
+        assert main(self.OVERFLOW_SWEEP + ["--crossover"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert "overflow" in "".join(table)
+        assert lines[: len(table)] == table
+        assert len(lines) - len(table) <= 1
+        assert all(line.startswith("crossover,") for line in lines[len(table):])
+
+    @pytest.mark.parametrize("points", [50, 25])
+    def test_crossover_row_equals_standalone_scan(self, points, capsys):
+        # At 50 points the sweep's grid is the scan's grid; at 25 only the ends coincide.
+        assert main(self.REUSE_SWEEP + ["--points", str(points), "--crossover"]) == EXIT_OK
+        last = capsys.readouterr().out.strip().splitlines()[-1].split(",")
+        t_star = trotter.crossover_time(WeightProfile(2000, 5.0, 0.01), 1e-3, (1e-3, 1e10))
+        assert t_star is not None
+        assert last[0] == "crossover"
+        assert last[6] == cli._fmt(t_star)
+
+    def test_crossover_reuses_the_sweep_grid(self, monkeypatch, capsys):
+        calls = []
+        solve = trotter.solve_r
+        monkeypatch.setattr(trotter, "solve_r", lambda *args: calls.append(args) or solve(*args))
+        assert main(self.REUSE_SWEEP + ["--points", "50", "--crossover"]) == EXIT_OK
+        # 400 for the sweep; 656 when the scan solved its own 50-point grid again.
+        assert len(calls) < 656
+        calls.clear()
+        assert main(self.REUSE_SWEEP + ["--points", "50"]) == EXIT_OK
+        assert len(calls) == 400
 
     def test_huge_t_serializes_log10_and_overflow(self, capsys):
         code = main(["sweep", "--L", "10", "--Lambda", "1", "--lambda", "10",

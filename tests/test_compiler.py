@@ -1,11 +1,19 @@
 import math
+from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_doubling_search, reference_segment_error_bound
+from oracles import (
+    ANSWER_RANGES,
+    answer_range,
+    max_search_evaluations,
+    reference_doubling_search,
+    reference_segment_error_bound,
+)
 from qdriftlab import compiler, trotter
 from qdriftlab.compiler import (
     AliasSampler,
@@ -63,9 +71,9 @@ class TestGateCountExact:
         assert n == 1
         assert total_error_bound(lam, t, n) <= 1e-300
 
-    def test_evaluations_match_the_reference_search(self, monkeypatch):
-        # The merged search evaluates the log bound at the same N, in the
-        # same order, as the loop gate_count_exact carried before.
+    @staticmethod
+    def solve_and_count(lam, t, eps):
+        """gate_count_exact's answer (None on overflow) and the log-bound evaluations it made."""
         log_bound = compiler._log_total_bound
         calls = []
 
@@ -73,20 +81,39 @@ class TestGateCountExact:
             calls.append(n)
             return log_bound(lam, t, n)
 
-        monkeypatch.setattr(compiler, "_log_total_bound", recorded)
-        cases = [(1.0, 1.0, 1e-3), (3.0, 7.0, 1e-9), (0.5, 0.01, 0.3), (2.0, 1e70, 1e-3), (1.0, 1e80, 1e-3)]
-        for lam, t, eps in cases:
-            calls.clear()
+        with mock.patch.object(compiler, "_log_total_bound", recorded):
             try:
                 n = gate_count_exact(lam, t, eps)
             except OverflowError:
                 n = None
-            got = calls[:]
-            calls.clear()
-            reference = reference_doubling_search(
-                lambda m: recorded(lam, t, m), math.log(eps), compiler._N_LIMIT
-            )
-            assert (n, got) == (reference, calls)
+        return n, len(calls)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lam=st.floats(-3, 3).map(lambda e: 10.0**e),
+        t=st.floats(-4, 80).map(lambda e: 10.0**e),
+        eps=st.floats(-12, -0.5).map(lambda e: 10.0**e),
+    )
+    @example(lam=1.0, t=1e8, eps=1e-3)  # N about 2e19, past 2**53
+    @example(lam=1.0, t=1e80, eps=1e-3)  # past 2**512: OverflowError
+    def test_same_answer_as_reference_search(self, lam, t, eps):
+        # The located search returns exactly what doubling then bisection
+        # returns on the same log bound, within the stated evaluation cost.
+        n, evaluations = self.solve_and_count(lam, t, eps)
+        bound = partial(compiler._log_total_bound, lam, t)
+        assert n == reference_doubling_search(bound, math.log(eps), compiler._N_LIMIT)
+        assert evaluations <= max_search_evaluations(n)
+
+    def test_grid_covers_every_answer_range(self):
+        seen = set()
+        for eps in (0.3, 1e-9):
+            for t in np.logspace(-4, 80, 85):
+                n, evaluations = self.solve_and_count(1.0, float(t), eps)
+                bound = partial(compiler._log_total_bound, 1.0, float(t))
+                assert n == reference_doubling_search(bound, math.log(eps), compiler._N_LIMIT)
+                assert evaluations <= max_search_evaluations(n)
+                seen.add(answer_range(n))
+        assert seen == ANSWER_RANGES
 
     def test_exact_at_least_approx_on_random_grid(self):
         rng = np.random.default_rng(2024)
@@ -118,22 +145,20 @@ class TestGateCountExact:
 
 class TestSmallestWithin:
     @settings(max_examples=300, deadline=None)
-    @given(threshold=st.integers(1, 2**70), limit=st.sampled_from([2**10, 2**63, 2**512]))
-    def test_same_answer_and_evaluations_as_reference(self, threshold, limit):
-        def recorder():
-            calls = []
+    @given(
+        threshold=st.integers(1, 2**70),
+        limit=st.sampled_from([2**10, 2**63, 2**512]),
+        start=st.floats(0, 2.0**80) | st.sampled_from([math.inf, math.nan]),
+        logs=st.booleans(),
+    )
+    def test_same_answer_as_reference(self, threshold, limit, start, logs):
+        # A step function is exactly monotone: whatever the start, the
+        # answer is the threshold, or None once it lies past the limit.
+        def bound(n):
+            return 0.0 if n >= threshold else 1.0
 
-            def bound(n):
-                calls.append(n)
-                return 0.0 if n >= threshold else 1.0
-
-            return bound, calls
-
-        bound, calls = recorder()
-        ref_bound, ref_calls = recorder()
-        n = compiler._smallest_within(bound, 0.5, limit)
-        assert n == reference_doubling_search(ref_bound, 0.5, limit)
-        assert calls == ref_calls
+        n = compiler._smallest_within(bound, 0.5, limit, start, logs)
+        assert n == reference_doubling_search(bound, 0.5, limit)
         if n is None:
             assert threshold > limit
         else:

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from oracles import reference_doubling_search
 from qdriftlab import phase_estimation as pe
+from qdriftlab.trotter import R_MAX, suzuki_error
 
 
 class TestBitsM:
@@ -86,6 +88,18 @@ class TestBitCosts:
             closed = pe.trotter_bit_cost(j, eps_j, 3, 0.25)
             solved = pe.trotter_bit_cost_exact(j, eps_j, 3, 0.25)
             assert 0.3 < solved / closed < 3.0
+
+    @pytest.mark.parametrize("L,lam_a", [(1, 0.5), (3, 0.25), (40, 0.01), (1000, 0.001)])
+    def test_exact_solver_bit_cost_equals_reference_search(self, L, lam_a):
+        # The per-bit count solves the public randomized 2nd-order bound
+        # exactly as the doubling/bisection reference does.
+        for j in (1, 5, 12, 20):
+            for eps_j in (0.1, 1e-4, 1e-9):
+                t_j = math.pi * 2.0**j
+                r = reference_doubling_search(
+                    lambda r: suzuki_error(1, L, lam_a, t_j, r, "random"), eps_j, R_MAX
+                )
+                assert pe.trotter_bit_cost_exact(j, eps_j, L, lam_a) == 2.0 * 2 * L * r
 
 
 class TestOptimizePf:

@@ -1,10 +1,13 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import reference_doubling_search
-from qdriftlab import cli
+from oracles import ANSWER_RANGES, answer_range, max_search_evaluations, reference_doubling_search
+from qdriftlab import cli, trotter
 from qdriftlab.hamiltonian import WeightProfile
 from qdriftlab.trotter import (
     COST_CSV_HEADER,
@@ -196,28 +199,79 @@ class TestSolveR:
             solve_r(fn, 1e-30)
 
 
-class TestSolveREvaluations:
+def public_bound(method, L, lam_max, t):
+    """The method's checked public bound function at (L, lam_max, t), as r -> bound."""
+    if method.family == "trotter":
+        return partial(trotter_error_det if method.variant == "det" else trotter_error_random, L, lam_max, t)
+    return partial(suzuki_error, method.k, L, lam_max, t, variant=method.variant)
+
+
+def solve_and_count(err, eps):
+    """solve_r's answer on ``err`` (None on overflow) and the evaluations it made."""
+    calls = []
+
+    def counted(r):
+        calls.append(r)
+        return err(r)
+
+    counted.start = err.start
+    try:
+        r = solve_r(counted, eps)
+    except OverflowError:
+        r = None
+    return r, len(calls)
+
+
+class TestSolveRReference:
+    """solve_r on error_function's callable returns what the doubling/bisection
+    reference returns on the public bound, within the stated evaluation cost."""
+
     @pytest.mark.parametrize("method", DEFAULT_CANDIDATES, ids=lambda m: m.label)
-    def test_evaluations_match_the_reference_search(self, method):
-        # The merged search evaluates error_fn at the same r, in the same
-        # order, as the loop solve_r carried before.
-        err = error_function(method, WeightProfile(7, 5.0, 0.9), 3.5)
+    @settings(max_examples=150, deadline=None)
+    @given(
+        L=st.integers(1, 300_000),
+        lam_max=st.floats(-3, 1).map(lambda e: 10.0**e),
+        spread=st.floats(0, 1),
+        t=st.floats(-4, 12).map(lambda e: 10.0**e),
+        eps=st.floats(-12, math.log10(0.3)).map(lambda e: 10.0**e),
+    )
+    @example(L=1, lam_max=1.0, spread=0.0, t=1e8, eps=1e-3)
+    def test_same_answer_as_reference_search(self, method, L, lam_max, spread, t, eps):
+        # lam runs from lam_max to L * lam_max; the product-formula bounds do not read it.
+        profile = WeightProfile(L, lam_max * (1 + spread * (L - 1)), lam_max)
+        r, evaluations = solve_and_count(error_function(method, profile, t), eps)
+        assert r == reference_doubling_search(public_bound(method, L, lam_max, t), eps, R_MAX)
+        assert evaluations <= max_search_evaluations(r)
 
-        def recorder(calls):
-            def bound(r):
-                calls.append(r)
-                return err(r)
+    @pytest.mark.parametrize("method", DEFAULT_CANDIDATES, ids=lambda m: m.label)
+    def test_grid_covers_every_answer_range(self, method):
+        seen = set()
+        for eps in (0.3, 1e-9):
+            for t in np.logspace(-7, 14, 85):
+                err = error_function(method, WeightProfile(1000, 1000.0, 1.0), float(t))
+                r, evaluations = solve_and_count(err, eps)
+                assert r == reference_doubling_search(public_bound(method, 1000, 1.0, float(t)), eps, R_MAX)
+                assert evaluations <= max_search_evaluations(r)
+                seen.add(answer_range(r))
+        assert seen == ANSWER_RANGES
 
-            return bound
+    @pytest.mark.parametrize("method", DEFAULT_CANDIDATES, ids=lambda m: m.label)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        L=st.integers(1, 300_000),
+        lam_max=st.floats(-3, 1).map(lambda e: 10.0**e),
+        t=st.floats(-4, 12).map(lambda e: 10.0**e),
+        r=st.integers(1, 2**63),
+    )
+    def test_callable_is_bit_identical_to_public_bound(self, method, L, lam_max, t, r):
+        err = error_function(method, WeightProfile(L, lam_max, lam_max), t)
+        assert err(r) == public_bound(method, L, lam_max, t)(r)
 
-        for eps in (0.5, 1e-3, 1e-9, 1e-300):
-            got, expected = [], []
-            try:
-                r = solve_r(recorder(got), eps)
-            except OverflowError:
-                r = None
-            assert r == reference_doubling_search(recorder(expected), eps, R_MAX)
-            assert got == expected
+    def test_error_function_checks_its_arguments_once(self):
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            error_function(TROTTER_DET, WeightProfile(2, 1.0, 1.0), -1.0)
+        with pytest.raises(ValueError, match="no segment error function"):
+            error_function(QDRIFT, WeightProfile(2, 1.0, 1.0), 1.0)
 
 
 class TestTinyTime:
@@ -375,6 +429,31 @@ class TestCrossover:
     def test_invalid_range(self):
         with pytest.raises(ValueError):
             crossover_time(self.PROFILE, 1e-3, (10.0, 1.0))
+
+    def test_every_method_overflowing_does_not_raise(self):
+        # Every product formula overflows from t = 1e20 and qDRIFT at 1e80;
+        # qDRIFT already costs more at t = 1, so there is no crossing.
+        assert crossover_time(WeightProfile(10, 10.0, 1.0), 1e-3, (1.0, 1e80), points=5) is None
+
+    def test_overflowed_count_is_infinite_cost(self):
+        assert trotter._qdrift_exceeds(math.inf, [5, math.inf])
+        assert not trotter._qdrift_exceeds(5, [math.inf, math.inf])
+        assert not trotter._qdrift_exceeds(math.inf, [math.inf])
+        assert not trotter._qdrift_exceeds(math.inf, [])
+
+    def test_known_verdicts_are_not_solved_again(self, monkeypatch):
+        grid = np.logspace(0.0, 12.0, 50)
+        verdicts = {}
+        for t in map(float, grid):
+            query = CostQuery(self.PROFILE, t, 1e-3)
+            verdicts[t] = gate_count(QDRIFT, query).gates > best_method(query).gates
+        expected = crossover_time(self.PROFILE, 1e-3, (1.0, 1e12))
+        calls = []
+        solve = trotter.solve_r
+        monkeypatch.setattr(trotter, "solve_r", lambda *args: calls.append(args) or solve(*args))
+        assert crossover_time(self.PROFILE, 1e-3, (1.0, 1e12), verdicts=verdicts) == expected
+        # Only the bisection between two grid times is solved: 8 methods per step.
+        assert 0 < len(calls) <= 8 * 12
 
 
 class TestCsvRow:
