@@ -11,6 +11,7 @@ default output directory for written files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -559,9 +560,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built once per process: a parser is a web of cyclic references, and
+    # rebuilding it on every call costs time and leaves garbage behind.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except HamiltonianParseError as exc:

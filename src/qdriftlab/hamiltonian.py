@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable
+from typing import Iterable, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -26,6 +26,11 @@ PAULI_AXES = "IXYZ"
 # Float summation noise allowance for the lam <= lam_max * L invariant
 # (e.g. 0.1 + 0.1 + 0.1 rounds above 0.3).
 _AGG_RTOL = 1e-12
+
+# hamtxt lines split per block; a block's field lists are freed before the
+# next block is split.
+_BLOCK_LINES = 4096
+_DELETE_PAULI = str.maketrans("", "", PAULI_AXES)
 
 
 class HamiltonianError(ValueError):
@@ -49,6 +54,36 @@ def _check_term(weight: float, word: str) -> None:
         # The identity component only shifts energy and breaks the
         # norm-1 term invariant; callers must strip it.
         raise HamiltonianError("all-identity Pauli word is not a valid term")
+
+
+class _Columns(NamedTuple):
+    """Checked input for ``Hamiltonian``: non-empty words of ``n_qubits``
+    letters over {I, X, Y, Z} and their finite float64 coefficients."""
+
+    n_qubits: int | None
+    words: list[str]
+    coeffs: np.ndarray
+
+
+def _checked_columns(entries: Iterable[tuple[float, str]]) -> _Columns:
+    """Columns of ``(coefficient, word)`` entries; the first bad entry raises."""
+    words: list[str] = []
+    coeffs: list[float] = []
+    n_qubits = None
+    for coeff, word in entries:
+        if n_qubits is None:
+            n_qubits = len(word)
+        elif len(word) != n_qubits:
+            raise HamiltonianError(
+                f"inconsistent Pauli word length: {word!r} vs {n_qubits} qubits"
+            )
+        if not word or word.strip(PAULI_AXES):
+            raise HamiltonianError(f"invalid Pauli word {word!r}")
+        if not math.isfinite(coeff):
+            raise HamiltonianError(f"non-finite coefficient {coeff!r}")
+        words.append(word)
+        coeffs.append(coeff)
+    return _Columns(n_qubits, words, np.array(coeffs, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -79,6 +114,8 @@ class Hamiltonian:
     Construction merges duplicate Pauli words by signed-coefficient
     addition (exact zeros are dropped) and rejects all-identity words.
     Terms keep the order in which their words first appear.
+    ``parse_hamiltonian`` passes columns it has already checked, which
+    skip the per-entry checks.
 
     The columns are the only representation: ``words``, a tuple of Pauli
     words, and ``coefficients``, a read-only float64 array of signed
@@ -92,28 +129,24 @@ class Hamiltonian:
     __slots__ = ("_n_qubits", "_words", "_coeffs", "_weights", "_lam", "_lam_max")
 
     def __init__(self, entries: Iterable[tuple[float, str]]):
-        merged: dict[str, float] = {}
-        n_qubits = None
-        for coeff, word in entries:
-            if n_qubits is None:
-                n_qubits = len(word)
-            elif len(word) != n_qubits:
-                raise HamiltonianError(
-                    f"inconsistent Pauli word length: {word!r} vs {n_qubits} qubits"
-                )
-            if not word or word.strip(PAULI_AXES):
-                raise HamiltonianError(f"invalid Pauli word {word!r}")
-            if not math.isfinite(coeff):
-                raise HamiltonianError(f"non-finite coefficient {coeff!r}")
-            if word in merged:
-                merged[word] += coeff
-            else:
-                merged[word] = coeff
-
-        coeffs = np.fromiter(merged.values(), dtype=float, count=len(merged))
+        if isinstance(entries, _Columns):
+            n_qubits, words, coeffs = entries
+        else:
+            n_qubits, words, coeffs = _checked_columns(entries)
+        if len(dict.fromkeys(words)) < len(words):
+            merged: dict[str, float] = {}
+            for word, coeff in zip(words, coeffs.tolist()):
+                if word in merged:
+                    merged[word] += coeff
+                else:
+                    merged[word] = coeff
+            words = list(merged)
+            coeffs = np.fromiter(merged.values(), dtype=float, count=len(merged))
         keep = coeffs != 0.0
-        words = tuple(compress(merged, keep.tolist()))
-        coeffs = coeffs[keep]
+        if not keep.all():
+            words = list(compress(words, keep.tolist()))
+            coeffs = coeffs[keep]
+        words = tuple(words)
         weights = np.abs(coeffs)
         if not words:
             raise HamiltonianError("Hamiltonian has no terms")
@@ -210,7 +243,14 @@ class Hamiltonian:
 
     def _canonical_order(self) -> np.ndarray:
         """Term positions by weight descending, then word ascending."""
-        return np.lexsort((np.array(self._words), -self._weights))
+        negated = -self._weights
+        order = np.argsort(negated, kind="stable")
+        ranked = negated[order]
+        if (ranked[1:] == ranked[:-1]).any():
+            # Equal weights are ordered by word; without a tie the weights
+            # alone fix the order, and no string array is needed.
+            return np.lexsort((np.array(self._words), negated))
+        return order
 
     def canonical(self) -> "Hamiltonian":
         """Copy with terms in canonical order: weight descending, then word."""
@@ -278,8 +318,52 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
     Raises HamiltonianParseError (with line number) on malformed
     coefficients, bad Pauli characters, inconsistent word lengths, or an
     empty term list.
+
+    Lines are split and checked in blocks of ``_BLOCK_LINES``, so only one
+    block's field lists are alive at a time.  A block that fails a check
+    sends the whole text through `_raise_first_bad_line`, which reports
+    the first bad line.
     """
-    entries: list[tuple[float, str]] = []
+    lines = text.splitlines()
+    words: list[str] = []
+    blocks: list[np.ndarray] = []
+    identity = None
+    while lines:
+        rows = [line.partition("#")[0].split() for line in lines[:_BLOCK_LINES]]
+        del lines[:_BLOCK_LINES]
+        rows = list(filter(None, rows))
+        if not rows:
+            continue
+        if {*map(len, rows)} != {2}:
+            _raise_first_bad_line(text)
+        coeff_texts, block_words = zip(*rows)
+        del rows
+        if identity is None:
+            identity = "I" * len(block_words[0])
+        try:
+            coeffs = np.fromiter(map(float, coeff_texts), dtype=float, count=len(coeff_texts))
+        except ValueError:
+            coeffs = None
+        if (
+            coeffs is None
+            or not np.isfinite(coeffs).all()
+            or "".join(block_words).translate(_DELETE_PAULI)
+            or {*map(len, block_words)} != {len(identity)}
+            or identity in block_words
+        ):
+            _raise_first_bad_line(text)
+        blocks.append(coeffs)
+        words.extend(block_words)
+    if not words:
+        raise HamiltonianParseError("no Hamiltonian terms found")
+    try:
+        return Hamiltonian(_Columns(len(identity), words, np.concatenate(blocks)))
+    except HamiltonianError as exc:
+        raise HamiltonianParseError(str(exc)) from exc
+
+
+def _raise_first_bad_line(text: str) -> NoReturn:
+    """Raise the HamiltonianParseError of the first bad line of ``text``."""
     word_len = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -309,12 +393,4 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
             raise HamiltonianParseError(
                 "all-identity term is not allowed (it only shifts energy)", line_no
             )
-        entries.append((coeff, word))
-    if not entries:
-        raise HamiltonianParseError("no Hamiltonian terms found")
-    try:
-        return Hamiltonian(entries)
-    except HamiltonianParseError:
-        raise
-    except HamiltonianError as exc:
-        raise HamiltonianParseError(str(exc)) from exc
+    raise AssertionError("a hamtxt block failed a check that no line fails")

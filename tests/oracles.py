@@ -5,7 +5,8 @@ compile output (one f-string per gate, the alias draw applied to a single
 ``rng.random(count)`` call) and before the Hamiltonian became columnar
 (an object-based Hamiltonian that keeps a tuple of the ``Term`` and
 ``PauliString`` objects defined here, its per-character parser, and the
-alias table built on numpy scalars), plus the doubling-plus-bisection loop
+alias table built on numpy scalars), the canonical order taken with one
+lexsort over a string array of the words, plus the doubling-plus-bisection loop
 that ``gate_count_exact`` and ``solve_r`` each carried before they shared
 one search, and the dense d^2 x d^2 superoperator path that ``verify``
 measured before it certified from Kraus data, with the seed-averaged
@@ -303,6 +304,11 @@ def reference_parse_hamiltonian(text: str) -> ReferenceHamiltonian:
         raise
     except HamiltonianError as exc:
         raise HamiltonianParseError(str(exc)) from exc
+
+
+def reference_canonical_order(h: Hamiltonian) -> np.ndarray:
+    """Term positions by weight descending, then word: one lexsort over the words."""
+    return np.lexsort((np.array(h.words), -h.weights))
 
 
 def wide_hamtxt(n_words: int = 5500, n_qubits: int = 30, key: int = 5000) -> str:

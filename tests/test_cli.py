@@ -1,3 +1,4 @@
+import gc
 import json
 import tracemalloc
 import warnings
@@ -600,3 +601,36 @@ def test_unwritable_out_is_a_domain_error(command, ham_file, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {out}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "compile --ham {ham} --t 1 --eps 1e-3 --seed 7 --out {out}",
+        "cost --ham {ham} --t 1 --eps 1e-3",
+        "sweep --L 10 --Lambda 1 --lambda 5 --t-min 1 --t-max 100 --points 5 --eps 1e-3"
+        " --crossover",
+        "phase-est --lambda 1 --Lambda 1 --L 100 --delta-e 1e-4 --pf 0.05",
+        "verify --ham {ham} --out {out}",
+    ],
+    ids=["compile", "cost", "sweep", "phase-est", "verify"],
+)
+def test_warm_main_call_leaves_no_cyclic_garbage(command, ham_file, tmp_path, capsys):
+    # The argument parser is built once per process, so a call after the
+    # first creates no reference cycles and repeated calls print and write
+    # the same bytes.
+    out = tmp_path / "out"
+    argv = command.format(ham=ham_file, out=out).split()
+    outputs = []
+    for _ in range(3):
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == EXIT_OK
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        outputs.append((capsys.readouterr(), out.read_bytes() if out.exists() else None))
+    assert garbage == 0
+    assert cli._parser() is cli._parser()
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]

@@ -8,7 +8,10 @@ determine each other: the columns ``words`` and ``coefficients`` equal the
 oracle's terms exactly when they hold its axes and signed coefficients.
 """
 
+import gc
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,13 +21,16 @@ from hypothesis import strategies as st
 from oracles import (
     ReferenceHamiltonian,
     reference_alias_tables,
+    reference_canonical_order,
     reference_circuit_text,
     reference_parse_hamiltonian,
+    scrambled_hamiltonian,
     wide_hamtxt,
 )
 from qdriftlab.cli import EXIT_OK, main
 from qdriftlab.compiler import AliasSampler, compile_circuit
-from qdriftlab.hamiltonian import Hamiltonian, HamiltonianError, parse_hamiltonian
+from qdriftlab import hamiltonian
+from qdriftlab.hamiltonian import _BLOCK_LINES, Hamiltonian, HamiltonianError, parse_hamiltonian
 
 # Two-qubit words, so duplicates are frequent.  Dyadic coefficients
 # cancel and tie exactly; 0.1 and 0.3 merge with rounding.
@@ -124,10 +130,9 @@ term_lines = st.builds(
     st.sampled_from(["", "  # note", "#", " # 1.0 XX"]),
 )
 other_lines = st.sampled_from(["", "   ", "# hamtxt v1", "#", "0.5\tXI  "])
-bad_lines = st.sampled_from(
-    ["x.y ZZ", "nan ZZ", "inf XI", "-inf XI", "1.0 II", "1.0 ZA", "1.0 ZZZ", "1.0 zz",
-     "0.5 ZZ XX", "ZZ"]
-)
+BAD_LINES = ["x.y ZZ", "nan ZZ", "inf XI", "-inf XI", "1.0 II", "1.0 ZA", "1.0 ZZZ", "1.0 zz",
+             "0.5 ZZ XX", "ZZ"]
+bad_lines = st.sampled_from(BAD_LINES)
 documents = st.builds(
     lambda good, bad, position: "\n".join(_insert(good, bad, position)),
     st.lists(st.one_of(term_lines, term_lines, term_lines, other_lines), max_size=14),
@@ -140,6 +145,77 @@ documents = st.builds(
 @given(documents)
 def test_hamtxt_documents_match_reference_parser(text):
     assert_same_outcome(parse_hamiltonian, reference_parse_hamiltonian, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents, st.integers(min_value=1, max_value=4))
+def test_documents_split_in_small_blocks_match_reference_parser(text, block_lines):
+    # With blocks of a few lines, these short documents cross many block
+    # boundaries: blank and comment runs, whole blocks without a term, and
+    # bad lines at either edge of a block.
+    with mock.patch.object(hamiltonian, "_BLOCK_LINES", block_lines):
+        assert_same_outcome(parse_hamiltonian, reference_parse_hamiltonian, text)
+
+
+def _long_document(quiet: str, key: int) -> list[str]:
+    """Lines of a four-block document of two-qubit terms.
+
+    Blank and comment lines run across the first block boundary
+    (``quiet="run"``) or fill the whole second block (``quiet="block"``).
+    """
+    rng = np.random.Generator(np.random.Philox(key=key))
+    coeffs = (0.5 - rng.random(4 * _BLOCK_LINES)).tolist()
+    picks = rng.integers(0, len(WORDS), size=4 * _BLOCK_LINES).tolist()
+    lines = [f"{c!r} {WORDS[k]}" for c, k in zip(coeffs, picks)]
+    if quiet == "run":
+        span = range(_BLOCK_LINES - 3, _BLOCK_LINES + 3)
+    else:
+        span = range(_BLOCK_LINES, 2 * _BLOCK_LINES)
+    for i in span:
+        lines[i] = ["", "# comment", "   ", "#  1.0 ZZ"][i % 4]
+    return lines
+
+
+@pytest.mark.parametrize("position", ["first", "last"])
+@pytest.mark.parametrize("quiet", ["run", "block"])
+@pytest.mark.parametrize("bad", BAD_LINES)
+def test_bad_line_at_a_block_edge_raises_as_the_reference(bad, quiet, position):
+    lines = _long_document(quiet, key=len(bad))
+    index = 2 * _BLOCK_LINES if position == "first" else 3 * _BLOCK_LINES - 1
+    lines[index] = bad
+    lines[-1] = "ZZ"  # a later bad line must not be the one reported
+    text = "\n".join(lines)
+    kind, new = outcome(parse_hamiltonian, text)
+    old_kind, old = outcome(reference_parse_hamiltonian, text)
+    assert kind == old_kind == "error"
+    assert new == old
+    assert new[2] == index + 1
+
+
+@pytest.mark.parametrize("quiet", ["run", "block"])
+def test_long_documents_match_reference_parser(quiet):
+    text = "\n".join(_long_document(quiet, key=11))
+    assert_same_outcome(parse_hamiltonian, reference_parse_hamiltonian, text)
+    # The first term, which sets the word length, sits in the second block.
+    text = "\n".join(["# header"] * _BLOCK_LINES + _long_document(quiet, key=12) + ["1.0 ZZZ"])
+    assert_same_outcome(parse_hamiltonian, reference_parse_hamiltonian, text)
+    assert_same_outcome(parse_hamiltonian, reference_parse_hamiltonian, "#\n\n" * _BLOCK_LINES)
+
+
+def test_parse_peak_memory_stays_within_a_few_text_sizes():
+    # Only one block's field lists are alive at a time.  On this document
+    # the peak is about 3.2 times the text; one block of every line reads
+    # about 8.3 times, and the per-line loop the blocks replaced 5.4.
+    text = scrambled_hamiltonian(30_000, 30, key=31).serialize()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        h = parse_hamiltonian(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.L == 30_000 and h.n_qubits == 30
+    assert peak <= 4.5 * len(text)
 
 
 @pytest.mark.parametrize(
@@ -212,6 +288,44 @@ def test_compile_creates_one_hamiltonian_and_no_term(monkeypatch, tmp_path, caps
     capsys.readouterr()
     assert constructions == [1]
     assert out.read_text() == expected
+
+
+# Magnitudes with no tie, with many exact ties (dyadic values) and all equal.
+magnitude_lists = st.one_of(
+    st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=300, unique=True),
+    st.lists(st.integers(1, 16).map(lambda k: k / 16), min_size=1, max_size=300),
+    st.builds(lambda m, n: [m] * n, st.floats(min_value=1e-3, max_value=1e3), st.integers(1, 300)),
+)
+
+
+def _distinct_word_hamiltonian(magnitudes, key: int) -> Hamiltonian:
+    """Signed magnitudes on distinct 8-qubit words in scrambled order.
+
+    Word k is the base-4 digits of (k + key + 1) * 2654435761 mod 4**8, a
+    bijection, so for k + key + 1 < 4**8 no word repeats and none is the
+    identity.
+    """
+    negative = np.random.Generator(np.random.Philox(key=key)).random(len(magnitudes)) < 0.5
+    entries = []
+    for k, (m, neg) in enumerate(zip(magnitudes, negative.tolist())):
+        v = ((k + key + 1) * 2654435761) % 4**8
+        word = "".join("IXYZ"[(v >> (2 * q)) & 3] for q in range(8))
+        entries.append((-m if neg else m, word))
+    return Hamiltonian(entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(magnitude_lists, st.integers(min_value=0, max_value=60_000))
+def test_canonical_order_matches_lexsort_oracle(magnitudes, key):
+    h = _distinct_word_hamiltonian(magnitudes, key)
+    np.testing.assert_array_equal(h._canonical_order(), reference_canonical_order(h))
+
+
+def test_canonical_order_without_ties_needs_no_word_sort():
+    h = scrambled_hamiltonian(2000, 12, key=3)
+    expected = reference_canonical_order(h)
+    with mock.patch.object(hamiltonian.np, "lexsort", side_effect=AssertionError("lexsort")):
+        np.testing.assert_array_equal(h._canonical_order(), expected)
 
 
 def _weights(kind: str, n: int) -> np.ndarray:
