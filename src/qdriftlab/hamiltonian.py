@@ -57,8 +57,9 @@ def _check_term(weight: float, word: str) -> None:
 
 
 class _Columns(NamedTuple):
-    """Checked input for ``Hamiltonian``: non-empty words of ``n_qubits``
-    letters over {I, X, Y, Z} and their finite float64 coefficients."""
+    """Checked input for ``Hamiltonian``: distinct non-empty words of
+    ``n_qubits`` letters over {I, X, Y, Z} and their finite float64
+    coefficients."""
 
     n_qubits: int | None
     words: list[str]
@@ -66,9 +67,12 @@ class _Columns(NamedTuple):
 
 
 def _checked_columns(entries: Iterable[tuple[float, str]]) -> _Columns:
-    """Columns of ``(coefficient, word)`` entries; the first bad entry raises."""
-    words: list[str] = []
-    coeffs: list[float] = []
+    """Merged columns of ``(coefficient, word)`` entries; the first bad entry raises.
+
+    Repeated words add their coefficients as given, before the sums are
+    converted to float64.
+    """
+    merged: dict = {}
     n_qubits = None
     for coeff, word in entries:
         if n_qubits is None:
@@ -81,9 +85,20 @@ def _checked_columns(entries: Iterable[tuple[float, str]]) -> _Columns:
             raise HamiltonianError(f"invalid Pauli word {word!r}")
         if not math.isfinite(coeff):
             raise HamiltonianError(f"non-finite coefficient {coeff!r}")
-        words.append(word)
-        coeffs.append(coeff)
-    return _Columns(n_qubits, words, np.array(coeffs, dtype=float))
+        if word in merged:
+            merged[word] += coeff
+        else:
+            merged[word] = coeff
+    coeffs = np.fromiter(merged.values(), dtype=float, count=len(merged))
+    return _Columns(n_qubits, list(merged), coeffs)
+
+
+def _merged_columns(n_qubits: int, words: list[str], coeffs: np.ndarray) -> _Columns:
+    """Columns with each repeated word's coefficients summed in first-seen order."""
+    # A dict of the words takes about half the memory of a set of them.
+    if len(dict.fromkeys(words)) == len(words):
+        return _Columns(n_qubits, words, coeffs)
+    return _checked_columns(zip(coeffs.tolist(), words))
 
 
 @dataclass(frozen=True)
@@ -114,8 +129,8 @@ class Hamiltonian:
     Construction merges duplicate Pauli words by signed-coefficient
     addition (exact zeros are dropped) and rejects all-identity words.
     Terms keep the order in which their words first appear.
-    ``parse_hamiltonian`` passes columns it has already checked, which
-    skip the per-entry checks.
+    ``parse_hamiltonian`` passes columns it has already checked and
+    merged, which skip the per-entry checks.
 
     The columns are the only representation: ``words``, a tuple of Pauli
     words, and ``coefficients``, a read-only float64 array of signed
@@ -129,19 +144,9 @@ class Hamiltonian:
     __slots__ = ("_n_qubits", "_words", "_coeffs", "_weights", "_lam", "_lam_max")
 
     def __init__(self, entries: Iterable[tuple[float, str]]):
-        if isinstance(entries, _Columns):
-            n_qubits, words, coeffs = entries
-        else:
-            n_qubits, words, coeffs = _checked_columns(entries)
-        if len(dict.fromkeys(words)) < len(words):
-            merged: dict[str, float] = {}
-            for word, coeff in zip(words, coeffs.tolist()):
-                if word in merged:
-                    merged[word] += coeff
-                else:
-                    merged[word] = coeff
-            words = list(merged)
-            coeffs = np.fromiter(merged.values(), dtype=float, count=len(merged))
+        if not isinstance(entries, _Columns):
+            entries = _checked_columns(entries)
+        n_qubits, words, coeffs = entries
         keep = coeffs != 0.0
         if not keep.all():
             words = list(compress(words, keep.tolist()))
@@ -243,13 +248,22 @@ class Hamiltonian:
 
     def _canonical_order(self) -> np.ndarray:
         """Term positions by weight descending, then word ascending."""
+        # Distinct weights alone fix the order, so any sort will do; only
+        # runs of equal weights are then re-sorted by (weight, word).
+        # Equal-length ASCII words sort as bytes the way they sort as str.
         negated = -self._weights
-        order = np.argsort(negated, kind="stable")
+        order = np.argsort(negated)
         ranked = negated[order]
-        if (ranked[1:] == ranked[:-1]).any():
-            # Equal weights are ordered by word; without a tie the weights
-            # alone fix the order, and no string array is needed.
-            return np.lexsort((np.array(self._words), negated))
+        tied = ranked[1:] == ranked[:-1]
+        if tied.any():
+            in_run = np.zeros(len(order), dtype=bool)
+            in_run[1:] = tied
+            in_run[:-1] |= tied
+            run = order[in_run]
+            words = np.frombuffer(
+                "".join(self._words).encode("ascii"), dtype=f"S{self._n_qubits}"
+            )
+            order[in_run] = run[np.lexsort((words[run], ranked[in_run]))]
         return order
 
     def canonical(self) -> "Hamiltonian":
@@ -324,13 +338,15 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
     sends the whole text through `_raise_first_bad_line`, which reports
     the first bad line.
     """
+    # Reversed, so each block is cut from the end of the list in O(block).
     lines = text.splitlines()
+    lines.reverse()
     words: list[str] = []
     blocks: list[np.ndarray] = []
     identity = None
     while lines:
-        rows = [line.partition("#")[0].split() for line in lines[:_BLOCK_LINES]]
-        del lines[:_BLOCK_LINES]
+        rows = [line.partition("#")[0].split() for line in lines[: -_BLOCK_LINES - 1 : -1]]
+        del lines[-_BLOCK_LINES:]
         rows = list(filter(None, rows))
         if not rows:
             continue
@@ -357,7 +373,7 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
     if not words:
         raise HamiltonianParseError("no Hamiltonian terms found")
     try:
-        return Hamiltonian(_Columns(len(identity), words, np.concatenate(blocks)))
+        return Hamiltonian(_merged_columns(len(identity), words, np.concatenate(blocks)))
     except HamiltonianError as exc:
         raise HamiltonianParseError(str(exc)) from exc
 

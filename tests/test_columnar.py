@@ -10,6 +10,7 @@ oracle's terms exactly when they hold its axes and signed coefficients.
 
 import gc
 import math
+from decimal import Decimal
 import tracemalloc
 from unittest import mock
 
@@ -118,6 +119,19 @@ def assert_same_outcome(new_fn, old_fn, arg):
 @given(entry_lists)
 def test_entry_lists_match_object_oracle(entries):
     assert_same_outcome(Hamiltonian, ReferenceHamiltonian, entries)
+
+
+@pytest.mark.parametrize(
+    "entries, coefficient",
+    [
+        # Summed as ints, 2**53 + 1 + 1 is exact; as float64 each + 1 rounds away.
+        ([(2**53, "XZ"), (1, "XZ"), (1, "XZ")], 2.0**53 + 2),
+        ([(Decimal("0.1"), "Y")] * 3, 0.3),
+        ([(np.float32(0.1), "Y"), (np.float32(0.2), "Y")], float(np.float32(0.1) + np.float32(0.2))),
+    ],
+)
+def test_repeated_words_sum_in_their_own_type(entries, coefficient):
+    assert Hamiltonian(entries).coefficients.tolist() == [coefficient]
 
 
 term_lines = st.builds(
@@ -290,11 +304,19 @@ def test_compile_creates_one_hamiltonian_and_no_term(monkeypatch, tmp_path, caps
     assert out.read_text() == expected
 
 
-# Magnitudes with no tie, with many exact ties (dyadic values) and all equal.
+# Magnitudes with no tie, with many exact ties (dyadic values), all equal,
+# and with a few ties.
 magnitude_lists = st.one_of(
     st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=300, unique=True),
     st.lists(st.integers(1, 16).map(lambda k: k / 16), min_size=1, max_size=300),
     st.builds(lambda m, n: [m] * n, st.floats(min_value=1e-3, max_value=1e3), st.integers(1, 300)),
+    # Distinct magnitudes with a few of them repeated: short tied runs
+    # between untied terms.
+    st.builds(
+        lambda ms, picks: ms + [ms[i % len(ms)] for i in picks],
+        st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=300, unique=True),
+        st.lists(st.integers(0, 299), min_size=1, max_size=10),
+    ),
 )
 
 
