@@ -7,7 +7,6 @@ from .compiler import (
     Circuit,
     CircuitMeta,
     compile_circuit,
-    compile_controlled,
     elementary_gate_estimate,
     gate_count_approx,
     gate_count_exact,
@@ -53,7 +52,6 @@ __all__ = [
     "best_method",
     "closed_form_suzuki_count",
     "compile_circuit",
-    "compile_controlled",
     "crossover_time",
     "elementary_gate_estimate",
     "gate_count",

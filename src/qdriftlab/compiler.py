@@ -426,7 +426,8 @@ def compile_circuit(
     and indices are drawn i.i.d. with p_j = h_j / lam.  The Hamiltonian is
     canonicalized first (gate indices refer to the canonical term order),
     making the output a pure function of (canonical form, t, eps, seed,
-    mode) regardless of input term order.
+    mode) regardless of input term order.  controlled=True keeps N and the
+    sampled stream and flags every gate as a controlled rotation.
     """
     _check_positive(t, "t")
     _check_positive(eps, "eps")
@@ -444,17 +445,6 @@ def compile_circuit(
     indices = AliasSampler(h.weights).sample_many(rng, n)
     meta = CircuitMeta(seed=int(seed), N=n, t=t, eps=eps, lam=h.lam, mode=mode, controlled=controlled)
     return Circuit(indices, tau, meta, h)
-
-
-def compile_controlled(
-    h: Hamiltonian, t: float, eps: float, seed: int, mode: str = "exact"
-) -> Circuit:
-    """Controlled-evolution variant: identical N and sampling, gates flagged controlled.
-
-    Each controlled Pauli rotation expands into two plain rotations and two
-    control-X gates, so the elementary estimate is (2N, 2N).
-    """
-    return compile_circuit(h, t, eps, seed, mode, controlled=True)
 
 
 def elementary_gate_estimate(circuit: Circuit) -> dict[str, int]:

@@ -15,10 +15,10 @@ counts (factor 2 from expanding each controlled rotation) are
     qdrift:   N(j) = 4^j pi^2 / eps_j
     trotter:  N(j) = 8 L^2 sqrt(2 pi^3 lam_max_A^3 8^j / eps_j)
 
-Per-bit plans keep m integral and the exact (2^m - 1) factors; the p_f
-optimizer minimizes the continuous-depth total so the optimum is smooth,
-and the 133 / 69 closed forms are the small-P_f asymptotes used only as
-cross-checks.
+Per-bit plans keep m integral and the exact (2^m - 1) factors.  The
+failure share p_f minimizes the continuous-depth total, whose one
+stationary point is solved in closed form (``optimize_pf``); the 133 / 69
+constants are its small-P_f asymptotes, used only as cross-checks.
 """
 
 from __future__ import annotations
@@ -26,19 +26,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .compiler import _check_positive
 from .hamiltonian import WeightProfile
 from .trotter import SUZUKI_RANDOM, error_function, gates_per_segment, solve_r
 
 METHODS = ("qdrift", "trotter")
 
-# Small-P_f optimal failure shares and rounded total-count constants.
-QDRIFT_PF_FRACTION = 2.0 / 3.0
-TROTTER_PF_FRACTION = 3.0 / 4.0
+# Rounded small-P_f total-count constants.
 QDRIFT_TOTAL_CONSTANT = 133.0
 TROTTER_TOTAL_CONSTANT = 69.0
+# Exponents (a, b) of the continuous-depth total (2^m - 1)^a / eps_tot^b;
+# the small-P_f optimal failure share is a / (a + b) of P_f.
+_TOTAL_EXPONENTS = {"qdrift": (2.0, 1.0), "trotter": (1.5, 0.5)}
 
 
 def _check_method(method: str) -> None:
@@ -177,7 +176,8 @@ class PEPlan:
 
 
 def _smooth_depth(p_f: float, delta: float) -> float:
-    """Continuous-depth 2^m = (1/p_f + 1) / (4 delta); > 1 whenever delta < 1/2."""
+    """Continuous-depth 2^m = (1/p_f + 1) / (4 delta); > 1 for every p_f < 1
+    when 0 < delta <= 1/2."""
     return (1.0 / p_f + 1.0) / (4.0 * delta)
 
 
@@ -196,27 +196,15 @@ def _smooth_total(
     )
 
 
-def _golden_section(fn, lo: float, hi: float, rel_tol: float = 1e-6) -> float:
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while (b - a) > rel_tol * hi:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
-
-
 @dataclass(frozen=True)
 class PfOptimum:
-    """Numeric optimum of the failure-share split, with the asymptote for comparison."""
+    """Optimal failure-share split, with the small-P_f asymptote for comparison.
+
+    p_f is the closed-form minimizer of the continuous-depth total (see
+    ``optimize_pf``), eps_tot = (P_f - p_f) / 2 and total is the continuous-
+    depth total there; p_f_small_limit is 2/3 P_f (qdrift) or 3/4 P_f
+    (trotter), and total_at_small_limit the total at that share.
+    """
 
     method: str
     p_f: float
@@ -229,80 +217,84 @@ class PfOptimum:
 def optimize_pf(
     method: str, P_f: float, delta: float, L: int = 1, lam_max_rescaled: float = 1.0
 ) -> PfOptimum:
-    """Minimize the continuous-depth total over p_f in (0, P_f).
+    """Minimize the continuous-depth total over p_f in (0, P_f), in closed form.
 
-    Golden-section to relative tolerance 1e-6 on an empirically unimodal
-    objective (three-point check, grid-scan fallback).  eps_tot is tied to
-    p_f through P_f = p_f + 2 eps_tot.
+    With eps_tot = (P_f - p) / 2 and 2^m - 1 = (1 + c p) / (4 delta p),
+    c = 1 - 4 delta, the total is a constant times (2^m - 1)^a / eps_tot^b,
+    with (a, b) = (2, 1) for qdrift and (3/2, 1/2) for trotter.  Setting
+    d log(total) / dp = 0 gives
+
+        b c p^2 + (a + b) p - a P_f = 0.
+
+    The left side is -a P_f < 0 at p = 0 and b P_f (1 + c P_f) > 0 at
+    p = P_f, and the total grows without bound at both ends, so the
+    quadratic's one root in (0, P_f) is the minimum.  Its cancellation-free
+    form is
+
+        p* = 2 a P_f / ((a + b) + sqrt((a + b)^2 + 4 a b c P_f)),
+
+    which tends to a / (a + b) P_f (2/3 and 3/4) as P_f -> 0.  It holds for
+    0 < delta <= 1/2, where c >= -1 keeps 1 + c p > 0.
     """
     _check_method(method)
     if not (0 < P_f < 1):
         raise ValueError(f"P_f must be in (0, 1), got {P_f!r}")
-    if not (0 < delta < 0.5):
-        raise ValueError(f"delta must be in (0, 0.5), got {delta!r}")
-
-    def objective(p):
-        return _smooth_total(method, p, P_f, delta, L, lam_max_rescaled)
-
-    lo, hi = P_f * 1e-9, P_f * (1.0 - 1e-9)
-    mid = 0.5 * (lo + hi)
-    if not (objective(mid) <= objective(lo) and objective(mid) <= objective(hi)):
-        # Unimodality check failed; locate the basin by scan first.
-        grid = np.linspace(lo, hi, 4001)
-        values = [objective(float(p)) for p in grid]
-        i = int(np.argmin(values))
-        lo = float(grid[max(i - 1, 0)])
-        hi = float(grid[min(i + 1, len(grid) - 1)])
-    p_star = _golden_section(objective, lo, hi)
-
-    fraction = QDRIFT_PF_FRACTION if method == "qdrift" else TROTTER_PF_FRACTION
-    p_small = fraction * P_f
+    if not (0 < delta <= 0.5):
+        raise ValueError(f"delta must be in (0, 0.5], got {delta!r}")
+    a, b = _TOTAL_EXPONENTS[method]
+    c = 1.0 - 4.0 * delta
+    p_star = 2.0 * a * P_f / ((a + b) + math.sqrt((a + b) ** 2 + 4.0 * a * b * c * P_f))
+    p_small = a / (a + b) * P_f
     return PfOptimum(
         method=method,
         p_f=p_star,
         eps_tot=(P_f - p_star) / 2.0,
-        total=objective(p_star),
+        total=_smooth_total(method, p_star, P_f, delta, L, lam_max_rescaled),
         p_f_small_limit=p_small,
-        total_at_small_limit=objective(p_small),
+        total_at_small_limit=_smooth_total(method, p_small, P_f, delta, L, lam_max_rescaled),
     )
 
 
-def build_plan(
-    method: str, query: PEQuery, p_f: float | None = None, exact_solver: bool = False
-) -> PEPlan:
+def build_plan(method: str, query: PEQuery, p_f: float | None = None) -> PEPlan:
     """Explicit per-bit plan at integral depth m.
 
-    With p_f omitted, the optimized failure share is used.  exact_solver
-    switches the trotter per-bit counts from the closed form to the
-    segment solver.
+    With p_f omitted, the optimized failure share is used.  A budget that
+    does not fit in a float raises one OverflowError that names the query.
     """
     _check_method(method)
-    if p_f is None:
-        p_f = optimize_pf(
-            method, query.P_f, query.delta, query.L, query.lam_max_rescaled
-        ).p_f
-    if not (0 < p_f < query.P_f):
-        raise ValueError(f"p_f must be in (0, P_f), got {p_f!r}")
-    eps_tot = (query.P_f - p_f) / 2.0
-    m = bits_m(query.delta, p_f)
-    eps_list = allocate_eps(eps_tot, m)
-    rows = []
-    for j, eps_j in enumerate(eps_list, start=1):
-        if method == "qdrift":
-            gates = qdrift_bit_cost(j, eps_j)
-        elif exact_solver:
-            gates = trotter_bit_cost_exact(j, eps_j, query.L, query.lam_max_rescaled)
-        else:
-            gates = trotter_bit_cost(j, eps_j, query.L, query.lam_max_rescaled)
-        rows.append(BitRow(j, math.pi * 2.0**j, eps_j, gates))
+    try:
+        if p_f is None:
+            p_f = optimize_pf(
+                method, query.P_f, query.delta, query.L, query.lam_max_rescaled
+            ).p_f
+        if not (0 < p_f < query.P_f):
+            raise ValueError(f"p_f must be in (0, P_f), got {p_f!r}")
+        eps_tot = (query.P_f - p_f) / 2.0
+        m = bits_m(query.delta, p_f)
+        rows = []
+        for j, eps_j in enumerate(allocate_eps(eps_tot, m), start=1):
+            if method == "qdrift":
+                gates = qdrift_bit_cost(j, eps_j)
+            else:
+                gates = trotter_bit_cost(j, eps_j, query.L, query.lam_max_rescaled)
+            rows.append(BitRow(j, math.pi * 2.0**j, eps_j, gates))
+        total = math.fsum(r.gates for r in rows)
+        geometric = geometric_total(method, m, eps_tot, query.L, query.lam_max_rescaled)
+    except OverflowError:
+        total = geometric = math.inf
+    if not (math.isfinite(total) and math.isfinite(geometric)):
+        raise OverflowError(
+            "phase-estimation budget overflows a float "
+            f"(delta_E={query.delta_E}, P_f={query.P_f})"
+        )
     return PEPlan(
         method=method,
         p_f=p_f,
         eps_tot=eps_tot,
         m=m,
         rows=tuple(rows),
-        total=math.fsum(r.gates for r in rows),
-        geometric=geometric_total(method, m, eps_tot, query.L, query.lam_max_rescaled),
+        total=total,
+        geometric=geometric,
     )
 
 

@@ -10,8 +10,9 @@ lexsort over a string array of the words, plus the doubling-plus-bisection loop
 that ``gate_count_exact`` and ``solve_r`` each carried before they shared
 one search, and the dense d^2 x d^2 superoperator path that ``verify``
 measured before it certified from Kraus data, with the seed-averaged
-channel of compiled circuits that converges to E^N.  They are kept for
-tests only.  The dense builders read a ``Hamiltonian``'s columns.
+channel of compiled circuits that converges to E^N, and the golden-section
+search that ``phase_estimation.optimize_pf`` ran before it solved the
+failure-share split in closed form.  They are kept for tests only.  The dense builders read a ``Hamiltonian``'s columns.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 from qdriftlab.channels import MAX_CHANNEL_QUBITS, MAX_POWER_QUBITS, BoundRow, CompositionTrial
 from qdriftlab.compiler import compile_circuit, rng_from_seed, segment_error_bound, total_error_bound
 from qdriftlab.hamiltonian import PAULI_AXES, Hamiltonian, HamiltonianError, HamiltonianParseError
+from qdriftlab.phase_estimation import _smooth_total
 
 
 def reference_circuit_text(circuit) -> str:
@@ -74,6 +76,35 @@ def reference_doubling_search(bound, target: float, limit: int) -> int | None:
         else:
             lo = mid
     return hi
+
+
+def _golden_section(fn, lo: float, hi: float, rel_tol: float = 1e-6) -> float:
+    """Minimizer of a unimodal ``fn`` on [lo, hi], to within rel_tol * hi."""
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - phi * (b - a)
+    d = a + phi * (b - a)
+    fc, fd = fn(c), fn(d)
+    while (b - a) > rel_tol * hi:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = fn(d)
+    return 0.5 * (a + b)
+
+
+def reference_optimize_pf(
+    method: str, P_f: float, delta: float, L: int = 1, lam_max_rescaled: float = 1.0
+) -> float:
+    """The failure share p_f that the golden-section search finds on (1e-9, 1 - 1e-9) P_f."""
+    def objective(p):
+        return _smooth_total(method, p, P_f, delta, L, lam_max_rescaled)
+
+    return _golden_section(objective, P_f * 1e-9, P_f * (1.0 - 1e-9))
 
 
 def max_search_evaluations(answer: int | None) -> int:

@@ -274,6 +274,35 @@ class TestPhaseEstCommand:
         assert main(["phase-est", "--lambda", "1", "--delta-e", "1e-4", "--pf", "1.5"]) \
             == EXIT_DOMAIN
 
+    def test_delta_e_equal_to_lambda_is_planned(self, capsys):
+        # delta = delta_E / (2 lam) = 1/2 is inside the model's domain.
+        assert main("phase-est --lambda 1 --delta-e 1 --pf 0.5".split()) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert len(captured.out.splitlines()) == 3
+
+    def test_delta_e_above_lambda_is_domain_error(self, capsys):
+        assert main("phase-est --lambda 1 --delta-e 1.5 --pf 0.5".split()) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.err == "error: delta_E=1.5 exceeds lam=1.0\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("phase-est --lambda 1 --delta-e 1e-200 --pf 0.05",
+             "error: phase-estimation budget overflows a float (delta_E=1e-200, P_f=0.05)"),
+            ("phase-est --lambda 1e300 --Lambda 1e300 --L 10 --delta-e 1e-10 --pf 0.5",
+             "error: phase-estimation budget overflows a float (delta_E=1e-10, P_f=0.5)"),
+        ],
+        ids=["tiny-delta-e", "huge-lambda"],
+    )
+    def test_budget_overflow_is_domain_error(self, command, message, capsys):
+        assert main(command.split()) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n"
+        assert captured.out == ""
+
 
 class TestVerifyCommand:
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])

@@ -18,7 +18,6 @@ from qdriftlab import compiler, trotter
 from qdriftlab.compiler import (
     AliasSampler,
     compile_circuit,
-    compile_controlled,
     elementary_gate_estimate,
     gate_count_approx,
     gate_count_exact,
@@ -322,20 +321,20 @@ class TestCompile:
 class TestControlledCompile:
     def test_same_count_and_stream_as_uncontrolled(self, two_term_1q):
         plain = compile_circuit(two_term_1q, 1.0, 1e-3, seed=77)
-        ctrl = compile_controlled(two_term_1q, 1.0, 1e-3, seed=77)
+        ctrl = compile_circuit(two_term_1q, 1.0, 1e-3, seed=77, controlled=True)
         assert ctrl.meta.N == plain.meta.N
         assert np.array_equal(ctrl.term_indices, plain.term_indices)
         assert ctrl.meta.controlled and not plain.meta.controlled
 
     def test_elementary_estimate_doubles(self, two_term_1q):
         # eps = 0.02 puts the quadratic count at exactly 100
-        ctrl = compile_controlled(two_term_1q, 1.0, 0.02, seed=3, mode="approx")
+        ctrl = compile_circuit(two_term_1q, 1.0, 0.02, seed=3, mode="approx", controlled=True)
         assert ctrl.meta.N == 100
         assert elementary_gate_estimate(ctrl) == {"rotations": 200, "control_x": 200}
         plain = compile_circuit(two_term_1q, 1.0, 0.02, seed=3, mode="approx")
         assert elementary_gate_estimate(plain) == {"rotations": 100, "control_x": 0}
 
     def test_crot_lines(self, two_term_1q):
-        ctrl = compile_controlled(two_term_1q, 1.0, 0.5, seed=3, mode="approx")
+        ctrl = compile_circuit(two_term_1q, 1.0, 0.5, seed=3, mode="approx", controlled=True)
         body = ctrl.to_text().splitlines()[4:]
         assert all(ln.startswith("CROT ") for ln in body)

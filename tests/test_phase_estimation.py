@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import reference_doubling_search
+from oracles import reference_doubling_search, reference_optimize_pf
 from qdriftlab import phase_estimation as pe
 from qdriftlab.trotter import R_MAX, suzuki_error
 
@@ -137,6 +139,41 @@ class TestOptimizePf:
         with pytest.raises(ValueError):
             pe.optimize_pf("other", 0.05, delta=1e-4)
 
+    @pytest.mark.parametrize("method", pe.METHODS)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        P_f=st.floats(-6, math.log10(0.999)).map(lambda e: 10.0**e),
+        delta=st.floats(-9, math.log10(0.5)).map(lambda e: min(10.0**e, 0.5)),
+        L=st.integers(1, 10**6),
+        lam_max_rescaled=st.floats(-6, 2).map(lambda e: 10.0**e),
+    )
+    @example(P_f=0.999, delta=0.5, L=1, lam_max_rescaled=1.0)
+    @example(P_f=1e-6, delta=1e-9, L=1, lam_max_rescaled=1.0)
+    def test_closed_form_matches_golden_section_oracle(
+        self, method, P_f, delta, L, lam_max_rescaled
+    ):
+        opt = pe.optimize_pf(method, P_f, delta, L, lam_max_rescaled)
+        p_oracle = reference_optimize_pf(method, P_f, delta, L, lam_max_rescaled)
+        assert abs(opt.p_f - p_oracle) <= 1e-6 * P_f
+        oracle_total = pe._smooth_total(method, p_oracle, P_f, delta, L, lam_max_rescaled)
+        assert opt.total <= oracle_total * (1 + 1e-12)
+
+    @pytest.mark.parametrize("method, limit", [("qdrift", 2 / 3), ("trotter", 3 / 4)])
+    def test_share_tends_to_small_pf_limit(self, method, limit):
+        # p*/P_f = a/(a+b) - O(P_f), with a coefficient below 0.2 for both methods.
+        for p_total in (1e-2, 1e-4, 1e-8, 1e-12):
+            opt = pe.optimize_pf(method, p_total, delta=5e-5)
+            assert abs(opt.p_f / p_total - limit) <= 0.2 * p_total
+
+    def test_accepts_delta_one_half(self):
+        # delta = 1/2 is delta_E = lam: 2^m - 1 = (1 - p)/(2p) > 0 for every p < 1.
+        for method in pe.METHODS:
+            opt = pe.optimize_pf(method, 0.5, delta=0.5)
+            assert 0 < opt.p_f < 0.5
+            assert math.isfinite(opt.total)
+            plan = pe.build_plan(method, pe.PEQuery(lam=1.0, delta_E=1.0, P_f=0.5))
+            assert plan.m >= 1
+
 
 class TestClosedFormTotals:
     def test_qdrift_fig_value(self):
@@ -210,9 +247,30 @@ class TestPlan:
 
     def test_exact_solver_plan(self):
         q = pe.PEQuery(lam=1.0, delta_E=1e-3, P_f=0.05, L=3, lam_max=1.0)
-        plan = pe.build_plan("trotter", q, exact_solver=True)
-        closed = pe.build_plan("trotter", q, p_f=plan.p_f)
-        assert 0.2 < plan.total / closed.total < 5.0
+        closed = pe.build_plan("trotter", q)
+        exact = math.fsum(
+            pe.trotter_bit_cost_exact(r.j, r.eps_j, q.L, q.lam_max_rescaled) for r in closed.rows
+        )
+        assert 0.2 < exact / closed.total < 5.0
+
+    @pytest.mark.parametrize(
+        "methods, query",
+        [
+            (pe.METHODS, pe.PEQuery(lam=1.0, delta_E=1e-200, P_f=0.05)),
+            (pe.METHODS, pe.PEQuery(lam=1e300, delta_E=1e-10, P_f=0.5, L=10, lam_max=1e300)),
+            # Every factor fits, but the trotter product rounds to inf without raising.
+            (("trotter",), pe.PEQuery(lam=1.0, delta_E=1e-100, P_f=0.5, lam_max=1e66)),
+        ],
+        ids=["tiny-delta-e", "huge-lambda", "infinite-product"],
+    )
+    def test_budget_overflow_names_the_query(self, methods, query):
+        message = (
+            f"phase-estimation budget overflows a float (delta_E={query.delta_E}, P_f={query.P_f})"
+        )
+        for method in methods:
+            with pytest.raises(OverflowError) as excinfo:
+                pe.build_plan(method, query)
+            assert str(excinfo.value) == message
 
 
 class TestRepetitionFilter:
