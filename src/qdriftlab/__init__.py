@@ -8,11 +8,7 @@ from .compiler import (
     CircuitMeta,
     compile_circuit,
     elementary_gate_estimate,
-    gate_count_approx,
-    gate_count_exact,
     rng_from_seed,
-    segment_error_bound,
-    total_error_bound,
 )
 from .hamiltonian import (
     Hamiltonian,
@@ -29,9 +25,13 @@ from .trotter import (
     closed_form_suzuki_count,
     crossover_time,
     gate_count,
+    gate_count_approx,
+    gate_count_exact,
+    segment_error_bound,
     solve_r,
     suzuki_error,
     suzuki_prefactor,
+    total_error_bound,
     trotter_error_det,
     trotter_error_random,
 )

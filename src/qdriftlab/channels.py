@@ -38,8 +38,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .compiler import rng_from_seed, segment_error_bound, total_error_bound
+from .compiler import rng_from_seed
 from .hamiltonian import PAULI_AXES, Hamiltonian
+from .trotter import segment_error_bound, total_error_bound
 
 MAX_CHANNEL_QUBITS = 6
 MAX_POWER_QUBITS = 4

@@ -24,7 +24,6 @@ import numpy as np
 from . import channels, phase_estimation as pe, trotter
 from .compiler import (
     AliasSampler,
-    _check_positive,
     compile_circuit,
     elementary_gate_estimate,
     rng_from_seed,
@@ -37,6 +36,7 @@ from .hamiltonian import (
     parse_hamiltonian,
     random_hamiltonian,
 )
+from .trotter import _check_positive
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -164,29 +164,13 @@ def cmd_truncate(args) -> int:
 # cost / sweep
 
 
-def _method_sequence() -> list[trotter.Method]:
-    return [trotter.QDRIFT, *trotter.DEFAULT_CANDIDATES]
+# One cost-table row per method, qDRIFT first.
+_ROW_METHODS = (trotter.QDRIFT, *trotter.DEFAULT_CANDIDATES)
 
 
-def _cost_reports(profile: WeightProfile, t: float, eps: float) -> list[trotter.CostReport | None]:
-    """One report per method of ``_method_sequence``; None where the segment count overflows."""
-    query = trotter.CostQuery(profile, t, eps)
-    reports = []
-    for method in _method_sequence():
-        try:
-            reports.append(trotter.gate_count(method, query))
-        except OverflowError:
-            reports.append(None)
-    return reports
-
-
-def _cost_rows(
-    profile: WeightProfile, t: float, eps: float, reports: list[trotter.CostReport | None] | None = None
-) -> list[list]:
-    if reports is None:
-        reports = _cost_reports(profile, t, eps)
+def _cost_rows(query: trotter.CostQuery, reports: list[trotter.CostReport | None]) -> list[list]:
     rows = []
-    for method, report in zip(_method_sequence(), reports):
+    for method, report in zip(_ROW_METHODS, reports):
         if report is None:
             # Needs more than 2**63 segments; keep the row shape with an
             # explicit sentinel instead of a silent infinity.
@@ -206,11 +190,11 @@ def _cost_rows(
                 r_cell,
                 gates_cell,
                 bound_cell,
-                t,
-                eps,
-                profile.L,
-                profile.lam_max,
-                profile.lam,
+                query.t,
+                query.eps,
+                query.profile.L,
+                query.profile.lam_max,
+                query.profile.lam,
             ]
         )
     return rows
@@ -226,8 +210,8 @@ def _fair_profile(args, eps: float) -> WeightProfile:
 def cmd_cost(args) -> int:
     _check_positive(args.t, "--t")
     _check_positive(args.eps, "--eps")
-    profile = _fair_profile(args, args.eps)
-    rows = _cost_rows(profile, args.t, args.eps)
+    query = trotter.CostQuery(_fair_profile(args, args.eps), args.t, args.eps)
+    rows = _cost_rows(query, trotter.gate_counts(_ROW_METHODS, query))
     _emit_table(trotter.COST_CSV_HEADER, rows, args.format, _resolve_out(args.out))
     return EXIT_OK
 
@@ -245,10 +229,10 @@ def cmd_sweep(args) -> int:
     # reuses these instead of solving those times again.
     verdicts = {}
     for t in map(float, grid):
-        reports = _cost_reports(profile, t, args.eps)
-        rows.extend(_cost_rows(profile, t, args.eps, reports))
-        gates = [math.inf if report is None else report.gates for report in reports]
-        verdicts[t] = trotter._qdrift_exceeds(gates[0], gates[1:])
+        query = trotter.CostQuery(profile, t, args.eps)
+        reports = trotter.gate_counts(_ROW_METHODS, query)
+        rows.extend(_cost_rows(query, reports))
+        verdicts[t] = trotter.qdrift_costs_more(reports)
     if args.crossover:
         t_star = trotter.crossover_time(profile, args.eps, (args.t_min, args.t_max), verdicts=verdicts)
         if t_star is not None:

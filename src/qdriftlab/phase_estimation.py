@@ -23,12 +23,13 @@ constants are its small-P_f asymptotes, used only as cross-checks.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import sys
 from dataclasses import dataclass
 
-from .compiler import _check_positive
 from .hamiltonian import WeightProfile
-from .trotter import SUZUKI_RANDOM, error_function, gates_per_segment, solve_r
+from .trotter import SUZUKI_RANDOM, _check_positive, error_function, gates_per_segment, solve_r
 
 METHODS = ("qdrift", "trotter")
 
@@ -65,6 +66,9 @@ class PEQuery:
         if self.L < 1:
             raise ValueError(f"L must be >= 1, got {self.L}")
         _check_positive(self.lam_max, "lam_max")
+        for name, value in (("delta_E", self.delta_E), ("lam_max", self.lam_max)):
+            if value / (2.0 * self.lam) == 0.0:
+                raise ValueError(f"{name} / (2 lam) is 0 in floating point ({name}={value}, lam={self.lam})")
 
     @property
     def delta(self) -> float:
@@ -283,10 +287,7 @@ def build_plan(method: str, query: PEQuery, p_f: float | None = None) -> PEPlan:
     except OverflowError:
         total = geometric = math.inf
     if not (math.isfinite(total) and math.isfinite(geometric)):
-        raise OverflowError(
-            "phase-estimation budget overflows a float "
-            f"(delta_E={query.delta_E}, P_f={query.P_f})"
-        )
+        raise _budget_overflow(query)
     return PEPlan(
         method=method,
         p_f=p_f,
@@ -305,15 +306,28 @@ def pipeline_total(method: str, query: PEQuery) -> float:
 
 def closed_form_total(method: str, query: PEQuery) -> float:
     """Small-P_f asymptotes: 133 lam^2 / (delta_E^2 P_f^3) and
-    69 L^2 lam_max^(3/2) / (delta_E^(3/2) P_f^2).  Approximate by construction."""
+    69 L^2 lam_max^(3/2) / (delta_E^(3/2) P_f^2).  Approximate by construction.
+    Where x^a or delta_E^a P_f^b is not a normal float, or the total is 0 or
+    not finite, the ratio (x / delta_E)^a replaces x^a / delta_E^a."""
     _check_method(method)
     if method == "qdrift":
-        return QDRIFT_TOTAL_CONSTANT * query.lam**2 / (query.delta_E**2 * query.P_f**3)
-    return (
-        TROTTER_TOTAL_CONSTANT
-        * query.L**2
-        * query.lam_max**1.5
-        / (query.delta_E**1.5 * query.P_f**2)
+        c, x, a, b = QDRIFT_TOTAL_CONSTANT, query.lam, 2, 3
+    else:
+        c, x, a, b = TROTTER_TOTAL_CONSTANT * query.L**2, query.lam_max, 1.5, 2
+    with contextlib.suppress(OverflowError):
+        num, den = x**a, query.delta_E**a * query.P_f**b
+        if min(num, den) >= sys.float_info.min and 0.0 < c * num / den < math.inf:
+            return c * num / den
+    with contextlib.suppress(OverflowError, ZeroDivisionError):
+        total = c * (x / query.delta_E) ** a / query.P_f**b
+        if total < math.inf:
+            return total
+    raise _budget_overflow(query)
+
+
+def _budget_overflow(query: PEQuery) -> OverflowError:
+    return OverflowError(
+        f"phase-estimation budget overflows a float (delta_E={query.delta_E}, P_f={query.P_f})"
     )
 
 

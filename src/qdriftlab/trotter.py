@@ -1,6 +1,6 @@
-"""Rigorous gate-count bounds for deterministic and randomized product formulas.
+"""Rigorous gate-count bounds for qDRIFT and product formulas, and the one count search.
 
-Error bounds follow the a/b-term structure: with x = L * lam_max * t,
+Product-formula bounds follow the a/b-term structure: with x = L * lam_max * t,
 
     first order:   a = x^2 / r^2 * e^(lam_max t / r)
                    b = x^3 / (3 r^3) * e^(lam_max t / r)
@@ -9,11 +9,11 @@ Error bounds follow the a/b-term structure: with x = L * lam_max * t,
 
     deterministic error <= (r/2) a      randomized error <= (r/2)(a^2 + 2 b)
 
-All evaluations run in log space and return math.inf instead of overflowing,
-so comparisons against a target eps never see a silent infinity.  Gate
-counts are exact Python integers: L*r per first-order segment sequence,
-2*5^(k-1)*L*r for order 2k, and the exact qDRIFT count for the randomized
-compiler (no L factor).
+Every bound returns math.inf instead of overflowing (product-formula bounds
+and the qDRIFT search run in log space), so comparisons against a target eps
+never see a silent infinity.  Gate counts are exact Python integers: L*r per
+first-order segment sequence, 2*5^(k-1)*L*r for order 2k, and the exact
+qDRIFT count for the randomized compiler (no L factor).
 """
 
 from __future__ import annotations
@@ -26,21 +26,170 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .compiler import (
-    _LOG_2,
-    _check_positive,
-    _exp_or_inf,
-    _smallest_within,
-    gate_count_exact,
-    total_error_bound,
-)
 from .hamiltonian import WeightProfile
 
 R_MAX = 2**63
 INT64_MAX = 2**63 - 1
 SUPPORTED_K = (1, 2, 3)
 
+# qDRIFT counts are exact Python integers and may exceed int64 (reports
+# serialize those as logarithms); the guard only stops pathological inputs.
+_N_LIMIT = 2**512
+
+_LOG_2 = math.log(2.0)
+
+# The search decides a probe more than a relative 1 / _MARGIN outside its
+# evaluated bracket without calling the bound (see _smallest_within).
+_MARGIN = 10**9
+# Locate: the largest one-sided step in log n, and the secant steps
+# before bisection takes over.
+_MAX_LOG_STEP = 40.0
+_SECANT_STEPS = 8
+
 _FACTORIAL = {n: math.factorial(n) for n in range(0, 9)}
+
+
+def _check_positive(value: float, name: str) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def _exp_or_inf(log_value: float) -> float:
+    """e^log_value, or inf where the result would overflow a float."""
+    if log_value > 709.0:
+        return math.inf
+    return math.exp(log_value)
+
+
+def _smallest_within(
+    bound: Callable[[int], float],
+    target: float,
+    limit: int,
+    start: float = 1.0,
+    logs: bool = False,
+) -> int | None:
+    """Smallest n >= 1 with bound(n) <= target, or None once the doubling passes ``limit``.
+
+    The result is exactly that of the reference search: probe n = 1, then
+    2, 4, 8, ... (None once the next power of two exceeds ``limit``), then
+    bisect between the last failing and the first passing power.  ``bound``
+    must be decreasing in n.  ``logs`` says that ``bound`` and ``target``
+    are logarithms, as for the qDRIFT count; otherwise bound values are
+    positive, 0 or inf.
+
+    Locate: from ``start``, an estimate of the root, a safeguarded secant
+    on log bound against log n brackets the answer with evaluated ends,
+    bound(below) > target >= bound(above) (see ``_locate``).
+
+    Replay: the reference probes are replayed.  A probe more than a
+    relative 1 / _MARGIN below ``below`` fails and one above ``above``
+    passes, without an evaluation; only probes inside that margin call
+    ``bound``.  This cannot change an outcome: every bound here falls at
+    least as fast as 1/n, so a probe 1e-9 away in n is at least 1e-9 away
+    in log bound, while the log-space evaluation carries an error of about
+    1e-13.  An exactly monotone bound (a step function) needs no margin.
+    When the bracket is exact (above - below = 1 and above < _MARGIN) every
+    replay decision is forced and the replay is skipped.
+    """
+    top = max(2, 1 << (limit.bit_length() - 1))
+    below, above = _locate(bound, target, top, start, logs)
+    if above is None:
+        # The largest power of two the doubling may probe fails.
+        return None
+    if above - below == 1 and above < _MARGIN:
+        # The doubling stops at the first power of two >= above.
+        return above if above <= 2 or 1 << (above - 1).bit_length() <= limit else None
+    low_cut, high_cut = below - below // _MARGIN, above + above // _MARGIN
+
+    def passes(n: int) -> bool:
+        if n > high_cut or n == above:
+            return True
+        if n < low_cut or n == below:
+            return False
+        return bound(n) <= target
+
+    if passes(1):
+        return 1
+    lo, hi = 1, 2
+    while not passes(hi):
+        lo, hi = hi, hi * 2
+        if hi > limit:
+            return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if passes(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _locate(
+    bound: Callable[[int], float], target: float, top: int, start: float, logs: bool
+) -> tuple[int, int | None]:
+    """(below, above): bound(below) > target >= bound(above), both evaluated.
+
+    below is 0 when n = 1 passes, above is None when ``top`` fails.  The
+    bracket is exact (above - below = 1) or, past _MARGIN, narrower than
+    above / _MARGIN.  In log space a gap g = log bound(n) - log target,
+    and a bound falling at least as fast as 1/n crosses the target within
+    a factor e^|g| of n: that one-sided step brackets the root, and a
+    secant through the last two probes narrows the bracket.  A bisection
+    takes over after _SECANT_STEPS secant steps, so a step function is
+    searched in about log2 of its bracket.
+    """
+    log_target = target if logs else math.log(target)
+    below, above = 0, None
+    if not start >= 1:  # also a NaN start
+        n = 1
+    else:
+        n = top if start >= top else math.ceil(start)
+    last = None
+    last_failed = False
+    secant_steps = 0
+    while True:
+        value = bound(n)
+        if logs:
+            gap = value - target
+        else:
+            gap = math.log(value) - log_target if value > 0 else -math.inf
+        failed = not value <= target
+        if failed:
+            below = n
+        else:
+            above = n
+        point = (math.log(n), gap)
+        if above is None:
+            if below >= top:
+                return below, None
+            # The 1/n step passes the root; a second failure in a row doubles.
+            step = min(gap, _MAX_LOG_STEP) if gap == gap else _LOG_2
+            n = min(top, max(below + 1, math.ceil(math.exp(min(point[0] + step, 700.0)))))
+            if last_failed:
+                n = max(n, min(top, 2 * below))
+        elif above - below <= max(1, above // _MARGIN):
+            return below, above
+        elif below == 0:
+            step = max(gap, -_MAX_LOG_STEP) if gap == gap else -_LOG_2
+            n = max(1, min(above - 1, math.floor(math.exp(min(point[0] + step, 700.0)))))
+            if last is not None and not last_failed:
+                n = min(n, max(1, above // 2))
+        else:
+            n = 0
+            if secant_steps < _SECANT_STEPS:
+                secant_steps += 1
+                (u0, g0), (u1, g1) = last, point
+                if g0 != g1 and math.isfinite(g0) and math.isfinite(g1):
+                    u = u1 - g1 * (u1 - u0) / (g1 - g0)
+                    if math.isfinite(u):
+                        # Past _MARGIN, step half the wanted width beyond the
+                        # root estimate, away from the last probe's side.
+                        half = above // _MARGIN // 2
+                        n = math.ceil(math.exp(min(u, 700.0))) + (half if failed else -half)
+                        n = min(above - 1, max(below + 1, n))
+            if n == 0:
+                n = (below + above) // 2 if above <= 4 * below else math.isqrt(below * above)
+        last, last_failed = point, failed
 
 
 def _check_r(r: int) -> None:
@@ -126,6 +275,55 @@ def _leading_root(terms: tuple[tuple[float, int], ...], eps: float) -> float:
     return math.exp(min(700.0, max((log_c - log_eps) / p for log_c, p in terms)))
 
 
+def segment_error_bound(lam: float, t: float, n: int) -> float:
+    """Rigorous channel distance bound for one step: (2 lam^2 t^2 / N^2) e^{2 lam t / N}.
+
+    Returns inf instead of raising once the bound exceeds the float range.
+    """
+    x = 2.0 * lam * t / n
+    return 0.5 * x * x * _exp_or_inf(x)
+
+
+def total_error_bound(lam: float, t: float, n: int) -> float:
+    """N-step bound (2 lam^2 t^2 / N) e^{2 lam t / N} (subadditivity over segments)."""
+    return n * segment_error_bound(lam, t, n)
+
+
+def _log_total_bound(lam: float, t: float, n: int) -> float:
+    return _LOG_2 + 2.0 * math.log(lam * t) - math.log(n) + 2.0 * lam * t / n
+
+
+def gate_count_approx(lam: float, t: float, eps: float) -> int:
+    """Gate count from the quadratic bound: ceil(2 lam^2 t^2 / eps), at least 1."""
+    _check_positive(lam, "lam")
+    _check_positive(t, "t")
+    _check_positive(eps, "eps")
+    try:
+        return max(1, math.ceil(2.0 * (lam * t) ** 2 / eps))
+    except OverflowError:
+        raise OverflowError(f"gate count overflows a float (lam={lam}, t={t}, eps={eps})") from None
+
+
+def gate_count_exact(lam: float, t: float, eps: float) -> int:
+    """Smallest N with (2 lam^2 t^2 / N) e^{2 lam t / N} <= eps.
+
+    The bound is strictly decreasing in N, so the answer is unique; it is
+    searched in log space so huge lam*t never overflows, starting from the
+    root of its leading term 2 (lam t)^2 / N (``_leading_root``).  A lam*t
+    that underflows to 0 has bound 0 and gives N = 1.
+    """
+    _check_positive(lam, "lam")
+    _check_positive(t, "t")
+    _check_positive(eps, "eps")
+    if lam * t == 0.0:
+        return 1
+    start = _leading_root(((_LOG_2 + 2.0 * math.log(lam * t), 1),), eps)
+    n = _smallest_within(partial(_log_total_bound, lam, t), math.log(eps), _N_LIMIT, start, logs=True)
+    if n is None:
+        raise OverflowError(f"no gate count <= 2**512 reaches eps={eps}")
+    return n
+
+
 def trotter_error_det(L: int, lam_max: float, t: float, r: int) -> float:
     """First-order deterministic bound (r/2) a = (L lam_max t)^2 / (2r) * e^(lam_max t / r)."""
     _check_r(r)
@@ -156,7 +354,7 @@ def solve_r(error_fn: Callable[[int], float], eps: float) -> int:
 
     error_fn must be decreasing in r.  The result equals that of the
     doubling-then-bisection reference search (r - 1 fails, so it is
-    minimal); see ``compiler._smallest_within`` for the margin argument
+    minimal); see ``_smallest_within`` for the margin argument
     that lets the search skip most of the reference's evaluations.  A
     callable from ``error_function`` carries ``start(eps)``, where the
     search begins; any other callable starts at r = 1.
@@ -295,14 +493,27 @@ def _tie_key(report: CostReport) -> tuple:
     return (report.gates, order, variant_rank)
 
 
-def best_method(query: CostQuery, candidates: Sequence[Method] = DEFAULT_CANDIDATES) -> CostReport:
-    """Cheapest candidate; ties broken by lower order, deterministic first."""
+def gate_counts(methods: Sequence[Method], query: CostQuery) -> list[CostReport | None]:
+    """A CostReport per method, or None where its count overflows."""
     reports = []
-    for method in candidates:
+    for method in methods:
         try:
             reports.append(gate_count(method, query))
         except OverflowError:
-            continue
+            reports.append(None)
+    return reports
+
+
+def qdrift_costs_more(reports: Sequence[CostReport | None]) -> bool:
+    """qDRIFT, reports[0], needs more gates than the cheapest of reports[1:]; an
+    overflowed count (None) costs infinitely many gates, and inf against inf is no crossing."""
+    gates = [math.inf if report is None else report.gates for report in reports]
+    return gates[0] > min(gates[1:], default=math.inf)
+
+
+def best_method(query: CostQuery, candidates: Sequence[Method] = DEFAULT_CANDIDATES) -> CostReport:
+    """Cheapest candidate; ties broken by lower order, deterministic first."""
+    reports = [report for report in gate_counts(candidates, query) if report is not None]
     if not reports:
         raise OverflowError("every candidate method overflowed the segment solver")
     return min(reports, key=_tie_key)
@@ -344,21 +555,6 @@ def closed_form_suzuki_count(k: int, L: int, lam_max: float, t: float, eps: floa
     return 2 * 5 ** (k - 1) * xt * L**2 * (xt * suzuki_b_constant(k) / eps) ** (1.0 / (2 * k))
 
 
-def _qdrift_exceeds(qdrift_gates: float, candidate_gates: Sequence[float]) -> bool:
-    """qDRIFT needs more gates than the cheapest candidate.
-
-    An overflowed count is passed as inf; inf against inf is no crossing.
-    """
-    return qdrift_gates > min(candidate_gates, default=math.inf)
-
-
-def _gates_or_inf(method: Method, query: CostQuery) -> float:
-    try:
-        return gate_count(method, query).gates
-    except OverflowError:
-        return math.inf
-
-
 def crossover_time(
     profile: WeightProfile,
     eps: float,
@@ -384,8 +580,7 @@ def crossover_time(
     def qdrift_exceeds(t: float) -> bool:
         if t in known:
             return known[t]
-        query = CostQuery(profile, t, eps)
-        return _qdrift_exceeds(_gates_or_inf(QDRIFT, query), [_gates_or_inf(m, query) for m in candidates])
+        return qdrift_costs_more(gate_counts((QDRIFT, *candidates), CostQuery(profile, t, eps)))
 
     grid = np.logspace(math.log10(t_lo), math.log10(t_hi), points)
     previous = qdrift_exceeds(float(grid[0]))

@@ -24,9 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from qdriftlab.channels import MAX_CHANNEL_QUBITS, MAX_POWER_QUBITS, BoundRow, CompositionTrial
-from qdriftlab.compiler import compile_circuit, rng_from_seed, segment_error_bound, total_error_bound
+from qdriftlab.compiler import compile_circuit, rng_from_seed
 from qdriftlab.hamiltonian import PAULI_AXES, Hamiltonian, HamiltonianError, HamiltonianParseError
 from qdriftlab.phase_estimation import _smooth_total
+from qdriftlab.trotter import segment_error_bound, total_error_bound
 
 
 def reference_circuit_text(circuit) -> str:
@@ -108,7 +109,7 @@ def reference_optimize_pf(
 
 
 def max_search_evaluations(answer: int | None) -> int:
-    """Stated cost of ``compiler._smallest_within`` on the package's bounds.
+    """Stated cost of ``trotter._smallest_within`` on the package's bounds.
 
     At most 12 bound evaluations while the answer is below 2**30 (or None);
     past that the replay bisects inside a window of relative width about

@@ -13,13 +13,9 @@ from qdriftlab import channels as ch
 from qdriftlab import cli
 from qdriftlab import phase_estimation as pe
 from qdriftlab import trotter
-from qdriftlab.compiler import (
-    AliasSampler,
-    gate_count_approx,
-    gate_count_exact,
-    rng_from_seed,
-)
+from qdriftlab.compiler import AliasSampler, rng_from_seed
 from qdriftlab.hamiltonian import Hamiltonian, WeightProfile
+from qdriftlab.trotter import gate_count_approx, gate_count_exact
 
 SUITE_SEED = 20190705
 VERIFY_N = (10, 100, 1000)

@@ -6,7 +6,8 @@ import pytest
 import oracles as dense
 from conftest import pauli_word_matrix, random_hamiltonian
 from qdriftlab import channels as ch
-from qdriftlab.compiler import compile_circuit, segment_error_bound, total_error_bound
+from qdriftlab.compiler import compile_circuit
+from qdriftlab.trotter import segment_error_bound, total_error_bound
 from qdriftlab.hamiltonian import Hamiltonian
 
 

@@ -1,5 +1,7 @@
 import gc
+import itertools
 import json
+import re
 import tracemalloc
 import warnings
 import weakref
@@ -102,6 +104,15 @@ class TestCompileCommand:
                      "--seed", "1", "--out", str(tmp_path / "o.circ")])
         assert code == EXIT_DOMAIN
 
+    @pytest.mark.parametrize("t, eps", [("1e200", "1e-3"), ("1e150", "1e-12")])
+    def test_approx_count_overflow_is_domain_error(self, ham_file, tmp_path, t, eps, capsys):
+        argv = ["compile", "--ham", str(ham_file), "--t", t, "--eps", eps, "--seed", "1",
+                "--mode", "approx", "--out", str(tmp_path / "c.circ")]
+        assert main(argv) == EXIT_DOMAIN
+        lam = parse_hamiltonian(HAM_TEXT).lam
+        query = f"lam={lam}, t={float(t)}, eps={float(eps)}"
+        assert capsys.readouterr().err == f"error: gate count overflows a float ({query})\n"
+
     def test_outdir_env_var(self, ham_file, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("QDRIFTLAB_OUTDIR", str(tmp_path / "results"))
         code = main(["compile", "--ham", str(ham_file), "--t", "1", "--eps", "1e-2",
@@ -121,7 +132,7 @@ class TestCostCommand:
         assert all(len(ln.split(",")) == 11 for ln in lines)
 
     def test_qdrift_row_uses_exact_count(self, capsys):
-        from qdriftlab.compiler import gate_count_exact
+        from qdriftlab.trotter import gate_count_exact
 
         main(["cost", "--L", "10", "--Lambda", "1", "--lambda", "10", "--t", "1", "--eps", "1e-3"])
         lines = capsys.readouterr().out.strip().splitlines()
@@ -302,6 +313,43 @@ class TestPhaseEstCommand:
         captured = capsys.readouterr()
         assert captured.err == message + "\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            # lam^2 and delta_E^2 underflow to 0 in the closed-form column.
+            ("--lambda 1e-300 --Lambda 1e-300 --delta-e 1e-300 --pf 0.5", None),
+            # lam^2 overflows in the closed-form column.
+            ("--lambda 1e300 --Lambda 1 --delta-e 1e200 --pf 0.5", None),
+            ("--lambda 1e300 --Lambda 1e-300 --delta-e 1e290 --pf 0.5",
+             "error: lam_max / (2 lam) is 0 in floating point (lam_max=1e-300, lam=1e+300)"),
+            ("--lambda 1e308 --delta-e 1e308 --pf 0.5",
+             "error: delta_E / (2 lam) is 0 in floating point (delta_E=1e+308, lam=1e+308)"),
+        ],
+        ids=["underflow", "overflow", "lam-max-underflow", "two-lam-overflow"],
+    )
+    def test_extreme_magnitudes(self, command, message, capsys):
+        code = main(["phase-est", *command.split()])
+        captured = capsys.readouterr()
+        if message is None:
+            assert code == EXIT_OK and captured.err == ""
+        else:
+            assert code == EXIT_DOMAIN and captured.err == message + "\n"
+
+    def test_magnitude_grid_ends_in_a_plan_or_a_named_query(self, capsys):
+        named = re.compile(
+            r"error: (delta_E=\S+ exceeds lam=\S+"
+            r"|phase-estimation budget overflows a float \(delta_E=\S+, P_f=\S+\)"
+            r"|(delta_E|lam_max) / \(2 lam\) is 0 in floating point \((delta_E|lam_max)=\S+, lam=\S+\))\n"
+        )
+        values = ("1e-300", "1e-100", "1", "1e100", "1e300")
+        grid = itertools.product(values, values, values, ("1e-3", "0.5"), ("1", "10000"))
+        for lam, lam_max, delta_e, pf, L in grid:
+            argv = ["phase-est", "--lambda", lam, "--Lambda", lam_max, "--delta-e", delta_e,
+                    "--pf", pf, "--L", L]
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert (code, err) == (EXIT_OK, "") or (code == EXIT_DOMAIN and named.fullmatch(err)), argv
 
 
 class TestVerifyCommand:

@@ -1,4 +1,5 @@
 import math
+import re
 from functools import partial
 from unittest import mock
 
@@ -19,9 +20,11 @@ from qdriftlab.compiler import (
     AliasSampler,
     compile_circuit,
     elementary_gate_estimate,
+    rng_from_seed,
+)
+from qdriftlab.trotter import (
     gate_count_approx,
     gate_count_exact,
-    rng_from_seed,
     segment_error_bound,
     total_error_bound,
 )
@@ -48,6 +51,12 @@ class TestGateCountApprox:
             with pytest.raises(ValueError):
                 gate_count_approx(*bad)
 
+    @pytest.mark.parametrize("t,eps", [(1e200, 1e-3), (1e150, 1e-12)])
+    def test_overflow_names_the_query(self, t, eps):
+        # (lam t)^2 overflows, or the quotient is inf and has no ceiling.
+        with pytest.raises(OverflowError, match=re.escape(f"(lam=1.0, t={t}, eps={eps})")):
+            gate_count_approx(1.0, t, eps)
+
 
 class TestGateCountExact:
     def test_frozen_against_scan_oracle(self):
@@ -73,14 +82,14 @@ class TestGateCountExact:
     @staticmethod
     def solve_and_count(lam, t, eps):
         """gate_count_exact's answer (None on overflow) and the log-bound evaluations it made."""
-        log_bound = compiler._log_total_bound
+        log_bound = trotter._log_total_bound
         calls = []
 
         def recorded(lam, t, n):
             calls.append(n)
             return log_bound(lam, t, n)
 
-        with mock.patch.object(compiler, "_log_total_bound", recorded):
+        with mock.patch.object(trotter, "_log_total_bound", recorded):
             try:
                 n = gate_count_exact(lam, t, eps)
             except OverflowError:
@@ -99,8 +108,8 @@ class TestGateCountExact:
         # The located search returns exactly what doubling then bisection
         # returns on the same log bound, within the stated evaluation cost.
         n, evaluations = self.solve_and_count(lam, t, eps)
-        bound = partial(compiler._log_total_bound, lam, t)
-        assert n == reference_doubling_search(bound, math.log(eps), compiler._N_LIMIT)
+        bound = partial(trotter._log_total_bound, lam, t)
+        assert n == reference_doubling_search(bound, math.log(eps), trotter._N_LIMIT)
         assert evaluations <= max_search_evaluations(n)
 
     def test_grid_covers_every_answer_range(self):
@@ -108,8 +117,8 @@ class TestGateCountExact:
         for eps in (0.3, 1e-9):
             for t in np.logspace(-4, 80, 85):
                 n, evaluations = self.solve_and_count(1.0, float(t), eps)
-                bound = partial(compiler._log_total_bound, 1.0, float(t))
-                assert n == reference_doubling_search(bound, math.log(eps), compiler._N_LIMIT)
+                bound = partial(trotter._log_total_bound, 1.0, float(t))
+                assert n == reference_doubling_search(bound, math.log(eps), trotter._N_LIMIT)
                 assert evaluations <= max_search_evaluations(n)
                 seen.add(answer_range(n))
         assert seen == ANSWER_RANGES
@@ -156,7 +165,7 @@ class TestSmallestWithin:
         def bound(n):
             return 0.0 if n >= threshold else 1.0
 
-        n = compiler._smallest_within(bound, 0.5, limit, start, logs)
+        n = trotter._smallest_within(bound, 0.5, limit, start, logs)
         assert n == reference_doubling_search(bound, 0.5, limit)
         if n is None:
             assert threshold > limit
@@ -179,7 +188,9 @@ class TestErrorBoundOverflow:
             assert total_error_bound(lam, t, n) == n * reference_segment_error_bound(lam, t, n)
 
     def test_one_exp_helper(self):
-        assert trotter._exp_or_inf is compiler._exp_or_inf
+        # The qDRIFT bounds share the product-formula bounds' overflow guard.
+        assert not hasattr(compiler, "_exp_or_inf")
+        assert segment_error_bound.__globals__["_exp_or_inf"] is trotter._exp_or_inf
 
 
 class TestAliasSampler:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import oracles as dense
 from qdriftlab import channels as ch
-from qdriftlab.compiler import segment_error_bound
+from qdriftlab.trotter import segment_error_bound
 from qdriftlab.hamiltonian import Hamiltonian
 
 TOL = 1e-12

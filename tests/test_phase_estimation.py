@@ -186,6 +186,34 @@ class TestClosedFormTotals:
         total = pe.closed_form_total("trotter", q)
         assert total == pytest.approx(2.76e14, rel=5e-4)
 
+    @pytest.mark.parametrize(
+        "lam, delta_E, lam_max, qdrift, trotter",
+        [
+            # lam^2 and delta_E^2 underflow to 0: the product form divides by 0.
+            (1e-300, 1e-300, 1e-300, 133.0 / 0.5**3, 69.0 / 0.5**2),
+            # lam^2 raises OverflowError, lam / delta_E is 1e100; the trotter
+            # product form fits and is kept.
+            (1e300, 1e200, 1.0, 133.0 * 1e200 / 0.5**3, 69.0 / (1e200**1.5 * 0.5**2)),
+            # lam_max^1.5 underflows to 0 without raising; the ratio is 1e-200.
+            (1e-100, 1e-100, 1e-300, 133.0 * 1e-100**2 / (1e-100**2 * 0.5**3), 69.0 * 1e-200**1.5 / 0.5**2),
+            # lam^2 and delta_E^2 are subnormal: the product form would read
+            # 1817.56, 0.1% below the ratio form's 1819.50.
+            (1.7e-160, 1.3e-160, 1.0, 133.0 * (1.7e-160 / 1.3e-160) ** 2 / 0.5**3,
+             69.0 / (1.3e-160**1.5 * 0.5**2)),
+        ],
+        ids=["underflow", "overflow", "zero-power", "subnormal-power"],
+    )
+    def test_powers_out_of_range_use_the_ratio(self, lam, delta_E, lam_max, qdrift, trotter):
+        q = pe.PEQuery(lam=lam, delta_E=delta_E, P_f=0.5, lam_max=lam_max)
+        assert pe.closed_form_total("qdrift", q) == qdrift
+        assert pe.closed_form_total("trotter", q) == trotter
+
+    def test_ratio_overflow_names_the_query(self):
+        q = pe.PEQuery(lam=1e300, delta_E=1e-10, P_f=0.5)
+        with pytest.raises(OverflowError) as excinfo:
+            pe.closed_form_total("qdrift", q)
+        assert str(excinfo.value) == "phase-estimation budget overflows a float (delta_E=1e-10, P_f=0.5)"
+
     def test_qdrift_pipeline_tracks_asymptote(self):
         for p_total in (0.05, 0.02, 0.01):
             q = pe.PEQuery(lam=1.0, delta_E=1e-4, P_f=p_total)
@@ -343,6 +371,20 @@ class TestQueryValidation:
             ({"lam_max": 0.0}, "lam_max must be finite and > 0, got 0.0"),
             ({"L": 0}, "L must be >= 1, got 0"),
             ({"P_f": math.nan}, "P_f must be in (0, 1), got nan"),
+            # The rescaled delta_E / (2 lam) or lam_max / (2 lam) underflows to 0.
+            (
+                {"lam": 1e300, "delta_E": 1e-300},
+                "delta_E / (2 lam) is 0 in floating point (delta_E=1e-300, lam=1e+300)",
+            ),
+            (
+                {"lam": 1e300, "delta_E": 1e290, "lam_max": 1e-300},
+                "lam_max / (2 lam) is 0 in floating point (lam_max=1e-300, lam=1e+300)",
+            ),
+            # 2 lam overflows to inf, so delta_E / (2 lam) reads 0 although it is 0.5.
+            (
+                {"lam": 1e308, "delta_E": 1e308},
+                "delta_E / (2 lam) is 0 in floating point (delta_E=1e+308, lam=1e+308)",
+            ),
         ],
     )
     def test_rejects_non_finite_or_non_positive(self, kwargs, message):

@@ -1,9 +1,17 @@
-"""The package's public names, listed once so that adding or removing one is a visible change."""
+"""The package's public names, listed once so that adding or removing one is a visible change,
+and the imports that keep its modules and dependencies in their places."""
+
+import ast
+import sys
+from pathlib import Path
 
 import pytest
 
 import qdriftlab
-from qdriftlab import channels, compiler, hamiltonian, phase_estimation, trotter
+from qdriftlab import channels, cli, compiler, hamiltonian, phase_estimation, trotter
+
+SRC = Path(qdriftlab.__file__).parent
+TESTS = Path(__file__).parent
 
 PUBLIC_NAMES = [
     "AliasSampler",
@@ -87,8 +95,62 @@ def test_every_public_name_resolves():
         # optimize_pf solves the failure-share split in closed form; the
         # golden-section search is the oracle in tests/oracles.py.
         (phase_estimation, "_golden_section"),
+        # The qDRIFT count starts from its leading term, as every product
+        # formula does, and trotter.gate_counts is the one costing loop.
+        (compiler, "_log_total_root"),
+        (trotter, "_log_total_root"),
+        (trotter, "_gates_or_inf"),
+        (trotter, "_qdrift_exceeds"),
+        (cli, "_cost_reports"),
+        (cli, "_method_sequence"),
     ],
 )
 def test_removed_names_stay_removed(owner, name):
     assert not hasattr(owner, name)
     assert not hasattr(qdriftlab, name)
+
+
+def imported_paths(path: Path) -> list[str]:
+    """The dotted path of what each import in ``path`` binds, relative to qdriftlab."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module if node.level == 0 else ".".join(filter(None, ("qdriftlab", node.module)))
+            found.extend(f"{base}.{alias.name}" for alias in node.names)
+    return found
+
+
+def test_counts_and_bounds_live_in_trotter():
+    # No module reaches into another's private names; the one shared private
+    # name is the input validator that lives beside the counts.
+    shared_private = {"qdriftlab.trotter._check_positive"}
+    for path in SRC.glob("*.py"):
+        for target in imported_paths(path):
+            if target == "qdriftlab.compiler" or target.startswith("qdriftlab.compiler."):
+                assert path.stem not in ("trotter", "phase_estimation"), (path.name, target)
+            if target.startswith("qdriftlab.") and target not in shared_private:
+                assert not target.rsplit(".", 1)[1].startswith("_"), (path.name, target)
+    # compiler.py imports the two counts; it defines no bound, count or search.
+    tree = ast.parse((SRC / "compiler.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    defined |= {target.id for node in tree.body if isinstance(node, ast.Assign) for target in node.targets}
+    moved = (
+        "_smallest_within", "_locate", "_MARGIN", "_MAX_LOG_STEP", "_SECANT_STEPS",
+        "segment_error_bound", "total_error_bound", "_log_total_bound", "gate_count_approx",
+        "gate_count_exact", "_N_LIMIT", "_check_positive", "_exp_or_inf", "_LOG_2",
+    )
+    for name in moved:
+        assert name not in defined and hasattr(trotter, name), name
+
+
+def test_dependencies_are_declared():
+    # pyproject.toml declares numpy, and pytest and hypothesis for the tests;
+    # nothing may lean on other packages that happen to be installed.
+    def top_level(directory: Path) -> set[str]:
+        return {target.split(".")[0] for path in directory.glob("*.py") for target in imported_paths(path)}
+
+    allowed = set(sys.stdlib_module_names) | {"numpy", "qdriftlab"}
+    assert top_level(SRC) <= allowed
+    assert top_level(TESTS) <= allowed | {"pytest", "hypothesis", "oracles", "conftest"}

@@ -20,12 +20,15 @@ from qdriftlab.trotter import (
     TROTTER_DET,
     TROTTER_RANDOM,
     CostQuery,
+    CostReport,
     best_method,
     closed_form_suzuki_count,
     crossover_time,
     error_function,
     gate_count,
+    gate_counts,
     gates_per_segment,
+    qdrift_costs_more,
     solve_r,
     suzuki_b_constant,
     suzuki_error,
@@ -436,10 +439,17 @@ class TestCrossover:
         assert crossover_time(WeightProfile(10, 10.0, 1.0), 1e-3, (1.0, 1e80), points=5) is None
 
     def test_overflowed_count_is_infinite_cost(self):
-        assert trotter._qdrift_exceeds(math.inf, [5, math.inf])
-        assert not trotter._qdrift_exceeds(5, [math.inf, math.inf])
-        assert not trotter._qdrift_exceeds(math.inf, [math.inf])
-        assert not trotter._qdrift_exceeds(math.inf, [])
+        # None is a count that overflowed; qDRIFT's report comes first.
+        five = CostReport(TROTTER_DET, 1, 5, 0.0)
+        assert qdrift_costs_more([None, five, None])
+        assert not qdrift_costs_more([CostReport(QDRIFT, None, 5, 0.0), None, None])
+        assert not qdrift_costs_more([None, None])
+        assert not qdrift_costs_more([None])
+
+    def test_gate_counts_mark_overflow_with_none(self):
+        query = CostQuery(WeightProfile(2, 2.0, 1.0), 1e15, 1e-3)
+        reports = gate_counts((QDRIFT, TROTTER_DET), query)
+        assert reports == [gate_count(QDRIFT, query), None]
 
     def test_known_verdicts_are_not_solved_again(self, monkeypatch):
         grid = np.logspace(0.0, 12.0, 50)
@@ -463,8 +473,12 @@ class TestCsvRow:
     def csv_line(row) -> str:
         return ",".join(cli._fmt(c) for c in row)
 
+    @staticmethod
+    def cost_rows(query):
+        return cli._cost_rows(query, gate_counts(cli._ROW_METHODS, query))
+
     def test_plain_row_shape(self):
-        rows = cli._cost_rows(WeightProfile(2, 1.0, 0.5), 1.0, 1e-3)
+        rows = self.cost_rows(CostQuery(WeightProfile(2, 1.0, 0.5), 1.0, 1e-3))
         assert [len(self.csv_line(row).split(",")) for row in rows] == [11] * 9
         assert len(COST_CSV_HEADER.split(",")) == 11
 
@@ -472,7 +486,7 @@ class TestCsvRow:
         # qDRIFT needs about 2 (lam t)^2 / eps = 2e27 gates, beyond int64
         query = CostQuery(WeightProfile(2, 1e12, 5e11), 1.0, 1e-3)
         report = gate_count(QDRIFT, query)
-        line = self.csv_line(cli._cost_rows(query.profile, query.t, query.eps)[0])
+        line = self.csv_line(self.cost_rows(query)[0])
         assert line.split(",")[4] == f"log10_gates={report.log10_gates:.17g}"
         assert "log10_gates=27" in line
         assert len(line.split(",")) == 11
