@@ -200,12 +200,10 @@ def compile_circuit(
     """
     _check_positive(t, "t")
     _check_positive(eps, "eps")
-    if h.L == 0:
-        raise ValueError("cannot compile an empty Hamiltonian")
-    h = h.canonical()
     rng = rng_from_seed(seed)
     if mode not in ("exact", "approx"):
         raise ValueError(f"mode must be 'exact' or 'approx', got {mode!r}")
+    h = h.canonical()
     n = (gate_count_exact if mode == "exact" else gate_count_approx)(h.lam, t, eps)
     if n > 2**31:
         raise ValueError(

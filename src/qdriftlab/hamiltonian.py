@@ -292,15 +292,8 @@ class Hamiltonian:
                 f"truncation budget {eps} >= lam {self._lam} would remove every term"
             )
         order = np.lexsort((-np.arange(self.L), self._weights))
-        weights = self._weights.tolist()
-        removed = 0
-        budget = 0.0
-        for i in order.tolist():
-            w = weights[i]
-            if budget + w > eps:
-                break
-            budget += w
-            removed += 1
+        # cumsum adds in order, so each prefix is the removed weight so far.
+        removed = int(np.cumsum(self._weights[order]).searchsorted(eps, side="right"))
         if removed == self.L:
             raise HamiltonianError("Hamiltonian has no terms")
         kept = np.sort(order[removed:])

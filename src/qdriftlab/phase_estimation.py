@@ -9,16 +9,19 @@ delta_E / (2 lam) with intrinsic failure share p_f needs
 
 controlled powers with evolution times t_j = pi * 2^j.  The compilation
 error budget eps_tot = (P_f - p_f) / 2 splits optimally as
-eps_j = eps_tot * 2^j / (2 (2^m - 1)), and the per-bit controlled gate
-counts (factor 2 from expanding each controlled rotation) are
+eps_j = eps_tot * 2^j / (2 (2^m - 1)), and the controlled gate count of
+bit j (factor 2 from expanding each controlled rotation) is
 
-    qdrift:   N(j) = 4^j pi^2 / eps_j
-    trotter:  N(j) = 8 L^2 sqrt(2 pi^3 lam_max_A^3 8^j / eps_j)
+    N(j) = C (s 2^j)^a / eps_j^b, with
+    qdrift:   C = pi^2,               s = 1,          (a, b) = (2, 1);
+    trotter:  C = 8 L^2 sqrt(2 pi^3),  s = lam_max_A,  (a, b) = (3/2, 1/2).
 
-Per-bit plans keep m integral and the exact (2^m - 1) factors.  The
-failure share p_f minimizes the continuous-depth total, whose one
-stationary point is solved in closed form (``optimize_pf``); the 133 / 69
-constants are its small-P_f asymptotes, used only as cross-checks.
+Both methods have a = b + 1, so the sum over bits 1..m is exactly
+C (2 y s)^a / eps_tot^b with y = 2^m - 1.  Per-bit plans keep m integral.
+The failure share p_f minimizes the same total at the continuous depth
+y = (1/p_f + 1) / (4 delta) - 1, whose one stationary point is solved in
+closed form (``optimize_pf``); the 133 / 69 constants are its small-P_f
+asymptotes, used only as cross-checks.
 """
 
 from __future__ import annotations
@@ -36,14 +39,27 @@ METHODS = ("qdrift", "trotter")
 # Rounded small-P_f total-count constants.
 QDRIFT_TOTAL_CONSTANT = 133.0
 TROTTER_TOTAL_CONSTANT = 69.0
-# Exponents (a, b) of the continuous-depth total (2^m - 1)^a / eps_tot^b;
-# the small-P_f optimal failure share is a / (a + b) of P_f.
+# The model's exponents (a, b); the small-P_f optimal failure share is
+# a / (a + b) of P_f.
 _TOTAL_EXPONENTS = {"qdrift": (2.0, 1.0), "trotter": (1.5, 0.5)}
 
 
 def _check_method(method: str) -> None:
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+
+
+def _model_count(method: str, x: float, eps: float, L: int, lam_max_rescaled: float) -> float:
+    """C (s x)^a / eps^b: bit j's count at x = 2^j and eps = eps_j, and the sum
+    over bits 1..m at x = 2 (2^m - 1) and eps = eps_tot.  Written as
+    (C^(1/a) s x / eps^(b/a))^a, so no step overflows or underflows unless
+    the count does."""
+    a, b = _TOTAL_EXPONENTS[method]
+    if method == "qdrift":
+        c, s = math.pi**2, 1.0
+    else:
+        c, s = 8.0 * L**2 * math.sqrt(2.0 * math.pi**3), lam_max_rescaled
+    return (c ** (1.0 / a) * (s * x) / eps ** (b / a)) ** a
 
 
 @dataclass(frozen=True)
@@ -111,12 +127,22 @@ def qdrift_bit_cost(j: int, eps_j: float) -> float:
 
 
 def trotter_bit_cost(j: int, eps_j: float, L: int, lam_max_rescaled: float) -> float:
-    """Controlled-power count 8 L^2 sqrt(2 pi^3 lam_max_A^3 8^j / eps_j) for bit j."""
+    """Controlled-power count 8 L^2 sqrt(2 pi^3 lam_max_A^3 8^j / eps_j) for bit j.
+    Where lam_max_A^3 is not a normal float or the count is not finite, the
+    model's C (lam_max_A 2^j)^1.5 / sqrt(eps_j) replaces that expression."""
     if j < 1:
         raise ValueError(f"bit index j must be >= 1, got {j}")
     if not (eps_j > 0 and lam_max_rescaled > 0 and L >= 1):
         raise ValueError("eps_j and lam_max_rescaled must be > 0 and L >= 1")
-    return 8.0 * L**2 * math.sqrt(2.0 * math.pi**3 * lam_max_rescaled**3 * 8.0**j / eps_j)
+    try:
+        cube = lam_max_rescaled**3
+        if cube >= sys.float_info.min:
+            gates = 8.0 * L**2 * math.sqrt(2.0 * math.pi**3 * cube * 8.0**j / eps_j)
+            if gates < math.inf:
+                return gates
+    except OverflowError:
+        pass
+    return _model_count("trotter", 2.0**j, eps_j, L, lam_max_rescaled)
 
 
 def trotter_bit_cost_exact(j: int, eps_j: float, L: int, lam_max_rescaled: float) -> float:
@@ -137,21 +163,10 @@ def trotter_bit_cost_exact(j: int, eps_j: float, L: int, lam_max_rescaled: float
 def geometric_total(
     method: str, m: int, eps_tot: float, L: int = 1, lam_max_rescaled: float = 1.0
 ) -> float:
-    """Closed geometric-sum totals the per-bit plans are checked against.
-
-    qdrift: 4 pi^2 (2^m - 1)^2 / eps_tot (exact).
-    trotter: 8 L^2 sqrt(2 pi^3 lam_max_A^3 / eps_tot) * 2^{3(m+1)/2}
-    (large-m form; relative error ~ 1.5 * 2^-m).
-    """
+    """Exact sum of the per-bit counts over bits 1..m under ``allocate_eps``:
+    C (2 (2^m - 1) s)^a / eps_tot^b."""
     _check_method(method)
-    if method == "qdrift":
-        return 4.0 * math.pi**2 * (2.0**m - 1.0) ** 2 / eps_tot
-    return (
-        8.0
-        * L**2
-        * math.sqrt(2.0 * math.pi**3 * lam_max_rescaled**3 / eps_tot)
-        * 2.0 ** (1.5 * (m + 1))
-    )
+    return _model_count(method, 2.0 * (2.0**m - 1.0), eps_tot, L, lam_max_rescaled)
 
 
 @dataclass(frozen=True)
@@ -164,7 +179,7 @@ class BitRow:
 
 @dataclass(frozen=True)
 class PEPlan:
-    """Explicit per-bit budget: rows, their sum, and the geometric cross-check."""
+    """Explicit per-bit budget: rows and their sum."""
 
     method: str
     p_f: float
@@ -172,32 +187,18 @@ class PEPlan:
     m: int
     rows: tuple[BitRow, ...]
     total: float
-    geometric: float
 
     @property
     def P_f(self) -> float:
         return self.p_f + 2.0 * self.eps_tot
 
 
-def _smooth_depth(p_f: float, delta: float) -> float:
-    """Continuous-depth 2^m = (1/p_f + 1) / (4 delta); > 1 for every p_f < 1
-    when 0 < delta <= 1/2."""
-    return (1.0 / p_f + 1.0) / (4.0 * delta)
-
-
-def _smooth_total(
-    method: str, p_f: float, P_f: float, delta: float, L: int, lam_max_rescaled: float
-) -> float:
-    eps_tot = (P_f - p_f) / 2.0
-    two_m = _smooth_depth(p_f, delta)
-    if method == "qdrift":
-        return 4.0 * math.pi**2 * (two_m - 1.0) ** 2 / eps_tot
-    return (
-        32.0
-        * L**2
-        * math.sqrt(math.pi**3 * lam_max_rescaled**3 / eps_tot)
-        * (two_m - 1.0) ** 1.5
-    )
+def _smooth_total(method: str, p_f: float, query: PEQuery) -> float:
+    """The model's total at the continuous depth y = (1/p_f + 1) / (4 delta) - 1,
+    which is > 0 for every p_f < 1 when 0 < delta <= 1/2."""
+    y = (1.0 / p_f + 1.0) / (4.0 * query.delta) - 1.0
+    eps_tot = (query.P_f - p_f) / 2.0
+    return _model_count(method, 2.0 * y, eps_tot, query.L, query.lam_max_rescaled)
 
 
 @dataclass(frozen=True)
@@ -218,14 +219,11 @@ class PfOptimum:
     total_at_small_limit: float
 
 
-def optimize_pf(
-    method: str, P_f: float, delta: float, L: int = 1, lam_max_rescaled: float = 1.0
-) -> PfOptimum:
+def optimize_pf(method: str, query: PEQuery) -> PfOptimum:
     """Minimize the continuous-depth total over p_f in (0, P_f), in closed form.
 
-    With eps_tot = (P_f - p) / 2 and 2^m - 1 = (1 + c p) / (4 delta p),
-    c = 1 - 4 delta, the total is a constant times (2^m - 1)^a / eps_tot^b,
-    with (a, b) = (2, 1) for qdrift and (3/2, 1/2) for trotter.  Setting
+    With eps_tot = (P_f - p) / 2 and y = (1 + c p) / (4 delta p), c = 1 - 4
+    delta, the model's total is a constant times y^a / eps_tot^b.  Setting
     d log(total) / dp = 0 gives
 
         b c p^2 + (a + b) p - a P_f = 0.
@@ -238,24 +236,20 @@ def optimize_pf(
         p* = 2 a P_f / ((a + b) + sqrt((a + b)^2 + 4 a b c P_f)),
 
     which tends to a / (a + b) P_f (2/3 and 3/4) as P_f -> 0.  It holds for
-    0 < delta <= 1/2, where c >= -1 keeps 1 + c p > 0.
+    the 0 < delta <= 1/2 of every query, where c >= -1 keeps 1 + c p > 0.
     """
     _check_method(method)
-    if not (0 < P_f < 1):
-        raise ValueError(f"P_f must be in (0, 1), got {P_f!r}")
-    if not (0 < delta <= 0.5):
-        raise ValueError(f"delta must be in (0, 0.5], got {delta!r}")
     a, b = _TOTAL_EXPONENTS[method]
-    c = 1.0 - 4.0 * delta
+    P_f, c = query.P_f, 1.0 - 4.0 * query.delta
     p_star = 2.0 * a * P_f / ((a + b) + math.sqrt((a + b) ** 2 + 4.0 * a * b * c * P_f))
     p_small = a / (a + b) * P_f
     return PfOptimum(
         method=method,
         p_f=p_star,
         eps_tot=(P_f - p_star) / 2.0,
-        total=_smooth_total(method, p_star, P_f, delta, L, lam_max_rescaled),
+        total=_smooth_total(method, p_star, query),
         p_f_small_limit=p_small,
-        total_at_small_limit=_smooth_total(method, p_small, P_f, delta, L, lam_max_rescaled),
+        total_at_small_limit=_smooth_total(method, p_small, query),
     )
 
 
@@ -268,9 +262,7 @@ def build_plan(method: str, query: PEQuery, p_f: float | None = None) -> PEPlan:
     _check_method(method)
     try:
         if p_f is None:
-            p_f = optimize_pf(
-                method, query.P_f, query.delta, query.L, query.lam_max_rescaled
-            ).p_f
+            p_f = optimize_pf(method, query).p_f
         if not (0 < p_f < query.P_f):
             raise ValueError(f"p_f must be in (0, P_f), got {p_f!r}")
         eps_tot = (query.P_f - p_f) / 2.0
@@ -283,10 +275,9 @@ def build_plan(method: str, query: PEQuery, p_f: float | None = None) -> PEPlan:
                 gates = trotter_bit_cost(j, eps_j, query.L, query.lam_max_rescaled)
             rows.append(BitRow(j, math.pi * 2.0**j, eps_j, gates))
         total = math.fsum(r.gates for r in rows)
-        geometric = geometric_total(method, m, eps_tot, query.L, query.lam_max_rescaled)
     except OverflowError:
-        total = geometric = math.inf
-    if not (math.isfinite(total) and math.isfinite(geometric)):
+        total = math.inf
+    if not math.isfinite(total):
         raise _budget_overflow(query)
     return PEPlan(
         method=method,
@@ -295,13 +286,7 @@ def build_plan(method: str, query: PEQuery, p_f: float | None = None) -> PEPlan:
         m=m,
         rows=tuple(rows),
         total=total,
-        geometric=geometric,
     )
-
-
-def pipeline_total(method: str, query: PEQuery) -> float:
-    """Optimized continuous-depth total; the quantity compared to the asymptote."""
-    return optimize_pf(method, query.P_f, query.delta, query.L, query.lam_max_rescaled).total
 
 
 def closed_form_total(method: str, query: PEQuery) -> float:
@@ -367,7 +352,7 @@ class SpeedupReport:
 def pe_speedup(query: PEQuery) -> SpeedupReport:
     """Trotter-over-qdrift total ratios, closed-form and pipeline variants."""
     closed = closed_form_total("trotter", query) / closed_form_total("qdrift", query)
-    pipeline = pipeline_total("trotter", query) / pipeline_total("qdrift", query)
+    pipeline = optimize_pf("trotter", query).total / optimize_pf("qdrift", query).total
     return SpeedupReport(closed_ratio=closed, pipeline_ratio=pipeline)
 
 

@@ -12,7 +12,8 @@ one search, and the dense d^2 x d^2 superoperator path that ``verify``
 measured before it certified from Kraus data, with the seed-averaged
 channel of compiled circuits that converges to E^N, and the golden-section
 search that ``phase_estimation.optimize_pf`` ran before it solved the
-failure-share split in closed form.  They are kept for tests only.  The dense builders read a ``Hamiltonian``'s columns.
+failure-share split in closed form, and the per-bit phase-estimation counts
+summed in log space.  They are kept for tests only.  The dense builders read a ``Hamiltonian``'s columns.
 """
 
 from __future__ import annotations
@@ -98,14 +99,40 @@ def _golden_section(fn, lo: float, hi: float, rel_tol: float = 1e-6) -> float:
     return 0.5 * (a + b)
 
 
-def reference_optimize_pf(
-    method: str, P_f: float, delta: float, L: int = 1, lam_max_rescaled: float = 1.0
-) -> float:
+def reference_optimize_pf(method: str, query) -> float:
     """The failure share p_f that the golden-section search finds on (1e-9, 1 - 1e-9) P_f."""
     def objective(p):
-        return _smooth_total(method, p, P_f, delta, L, lam_max_rescaled)
+        return _smooth_total(method, p, query)
 
-    return _golden_section(objective, P_f * 1e-9, P_f * (1.0 - 1e-9))
+    return _golden_section(objective, query.P_f * 1e-9, query.P_f * (1.0 - 1e-9))
+
+
+def log_bit_counts(method: str, m: int, eps_tot: float, L: int = 1, log_lam_max_rescaled: float = 0.0):
+    """Natural logs of the m per-bit phase-estimation counts, formed term by term in log space.
+
+    Bit j gets eps_j = eps_tot 2^j / (2 (2^m - 1)) and costs 4^j pi^2 / eps_j
+    (qdrift) or 8 L^2 sqrt(2 pi^3 lam_max_A^3 8^j / eps_j) (trotter); no power
+    is taken, so nothing overflows or underflows.
+    """
+    log2 = math.log(2.0)
+    log_denom = log2 + m * log2 + math.log1p(-(2.0**-m))
+    logs = []
+    for j in range(1, m + 1):
+        log_eps_j = math.log(eps_tot) + j * log2 - log_denom
+        if method == "qdrift":
+            logs.append(j * math.log(4.0) + 2.0 * math.log(math.pi) - log_eps_j)
+        else:
+            logs.append(
+                math.log(8.0) + 2.0 * math.log(L)
+                + 0.5 * (math.log(2.0 * math.pi**3) + 3.0 * log_lam_max_rescaled + j * math.log(8.0) - log_eps_j)
+            )
+    return logs
+
+
+def log_sum(logs) -> float:
+    """log of the sum of exp(x) over ``logs``, without overflow."""
+    top = max(logs)
+    return top + math.log(math.fsum(math.exp(x - top) for x in logs))
 
 
 def max_search_evaluations(answer: int | None) -> int:

@@ -160,18 +160,20 @@ def test_composition_subadditivity():
 
 
 def test_phase_estimation_pipeline():
-    # per-bit sums vs the geometric closed forms
+    # per-bit sums vs the exact geometric closed forms
     q_qd = pe.PEQuery(lam=1.0, delta_E=1e-4, P_f=0.05)
     plan_qd = pe.build_plan("qdrift", q_qd)
-    qd_sum_ok = abs(plan_qd.total / plan_qd.geometric - 1) <= 1e-9
+    qd_delta = abs(plan_qd.total / pe.geometric_total("qdrift", plan_qd.m, plan_qd.eps_tot) - 1)
 
     q_tr = pe.PEQuery(lam=1.0, delta_E=1e-4, P_f=0.05, L=100, lam_max=1.0)
     plan_tr = pe.build_plan("trotter", q_tr)
-    tr_sum_ok = plan_tr.m >= 15 and abs(plan_tr.total / plan_tr.geometric - 1) <= 0.01
+    tr_geometric = pe.geometric_total("trotter", plan_tr.m, plan_tr.eps_tot, q_tr.L, q_tr.lam_max_rescaled)
+    tr_delta = abs(plan_tr.total / tr_geometric - 1)
+    sums_ok = qd_delta <= 1e-12 and tr_delta <= 1e-12
 
-    # optimizer vs the small-P_f fractions at P_f = 1e-3
-    opt_qd = pe.optimize_pf("qdrift", 1e-3, delta=5e-5)
-    opt_tr = pe.optimize_pf("trotter", 1e-3, delta=5e-5, L=100, lam_max_rescaled=0.5)
+    # optimizer vs the small-P_f fractions at P_f = 1e-3 (delta = 5e-5)
+    opt_qd = pe.optimize_pf("qdrift", pe.PEQuery(lam=1.0, delta_E=1e-4, P_f=1e-3))
+    opt_tr = pe.optimize_pf("trotter", pe.PEQuery(lam=1.0, delta_E=1e-4, P_f=1e-3, L=100, lam_max=1.0))
     pf_ok = (
         abs(opt_qd.p_f / ((2 / 3) * 1e-3) - 1) <= 0.05
         and abs(opt_tr.p_f / ((3 / 4) * 1e-3) - 1) <= 0.05
@@ -191,9 +193,8 @@ def test_phase_estimation_pipeline():
 
     _report(
         "phase-estimation pipeline",
-        qd_sum_ok and tr_sum_ok and pf_ok and closed_ok and crossing_ok,
-        f"sum/geometric deltas {abs(plan_qd.total / plan_qd.geometric - 1):.1e} and "
-        f"{abs(plan_tr.total / plan_tr.geometric - 1):.1e} (m={plan_tr.m}), "
+        sums_ok and pf_ok and closed_ok and crossing_ok,
+        f"sum/geometric deltas {qd_delta:.1e} and {tr_delta:.1e} (m={plan_tr.m}), "
         f"closed form {closed:.4g}",
     )
 

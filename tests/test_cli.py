@@ -1,7 +1,9 @@
 import gc
 import itertools
 import json
+import math
 import re
+import sys
 import tracemalloc
 import warnings
 import weakref
@@ -9,6 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
+from oracles import log_bit_counts, log_sum
 from qdriftlab import channels, cli, trotter
 from qdriftlab.cli import EXIT_BOUND, EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, main
 from qdriftlab.hamiltonian import WeightProfile, parse_hamiltonian
@@ -344,12 +347,54 @@ class TestPhaseEstCommand:
         )
         values = ("1e-300", "1e-100", "1", "1e100", "1e300")
         grid = itertools.product(values, values, values, ("1e-3", "0.5"), ("1", "10000"))
+        zero_totals = 0
         for lam, lam_max, delta_e, pf, L in grid:
             argv = ["phase-est", "--lambda", lam, "--Lambda", lam_max, "--delta-e", delta_e,
                     "--pf", pf, "--L", L]
             code = main(argv)
-            err = capsys.readouterr().err
+            captured = capsys.readouterr()
+            err = captured.err
             assert (code, err) == (EXIT_OK, "") or (code == EXIT_DOMAIN and named.fullmatch(err)), argv
+            if code != EXIT_OK:
+                continue
+            log_lam_a = math.log(float(lam_max)) - math.log(2.0 * float(lam))
+            for row in captured.out.splitlines()[1:]:
+                method, _, _, eps_tot, m, total, closed, ratio = row.split(",")
+                assert all(math.isfinite(float(v)) for v in (total, closed, ratio)), argv
+                # Each total against its per-bit counts summed in log space.
+                log_s = log_lam_a if method == "trotter" else 0.0
+                expected = log_sum(log_bit_counts(method, int(m), float(eps_tot), int(L), log_s))
+                if float(total) == 0.0:
+                    assert method == "trotter" and expected < math.log(5e-324), argv
+                    zero_totals += 1
+                elif float(total) >= sys.float_info.min:
+                    assert math.log(float(total)) == pytest.approx(expected, abs=1e-12), argv
+        # These true totals are below the smallest float.
+        assert zero_totals == 8
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "--lambda 1e300 --Lambda 1 --delta-e 1e200 --pf 0.5",
+            "--lambda 1e-100 --Lambda 1e-300 --delta-e 1e-100 --pf 0.5",
+        ],
+        ids=["tiny-lam-max", "tiny-lam-max-b"],
+    )
+    def test_tiny_trotter_total_is_printed(self, command, capsys):
+        # lam_max_A^3 underflows; the totals are about 1.5e-297 and 3.1e-298.
+        assert main(["phase-est", *command.split()]) == EXIT_OK
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [row[0] for row in rows] == ["qdrift", "trotter"]
+        assert float(rows[1][5]) > 0
+
+    @pytest.mark.parametrize("delta_e", ["1e-103", "1e-120", "1e-150"])
+    def test_deep_plans_fit(self, delta_e, capsys):
+        # 8^j overflows for the trotter plan's last bits, but its total fits.
+        assert main(f"phase-est --lambda 1 --delta-e {delta_e} --pf 0.5".split()) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        for row in captured.out.splitlines()[1:]:
+            assert 0 < float(row.split(",")[5]) < math.inf
 
 
 class TestVerifyCommand:

@@ -350,6 +350,25 @@ def test_canonical_order_without_ties_needs_no_word_sort():
         np.testing.assert_array_equal(h._canonical_order(), expected)
 
 
+@pytest.mark.parametrize("kind", ["uniform", "dyadic", "equal", "lognormal"])
+def test_truncate_matches_the_loop_oracle(kind):
+    # truncate cuts one cumsum of the weights in removal order; the oracle
+    # adds them one at a time, and each prefix must agree bit for bit.
+    rng = np.random.Generator(np.random.Philox(key=len(kind)))
+    for n in (1, 2, 3, 10, 100, 600):
+        for key in range(8):
+            magnitudes = {
+                "uniform": lambda: rng.random(n) + 1e-3,
+                "dyadic": lambda: 2.0 ** -rng.integers(0, 20, n).astype(float),
+                "equal": lambda: np.full(n, 0.1),
+                "lognormal": lambda: rng.lognormal(0.0, 2.0, n),
+            }[kind]()
+            h = _distinct_word_hamiltonian(magnitudes.tolist(), key)
+            old = ReferenceHamiltonian(zip(h.coefficients.tolist(), h.words))
+            for frac in (0.001, 0.1, 0.37, 0.5, 0.9, 0.999):
+                assert_same_truncation(h, old, frac * h.lam)
+
+
 def _weights(kind: str, n: int) -> np.ndarray:
     rng = np.random.Generator(np.random.Philox(key=n))
     if kind == "uniform":

@@ -316,6 +316,20 @@ class TestCompile:
         with pytest.raises(ValueError):
             compile_circuit(two_term_1q, 1.0, 1e-3, seed=1, mode="other")
 
+    def test_bad_arguments_fail_in_order_before_sorting(self, two_term_1q):
+        cases = [
+            ((0.0, -1e-3, -1, "other"), "t must be"),
+            ((1.0, -1e-3, -1, "other"), "eps must be"),
+            ((1.0, 1e-3, -1, "other"), "seed must be"),
+            ((1.0, 1e-3, 1, "other"), "mode must be"),
+        ]
+        sort = mock.Mock(side_effect=AssertionError("canonical() ran"))
+        with mock.patch.object(type(two_term_1q), "canonical", sort):
+            for (t, eps, seed, mode), message in cases:
+                with pytest.raises(ValueError, match=message):
+                    compile_circuit(two_term_1q, t, eps, seed=seed, mode=mode)
+        assert sort.call_count == 0
+
     @given(
         t=st.floats(min_value=1e-3, max_value=5.0),
         eps=st.floats(min_value=1e-2, max_value=0.5),

@@ -1,11 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_doubling_search, reference_optimize_pf
+from oracles import log_bit_counts, log_sum, reference_doubling_search, reference_optimize_pf
 from qdriftlab import phase_estimation as pe
 from qdriftlab.trotter import R_MAX, suzuki_error
 
@@ -73,7 +74,20 @@ class TestBitCosts:
         eps = pe.allocate_eps(eps_tot, m)
         total = math.fsum(pe.qdrift_bit_cost(j, e) for j, e in enumerate(eps, start=1))
         closed = 4 * math.pi**2 * (2.0**m - 1) ** 2 / eps_tot
-        assert total == pytest.approx(closed, rel=1e-9)
+        assert total == pytest.approx(closed, rel=1e-12)
+
+    @pytest.mark.parametrize("method", pe.METHODS)
+    def test_geometric_total_equals_per_bit_sum(self, method):
+        # a = b + 1 makes the closed form exact at every depth, not only at large m.
+        for eps_tot, L, lam_a in ((0.02, 7, 0.5), (0.4, 1, 1e-3), (1e-6, 300, 20.0)):
+            for m in range(1, 61):
+                eps = pe.allocate_eps(eps_tot, m)
+                if method == "qdrift":
+                    costs = [pe.qdrift_bit_cost(j, e) for j, e in enumerate(eps, start=1)]
+                else:
+                    costs = [pe.trotter_bit_cost(j, e, L, lam_a) for j, e in enumerate(eps, start=1)]
+                closed = pe.geometric_total(method, m, eps_tot, L, lam_a)
+                assert closed == pytest.approx(math.fsum(costs), rel=1e-12), (eps_tot, m)
 
     @pytest.mark.parametrize("m", [15, 18, 24])
     def test_trotter_sum_matches_asymptote_at_large_m(self, m):
@@ -82,6 +96,26 @@ class TestBitCosts:
         total = math.fsum(pe.trotter_bit_cost(j, e, L, lam_a) for j, e in enumerate(eps, start=1))
         asym = pe.geometric_total("trotter", m, eps_tot, L, lam_a)
         assert abs(total / asym - 1) < 0.01
+
+    def test_trotter_bit_cost_matches_log_space(self):
+        # lam_max_A^3 underflows below 2.8e-103, and 8^j overflows from j = 342.
+        log_min, log_max = math.log(sys.float_info.min), math.log(sys.float_info.max)
+        checked = 0
+        for lam_a in (1e-300, 1e-200, 2e-103, 1e-100, 1e-20, 0.5, 1e50, 1e102, 1e150):
+            for j in (1, 2, 10, 100, 300, 341, 342, 400, 700):
+                for eps_j in (0.5, 1e-10, 1e-100, 1e-300):
+                    for L in (1, 10000):
+                        expected = (
+                            math.log(8.0) + 2.0 * math.log(L)
+                            + 0.5 * (math.log(2.0 * math.pi**3) + 3.0 * math.log(lam_a)
+                                     + j * math.log(8.0) - math.log(eps_j))
+                        )
+                        if not log_min <= expected <= log_max:
+                            continue
+                        got = pe.trotter_bit_cost(j, eps_j, L, lam_a)
+                        assert math.log(got) == pytest.approx(expected, abs=1e-12), (lam_a, j, eps_j, L)
+                        checked += 1
+        assert checked > 300
 
     def test_exact_solver_bit_cost_same_scale(self):
         # closed form vs segment solver agree to a modest factor per bit
@@ -104,40 +138,46 @@ class TestBitCosts:
                 assert pe.trotter_bit_cost_exact(j, eps_j, L, lam_a) == 2.0 * 2 * L * r
 
 
+def query_at(P_f, delta, L=1, lam_max_rescaled=1.0):
+    """The query with lam = 1 whose delta and lam_max_rescaled are exactly the ones given."""
+    return pe.PEQuery(lam=1.0, delta_E=2.0 * delta, P_f=P_f, L=L, lam_max=2.0 * lam_max_rescaled)
+
+
 class TestOptimizePf:
     def test_qdrift_small_limit_agreement(self):
         for p_total in (1e-3, 1e-2):
-            opt = pe.optimize_pf("qdrift", p_total, delta=5e-5)
+            opt = pe.optimize_pf("qdrift", query_at(p_total, 5e-5))
             assert abs(opt.p_f / ((2 / 3) * p_total) - 1) < 0.05
 
     def test_trotter_small_limit_agreement(self):
         for p_total in (1e-3, 1e-2):
-            opt = pe.optimize_pf("trotter", p_total, delta=5e-5, L=100, lam_max_rescaled=0.5)
+            opt = pe.optimize_pf("trotter", query_at(p_total, 5e-5, L=100, lam_max_rescaled=0.5))
             assert abs(opt.p_f / ((3 / 4) * p_total) - 1) < 0.05
 
     def test_converges_to_one_percent_at_1e_minus_3(self):
-        opt = pe.optimize_pf("qdrift", 1e-3, delta=5e-5)
+        opt = pe.optimize_pf("qdrift", query_at(1e-3, 5e-5))
         assert abs(opt.p_f / opt.p_f_small_limit - 1) < 0.01
-        opt = pe.optimize_pf("trotter", 1e-3, delta=5e-5, L=10, lam_max_rescaled=0.5)
+        opt = pe.optimize_pf("trotter", query_at(1e-3, 5e-5, L=10, lam_max_rescaled=0.5))
         assert abs(opt.p_f / opt.p_f_small_limit - 1) < 0.01
 
     def test_optimum_beats_closed_form_point(self):
         for method, kwargs in (("qdrift", {}), ("trotter", {"L": 50, "lam_max_rescaled": 0.5})):
-            opt = pe.optimize_pf(method, 0.05, delta=5e-5, **kwargs)
+            opt = pe.optimize_pf(method, query_at(0.05, 5e-5, **kwargs))
             assert opt.total <= opt.total_at_small_limit * (1 + 1e-9)
 
     def test_constraint_binding(self):
-        opt = pe.optimize_pf("qdrift", 0.02, delta=1e-4)
+        opt = pe.optimize_pf("qdrift", query_at(0.02, 1e-4))
         assert 0 < opt.p_f < 0.02
         assert opt.p_f + 2 * opt.eps_tot == pytest.approx(0.02, abs=1e-12)
 
     def test_degenerate_inputs(self):
-        with pytest.raises(ValueError):
-            pe.optimize_pf("qdrift", 0.0, delta=1e-4)
-        with pytest.raises(ValueError):
-            pe.optimize_pf("qdrift", 0.05, delta=0.7)
-        with pytest.raises(ValueError):
-            pe.optimize_pf("other", 0.05, delta=1e-4)
+        # A PEQuery holds 0 < P_f < 1 and 0 < delta <= 1/2 for optimize_pf.
+        with pytest.raises(ValueError, match="P_f must be in"):
+            query_at(0.0, 1e-4)
+        with pytest.raises(ValueError, match="exceeds lam"):
+            query_at(0.05, 0.7)
+        with pytest.raises(ValueError, match="method must be one of"):
+            pe.optimize_pf("other", query_at(0.05, 1e-4))
 
     @pytest.mark.parametrize("method", pe.METHODS)
     @settings(max_examples=200, deadline=None)
@@ -152,23 +192,24 @@ class TestOptimizePf:
     def test_closed_form_matches_golden_section_oracle(
         self, method, P_f, delta, L, lam_max_rescaled
     ):
-        opt = pe.optimize_pf(method, P_f, delta, L, lam_max_rescaled)
-        p_oracle = reference_optimize_pf(method, P_f, delta, L, lam_max_rescaled)
+        query = query_at(P_f, delta, L, lam_max_rescaled)
+        opt = pe.optimize_pf(method, query)
+        p_oracle = reference_optimize_pf(method, query)
         assert abs(opt.p_f - p_oracle) <= 1e-6 * P_f
-        oracle_total = pe._smooth_total(method, p_oracle, P_f, delta, L, lam_max_rescaled)
+        oracle_total = pe._smooth_total(method, p_oracle, query)
         assert opt.total <= oracle_total * (1 + 1e-12)
 
     @pytest.mark.parametrize("method, limit", [("qdrift", 2 / 3), ("trotter", 3 / 4)])
     def test_share_tends_to_small_pf_limit(self, method, limit):
         # p*/P_f = a/(a+b) - O(P_f), with a coefficient below 0.2 for both methods.
         for p_total in (1e-2, 1e-4, 1e-8, 1e-12):
-            opt = pe.optimize_pf(method, p_total, delta=5e-5)
+            opt = pe.optimize_pf(method, query_at(p_total, 5e-5))
             assert abs(opt.p_f / p_total - limit) <= 0.2 * p_total
 
     def test_accepts_delta_one_half(self):
         # delta = 1/2 is delta_E = lam: 2^m - 1 = (1 - p)/(2p) > 0 for every p < 1.
         for method in pe.METHODS:
-            opt = pe.optimize_pf(method, 0.5, delta=0.5)
+            opt = pe.optimize_pf(method, query_at(0.5, 0.5))
             assert 0 < opt.p_f < 0.5
             assert math.isfinite(opt.total)
             plan = pe.build_plan(method, pe.PEQuery(lam=1.0, delta_E=1.0, P_f=0.5))
@@ -217,7 +258,7 @@ class TestClosedFormTotals:
     def test_qdrift_pipeline_tracks_asymptote(self):
         for p_total in (0.05, 0.02, 0.01):
             q = pe.PEQuery(lam=1.0, delta_E=1e-4, P_f=p_total)
-            ratio = pe.pipeline_total("qdrift", q) / pe.closed_form_total("qdrift", q)
+            ratio = pe.optimize_pf("qdrift", q).total / pe.closed_form_total("qdrift", q)
             assert abs(ratio - 1) < 0.15
 
     def test_trotter_pipeline_tracks_asymptote_up_to_sqrt2(self):
@@ -226,7 +267,7 @@ class TestClosedFormTotals:
         # pipeline is consistent with the per-bit side.
         for p_total in (0.05, 0.02, 0.01):
             q = pe.PEQuery(lam=1.0, delta_E=1e-4, P_f=p_total, L=100, lam_max=1.0)
-            ratio = pe.pipeline_total("trotter", q) / (
+            ratio = pe.optimize_pf("trotter", q).total / (
                 math.sqrt(2) * pe.closed_form_total("trotter", q)
             )
             assert abs(ratio - 1) < 0.15
@@ -249,13 +290,14 @@ class TestPlan:
     def test_qdrift_plan_total_matches_geometric_exactly(self):
         q = pe.PEQuery(lam=1.0, delta_E=1e-4, P_f=0.05)
         plan = pe.build_plan("qdrift", q)
-        assert plan.total == pytest.approx(plan.geometric, rel=1e-9)
+        assert plan.total == pytest.approx(pe.geometric_total("qdrift", plan.m, plan.eps_tot), rel=1e-12)
 
     def test_trotter_plan_total_matches_geometric_at_large_m(self):
         q = pe.PEQuery(lam=1.0, delta_E=1e-4, P_f=0.05, L=100, lam_max=1.0)
         plan = pe.build_plan("trotter", q)
         assert plan.m >= 15
-        assert abs(plan.total / plan.geometric - 1) < 0.01
+        geometric = pe.geometric_total("trotter", plan.m, plan.eps_tot, q.L, q.lam_max_rescaled)
+        assert plan.total == pytest.approx(geometric, rel=1e-12)
 
     def test_explicit_pf_override(self):
         q = pe.PEQuery(lam=1.0, delta_E=1e-4, P_f=0.05)
@@ -266,11 +308,11 @@ class TestPlan:
     def test_totals_decrease_in_delta_e_and_pf(self):
         for method in pe.METHODS:
             kwargs = {"L": 10, "lam_max": 1.0} if method == "trotter" else {}
-            t_small = pe.pipeline_total(method, pe.PEQuery(1.0, 1e-5, 0.05, **kwargs))
-            t_large = pe.pipeline_total(method, pe.PEQuery(1.0, 1e-4, 0.05, **kwargs))
+            t_small = pe.optimize_pf(method, pe.PEQuery(1.0, 1e-5, 0.05, **kwargs)).total
+            t_large = pe.optimize_pf(method, pe.PEQuery(1.0, 1e-4, 0.05, **kwargs)).total
             assert t_small > t_large
-            t_strict = pe.pipeline_total(method, pe.PEQuery(1.0, 1e-4, 0.01, **kwargs))
-            t_loose = pe.pipeline_total(method, pe.PEQuery(1.0, 1e-4, 0.05, **kwargs))
+            t_strict = pe.optimize_pf(method, pe.PEQuery(1.0, 1e-4, 0.01, **kwargs)).total
+            t_loose = pe.optimize_pf(method, pe.PEQuery(1.0, 1e-4, 0.05, **kwargs)).total
             assert t_strict > t_loose
 
     def test_exact_solver_plan(self):
@@ -284,10 +326,12 @@ class TestPlan:
     @pytest.mark.parametrize(
         "methods, query",
         [
-            (pe.METHODS, pe.PEQuery(lam=1.0, delta_E=1e-200, P_f=0.05)),
+            # The trotter total, about 9.5e304, fits (test_trotter_totals_in_range).
+            (("qdrift",), pe.PEQuery(lam=1.0, delta_E=1e-200, P_f=0.05)),
             (pe.METHODS, pe.PEQuery(lam=1e300, delta_E=1e-10, P_f=0.5, L=10, lam_max=1e300)),
-            # Every factor fits, but the trotter product rounds to inf without raising.
-            (("trotter",), pe.PEQuery(lam=1.0, delta_E=1e-100, P_f=0.5, lam_max=1e66)),
+            # The product under the root rounds to inf, and so does the total,
+            # about 1.2e402 in log space.
+            (("trotter",), pe.PEQuery(lam=1.0, delta_E=1e-200, P_f=0.5, lam_max=1e66)),
         ],
         ids=["tiny-delta-e", "huge-lambda", "infinite-product"],
     )
@@ -299,6 +343,25 @@ class TestPlan:
             with pytest.raises(OverflowError) as excinfo:
                 pe.build_plan(method, query)
             assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            # 8^j and the product under the root overflow; the total is about 9.5e304.
+            pe.PEQuery(lam=1.0, delta_E=1e-200, P_f=0.05),
+            # The product under the root rounds to inf; the total is about 1.5e252.
+            pe.PEQuery(lam=1.0, delta_E=1e-100, P_f=0.5, lam_max=1e66),
+            # lam_max_A^3 underflows; the totals are about 1.5e-297 and 3.1e-298.
+            pe.PEQuery(lam=1e300, delta_E=1e200, P_f=0.5),
+            pe.PEQuery(lam=1e-100, delta_E=1e-100, P_f=0.5, lam_max=1e-300),
+        ],
+        ids=["tiny-delta-e", "infinite-product", "tiny-lam-max", "tiny-lam-max-b"],
+    )
+    def test_trotter_totals_in_range(self, query):
+        plan = pe.build_plan("trotter", query)
+        log_lam_a = math.log(query.lam_max) - math.log(2.0 * query.lam)
+        expected = log_sum(log_bit_counts("trotter", plan.m, plan.eps_tot, query.L, log_lam_a))
+        assert math.log(plan.total) == pytest.approx(expected, abs=1e-12)
 
 
 class TestRepetitionFilter:

@@ -95,6 +95,10 @@ def test_every_public_name_resolves():
         # optimize_pf solves the failure-share split in closed form; the
         # golden-section search is the oracle in tests/oracles.py.
         (phase_estimation, "_golden_section"),
+        # One model formula gives every total; plan.total is the per-bit sum.
+        (phase_estimation, "pipeline_total"),
+        (phase_estimation.build_plan("qdrift", phase_estimation.PEQuery(1.0, 1e-4, 0.05)), "geometric"),
+        (phase_estimation, "_smooth_depth"),
         # The qDRIFT count starts from its leading term, as every product
         # formula does, and trotter.gate_counts is the one costing loop.
         (compiler, "_log_total_root"),
@@ -143,6 +147,40 @@ def test_counts_and_bounds_live_in_trotter():
     )
     for name in moved:
         assert name not in defined and hasattr(trotter, name), name
+
+
+def test_no_unused_imports_or_private_names():
+    # An import that a module does not use, or a private helper that nothing
+    # in src/ calls, is code left behind by a deletion.
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    for path, tree in trees.items():
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if path.name != "__init__.py":
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                    for alias in node.names:
+                        bound = alias.asname or alias.name.split(".")[0]
+                        assert bound in used, (path.name, bound)
+        defined = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        defined |= {
+            target.id
+            for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Name)
+        }
+        for name in defined:
+            if name.startswith("_") and not name.startswith("__"):
+                assert name in referenced, (path.name, name)
 
 
 def test_dependencies_are_declared():
