@@ -31,8 +31,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .hamiltonian import WeightProfile
-from .trotter import SUZUKI_RANDOM, _check_positive, error_function, gates_per_segment, solve_r
+from .trotter import _check_positive
 
 METHODS = ("qdrift", "trotter")
 
@@ -145,28 +144,18 @@ def trotter_bit_cost(j: int, eps_j: float, L: int, lam_max_rescaled: float) -> f
     return _model_count("trotter", 2.0**j, eps_j, L, lam_max_rescaled)
 
 
-def trotter_bit_cost_exact(j: int, eps_j: float, L: int, lam_max_rescaled: float) -> float:
-    """Per-bit count from the exact segment solver instead of the closed form.
-
-    Solves 2nd-order randomized segments for time t_j = pi 2^j at precision
-    eps_j, then doubles the count for the controlled decomposition.
-    """
-    if j < 1:
-        raise ValueError(f"bit index j must be >= 1, got {j}")
-    t_j = math.pi * 2.0**j
-    # The bound reads only L and lam_max; lam = lam_max is a valid profile for any L.
-    profile = WeightProfile(L, lam_max_rescaled, lam_max_rescaled)
-    r = solve_r(error_function(SUZUKI_RANDOM[1], profile, t_j), eps_j)
-    return 2.0 * gates_per_segment(SUZUKI_RANDOM[1], L) * r
-
-
 def geometric_total(
     method: str, m: int, eps_tot: float, L: int = 1, lam_max_rescaled: float = 1.0
 ) -> float:
     """Exact sum of the per-bit counts over bits 1..m under ``allocate_eps``:
-    C (2 (2^m - 1) s)^a / eps_tot^b."""
+    C (2 (2^m - 1) s)^a / eps_tot^b.  A sum that does not fit in a float
+    raises an OverflowError that names the arguments."""
     _check_method(method)
-    return _model_count(method, 2.0 * (2.0**m - 1.0), eps_tot, L, lam_max_rescaled)
+    with contextlib.suppress(OverflowError):
+        total = _model_count(method, 2.0 * (2.0**m - 1.0), eps_tot, L, lam_max_rescaled)
+        if total < math.inf:
+            return total
+    raise OverflowError(f"geometric total overflows a float (method={method!r}, m={m}, eps_tot={eps_tot})")
 
 
 @dataclass(frozen=True)
@@ -188,17 +177,17 @@ class PEPlan:
     rows: tuple[BitRow, ...]
     total: float
 
-    @property
-    def P_f(self) -> float:
-        return self.p_f + 2.0 * self.eps_tot
-
 
 def _smooth_total(method: str, p_f: float, query: PEQuery) -> float:
     """The model's total at the continuous depth y = (1/p_f + 1) / (4 delta) - 1,
     which is > 0 for every p_f < 1 when 0 < delta <= 1/2."""
     y = (1.0 / p_f + 1.0) / (4.0 * query.delta) - 1.0
     eps_tot = (query.P_f - p_f) / 2.0
-    return _model_count(method, 2.0 * y, eps_tot, query.L, query.lam_max_rescaled)
+    with contextlib.suppress(OverflowError):
+        total = _model_count(method, 2.0 * y, eps_tot, query.L, query.lam_max_rescaled)
+        if total < math.inf:
+            return total
+    raise _budget_overflow(query)
 
 
 @dataclass(frozen=True)
@@ -237,6 +226,7 @@ def optimize_pf(method: str, query: PEQuery) -> PfOptimum:
 
     which tends to a / (a + b) P_f (2/3 and 3/4) as P_f -> 0.  It holds for
     the 0 < delta <= 1/2 of every query, where c >= -1 keeps 1 + c p > 0.
+    A total that does not fit in a float raises ``build_plan``'s OverflowError.
     """
     _check_method(method)
     a, b = _TOTAL_EXPONENTS[method]

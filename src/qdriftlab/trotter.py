@@ -72,9 +72,11 @@ def _smallest_within(
 
     The result is exactly that of the reference search: probe n = 1, then
     2, 4, 8, ... (None once the next power of two exceeds ``limit``), then
-    bisect between the last failing and the first passing power.  ``bound``
-    must be decreasing in n.  ``logs`` says that ``bound`` and ``target``
-    are logarithms, as for the qDRIFT count; otherwise bound values are
+    bisect between the last failing and the first passing power.  ``limit``
+    must be a power of two (``R_MAX`` and ``_N_LIMIT`` are), so the
+    doubling's last probe is ``limit`` itself.  ``bound`` must be
+    decreasing in n.  ``logs`` says that ``bound`` and ``target`` are
+    logarithms, as for the qDRIFT count; otherwise bound values are
     positive, 0 or inf.
 
     Locate: from ``start``, an estimate of the root, a safeguarded secant
@@ -88,17 +90,16 @@ def _smallest_within(
     least as fast as 1/n, so a probe 1e-9 away in n is at least 1e-9 away
     in log bound, while the log-space evaluation carries an error of about
     1e-13.  An exactly monotone bound (a step function) needs no margin.
-    When the bracket is exact (above - below = 1 and above < _MARGIN) every
-    replay decision is forced and the replay is skipped.
+    Below _MARGIN the bracket is exact (above - below = 1), so every replay
+    decision is forced and the replay is skipped.  Past it, n = 1 lies
+    below ``low_cut``, so the replay starts at n = 2.
     """
-    top = max(2, 1 << (limit.bit_length() - 1))
-    below, above = _locate(bound, target, top, start, logs)
+    below, above = _locate(bound, target, limit, start, logs)
     if above is None:
-        # The largest power of two the doubling may probe fails.
+        # ``limit``, the largest power of two the doubling may probe, fails.
         return None
-    if above - below == 1 and above < _MARGIN:
-        # The doubling stops at the first power of two >= above.
-        return above if above <= 2 or 1 << (above - 1).bit_length() <= limit else None
+    if above < _MARGIN:
+        return above
     low_cut, high_cut = below - below // _MARGIN, above + above // _MARGIN
 
     def passes(n: int) -> bool:
@@ -108,8 +109,6 @@ def _smallest_within(
             return False
         return bound(n) <= target
 
-    if passes(1):
-        return 1
     lo, hi = 1, 2
     while not passes(hi):
         lo, hi = hi, hi * 2

@@ -520,6 +520,11 @@ ERROR_TEXT = [
      "error: --pf-points must be >= 1, got 0"),
     ("phase-est --lambda 1.0 --delta-e 1e-3 --pf-min 1e-3 --pf-max 0.1 --pf-points -3",
      "error: --pf-points must be >= 1, got -3"),
+    # Past the grid cap nothing is allocated.
+    ("sweep --L 2 --Lambda 0.5 --lambda 1.0 --t-min 1 --t-max 10 --points 10000000000000 --eps 1e-3",
+     "error: --points must be <= 1000000, got 10000000000000"),
+    ("phase-est --lambda 1.0 --delta-e 1e-3 --pf-min 1e-3 --pf-max 0.1 --pf-points 10000000000000",
+     "error: --pf-points must be <= 1000000, got 10000000000000"),
 ]
 
 

@@ -172,6 +172,11 @@ class TestSmallestWithin:
         else:
             assert n == threshold
 
+    def test_limits_are_powers_of_two(self):
+        # The search's last doubling probe is its limit.
+        for limit in (trotter.R_MAX, trotter._N_LIMIT):
+            assert limit > 1 and limit & (limit - 1) == 0
+
 
 class TestErrorBoundOverflow:
     def test_huge_t_gives_inf(self):

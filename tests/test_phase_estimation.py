@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from oracles import log_bit_counts, log_sum, reference_doubling_search, reference_optimize_pf
 from qdriftlab import phase_estimation as pe
-from qdriftlab.trotter import R_MAX, suzuki_error
+from qdriftlab.hamiltonian import WeightProfile
+from qdriftlab.trotter import R_MAX, SUZUKI_RANDOM, CostQuery, gate_count, suzuki_error
 
 
 class TestBitsM:
@@ -122,7 +123,7 @@ class TestBitCosts:
         for j in (10, 14):
             eps_j = 1e-3
             closed = pe.trotter_bit_cost(j, eps_j, 3, 0.25)
-            solved = pe.trotter_bit_cost_exact(j, eps_j, 3, 0.25)
+            solved = 2 * solved_bit_report(j, eps_j, 3, 0.25).gates
             assert 0.3 < solved / closed < 3.0
 
     @pytest.mark.parametrize("L,lam_a", [(1, 0.5), (3, 0.25), (40, 0.01), (1000, 0.001)])
@@ -135,7 +136,17 @@ class TestBitCosts:
                 r = reference_doubling_search(
                     lambda r: suzuki_error(1, L, lam_a, t_j, r, "random"), eps_j, R_MAX
                 )
-                assert pe.trotter_bit_cost_exact(j, eps_j, L, lam_a) == 2.0 * 2 * L * r
+                report = solved_bit_report(j, eps_j, L, lam_a)
+                assert report.r == r
+                assert report.gates == 2 * L * r
+
+
+def solved_bit_report(j, eps_j, L, lam_max_rescaled):
+    """Bit j's 2nd-order randomized segments from the segment solver, at t_j = pi 2^j;
+    the controlled power costs twice its gates.  The bound reads only L and
+    lam_max, and lam = lam_max is a valid profile for any L."""
+    profile = WeightProfile(L, lam_max_rescaled, lam_max_rescaled)
+    return gate_count(SUZUKI_RANDOM[1], CostQuery(profile, math.pi * 2.0**j, eps_j))
 
 
 def query_at(P_f, delta, L=1, lam_max_rescaled=1.0):
@@ -318,9 +329,7 @@ class TestPlan:
     def test_exact_solver_plan(self):
         q = pe.PEQuery(lam=1.0, delta_E=1e-3, P_f=0.05, L=3, lam_max=1.0)
         closed = pe.build_plan("trotter", q)
-        exact = math.fsum(
-            pe.trotter_bit_cost_exact(r.j, r.eps_j, q.L, q.lam_max_rescaled) for r in closed.rows
-        )
+        exact = sum(2 * solved_bit_report(r.j, r.eps_j, q.L, q.lam_max_rescaled).gates for r in closed.rows)
         assert 0.2 < exact / closed.total < 5.0
 
     @pytest.mark.parametrize(
@@ -332,17 +341,29 @@ class TestPlan:
             # The product under the root rounds to inf, and so does the total,
             # about 1.2e402 in log space.
             (("trotter",), pe.PEQuery(lam=1.0, delta_E=1e-200, P_f=0.5, lam_max=1e66)),
+            # The continuous depth rounds to inf.
+            (pe.METHODS, pe.PEQuery(lam=1.0, delta_E=1e-308, P_f=0.5)),
+            (pe.METHODS, pe.PEQuery(lam=1.0, delta_E=1e-300, P_f=0.5)),
         ],
-        ids=["tiny-delta-e", "huge-lambda", "infinite-product"],
+        ids=["tiny-delta-e", "huge-lambda", "infinite-product", "infinite-depth", "delta-e-1e-300"],
     )
     def test_budget_overflow_names_the_query(self, methods, query):
         message = (
             f"phase-estimation budget overflows a float (delta_E={query.delta_E}, P_f={query.P_f})"
         )
         for method in methods:
-            with pytest.raises(OverflowError) as excinfo:
-                pe.build_plan(method, query)
-            assert str(excinfo.value) == message
+            for plan in (pe.build_plan, pe.optimize_pf):
+                with pytest.raises(OverflowError) as excinfo:
+                    plan(method, query)
+                assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("m, eps_tot", [(600, 1e-300), (2000, 1e-3)], ids=["infinite-sum", "huge-m"])
+    def test_geometric_total_overflow_names_its_arguments(self, m, eps_tot):
+        with pytest.raises(OverflowError) as excinfo:
+            pe.geometric_total("qdrift", m, eps_tot)
+        assert str(excinfo.value) == (
+            f"geometric total overflows a float (method='qdrift', m={m}, eps_tot={eps_tot})"
+        )
 
     @pytest.mark.parametrize(
         "query",

@@ -107,6 +107,9 @@ def test_every_public_name_resolves():
         (trotter, "_qdrift_exceeds"),
         (cli, "_cost_reports"),
         (cli, "_method_sequence"),
+        # trotter.gate_count is the one path from a product-formula bound to a count.
+        (phase_estimation, "trotter_bit_cost_exact"),
+        (phase_estimation.build_plan("qdrift", phase_estimation.PEQuery(1.0, 1e-4, 0.05)), "P_f"),
     ],
 )
 def test_removed_names_stay_removed(owner, name):
@@ -147,6 +150,21 @@ def test_counts_and_bounds_live_in_trotter():
     )
     for name in moved:
         assert name not in defined and hasattr(trotter, name), name
+
+
+def test_segment_solver_is_assembled_only_in_trotter():
+    # Other modules ask trotter.gate_count for a count; none builds the solve
+    # from its parts, and phase_estimation needs no Hamiltonian type.
+    for path in SRC.glob("*.py"):
+        if path.stem == "trotter":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                assert name not in ("solve_r", "error_function"), (path.name, node.lineno)
+    imported = [path for path in imported_paths(SRC / "phase_estimation.py") if path.startswith("qdriftlab")]
+    assert imported == ["qdriftlab.trotter._check_positive"]
 
 
 def test_no_unused_imports_or_private_names():
