@@ -130,13 +130,26 @@ class Circuit:
     Gate indices are stored in the narrowest unsigned dtype that holds
     every term index of ``source`` (uint16 for up to 65536 terms, else
     uint32), so a circuit costs 2 or 4 bytes per gate.  ``term_indices``
-    returns an int64 copy.
+    returns an int64 copy.  The indices must form a 1-d integer array with
+    every entry in [0, source.L); anything else raises ValueError.
     """
 
     __slots__ = ("_indices", "tau", "meta", "source")
 
     def __init__(self, term_indices: np.ndarray, tau: float, meta: CircuitMeta, source: Hamiltonian):
-        self._indices = np.asarray(term_indices, dtype=_index_dtype(source.L))
+        indices = np.asarray(term_indices)
+        if indices.ndim != 1 or not np.issubdtype(indices.dtype, np.integer):
+            raise ValueError(
+                f"term_indices must be a 1-d integer array, got shape {indices.shape} "
+                f"and dtype {indices.dtype}"
+            )
+        if indices.size and (indices.min() < 0 or indices.max() >= source.L):
+            gate = int(np.flatnonzero((indices < 0) | (indices >= source.L))[0])
+            raise ValueError(
+                f"term index {indices[gate]} at gate {gate} is out of range "
+                f"for a {source.L}-term Hamiltonian"
+            )
+        self._indices = np.asarray(indices, dtype=_index_dtype(source.L))
         self.tau = tau
         self.meta = meta
         self.source = source
@@ -155,26 +168,31 @@ class Circuit:
             self.meta == other.meta
             and self.tau == other.tau
             and np.array_equal(self._indices, other._indices)
+            and self.source == other.source
         )
 
     def iter_text(self) -> Iterator[str]:
         """Yield the ``qdrift-circ v1`` text in pieces: the header, then one piece per 2**16 gates.
 
-        Each term's gate line is formatted once into a table, and a piece
-        is the join of table lookups, so memory beyond the index array
-        stays bounded whatever N is.
+        The gate line of each term the circuit draws is formatted once into
+        an object array indexed by term; the slots of terms never drawn stay
+        ``None``.  A piece is the join of one gather from that table, so no
+        Python int is made per gate.  Memory beyond the index array is L
+        pointers, the lines of the drawn terms and one piece of text.
         """
         tau_text = format(self.tau, ".17g")
         yield f"# qdrift-circ v1\n# seed={self.meta.seed}\n# N={self.meta.N}\n# tau={tau_text}\n"
         op = "CROT" if self.meta.controlled else "ROT"
         h = self.source
-        table = [
-            f"{op} {j} {'+' if c > 0 else '-'}{word} {tau_text}\n"
-            for j, (c, word) in enumerate(zip(h.coefficients.tolist(), h.words))
+        drawn = np.flatnonzero(np.bincount(self._indices, minlength=h.L))
+        words = h.words
+        table = np.empty(h.L, dtype=object)
+        table[drawn] = [
+            f"{op} {j} {'+' if c > 0 else '-'}{words[j]} {tau_text}\n"
+            for j, c in zip(drawn.tolist(), h.coefficients[drawn].tolist())
         ]
-        line = table.__getitem__
         for start in range(0, self._indices.size, _CHUNK):
-            yield "".join(map(line, self._indices[start : start + _CHUNK].tolist()))
+            yield "".join(table[self._indices[start : start + _CHUNK]].tolist())
 
     def to_text(self) -> str:
         """Serialize as ``qdrift-circ v1``: header comments then one gate per line."""

@@ -14,6 +14,7 @@ from oracles import (
     max_search_evaluations,
     reference_doubling_search,
     reference_segment_error_bound,
+    scrambled_hamiltonian,
 )
 from qdriftlab import compiler, trotter
 from qdriftlab.compiler import (
@@ -282,6 +283,12 @@ class TestCompile:
         cb = compile_circuit(b, 1.0, 1e-2, seed=5)
         assert ca == cb
         assert ca.to_text() == cb.to_text()
+        # Equal weights draw equal gates, but other words or signs are another circuit.
+        cc = compile_circuit(Hamiltonian([(0.6, "ZZ"), (0.4, "XI")]), 1, 1e-3, 7)
+        cd = compile_circuit(Hamiltonian([(0.6, "XX"), (-0.4, "YI")]), 1, 1e-3, 7)
+        assert np.array_equal(cc.term_indices, cd.term_indices)
+        assert cc != cd
+        assert cc.to_text() != cd.to_text()
 
     def test_different_seeds_differ(self, two_term_1q):
         a = compile_circuit(two_term_1q, 1.0, 1e-3, seed=1)
@@ -320,6 +327,23 @@ class TestCompile:
             compile_circuit(two_term_1q, 1.0, 1e-3, seed=2**64)
         with pytest.raises(ValueError):
             compile_circuit(two_term_1q, 1.0, 1e-3, seed=1, mode="other")
+
+    @pytest.mark.parametrize(
+        "indices, message",
+        [
+            (np.array([70000, 3]), "term index 70000 at gate 0 is out of range for a 5000-term"),
+            (np.array([3, -1]), "term index -1 at gate 1 is out of range"),
+            (np.array([0, 4999, 5000]), "term index 5000 at gate 2 is out of range"),
+            (np.array([[0, 1]]), "1-d integer array, got shape \\(1, 2\\)"),
+            (np.array([0.0, 1.0]), "1-d integer array, got shape \\(2,\\) and dtype float64"),
+        ],
+        ids=["past-uint16", "negative", "one-past-end", "2-d", "float"],
+    )
+    def test_circuit_rejects_bad_term_indices(self, indices, message):
+        h = scrambled_hamiltonian(5000, 7, key=3)
+        meta = compiler.CircuitMeta(seed=0, N=indices.size, t=1.0, eps=0.1, lam=h.lam, mode="exact")
+        with pytest.raises(ValueError, match=message):
+            compiler.Circuit(indices, 0.1, meta, h)
 
     def test_bad_arguments_fail_in_order_before_sorting(self, two_term_1q):
         cases = [

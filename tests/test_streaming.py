@@ -1,11 +1,14 @@
 """The streamed compile path against its one-line-per-gate and unchunked oracles."""
 
+import gc
+import tracemalloc
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_hamiltonian
-from oracles import reference_circuit_text, reference_sample_many
+from oracles import reference_circuit_text, reference_sample_many, scrambled_hamiltonian
 from qdriftlab.cli import EXIT_OK, main
 from qdriftlab.compiler import AliasSampler, compile_circuit, rng_from_seed
 
@@ -33,13 +36,38 @@ def _compile_near(h, n_target, seed, controlled):
     n_target=near_block,
     seed=seeds,
     controlled=st.booleans(),
+    wide=st.none(),
 )
-def test_to_text_equals_per_gate_serializer(ham_seed, n_target, seed, controlled):
-    rng = np.random.Generator(np.random.Philox(key=ham_seed))
-    h = random_hamiltonian(rng, int(rng.integers(1, 4)))
+# wide = (L, qubits) of a scrambled Hamiltonian.  3e4 gates leave 62% of
+# 6e4 terms undrawn; past 2**16 terms the indices are uint32.
+@example(ham_seed=5, n_target=30_000, seed=11, controlled=False, wide=(60_000, 16))
+@example(ham_seed=6, n_target=40, seed=12, controlled=True, wide=(70_000, 10))
+def test_to_text_equals_per_gate_serializer(ham_seed, n_target, seed, controlled, wide):
+    if wide is None:
+        rng = np.random.Generator(np.random.Philox(key=ham_seed))
+        h = random_hamiltonian(rng, int(rng.integers(1, 4)))
+    else:
+        h = scrambled_hamiltonian(*wide, key=ham_seed)
     circuit = _compile_near(h, n_target, seed, controlled)
     assert abs(len(circuit) - n_target) <= 1
+    assert circuit._indices.dtype == (np.uint16 if h.L <= CHUNK else np.uint32)
     assert circuit.to_text() == reference_circuit_text(circuit)
+
+
+def test_to_text_peak_memory_follows_drawn_terms():
+    # The line table holds 1e5 pointers (0.8 MB) and the lines of the ~100
+    # drawn terms.  Formatting a line for every term peaked at about 15 MB.
+    h = scrambled_hamiltonian(100_000, 30, key=41)
+    circuit = _compile_near(h, 100, seed=7, controlled=False)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        text = circuit.to_text()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(len(circuit) - 100) <= 1 and text.count("\n") == 4 + len(circuit)
+    assert peak < 2_000_000
 
 
 @settings(max_examples=6, deadline=None)
