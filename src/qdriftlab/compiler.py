@@ -62,11 +62,13 @@ class AliasSampler:
             raise ValueError("weights must be finite and > 0")
         self._p = w / math.fsum(w.tolist())
         n = w.size
+        scaled = self._p * n
+        below = scaled < 1.0
+        small = np.flatnonzero(below).tolist()
+        large = np.flatnonzero(~below).tolist()
         # The loop runs on Python floats, which round exactly as numpy
         # float64 scalars do but index far faster.
-        scaled = (self._p * n).tolist()
-        small = [i for i, x in enumerate(scaled) if x < 1.0]
-        large = [i for i, x in enumerate(scaled) if x >= 1.0]
+        scaled = scaled.tolist()
         prob = [1.0] * n
         alias = list(range(n))
         while small and large:
@@ -91,9 +93,6 @@ class AliasSampler:
     @property
     def size(self) -> int:
         return self._p.size
-
-    def sample(self, rng: np.random.Generator) -> int:
-        return int(self.sample_many(rng, 1)[0])
 
     def sample_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Draw ``count`` indices, one uniform each, in the narrowest unsigned dtype.
@@ -129,9 +128,11 @@ class Circuit:
 
     Gate indices are stored in the narrowest unsigned dtype that holds
     every term index of ``source`` (uint16 for up to 65536 terms, else
-    uint32), so a circuit costs 2 or 4 bytes per gate.  ``term_indices``
-    returns an int64 copy.  The indices must form a 1-d integer array with
-    every entry in [0, source.L); anything else raises ValueError.
+    uint32), so a circuit costs 2 or 4 bytes per gate.  They are stored
+    read-only, and copied unless the given array is read-only, owns its
+    data and already has that dtype.  ``term_indices`` returns an int64
+    copy.  The indices must form a 1-d integer array of ``meta.N`` entries,
+    each in [0, source.L); anything else raises ValueError.
     """
 
     __slots__ = ("_indices", "tau", "meta", "source")
@@ -149,7 +150,13 @@ class Circuit:
                 f"term index {indices[gate]} at gate {gate} is out of range "
                 f"for a {source.L}-term Hamiltonian"
             )
-        self._indices = np.asarray(indices, dtype=_index_dtype(source.L))
+        if indices.size != meta.N:
+            raise ValueError(f"meta.N={meta.N} but {indices.size} term indices were given")
+        dtype = _index_dtype(source.L)
+        if indices.flags.writeable or not indices.flags.owndata or indices.dtype != dtype:
+            indices = indices.astype(dtype)
+            indices.flags.writeable = False
+        self._indices = indices
         self.tau = tau
         self.meta = meta
         self.source = source
@@ -174,17 +181,21 @@ class Circuit:
     def iter_text(self) -> Iterator[str]:
         """Yield the ``qdrift-circ v1`` text in pieces: the header, then one piece per 2**16 gates.
 
-        The gate line of each term the circuit draws is formatted once into
-        an object array indexed by term; the slots of terms never drawn stay
-        ``None``.  A piece is the join of one gather from that table, so no
-        Python int is made per gate.  Memory beyond the index array is L
+        The drawn terms are counted one 2**16-gate block at a time.  The
+        gate line of each of them is formatted once into an object array
+        indexed by term; the slots of terms never drawn stay ``None``.  A
+        piece is the join of one gather from that table, so no Python int is
+        made per gate.  Memory beyond the index array is L counts, L
         pointers, the lines of the drawn terms and one piece of text.
         """
         tau_text = format(self.tau, ".17g")
         yield f"# qdrift-circ v1\n# seed={self.meta.seed}\n# N={self.meta.N}\n# tau={tau_text}\n"
         op = "CROT" if self.meta.controlled else "ROT"
         h = self.source
-        drawn = np.flatnonzero(np.bincount(self._indices, minlength=h.L))
+        counts = np.zeros(h.L, dtype=np.intp)
+        for start in range(0, self._indices.size, _CHUNK):
+            np.add.at(counts, self._indices[start : start + _CHUNK], 1)
+        drawn = np.flatnonzero(counts)
         words = h.words
         table = np.empty(h.L, dtype=object)
         table[drawn] = [
@@ -230,6 +241,7 @@ def compile_circuit(
         )
     tau = h.lam * t / n
     indices = AliasSampler(h.weights).sample_many(rng, n)
+    indices.flags.writeable = False
     meta = CircuitMeta(seed=int(seed), N=n, t=t, eps=eps, lam=h.lam, mode=mode, controlled=controlled)
     return Circuit(indices, tau, meta, h)
 

@@ -15,9 +15,10 @@ length over {I, X, Y, Z}.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, NamedTuple, NoReturn
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -27,9 +28,7 @@ PAULI_AXES = "IXYZ"
 # (e.g. 0.1 + 0.1 + 0.1 rounds above 0.3).
 _AGG_RTOL = 1e-12
 
-# hamtxt lines split per block; a block's field lists are freed before the
-# next block is split.
-_BLOCK_LINES = 4096
+_BLOCK_LINES = 4096  # hamtxt lines split and checked at a time
 _DELETE_PAULI = str.maketrans("", "", PAULI_AXES)
 
 
@@ -91,14 +90,6 @@ def _checked_columns(entries: Iterable[tuple[float, str]]) -> _Columns:
             merged[word] = coeff
     coeffs = np.fromiter(merged.values(), dtype=float, count=len(merged))
     return _Columns(n_qubits, list(merged), coeffs)
-
-
-def _merged_columns(n_qubits: int, words: list[str], coeffs: np.ndarray) -> _Columns:
-    """Columns with each repeated word's coefficients summed in first-seen order."""
-    # A dict of the words takes about half the memory of a set of them.
-    if len(dict.fromkeys(words)) == len(words):
-        return _Columns(n_qubits, words, coeffs)
-    return _checked_columns(zip(coeffs.tolist(), words))
 
 
 @dataclass(frozen=True)
@@ -324,82 +315,91 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
 
     Raises HamiltonianParseError (with line number) on malformed
     coefficients, bad Pauli characters, inconsistent word lengths, or an
-    empty term list.
-
-    Lines are split and checked in blocks of ``_BLOCK_LINES``, so only one
-    block's field lists are alive at a time.  A block that fails a check
-    sends the whole text through `_raise_first_bad_line`, which reports
-    the first bad line.
+    empty term list.  ASCII text is split a block of ``_BLOCK_LINES`` lines
+    at a time; other text, text holding a control character besides tab,
+    newline and ``\\r\\n``, and text with a bad line are parsed line by line.
     """
-    # Reversed, so each block is cut from the end of the list in O(block).
-    lines = text.splitlines()
-    lines.reverse()
-    words: list[str] = []
-    blocks: list[np.ndarray] = []
-    identity = None
-    while lines:
-        rows = [line.partition("#")[0].split() for line in lines[: -_BLOCK_LINES - 1 : -1]]
-        del lines[-_BLOCK_LINES:]
-        rows = list(filter(None, rows))
-        if not rows:
-            continue
-        if {*map(len, rows)} != {2}:
-            _raise_first_bad_line(text)
-        coeff_texts, block_words = zip(*rows)
-        del rows
-        if identity is None:
-            identity = "I" * len(block_words[0])
-        try:
-            coeffs = np.fromiter(map(float, coeff_texts), dtype=float, count=len(coeff_texts))
-        except ValueError:
-            coeffs = None
-        if (
-            coeffs is None
-            or not np.isfinite(coeffs).all()
-            or "".join(block_words).translate(_DELETE_PAULI)
-            or {*map(len, block_words)} != {len(identity)}
-            or identity in block_words
-        ):
-            _raise_first_bad_line(text)
-        blocks.append(coeffs)
-        words.extend(block_words)
-    if not words:
-        raise HamiltonianParseError("no Hamiltonian terms found")
+    columns = (_parse_blocks(text) if text.isascii() else None) or _parse_lines(text)
     try:
-        return Hamiltonian(_merged_columns(len(identity), words, np.concatenate(blocks)))
+        return Hamiltonian(columns)
     except HamiltonianError as exc:
         raise HamiltonianParseError(str(exc)) from exc
 
 
-def _raise_first_bad_line(text: str) -> NoReturn:
-    """Raise the HamiltonianParseError of the first bad line of ``text``."""
-    word_len = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+def _parse_blocks(text: str) -> _Columns | None:
+    """Columns of ASCII ``text``; None if a block fails a check or no term is found."""
+    words, blocks, identity = [], [], None
+    if "\r" in text:  # str.splitlines reads \r\n as one break, like \n
+        text = text.replace("\r\n", "\n")
+    for match in re.finditer(rf"(?:.*\n){{,{_BLOCK_LINES - 1}}}(?:.*\n|.+)", text):
+        block = re.sub(r"#[\t -\x7f]*", "", match[0]) if "#" in match[0] else match[0]
+        data = np.frombuffer(block.encode("ascii"), np.uint8)
+        breaks = np.flatnonzero(data == 10)
+        # str.split and str.splitlines disagree on \r \v \f \x1c-\x1f; a comment stops at them.
+        if np.count_nonzero(data < 32) != breaks.size + np.count_nonzero(data == 9):
+            return None
+        tokens = block.split()
+        if not tokens:
             continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise HamiltonianParseError(
-                f"expected '<coefficient> <pauli-word>', got {raw.strip()!r}", line_no
-            )
-        coeff_text, word = fields
+        # A token starts after a space, tab or newline (the only bytes <= 32
+        # left) or at 0; each line with a token must hold a coefficient and a word.
+        space = np.concatenate(([True], data <= 32))
+        line = breaks.searchsorted(np.flatnonzero(space[:-1] > space[1:]))
+        if len(tokens) % 2 or (line[::2] != line[1::2]).any() or (line[2::2] == line[1:-1:2]).any():
+            return None
+        block_words = tokens[1::2]
+        identity = identity or "I" * len(block_words[0])
+        try:
+            coeffs = np.fromiter(map(float, tokens[::2]), dtype=float, count=len(block_words))
+        except ValueError:
+            return None
+        del tokens, space, line  # freed before the next split and the final merge
+        if (
+            not np.isfinite(coeffs).all()
+            or "".join(block_words).translate(_DELETE_PAULI)
+            or {*map(len, block_words)} != {len(identity)}
+            or identity in block_words
+        ):
+            return None
+        blocks.append(coeffs)
+        words.extend(block_words)
+    if not words:
+        return None
+    # A dict of the words takes about half the memory of a set of them.
+    if len(dict.fromkeys(words)) < len(words):
+        return _checked_columns(zip(np.concatenate(blocks).tolist(), words))
+    return _Columns(len(identity), words, np.concatenate(blocks))
+
+
+def _parse_lines(text: str) -> _Columns:
+    """Columns of ``text`` parsed line by line; raises the error of its first bad line."""
+    entries, word_len = [], None
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
+            continue
+        coeff_text, word = fields[0], fields[-1]
         try:
             coeff = float(coeff_text)
         except ValueError:
-            raise HamiltonianParseError(f"malformed coefficient {coeff_text!r}", line_no) from None
-        if not math.isfinite(coeff):
-            raise HamiltonianParseError(f"non-finite coefficient {coeff_text!r}", line_no)
-        if word.strip(PAULI_AXES):
-            raise HamiltonianParseError(f"characters outside {{I,X,Y,Z}} in {word!r}", line_no)
-        if word_len is None:
-            word_len = len(word)
+            coeff = None
+        word_len = word_len or len(word)
+        if len(fields) != 2:
+            error = f"expected '<coefficient> <pauli-word>', got {raw.strip()!r}"
+        elif coeff is None:
+            error = f"malformed coefficient {coeff_text!r}"
+        elif not math.isfinite(coeff):
+            error = f"non-finite coefficient {coeff_text!r}"
+        elif word.strip(PAULI_AXES):
+            error = f"characters outside {{I,X,Y,Z}} in {word!r}"
         elif len(word) != word_len:
-            raise HamiltonianParseError(
-                f"word {word!r} has length {len(word)}, expected {word_len}", line_no
-            )
-        if not word.strip("I"):
-            raise HamiltonianParseError(
-                "all-identity term is not allowed (it only shifts energy)", line_no
-            )
-    raise AssertionError("a hamtxt block failed a check that no line fails")
+            error = f"word {word!r} has length {len(word)}, expected {word_len}"
+        elif not word.strip("I"):
+            error = "all-identity term is not allowed (it only shifts energy)"
+        else:
+            entries.append((coeff, word))
+            continue
+        raise HamiltonianParseError(error, line_no)
+    if not entries:
+        raise HamiltonianParseError("no Hamiltonian terms found")
+    return _checked_columns(entries)

@@ -146,12 +146,31 @@ term_lines = st.builds(
 other_lines = st.sampled_from(["", "   ", "# hamtxt v1", "#", "0.5\tXI  "])
 BAD_LINES = ["x.y ZZ", "nan ZZ", "inf XI", "-inf XI", "1.0 II", "1.0 ZA", "1.0 ZZZ", "1.0 zz",
              "0.5 ZZ XX", "ZZ"]
-bad_lines = st.sampled_from(BAD_LINES)
+# Layouts whose token stream alone alternates coefficient and word.
+SPLIT_TERMS = ["1.0 ZZ 0.5\nXX", "0.5\nZZ", "1.0 ZZ 0.5 XX"]
+bad_lines = st.sampled_from(BAD_LINES + SPLIT_TERMS)
+# Characters that str.split and str.splitlines treat differently (\r, \v,
+# \f, \x1c-\x1f, \x85, U+2028) or that only str.split takes as a space
+# (U+00A0): between fields, and at a line end after an optional comment
+# and before an optional term, which str.splitlines puts on a line of its
+# own.  Coefficients may be written in non-ASCII digits.
+ODD_SPACES = ["\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028"]
+odd_lines = st.builds(
+    lambda coeff, space, word, note, end, rest: f"{coeff}{space}{word}{note}{end}{rest}",
+    st.one_of(*[coefficients.map(repr)] * 3, st.sampled_from(["\u0661.\u0665", "-\uff13", "\u0662"])),
+    st.sampled_from([" ", "\t"] + ODD_SPACES),
+    st.sampled_from(WORDS),
+    st.sampled_from(["", " #", " # 1.0 XX", "\t# caf\xe9"]),
+    st.sampled_from(ODD_SPACES),
+    st.one_of(st.just(""), term_lines),
+)
 documents = st.builds(
-    lambda good, bad, position: "\n".join(_insert(good, bad, position)),
+    lambda good, bad, position, odd: "\n".join(_insert(_insert(good, bad, position), odd, position // 2)),
     st.lists(st.one_of(term_lines, term_lines, term_lines, other_lines), max_size=14),
     st.lists(bad_lines, max_size=2),
     st.integers(min_value=0, max_value=14),
+    # Most documents hold no odd line, so most valid ones take the block path.
+    st.one_of(st.just([]), st.just([]), st.lists(odd_lines, min_size=1, max_size=2)),
 )
 
 
@@ -216,9 +235,30 @@ def test_long_documents_match_reference_parser(quiet):
     assert_same_outcome(parse_hamiltonian, reference_parse_hamiltonian, "#\n\n" * _BLOCK_LINES)
 
 
+@pytest.mark.parametrize(
+    "text", ["1.0 XX #\r0.5 ZZ", "1.0 XX # c\x0c0.5 ZZ\n", "1.0 XX\t#\x1e-2.0 ZI", "0.5 XX # \x0b1.0"]
+)
+def test_a_line_break_inside_a_comment_ends_it_as_in_the_reference(text):
+    # str.splitlines ends the comment at the \r, \f, \x1e or \v and starts a line.
+    assert_same_outcome(parse_hamiltonian, reference_parse_hamiltonian, text)
+
+
+@pytest.mark.parametrize("make_text", [
+    wide_hamtxt,
+    lambda: scrambled_hamiltonian(3000, 12, key=5).serialize(),
+    lambda: "\t0.5 ZZ  # note\n\n-1.0\tXI\n#\n  0.25 IY",
+    lambda: wide_hamtxt().replace("\n", "\r\n"),
+], ids=["wide", "serialized", "tabs-and-comments", "windows-line-ends"])
+def test_valid_ascii_documents_take_the_block_path(make_text):
+    text = make_text()
+    with mock.patch.object(hamiltonian, "_parse_lines", side_effect=AssertionError("line path")):
+        h = parse_hamiltonian(text)
+    assert_same_hamiltonian(h, reference_parse_hamiltonian(text))
+
+
 def test_parse_peak_memory_stays_within_a_few_text_sizes():
-    # Only one block's field lists are alive at a time.  On this document
-    # the peak is about 3.2 times the text; one block of every line reads
+    # Only one block's tokens are alive at a time.  On this document the
+    # peak is about 3.0 times the text; one block of every line reads
     # about 8.3 times, and the per-line loop the blocks replaced 5.4.
     text = scrambled_hamiltonian(30_000, 30, key=31).serialize()
     gc.collect()

@@ -221,7 +221,7 @@ class TestAliasSampler:
     def test_single_term_always_zero(self):
         sampler = AliasSampler([2.5])
         rng = rng_from_seed(3)
-        assert all(sampler.sample(rng) == 0 for _ in range(50))
+        assert all(sampler.sample_many(rng, 1)[0] == 0 for _ in range(50))
 
     def test_uniform_frequencies_at_seed_42(self):
         sampler = AliasSampler([1.0, 1.0, 1.0, 1.0])
@@ -241,7 +241,7 @@ class TestAliasSampler:
             assert abs(counts[j] / m - p) <= 5 * sigma
 
     def test_sample_uses_hamiltonian_weights(self, two_term_1q):
-        j = AliasSampler(two_term_1q.weights).sample(rng_from_seed(0))
+        j = AliasSampler(two_term_1q.weights).sample_many(rng_from_seed(0), 1)[0]
         assert j in (0, 1)
 
     def test_rejects_bad_weights(self):
@@ -344,6 +344,35 @@ class TestCompile:
         meta = compiler.CircuitMeta(seed=0, N=indices.size, t=1.0, eps=0.1, lam=h.lam, mode="exact")
         with pytest.raises(ValueError, match=message):
             compiler.Circuit(indices, 0.1, meta, h)
+
+    def test_circuit_rejects_a_count_other_than_meta_n(self, two_term_1q):
+        meta = compiler.CircuitMeta(seed=0, N=5, t=1.0, eps=0.1, lam=two_term_1q.lam, mode="exact")
+        with pytest.raises(ValueError, match="meta.N=5 but 3 term indices"):
+            compiler.Circuit(np.zeros(3, dtype=np.int64), 1.0, meta, two_term_1q)
+
+    def test_circuit_keeps_its_indices_from_later_writes(self, two_term_1q):
+        meta = compiler.CircuitMeta(seed=0, N=2, t=1.0, eps=0.1, lam=two_term_1q.lam, mode="exact")
+        given = np.array([0, 1], dtype=np.uint16)
+        circuit = compiler.Circuit(given, 0.5, meta, two_term_1q)
+        text = circuit.to_text()
+        given[0] = 7
+        assert circuit.term_indices.tolist() == [0, 1]
+        assert circuit.to_text() == text
+        with pytest.raises(ValueError):
+            circuit._indices[0] = 1
+
+    def test_compile_hands_over_its_indices_without_a_copy(self, three_term_2q):
+        drawn = []
+        sample_many = AliasSampler.sample_many
+
+        def record(self, rng, count):
+            drawn.append(sample_many(self, rng, count))
+            return drawn[-1]
+
+        with mock.patch.object(AliasSampler, "sample_many", record):
+            circuit = compile_circuit(three_term_2q, 1.0, 0.3, seed=8, mode="approx")
+        assert circuit._indices is drawn[0]
+        assert not circuit._indices.flags.writeable
 
     def test_bad_arguments_fail_in_order_before_sorting(self, two_term_1q):
         cases = [

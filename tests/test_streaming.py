@@ -70,6 +70,24 @@ def test_to_text_peak_memory_follows_drawn_terms():
     assert peak < 2_000_000
 
 
+def test_streamed_text_peak_memory_does_not_grow_with_gates():
+    # 2e6 gates over 2,000 terms: the drawn terms are counted one 2^16-gate
+    # block at a time, so the peak is one block of text (about 2.9 MB) plus
+    # the line table.  Counting the whole index array at once made an int64
+    # copy of it (16 MB).
+    h = scrambled_hamiltonian(2000, 12, key=43)
+    circuit = _compile_near(h, 2_000_000, seed=11, controlled=False)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        size = sum(map(len, circuit.iter_text()))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(len(circuit) - 2_000_000) <= 1 and size > 40 * len(circuit)
+    assert peak < 6_000_000
+
+
 @settings(max_examples=6, deadline=None)
 @given(
     ham_seed=st.integers(min_value=0, max_value=2**32 - 1),
