@@ -23,6 +23,12 @@ Validity.  A mixed-unitary map is trace preserving iff
 sum_k p_k U_k^dag U_k = I, and its Choi state's nonzero spectrum is that of
 R diag(p) R^dag for the R factor of its Kraus columns.
 
+Composition.  ``composition_check`` applies the N-fold step in XOR
+coordinates sigma[x, u] = rho[u, u ^ x], with bit masks whose most
+significant bit is a word's first letter.  There the step's Pauli-conjugation
+sum is block diagonal: d real d x d blocks (d^3 numbers), built once per
+check, so a step costs two gathers and two small products for any L.
+
 ``verify`` runs exactly the three public checks: ``verify_bound`` (one
 eigendecomposition of H for all rows), ``validity_check`` (closed-form
 gates only) and ``composition_check`` (one eigendecomposition of H).
@@ -223,6 +229,23 @@ def _random_pure_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
+def _mixing_blocks(paulis: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """The d real d x d blocks M_x[u, u'] = sum_k scale_k (-1)^{z_k . x} [u ^ u' = x_k].
+
+    Row u of S_k holds its one entry phi_k(u) in column u ^ x_k, and
+    phi_k(0) conj(phi_k(x)) = (-1)^{z_k . x}, so both masks are read off the
+    signed Pauli stack.
+    """
+    count, dim, _ = paulis.shape
+    u = np.arange(dim)
+    flips = np.argmax(np.abs(paulis[:, 0]), axis=1)
+    phases = paulis[np.arange(count)[:, None], u, u ^ flips[:, None]]
+    signs = (phases[:, :1] * phases.conj()).real
+    by_flip = np.zeros((dim, dim))  # by_flip[m, x]: the terms with x_k = m
+    np.add.at(by_flip, flips, scale[:, None] * signs)
+    return by_flip.T[:, u[:, None] ^ u]
+
+
 def composition_check(
     h: Hamiltonian, t: float, n: int, trials: int = 20, seed: int = 1234
 ) -> list[CompositionTrial]:
@@ -236,12 +259,19 @@ def composition_check(
     once, in d x d form: with U_k = c I + i s S_k (c = cos tau, s = sin tau,
     S_k the signed Pauli) and A = sum_k p_k S_k,
 
-        sum_k p_k U_k rho U_k^dag = c^2 rho + i c s [A, rho] + s^2 sum_k p_k S_k rho S_k.
+        sum_k p_k U_k rho U_k^dag = K rho + (K rho)^dag + s^2 sum_k p_k S_k rho S_k,
 
-    A Pauli word has one nonzero per row, S_k[i, pi(i)] = phi_i, and is
-    Hermitian with pi an involution, so (S_k rho S_k)[i, j] is
-    phi_i conj(phi_j) rho[pi(i), pi(j)]: a gather, not a product.  The
-    states come from the generator in the order psi_0, phi_0, psi_1, ...
+    where K = (c^2 / 2) I + i c s A.  The last sum is taken in XOR
+    coordinates sigma[x, u] = rho[u, u ^ x].  Let x_k mask word k's X and Y
+    letters and z_k its Y and Z letters, the first letter as the most
+    significant bit.  Then (S_k rho S_k)[u, w] is
+    (-1)^{z_k . (u ^ w)} rho[u ^ x_k, w ^ x_k], so the sum maps each row
+    sigma[x] by one real d x d block,
+    M_x[u, u'] = s^2 sum_k p_k (-1)^{z_k . x} [u ^ u' = x_k].  The d blocks
+    are built once; a step is one gather into sigma, one batched real
+    product of the blocks with the states' real and imaginary parts, one
+    gather back and the product K rho, whatever L.  The states come from
+    the generator in the order psi_0, phi_0, psi_1, ...
     """
     _check_qubits(h.n_qubits, MAX_POWER_QUBITS)
     if n < 1:
@@ -259,21 +289,20 @@ def composition_check(
 
     tau = h.lam * t / n
     c, s = math.cos(tau), math.sin(tau)
-    paulis = data.paulis
-    count = len(paulis)
-    perm = np.argmax(np.abs(paulis), axis=2)
-    phases = np.take_along_axis(paulis, perm[:, :, None], axis=2)[:, :, 0]
-    gather = (perm[:, :, None] * dim + perm[:, None, :]).reshape(count, -1)
-    weight = (s * s) * data.probs[:, None, None] * phases[:, :, None] * phases.conj()[:, None, :]
-    weight = weight.reshape(count, -1)
-    drift = (1j * c * s) * np.tensordot(data.probs, paulis, axes=1)  # i c s A
+    drift = (1j * c * s) * np.tensordot(data.probs, data.paulis, axes=1)
+    drift[np.diag_indices(dim)] += 0.5 * c * c  # K = (c^2 / 2) I + i c s A
+    blocks = _mixing_blocks(data.paulis, (s * s) * data.probs)
+    # Flat positions of sigma[x, u, t] = rho[t, u, u ^ x] in the (trials, d, d)
+    # states, and of rho[t, u, w] = sigma[u ^ w, u, t] in the (d, d, trials) sigma.
+    rows = np.arange(dim)
+    xor = rows[:, None] ^ rows
+    into = (rows * dim + xor)[:, :, None] + np.arange(trials) * dim * dim
+    back = ((xor * dim + rows[:, None]) * trials)[None] + np.arange(trials)[:, None, None]
     for _ in range(n):
         b = drift @ rho
-        out = (c * c) * rho + b + b.conj().swapaxes(1, 2)
-        flat, out_flat = rho.reshape(trials, -1), out.reshape(trials, -1)
-        for k in range(count):
-            out_flat += weight[k] * flat[:, gather[k]]
-        rho = out
+        sigma = np.take(rho, into).view(np.float64)
+        mixed = np.matmul(blocks, sigma).view(np.complex128)
+        rho = b + b.conj().swapaxes(1, 2) + np.take(mixed, back)
     diff = rho - exact
     d_tr = 0.5 * np.linalg.svd(diff, compute_uv=False).sum(axis=1)
     expval_err = np.abs(np.einsum("ta,tab,tb->t", phi.conj(), diff, phi))
@@ -282,4 +311,3 @@ def composition_check(
         CompositionTrial(i, float(d_tr[i]), budget, float(expval_err[i]), 2.0 * float(d_tr[i]))
         for i in range(trials)
     ]
-

@@ -84,6 +84,11 @@ class AliasSampler:
         # Leftovers are 1 up to roundoff; both stacks keep prob = 1.
         self._prob = np.array(prob)
         self._alias = np.array(alias, dtype=np.int64)
+        # Entry 2j is what column j draws when its coin fails (its alias),
+        # entry 2j + 1 what it draws when the coin holds (j itself).
+        self._outcomes = np.empty(2 * n, dtype=_index_dtype(n))
+        self._outcomes[0::2] = self._alias
+        self._outcomes[1::2] = np.arange(n)
 
     @property
     def probabilities(self) -> np.ndarray:
@@ -106,9 +111,19 @@ class AliasSampler:
         out = np.empty(count, dtype=_index_dtype(size))
         for start in range(0, count, _CHUNK):
             x = rng.random(min(_CHUNK, count - start)) * size
-            idx = np.minimum(x.astype(np.int64), size - 1)
-            frac = x - idx
-            out[start : start + x.size] = np.where(frac < self._prob[idx], idx, self._alias[idx])
+            # x < size, so the column floor(x) is at most size - 1.  A uniform
+            # is at most 1 - 2^-53, and (1 - 2^-53) * size lies size * 2^-53
+            # below size.  For size = 2^e that is one float spacing, so the
+            # product is exact; for 2^e < size < 2^(e+1) it is more than half
+            # the spacing 2^(e-52), so the product rounds below size.  Smaller
+            # uniforms round no higher.
+            whole = np.floor(x)
+            x -= whole  # exact: the fractional part
+            key = whole.astype(np.int64)
+            coin = x < np.take(self._prob, key)
+            key <<= 1
+            key |= coin  # 2 * column + coin indexes the outcome table
+            np.take(self._outcomes, key, out=out[start : start + x.size])
         return out
 
 

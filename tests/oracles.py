@@ -1,8 +1,8 @@
 """Reference implementations that the fast paths in ``qdriftlab`` must match.
 
 These are the straightforward forms the library used before it streamed
-compile output (one f-string per gate, the alias draw applied to a single
-``rng.random(count)`` call) and before the Hamiltonian became columnar
+compile output (one f-string per gate, the alias draw as a clamp and a
+select over blocks of uniforms) and before the Hamiltonian became columnar
 (an object-based Hamiltonian that keeps a tuple of the ``Term`` and
 ``PauliString`` objects defined here, its per-character parser, and the
 alias table built on numpy scalars), the canonical order taken with one
@@ -48,12 +48,24 @@ def reference_circuit_text(circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def reference_sample_many(sampler, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Alias draws from one unchunked ``rng.random(count)`` call, as int64."""
-    x = rng.random(count) * sampler.size
-    idx = np.minimum(x.astype(np.int64), sampler.size - 1)
-    frac = x - idx
-    return np.where(frac < sampler._prob[idx], idx, sampler._alias[idx])
+def reference_sample_many(
+    sampler, rng: np.random.Generator, count: int, block: int = 1 << 16
+) -> np.ndarray:
+    """Alias draws through a clamp and a select, ``block`` uniforms at a time.
+
+    This is the loop ``AliasSampler.sample_many`` ran before it indexed one
+    table of outcomes: a block of ``count`` (or more) is the single
+    ``rng.random(count)`` call.  The indices come in the narrowest unsigned
+    dtype, as the sampler's do.
+    """
+    size = sampler.size
+    out = np.empty(count, dtype=np.uint16 if size <= 1 << 16 else np.uint32)
+    for start in range(0, count, block):
+        x = rng.random(min(block, count - start)) * size
+        idx = np.minimum(x.astype(np.int64), size - 1)
+        frac = x - idx
+        out[start : start + x.size] = np.where(frac < sampler._prob[idx], idx, sampler._alias[idx])
+    return out
 
 
 def reference_segment_error_bound(lam: float, t: float, n: int) -> float:

@@ -97,6 +97,64 @@ def test_four_qubit_composition_equals_the_dense_path():
     assert max(abs(a.d_tr - b.d_tr) for a, b in zip(fast, slow)) <= TOL
 
 
+DENSE4 = [
+    (0.8, "ZZII"), (-0.45, "IXXI"), (0.3, "IIYY"), (0.25, "XIIZ"),
+    (-0.2, "YZXI"), (0.15, "IIZX"), (0.1, "ZYIY"),
+]
+
+
+def _assert_composition_equals_dense(terms, t, n, trials, seed):
+    h = Hamiltonian(terms)
+    fast = ch.composition_check(h, t, n, trials=trials, seed=seed)
+    slow = dense.dense_composition_check(h, t, n, trials=trials, seed=seed)
+    assert len(fast) == len(slow) == trials
+    for got, want in zip(fast, slow):
+        assert (got.index, got.budget) == (want.index, want.budget)
+        assert abs(got.d_tr - want.d_tr) <= TOL
+        assert abs(got.expval_err - want.expval_err) <= TOL
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        # Three words with no X or Y letter: one flip mask, three sign patterns.
+        [(0.7, "ZIII"), (0.5, "IIZZ"), (-0.3, "ZZZZ")],
+        [(0.7, "ZIII"), (0.5, "IIZZ"), (-0.3, "ZZZZ"), (0.4, "XXII")],
+        # XZII and YIII flip the first qubit alike and differ in their signs.
+        [(0.6, "XZII"), (0.4, "YIII")],
+        [(0.6, "XZII"), (-0.4, "YIII"), (0.3, "IZXI"), (-0.2, "IXZI")],
+        # Y-heavy words, most coefficients negative.
+        [(-0.5, "YYYY"), (-0.45, "YIYI"), (0.3, "IYYI"), (-0.25, "YXZY"), (-0.2, "ZYYX")],
+    ],
+    ids=["diagonal", "diagonal-plus-xx", "xz-with-y", "xz-with-y-mixed", "y-heavy"],
+)
+def test_four_qubit_shared_flip_masks_equal_the_dense_path(terms):
+    _assert_composition_equals_dense(terms, 1.0, 100, trials=8, seed=17)
+
+
+@pytest.mark.parametrize(
+    "terms, n, trials",
+    [
+        ([(0.9, "XYZI")], 100, 6),
+        ([(-0.9, "YYZX")], 37, 6),
+        (DENSE4, 1, 6),
+        (DENSE4, 100, 1),
+        ([(-1.2, "IYII")], 1, 1),
+    ],
+    ids=["single-term", "single-negative-term", "n-1", "trials-1", "all-at-once"],
+)
+def test_four_qubit_edge_compositions_equal_the_dense_path(terms, n, trials):
+    _assert_composition_equals_dense(terms, 0.8, n, trials, seed=3)
+
+
+def test_all_255_four_qubit_words_equal_the_dense_path():
+    words = ["".join(w) for w in itertools.product("IXYZ", repeat=4)][1:]
+    rng = np.random.default_rng(255)
+    coeffs = rng.uniform(0.1, 1.0, len(words)) * rng.choice([-1.0, 1.0], len(words))
+    coeffs *= 1.5 / np.abs(coeffs).sum()
+    _assert_composition_equals_dense(list(zip(coeffs.tolist(), words)), 1.0, 100, 20, seed=255)
+
+
 def test_every_two_qubit_word_fills_the_choi_dimension():
     # Words are distinct and not the identity, so L + 1 <= 4^n = d^2; with
     # all 15 two-qubit words W is square and R is 16 x 16.

@@ -1,9 +1,10 @@
-"""The streamed compile path against its one-line-per-gate and unchunked oracles."""
+"""The streamed compile path against its one-line-per-gate and clamp-and-select oracles."""
 
 import gc
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -121,9 +122,48 @@ def test_sample_many_equals_unchunked_formula(n_weights, weight_seed, count, see
     weights = 0.05 + np.random.Generator(np.random.Philox(key=weight_seed)).random(n_weights)
     sampler = AliasSampler(weights)
     draws = sampler.sample_many(rng_from_seed(seed), count)
-    expected = reference_sample_many(sampler, rng_from_seed(seed), count)
-    assert draws.dtype == (np.uint16 if n_weights <= 1 << 16 else np.uint32)
-    np.testing.assert_array_equal(draws.astype(np.int64), expected)
+    expected = reference_sample_many(sampler, rng_from_seed(seed), count, block=max(count, 1))
+    assert draws.dtype == expected.dtype == (np.uint16 if n_weights <= 1 << 16 else np.uint32)
+    np.testing.assert_array_equal(draws, expected)
+
+
+class _LargestUniform:
+    """A generator stand-in whose every uniform is the largest, 1 - 2^-53."""
+
+    def random(self, size):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+
+SAMPLER_SIZES = [1, 2, 3, 8, 2000, 1 << 16, (1 << 16) + 1]
+
+
+@pytest.mark.parametrize("size", SAMPLER_SIZES)
+def test_sample_many_equals_the_clamp_and_select_loop(size):
+    weights = 0.05 + np.random.Generator(np.random.Philox(key=size)).random(size)
+    sampler = AliasSampler(weights)
+    for count in (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 200_003):
+        draws = sampler.sample_many(rng_from_seed(size + count), count)
+        expected = reference_sample_many(sampler, rng_from_seed(size + count), count)
+        assert draws.dtype == expected.dtype
+        np.testing.assert_array_equal(draws, expected)
+
+
+def test_largest_uniform_resolves_the_last_column_as_the_clamp_did():
+    # The clamp min(floor(x), size - 1) never acts: for every size up to
+    # 2^17 the largest uniform lands in the last column, with the same
+    # fractional part, so the same coin.
+    sizes = np.arange(1, (1 << 17) + 1)
+    x = np.nextafter(1.0, 0.0) * sizes
+    clamped = np.minimum(x.astype(np.int64), sizes - 1)
+    assert np.array_equal(np.floor(x), sizes - 1)
+    assert np.array_equal(x - np.floor(x), x - clamped)
+    for size in SAMPLER_SIZES + [1 << 17]:
+        sampler = AliasSampler(0.05 + np.random.Generator(np.random.Philox(key=size)).random(size))
+        draws = sampler.sample_many(_LargestUniform(), 3)
+        expected = reference_sample_many(sampler, _LargestUniform(), 3)
+        assert draws.dtype == expected.dtype
+        np.testing.assert_array_equal(draws, expected)
+        assert draws[0] in (size - 1, sampler._alias[size - 1])
 
 
 def test_sample_many_leaves_generator_where_one_call_would():
