@@ -22,7 +22,6 @@ from .trotter import (
     CostReport,
     Method,
     best_method,
-    closed_form_suzuki_count,
     crossover_time,
     gate_count,
     gate_count_approx,
@@ -50,7 +49,6 @@ __all__ = [
     "Method",
     "WeightProfile",
     "best_method",
-    "closed_form_suzuki_count",
     "compile_circuit",
     "crossover_time",
     "elementary_gate_estimate",

@@ -26,9 +26,13 @@ from .hamiltonian import Hamiltonian
 from .trotter import _check_positive, gate_count_approx, gate_count_exact
 
 MAX_SEED = 2**64 - 1
-# Gates are drawn and serialized in blocks of this many, so the memory a
-# compile needs beyond its index array does not grow with N.
-_CHUNK = 1 << 16
+# Gates are drawn, counted and serialized in blocks of this many, so the
+# memory a compile needs beyond its index array does not grow with N.  A
+# block's buffers (uniforms, keys, a text piece and its encoded copy) stay
+# at a few hundred KB, so each block reuses the heap pages of the one
+# before.  Multi-MB buffers (2^16-gate blocks) go back to the kernel after
+# each block and fault in again: about 10,000 minor faults per 4e5 gates.
+_CHUNK = 1 << 12
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -102,10 +106,10 @@ class AliasSampler:
     def sample_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Draw ``count`` indices, one uniform each, in the narrowest unsigned dtype.
 
-        Uniforms are drawn in blocks of 2**16.  The blocks consume the
-        generator's stream in order, so the indices equal those from a
-        single ``rng.random(count)`` call.  The dtype is uint16 for up to
-        65536 weights, else uint32.
+        Uniforms are drawn in blocks of ``_CHUNK`` (2**12).  The blocks
+        consume the generator's stream in order, so the indices equal those
+        from a single ``rng.random(count)`` call.  The dtype is uint16 for up
+        to 65536 weights, else uint32.
         """
         size = self.size
         out = np.empty(count, dtype=_index_dtype(size))
@@ -194,14 +198,15 @@ class Circuit:
         )
 
     def iter_text(self) -> Iterator[str]:
-        """Yield the ``qdrift-circ v1`` text in pieces: the header, then one piece per 2**16 gates.
+        """Yield the ``qdrift-circ v1`` text in pieces: the header, then one piece per ``_CHUNK`` gates.
 
-        The drawn terms are counted one 2**16-gate block at a time.  The
-        gate line of each of them is formatted once into an object array
-        indexed by term; the slots of terms never drawn stay ``None``.  A
-        piece is the join of one gather from that table, so no Python int is
-        made per gate.  Memory beyond the index array is L counts, L
-        pointers, the lines of the drawn terms and one piece of text.
+        The drawn terms are counted one ``_CHUNK``-gate block (2**12) at a
+        time.  The gate line of each of them is formatted once into an
+        object array indexed by term; the slots of terms never drawn stay
+        ``None``.  A piece is the join of one gather from that table over
+        one block, so no Python int is made per gate.  Memory beyond the
+        index array is L counts, L pointers, the lines of the drawn terms
+        and one piece of text, a few hundred KB at most line widths.
         """
         tau_text = format(self.tau, ".17g")
         yield f"# qdrift-circ v1\n# seed={self.meta.seed}\n# N={self.meta.N}\n# tau={tau_text}\n"

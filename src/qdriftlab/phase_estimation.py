@@ -307,33 +307,6 @@ def _budget_overflow(query: PEQuery) -> OverflowError:
 
 
 @dataclass(frozen=True)
-class FilterVerdict:
-    """Outcome of the repeated-run majority filter rule f > 2 P_f + 1/M."""
-
-    feasible: bool
-    threshold: float
-    min_repetitions: int | None
-
-
-def repetition_filter(f: float, P_f: float, M: int) -> FilterVerdict:
-    """Check whether M repetitions let the frequency filter keep the true energy.
-
-    Also reports the minimal feasible M, or None when f <= 2 P_f (no amount
-    of repetition helps).
-    """
-    if not (0 < f <= 1):
-        raise ValueError(f"overlap f must be in (0, 1], got {f!r}")
-    if not (0 < P_f < 1):
-        raise ValueError(f"P_f must be in (0, 1), got {P_f!r}")
-    if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
-    threshold = 2.0 * P_f + 1.0 / M
-    margin = f - 2.0 * P_f
-    min_m = None if margin <= 0 else math.floor(1.0 / margin) + 1
-    return FilterVerdict(feasible=f > threshold, threshold=threshold, min_repetitions=min_m)
-
-
-@dataclass(frozen=True)
 class SpeedupReport:
     closed_ratio: float
     pipeline_ratio: float

@@ -540,20 +540,6 @@ PRINTED_NK_CONSTANTS = {
 }
 
 
-def closed_form_suzuki_count(k: int, L: int, lam_max: float, t: float, eps: float) -> float:
-    """Approximate count N_k = 2 5^(k-1) lam_max t L^2 (lam_max t B_k / eps)^(1/2k).
-
-    Valid when the randomized b-term dominates and lam_max t << r; a
-    cross-check, never the definitive report.
-    """
-    if k not in SUPPORTED_K:
-        raise ValueError(f"k must be in {SUPPORTED_K}, got {k}")
-    _check_profile_args(L, lam_max, t)
-    _check_positive(eps, "eps")
-    xt = lam_max * t
-    return 2 * 5 ** (k - 1) * xt * L**2 * (xt * suzuki_b_constant(k) / eps) ** (1.0 / (2 * k))
-
-
 def crossover_time(
     profile: WeightProfile,
     eps: float,

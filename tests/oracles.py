@@ -13,7 +13,10 @@ measured before it certified from Kraus data, with the seed-averaged
 channel of compiled circuits that converges to E^N, and the golden-section
 search that ``phase_estimation.optimize_pf`` ran before it solved the
 failure-share split in closed form, and the per-bit phase-estimation counts
-summed in log space.  They are kept for tests only.  The dense builders read a ``Hamiltonian``'s columns.
+summed in log space.  Two helpers that no job calls moved here from the
+library: the repeated-run frequency filter of phase estimation and the
+closed-form Suzuki count, a cross-check on the segment solver.  They are
+kept for tests only.  The dense builders read a ``Hamiltonian``'s columns.
 """
 
 from __future__ import annotations
@@ -28,7 +31,14 @@ from qdriftlab.channels import MAX_CHANNEL_QUBITS, MAX_POWER_QUBITS, BoundRow, C
 from qdriftlab.compiler import compile_circuit, rng_from_seed
 from qdriftlab.hamiltonian import PAULI_AXES, Hamiltonian, HamiltonianError, HamiltonianParseError
 from qdriftlab.phase_estimation import _smooth_total
-from qdriftlab.trotter import segment_error_bound, total_error_bound
+from qdriftlab.trotter import (
+    SUPPORTED_K,
+    _check_positive,
+    _check_profile_args,
+    segment_error_bound,
+    suzuki_b_constant,
+    total_error_bound,
+)
 
 
 def reference_circuit_text(circuit) -> str:
@@ -139,6 +149,47 @@ def log_bit_counts(method: str, m: int, eps_tot: float, L: int = 1, log_lam_max_
                 + 0.5 * (math.log(2.0 * math.pi**3) + 3.0 * log_lam_max_rescaled + j * math.log(8.0) - log_eps_j)
             )
     return logs
+
+
+@dataclass(frozen=True)
+class FilterVerdict:
+    """Outcome of the repeated-run majority filter rule f > 2 P_f + 1/M."""
+
+    feasible: bool
+    threshold: float
+    min_repetitions: int | None
+
+
+def repetition_filter(f: float, P_f: float, M: int) -> FilterVerdict:
+    """Check whether M repetitions let the frequency filter keep the true energy.
+
+    Also reports the minimal feasible M, or None when f <= 2 P_f (no amount
+    of repetition helps).
+    """
+    if not (0 < f <= 1):
+        raise ValueError(f"overlap f must be in (0, 1], got {f!r}")
+    if not (0 < P_f < 1):
+        raise ValueError(f"P_f must be in (0, 1), got {P_f!r}")
+    if M < 1:
+        raise ValueError(f"M must be >= 1, got {M}")
+    threshold = 2.0 * P_f + 1.0 / M
+    margin = f - 2.0 * P_f
+    min_m = None if margin <= 0 else math.floor(1.0 / margin) + 1
+    return FilterVerdict(feasible=f > threshold, threshold=threshold, min_repetitions=min_m)
+
+
+def closed_form_suzuki_count(k: int, L: int, lam_max: float, t: float, eps: float) -> float:
+    """Approximate count N_k = 2 5^(k-1) lam_max t L^2 (lam_max t B_k / eps)^(1/2k).
+
+    Valid when the randomized b-term dominates and lam_max t << r; a
+    cross-check, never the definitive report.
+    """
+    if k not in SUPPORTED_K:
+        raise ValueError(f"k must be in {SUPPORTED_K}, got {k}")
+    _check_profile_args(L, lam_max, t)
+    _check_positive(eps, "eps")
+    xt = lam_max * t
+    return 2 * 5 ** (k - 1) * xt * L**2 * (xt * suzuki_b_constant(k) / eps) ** (1.0 / (2 * k))
 
 
 def log_sum(logs) -> float:

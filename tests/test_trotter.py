@@ -6,7 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import ANSWER_RANGES, answer_range, max_search_evaluations, reference_doubling_search
+from oracles import (
+    ANSWER_RANGES,
+    answer_range,
+    closed_form_suzuki_count,
+    max_search_evaluations,
+    reference_doubling_search,
+)
 from qdriftlab import cli, trotter
 from qdriftlab.hamiltonian import WeightProfile
 from qdriftlab.trotter import (
@@ -22,7 +28,6 @@ from qdriftlab.trotter import (
     CostQuery,
     CostReport,
     best_method,
-    closed_form_suzuki_count,
     crossover_time,
     error_function,
     gate_count,
