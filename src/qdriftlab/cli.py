@@ -172,6 +172,9 @@ _ROW_METHODS = (trotter.QDRIFT, *trotter.DEFAULT_CANDIDATES)
 
 
 def _cost_rows(query: trotter.CostQuery, reports: list[trotter.CostReport | None]) -> list[list]:
+    # The query's cells are the same on every row: format them once.
+    profile = query.profile
+    shared = [_fmt(query.t), _fmt(query.eps), _fmt(profile.L), _fmt(profile.lam_max), _fmt(profile.lam)]
     rows = []
     for method, report in zip(_ROW_METHODS, reports):
         if report is None:
@@ -193,11 +196,7 @@ def _cost_rows(query: trotter.CostQuery, reports: list[trotter.CostReport | None
                 r_cell,
                 gates_cell,
                 bound_cell,
-                query.t,
-                query.eps,
-                query.profile.L,
-                query.profile.lam_max,
-                query.profile.lam,
+                *shared,
             ]
         )
     return rows

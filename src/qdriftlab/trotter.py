@@ -39,8 +39,10 @@ _N_LIMIT = 2**512
 _LOG_2 = math.log(2.0)
 
 # The search decides a probe more than a relative 1 / _MARGIN outside its
-# evaluated bracket without calling the bound (see _smallest_within).
-_MARGIN = 10**9
+# evaluated bracket without calling the bound (see _smallest_within).  The
+# log-space bounds err by at most about 1e-13 near the root, so 1e-11
+# leaves about 50x headroom over twice that.
+_MARGIN = 10**11
 # Locate: the largest one-sided step in log n, and the secant steps
 # before bisection takes over.
 _MAX_LOG_STEP = 40.0
@@ -67,17 +69,19 @@ def _smallest_within(
     limit: int,
     start: float = 1.0,
     logs: bool = False,
-) -> int | None:
-    """Smallest n >= 1 with bound(n) <= target, or None once the doubling passes ``limit``.
+) -> tuple[int, float] | None:
+    """(n, bound(n)) for the smallest n >= 1 with bound(n) <= target, or None
+    once the doubling passes ``limit``.
 
-    The result is exactly that of the reference search: probe n = 1, then
+    n is exactly the answer of the reference search: probe n = 1, then
     2, 4, 8, ... (None once the next power of two exceeds ``limit``), then
     bisect between the last failing and the first passing power.  ``limit``
     must be a power of two (``R_MAX`` and ``_N_LIMIT`` are), so the
     doubling's last probe is ``limit`` itself.  ``bound`` must be
     decreasing in n.  ``logs`` says that ``bound`` and ``target`` are
     logarithms, as for the qDRIFT count; otherwise bound values are
-    positive, 0 or inf.
+    positive, 0 or inf.  bound(n) is the value the search evaluated at n;
+    it is not evaluated again.
 
     Locate: from ``start``, an estimate of the root, a safeguarded secant
     on log bound against log n brackets the answer with evaluated ends,
@@ -87,46 +91,69 @@ def _smallest_within(
     relative 1 / _MARGIN below ``below`` fails and one above ``above``
     passes, without an evaluation; only probes inside that margin call
     ``bound``.  This cannot change an outcome: every bound here falls at
-    least as fast as 1/n, so a probe 1e-9 away in n is at least 1e-9 away
-    in log bound, while the log-space evaluation carries an error of about
-    1e-13.  An exactly monotone bound (a step function) needs no margin.
-    Below _MARGIN the bracket is exact (above - below = 1), so every replay
-    decision is forced and the replay is skipped.  Past it, n = 1 lies
-    below ``low_cut``, so the replay starts at n = 2.
+    least as fast as 1/n, so a probe 1e-11 away in n is at least 1e-11
+    away in log bound.  The log-space evaluation errs far less: against
+    50-digit arithmetic, at the answer and one below it on 3,000 random
+    solves per method (L <= 3e5, t in [1e-4, 1e12], eps in [1e-12, 0.3]),
+    by at most 9.6e-14 for the product formulas and 1.3e-14 for qDRIFT.
+    At eps near 1e-300 the log terms at the root reach about 1,000 and the
+    error grew to 3.2e-13, still 15x inside twice the margin.  So the
+    answer is ``above`` or a probe the replay evaluated.  An exactly
+    monotone bound (a step function) needs no margin.  Below _MARGIN the
+    bracket is exact (above - below = 1), so every replay decision is
+    forced and the replay is skipped.  Past it, the decided probes are not
+    walked: the doubling starts at the first power of two at or past
+    ``low_cut``, and the bisection at its first midpoint inside the window.
     """
-    below, above = _locate(bound, target, limit, start, logs)
+    below, above, above_value = _locate(bound, target, limit, start, logs)
     if above is None:
         # ``limit``, the largest power of two the doubling may probe, fails.
         return None
     if above < _MARGIN:
-        return above
+        return above, above_value
     low_cut, high_cut = below - below // _MARGIN, above + above // _MARGIN
 
-    def passes(n: int) -> bool:
-        if n > high_cut or n == above:
-            return True
+    def value(n: int) -> float:
+        # bound(n), evaluated only inside the window; outside it a value
+        # that decides the probe the same way.
+        if n > high_cut:
+            return -math.inf
+        if n == above:
+            return above_value
         if n < low_cut or n == below:
-            return False
-        return bound(n) <= target
+            return math.inf
+        return bound(n)
 
-    lo, hi = 1, 2
-    while not passes(hi):
+    # Every power of two below low_cut fails.
+    hi = 1 << (low_cut - 1).bit_length()
+    lo = hi // 2
+    while not (hi_value := value(hi)) <= target:
         lo, hi = hi, hi * 2
         if hi > limit:
             return None
+    # The bisection's first midpoint inside the window is the window's
+    # element with the most trailing zeros.  The midpoints before it lie
+    # outside the window and are decided without an evaluation; if they
+    # moved hi, it now lies past high_cut.
+    first, last = max(low_cut, lo + 1), min(high_cut, hi - 1)
+    if first <= last:
+        step = 1 << ((first - 1) ^ last).bit_length() - 1
+        mid = last // step * step
+        lo, hi, hi_value = mid - step, mid + step, hi_value if mid + step == hi else -math.inf
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if passes(mid):
-            hi = mid
+        mid_value = value(mid)
+        if mid_value <= target:
+            hi, hi_value = mid, mid_value
         else:
             lo = mid
-    return hi
+    return hi, hi_value
 
 
 def _locate(
     bound: Callable[[int], float], target: float, top: int, start: float, logs: bool
-) -> tuple[int, int | None]:
-    """(below, above): bound(below) > target >= bound(above), both evaluated.
+) -> tuple[int, int | None, float | None]:
+    """(below, above, bound(above)): bound(below) > target >= bound(above), both evaluated.
 
     below is 0 when n = 1 passes, above is None when ``top`` fails.  The
     bracket is exact (above - below = 1) or, past _MARGIN, narrower than
@@ -138,7 +165,7 @@ def _locate(
     searched in about log2 of its bracket.
     """
     log_target = target if logs else math.log(target)
-    below, above = 0, None
+    below, above, above_value = 0, None, None
     if not start >= 1:  # also a NaN start
         n = 1
     else:
@@ -156,18 +183,18 @@ def _locate(
         if failed:
             below = n
         else:
-            above = n
+            above, above_value = n, value
         point = (math.log(n), gap)
         if above is None:
             if below >= top:
-                return below, None
+                return below, None, None
             # The 1/n step passes the root; a second failure in a row doubles.
             step = min(gap, _MAX_LOG_STEP) if gap == gap else _LOG_2
             n = min(top, max(below + 1, math.ceil(math.exp(min(point[0] + step, 700.0)))))
             if last_failed:
                 n = max(n, min(top, 2 * below))
         elif above - below <= max(1, above // _MARGIN):
-            return below, above
+            return below, above, above_value
         elif below == 0:
             step = max(gap, -_MAX_LOG_STEP) if gap == gap else -_LOG_2
             n = max(1, min(above - 1, math.floor(math.exp(min(point[0] + step, 700.0)))))
@@ -317,10 +344,10 @@ def gate_count_exact(lam: float, t: float, eps: float) -> int:
     if lam * t == 0.0:
         return 1
     start = _leading_root(((_LOG_2 + 2.0 * math.log(lam * t), 1),), eps)
-    n = _smallest_within(partial(_log_total_bound, lam, t), math.log(eps), _N_LIMIT, start, logs=True)
-    if n is None:
+    found = _smallest_within(partial(_log_total_bound, lam, t), math.log(eps), _N_LIMIT, start, logs=True)
+    if found is None:
         raise OverflowError(f"no gate count <= 2**512 reaches eps={eps}")
-    return n
+    return found[0]
 
 
 def trotter_error_det(L: int, lam_max: float, t: float, r: int) -> float:
@@ -353,17 +380,23 @@ def solve_r(error_fn: Callable[[int], float], eps: float) -> int:
 
     error_fn must be decreasing in r.  The result equals that of the
     doubling-then-bisection reference search (r - 1 fails, so it is
-    minimal); see ``_smallest_within`` for the margin argument
-    that lets the search skip most of the reference's evaluations.  A
-    callable from ``error_function`` carries ``start(eps)``, where the
-    search begins; any other callable starts at r = 1.
+    minimal); see ``_smallest_within`` for the margin argument, a relative
+    1e-11 sized by the bounds' measured error, that lets the search skip
+    most of the reference's evaluations.  A callable from
+    ``error_function`` carries ``start(eps)``, where the search begins;
+    any other callable starts at r = 1.
     """
+    return _solve(error_fn, eps)[0]
+
+
+def _solve(error_fn: Callable[[int], float], eps: float) -> tuple[int, float]:
+    """(solve_r(error_fn, eps), error_fn at that r), as the search evaluated it."""
     _check_positive(eps, "eps")
     start = getattr(error_fn, "start", None)
-    r = _smallest_within(error_fn, eps, R_MAX, 1.0 if start is None else start(eps))
-    if r is None:
+    found = _smallest_within(error_fn, eps, R_MAX, 1.0 if start is None else start(eps))
+    if found is None:
         raise OverflowError(f"no segment count <= 2**63 reaches eps={eps}")
-    return r
+    return found
 
 
 @dataclass(frozen=True)
@@ -481,9 +514,8 @@ def gate_count(method: Method, query: CostQuery) -> CostReport:
     if method.family == "qdrift":
         n = gate_count_exact(profile.lam, query.t, query.eps)
         return CostReport(method, None, n, total_error_bound(profile.lam, query.t, n))
-    err = error_function(method, profile, query.t)
-    r = solve_r(err, query.eps)
-    return CostReport(method, r, gates_per_segment(method, profile.L) * r, err(r))
+    r, bound = _solve(error_function(method, profile, query.t), query.eps)
+    return CostReport(method, r, gates_per_segment(method, profile.L) * r, bound)
 
 
 def _tie_key(report: CostReport) -> tuple:

@@ -201,11 +201,11 @@ def log_sum(logs) -> float:
 def max_search_evaluations(answer: int | None) -> int:
     """Stated cost of ``trotter._smallest_within`` on the package's bounds.
 
-    At most 12 bound evaluations while the answer is below 2**30 (or None);
+    At most 12 bound evaluations while the answer is below 2**37 (or None);
     past that the replay bisects inside a window of relative width about
-    3e-9 around the answer, so each further bit adds at most one.
+    3e-11 around the answer, so each further bit adds at most one.
     """
-    return 12 + max(0, (answer or 0).bit_length() - 30)
+    return 12 + max(0, (answer or 0).bit_length() - 37)
 
 
 def answer_range(answer: int | None) -> str:

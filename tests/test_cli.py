@@ -225,14 +225,53 @@ class TestSweepCommand:
 
     def test_crossover_reuses_the_sweep_grid(self, monkeypatch, capsys):
         calls = []
-        solve = trotter.solve_r
-        monkeypatch.setattr(trotter, "solve_r", lambda *args: calls.append(args) or solve(*args))
+        solve = trotter._solve
+        monkeypatch.setattr(trotter, "_solve", lambda *args: calls.append(args) or solve(*args))
         assert main(self.REUSE_SWEEP + ["--points", "50", "--crossover"]) == EXIT_OK
         # 400 for the sweep; 656 when the scan solved its own 50-point grid again.
         assert len(calls) < 656
         calls.clear()
         assert main(self.REUSE_SWEEP + ["--points", "50"]) == EXIT_OK
         assert len(calls) == 400
+
+    def test_plan_work_is_counted_not_timed(self, monkeypatch, tmp_path):
+        # One benchmark plan op on the sweep-a golden profile: a sweep with
+        # its crossover, then a phase-estimation grid.  Bound evaluations
+        # count every call of an error_function callable and of the qDRIFT
+        # log bound; formatted floats count _fmt calls on a float.  Before
+        # each bound came from the search and each query's shared cells
+        # were formatted once, these were 5,792 and 2,532.
+        counts = {"bounds": 0, "floats": 0}
+        make, log_bound, fmt = trotter.error_function, trotter._log_total_bound, cli._fmt
+
+        def counted_error_function(*args):
+            err = make(*args)
+
+            def counted(r):
+                counts["bounds"] += 1
+                return err(r)
+
+            counted.start = err.start
+            return counted
+
+        def counted_log_bound(*args):
+            counts["bounds"] += 1
+            return log_bound(*args)
+
+        def counted_fmt(x):
+            counts["floats"] += isinstance(x, float)
+            return fmt(x)
+
+        monkeypatch.setattr(trotter, "error_function", counted_error_function)
+        monkeypatch.setattr(trotter, "_log_total_bound", counted_log_bound)
+        monkeypatch.setattr(cli, "_fmt", counted_fmt)
+        profile = ["--L", "2000", "--Lambda", "0.01", "--lambda", "5.0"]
+        sweep = self.REUSE_SWEEP + ["--points", "50", "--crossover"]
+        assert main(sweep + ["--out", str(tmp_path / "s.csv")]) == EXIT_OK
+        assert main(["phase-est", *profile, "--delta-e", "0.005", "--pf-min", "0.001", "--pf-max", "0.1",
+                     "--pf-points", "20", "--out", str(tmp_path / "p.csv")]) == EXIT_OK
+        assert counts["bounds"] <= 4_300
+        assert counts["floats"] <= 1_000
 
     def test_huge_t_serializes_log10_and_overflow(self, capsys):
         code = main(["sweep", "--L", "10", "--Lambda", "1", "--lambda", "10",

@@ -105,6 +105,11 @@ class TestGateCountExact:
     )
     @example(lam=1.0, t=1e8, eps=1e-3)  # N about 2e19, past 2**53
     @example(lam=1.0, t=1e80, eps=1e-3)  # past 2**512: OverflowError
+    # Where rounding is worst: at eps = 1e-300 the log terms at the root
+    # are near 700, and N is just below 2**512, or just past it.
+    @example(lam=1.0, t=8.1e-74, eps=1e-300)
+    @example(lam=1e3, t=8.1e-77, eps=1e-300)
+    @example(lam=1.0, t=8.2e-74, eps=1e-300)
     def test_same_answer_as_reference_search(self, lam, t, eps):
         # The located search returns exactly what doubling then bisection
         # returns on the same log bound, within the stated evaluation cost.
@@ -166,12 +171,35 @@ class TestSmallestWithin:
         def bound(n):
             return 0.0 if n >= threshold else 1.0
 
-        n = trotter._smallest_within(bound, 0.5, limit, start, logs)
-        assert n == reference_doubling_search(bound, 0.5, limit)
-        if n is None:
-            assert threshold > limit
+        found = trotter._smallest_within(bound, 0.5, limit, start, logs)
+        expected = reference_doubling_search(bound, 0.5, limit)
+        if found is None:
+            assert expected is None and threshold > limit
         else:
-            assert n == threshold
+            # The answer, and the bound there as the search evaluated it.
+            assert found == (expected, 0.0) == (threshold, 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        threshold=st.integers(2**37, 2**70),
+        salt=st.integers(0, 2**64 - 1),
+        start=st.floats(2.0**36, 2.0**71),
+        logs=st.booleans(),
+    )
+    def test_noise_inside_the_margin_replays_the_reference(self, threshold, salt, start, logs):
+        # Near its root a float bound need not be monotone.  Within a
+        # relative 1e-13 of the threshold this one passes or fails at
+        # random; the replay evaluates every reference probe there, so it
+        # returns the reference's answer and the bound it evaluated there.
+        width = threshold // 10**13
+
+        def bound(n):
+            if abs(n - threshold) > width:
+                return 0.0 if n > threshold else 1.0
+            return float((n * 0x9E3779B97F4A7C15 ^ salt) >> 31 & 1)
+
+        found = trotter._smallest_within(bound, 0.5, 2**512, start, logs)
+        assert found == (reference_doubling_search(bound, 0.5, 2**512), 0.0)
 
     def test_limits_are_powers_of_two(self):
         # The search's last doubling probe is its limit.

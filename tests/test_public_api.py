@@ -147,7 +147,7 @@ def test_counts_and_bounds_live_in_trotter():
     defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
     defined |= {target.id for node in tree.body if isinstance(node, ast.Assign) for target in node.targets}
     moved = (
-        "_smallest_within", "_locate", "_MARGIN", "_MAX_LOG_STEP", "_SECANT_STEPS",
+        "_smallest_within", "_locate", "_solve", "_MARGIN", "_MAX_LOG_STEP", "_SECANT_STEPS",
         "segment_error_bound", "total_error_bound", "_log_total_bound", "gate_count_approx",
         "gate_count_exact", "_N_LIMIT", "_check_positive", "_exp_or_inf", "_LOG_2",
     )
@@ -165,7 +165,7 @@ def test_segment_solver_is_assembled_only_in_trotter():
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                assert name not in ("solve_r", "error_function"), (path.name, node.lineno)
+                assert name not in ("solve_r", "_solve", "error_function"), (path.name, node.lineno)
     imported = [path for path in imported_paths(SRC / "phase_estimation.py") if path.startswith("qdriftlab")]
     assert imported == ["qdriftlab.trotter._check_positive"]
 

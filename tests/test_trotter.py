@@ -244,6 +244,16 @@ class TestSolveRReference:
         eps=st.floats(-12, math.log10(0.3)).map(lambda e: 10.0**e),
     )
     @example(L=1, lam_max=1.0, spread=0.0, t=1e8, eps=1e-3)
+    # Where rounding is worst: eps near 1e-300 and L = 1e6 put the log terms
+    # at the root near 1,000; each t puts one family's answer near 2**62.
+    @example(L=10**6, lam_max=1.0, spread=0.0, t=3e-147, eps=1e-300)
+    @example(L=10**6, lam_max=1.0, spread=0.0, t=4e-94, eps=1e-300)
+    @example(L=10**6, lam_max=1.0, spread=0.0, t=2.5e-94, eps=1e-300)
+    @example(L=10**6, lam_max=1.0, spread=0.0, t=1.4e-92, eps=1e-300)
+    @example(L=10**6, lam_max=1.0, spread=0.0, t=2.2e-52, eps=1e-300)
+    @example(L=10**6, lam_max=1.0, spread=0.0, t=1.9e-51, eps=1e-300)
+    @example(L=10**6, lam_max=1.0, spread=0.0, t=9.3e-35, eps=1e-300)
+    @example(L=10**6, lam_max=1.0, spread=0.0, t=3.9e-34, eps=1e-300)
     def test_same_answer_as_reference_search(self, method, L, lam_max, spread, t, eps):
         # lam runs from lam_max to L * lam_max; the product-formula bounds do not read it.
         profile = WeightProfile(L, lam_max * (1 + spread * (L - 1)), lam_max)
@@ -340,6 +350,45 @@ class TestGateCount:
             if report.r > 1:
                 fn = error_function(method, profile, query.t)
                 assert fn(report.r - 1) > query.eps
+
+    def test_report_bound_is_the_value_the_search_evaluated(self, monkeypatch):
+        # report.bound is err(report.r) bit for bit, and no bound is
+        # evaluated once the search has returned.
+        profile = WeightProfile(1000, 300.0, 0.5)
+        make, search = trotter.error_function, trotter._smallest_within
+        evaluated, at_return = [], []
+
+        def recording_error_function(*args):
+            err = make(*args)
+
+            def recorded(r):
+                evaluated.append(r)
+                return err(r)
+
+            recorded.start = err.start
+            return recorded
+
+        def recording_search(*args, **kwargs):
+            found = search(*args, **kwargs)
+            at_return.append(len(evaluated))
+            return found
+
+        monkeypatch.setattr(trotter, "error_function", recording_error_function)
+        monkeypatch.setattr(trotter, "_smallest_within", recording_search)
+        seen = set()
+        for method in DEFAULT_CANDIDATES:
+            for t in map(float, np.logspace(-4, 14, 37)):
+                for eps in (0.3, 1e-3, 1e-9):
+                    evaluated.clear()
+                    at_return.clear()
+                    (report,) = gate_counts([method], CostQuery(profile, t, eps))
+                    assert at_return == [len(evaluated)]
+                    if report is None:
+                        seen.add(answer_range(None))
+                    else:
+                        assert report.bound == make(method, profile, t)(report.r)
+                        seen.add(answer_range(report.r))
+        assert seen == ANSWER_RANGES
 
 
 class TestClosedForm:
@@ -464,8 +513,8 @@ class TestCrossover:
             verdicts[t] = gate_count(QDRIFT, query).gates > best_method(query).gates
         expected = crossover_time(self.PROFILE, 1e-3, (1.0, 1e12))
         calls = []
-        solve = trotter.solve_r
-        monkeypatch.setattr(trotter, "solve_r", lambda *args: calls.append(args) or solve(*args))
+        solve = trotter._solve
+        monkeypatch.setattr(trotter, "_solve", lambda *args: calls.append(args) or solve(*args))
         assert crossover_time(self.PROFILE, 1e-3, (1.0, 1e12), verdicts=verdicts) == expected
         # Only the bisection between two grid times is solved: 8 methods per step.
         assert 0 < len(calls) <= 8 * 12
