@@ -107,12 +107,17 @@ def bits_m(delta: float, p_f: float) -> int:
 
 
 def allocate_eps(eps_tot: float, m: int) -> list[float]:
-    """Optimal geometric split eps_j = eps_tot * 2^j / (2 (2^m - 1)), j = 1..m."""
+    """Optimal geometric split eps_j = eps_tot * 2^j / (2 (2^m - 1)), j = 1..m.
+
+    Raises OverflowError where 2 (2^m - 1) does not fit in a float (m >= 1023).
+    """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if not (eps_tot > 0):
         raise ValueError(f"eps_tot must be > 0, got {eps_tot!r}")
     denom = 2.0 * (2.0**m - 1.0)
+    if denom == math.inf:
+        raise OverflowError(f"2 (2^m - 1) overflows a float (m={m})")
     return [eps_tot * 2.0**j / denom for j in range(1, m + 1)]
 
 

@@ -231,62 +231,51 @@ def _check_profile_args(L: int, lam_max: float, t: float) -> None:
         raise ValueError(f"t must be >= 0, got {t!r}")
 
 
-def _first_order_bound(L: int, lam_max: float, t: float, variant: str):
-    """Unchecked r -> first-order bound, and its leading terms.
+def _product_bound(method: Method, L: int, lam_max: float, t: float):
+    """Unchecked r -> product-formula bound, and its leading terms.
 
-    A leading term (log C, p) is C / r^p, the bound's term without its
-    exponential factor (which is >= 1).
+    The family sets a = A e^(c/r) / r^p and b = B e^(c/r) / r^q (see the
+    module docstring).  A leading term (log C, p) is C / r^p, the bound's
+    term without its exponential factor (which is >= 1).
     """
-    x = L * lam_max * t
+    first_order = method.family == "trotter"
+    if first_order:
+        x, c, p, q = L * lam_max * t, lam_max * t, 2, 3
+    else:
+        k = method.k
+        x = c = 2 * 5 ** (k - 1) * lam_max * t
+        p = q = 2 * k + 1
     if x == 0.0:
         return (lambda r: 0.0), ()
-    e = lam_max * t
-    log_x2 = 2 * math.log(x)
-    if variant == "det":
-        return (lambda r: _exp_or_inf(log_x2 - math.log(2 * r) + e / r)), ((log_x2 - _LOG_2, 1),)
-    log_x3 = 3 * math.log(x) - math.log(3)
+    if first_order:
+        log_a, log_b = 2 * math.log(x), 3 * math.log(x) - math.log(3)
+    else:
+        log_a = math.log(2) + p * (math.log(x) + math.log(L)) - math.log(_FACTORIAL[p])
+        log_b = p * math.log(x) + 2 * k * math.log(L) - math.log(_FACTORIAL[2 * k - 1])
+    if method.variant == "det":
+        # The two families round (r/2) a in different orders; each keeps its own.
+        if first_order:
+            bound = lambda r: _exp_or_inf(log_a - math.log(2 * r) + c / r)
+        else:
+
+            def bound(r: int) -> float:
+                log_r = math.log(r)
+                return _exp_or_inf(log_r - _LOG_2 + (log_a - p * log_r + c / r))
+
+        return bound, ((log_a - _LOG_2, p - 1),)
 
     def bound(r: int) -> float:
+        # (r/2)(a^2 + 2b) assembled in log space.
         log_r = math.log(r)
-        exp_arg = e / r
-        return _combine_random(log_x2 - 2 * log_r + exp_arg, log_x3 - 3 * log_r + exp_arg, log_r)
+        exp_arg = c / r
+        la2 = 2 * (log_a - p * log_r + exp_arg)
+        lb2 = _LOG_2 + (log_b - q * log_r + exp_arg)
+        m = max(la2, lb2)
+        if m == math.inf:
+            return math.inf
+        return _exp_or_inf(log_r - _LOG_2 + m + math.log(math.exp(la2 - m) + math.exp(lb2 - m)))
 
-    return bound, ((2 * log_x2 - _LOG_2, 3), (log_x3, 2))
-
-
-def _suzuki_bound(k: int, L: int, lam_max: float, t: float, variant: str):
-    """Unchecked r -> order-2k bound, and its leading terms (see _first_order_bound)."""
-    xt = 2 * 5 ** (k - 1) * lam_max * t
-    if xt == 0.0:
-        return (lambda r: 0.0), ()
-    p = 2 * k + 1
-    log_a0 = math.log(2) + p * (math.log(xt) + math.log(L)) - math.log(_FACTORIAL[p])
-    log_b0 = p * math.log(xt) + 2 * k * math.log(L) - math.log(_FACTORIAL[2 * k - 1])
-    if variant == "det":
-
-        def bound(r: int) -> float:
-            log_r = math.log(r)
-            return _exp_or_inf(log_r - _LOG_2 + (log_a0 - p * log_r + xt / r))
-
-        return bound, ((log_a0 - _LOG_2, 2 * k),)
-
-    def bound(r: int) -> float:
-        log_r = math.log(r)
-        exp_arg = xt / r
-        return _combine_random(log_a0 - p * log_r + exp_arg, log_b0 - p * log_r + exp_arg, log_r)
-
-    return bound, ((2 * log_a0 - _LOG_2, 4 * k + 1), (log_b0, 2 * k))
-
-
-def _combine_random(log_a: float, log_b: float, log_r: float) -> float:
-    # (r/2)(a^2 + 2b) assembled in log space.
-    la2 = 2 * log_a
-    lb2 = _LOG_2 + log_b
-    m = max(la2, lb2)
-    if m == math.inf:
-        return math.inf
-    total = log_r - _LOG_2 + m + math.log(math.exp(la2 - m) + math.exp(lb2 - m))
-    return _exp_or_inf(total)
+    return bound, ((2 * log_a - _LOG_2, 2 * p - 1), (log_b, q - 1))
 
 
 def _leading_root(terms: tuple[tuple[float, int], ...], eps: float) -> float:
@@ -350,29 +339,25 @@ def gate_count_exact(lam: float, t: float, eps: float) -> int:
     return found[0]
 
 
-def trotter_error_det(L: int, lam_max: float, t: float, r: int) -> float:
-    """First-order deterministic bound (r/2) a = (L lam_max t)^2 / (2r) * e^(lam_max t / r)."""
+def _checked_bound(method: Method, L: int, lam_max: float, t: float, r: int) -> float:
     _check_r(r)
     _check_profile_args(L, lam_max, t)
-    return _first_order_bound(L, lam_max, t, "det")[0](r)
+    return _product_bound(method, L, lam_max, t)[0](r)
+
+
+def trotter_error_det(L: int, lam_max: float, t: float, r: int) -> float:
+    """First-order deterministic bound (r/2) a = (L lam_max t)^2 / (2r) * e^(lam_max t / r)."""
+    return _checked_bound(TROTTER_DET, L, lam_max, t, r)
 
 
 def trotter_error_random(L: int, lam_max: float, t: float, r: int) -> float:
     """First-order randomized bound (r/2)(a^2 + 2 b)."""
-    _check_r(r)
-    _check_profile_args(L, lam_max, t)
-    return _first_order_bound(L, lam_max, t, "random")[0](r)
+    return _checked_bound(TROTTER_RANDOM, L, lam_max, t, r)
 
 
 def suzuki_error(k: int, L: int, lam_max: float, t: float, r: int, variant: str = "det") -> float:
     """Order-2k Suzuki bound at r segments, deterministic or randomized."""
-    _check_r(r)
-    _check_profile_args(L, lam_max, t)
-    if variant not in ("det", "random"):
-        raise ValueError(f"variant must be 'det' or 'random', got {variant!r}")
-    if k not in SUPPORTED_K:
-        raise ValueError(f"suzuki order parameter k must be in {SUPPORTED_K}, got {k}")
-    return _suzuki_bound(k, L, lam_max, t, variant)[0](r)
+    return _checked_bound(Method("suzuki", variant, k), L, lam_max, t, r)
 
 
 def solve_r(error_fn: Callable[[int], float], eps: float) -> int:
@@ -494,10 +479,7 @@ def error_function(method: Method, profile: WeightProfile, t: float) -> Callable
         raise ValueError(f"no segment error function for {method.label}")
     L, lam_max = profile.L, profile.lam_max
     _check_profile_args(L, lam_max, t)
-    if method.family == "trotter":
-        bound, terms = _first_order_bound(L, lam_max, t, method.variant)
-    else:
-        bound, terms = _suzuki_bound(method.k, L, lam_max, t, method.variant)
+    bound, terms = _product_bound(method, L, lam_max, t)
     bound.start = partial(_leading_root, terms)
     return bound
 

@@ -16,7 +16,8 @@ failure-share split in closed form, and the per-bit phase-estimation counts
 summed in log space.  Two helpers that no job calls moved here from the
 library: the repeated-run frequency filter of phase estimation and the
 closed-form Suzuki count, a cross-check on the segment solver.  They are
-kept for tests only.  The dense builders read a ``Hamiltonian``'s columns.
+kept for tests only, as are the separate first-order and order-2k bound
+builders that one product-formula builder replaced.  The dense builders read a ``Hamiltonian``'s columns.
 """
 
 from __future__ import annotations
@@ -32,9 +33,12 @@ from qdriftlab.compiler import compile_circuit, rng_from_seed
 from qdriftlab.hamiltonian import PAULI_AXES, Hamiltonian, HamiltonianError, HamiltonianParseError
 from qdriftlab.phase_estimation import _smooth_total
 from qdriftlab.trotter import (
+    _FACTORIAL,
+    _LOG_2,
     SUPPORTED_K,
     _check_positive,
     _check_profile_args,
+    _exp_or_inf,
     segment_error_bound,
     suzuki_b_constant,
     total_error_bound,
@@ -190,6 +194,75 @@ def closed_form_suzuki_count(k: int, L: int, lam_max: float, t: float, eps: floa
     _check_positive(eps, "eps")
     xt = lam_max * t
     return 2 * 5 ** (k - 1) * xt * L**2 * (xt * suzuki_b_constant(k) / eps) ** (1.0 / (2 * k))
+
+
+# The first-order and order-2k bound builders as they stood before one
+# builder, trotter._product_bound, replaced both; kept verbatim.
+
+
+def _first_order_bound(L: int, lam_max: float, t: float, variant: str):
+    """Unchecked r -> first-order bound, and its leading terms.
+
+    A leading term (log C, p) is C / r^p, the bound's term without its
+    exponential factor (which is >= 1).
+    """
+    x = L * lam_max * t
+    if x == 0.0:
+        return (lambda r: 0.0), ()
+    e = lam_max * t
+    log_x2 = 2 * math.log(x)
+    if variant == "det":
+        return (lambda r: _exp_or_inf(log_x2 - math.log(2 * r) + e / r)), ((log_x2 - _LOG_2, 1),)
+    log_x3 = 3 * math.log(x) - math.log(3)
+
+    def bound(r: int) -> float:
+        log_r = math.log(r)
+        exp_arg = e / r
+        return _combine_random(log_x2 - 2 * log_r + exp_arg, log_x3 - 3 * log_r + exp_arg, log_r)
+
+    return bound, ((2 * log_x2 - _LOG_2, 3), (log_x3, 2))
+
+
+def _suzuki_bound(k: int, L: int, lam_max: float, t: float, variant: str):
+    """Unchecked r -> order-2k bound, and its leading terms (see _first_order_bound)."""
+    xt = 2 * 5 ** (k - 1) * lam_max * t
+    if xt == 0.0:
+        return (lambda r: 0.0), ()
+    p = 2 * k + 1
+    log_a0 = math.log(2) + p * (math.log(xt) + math.log(L)) - math.log(_FACTORIAL[p])
+    log_b0 = p * math.log(xt) + 2 * k * math.log(L) - math.log(_FACTORIAL[2 * k - 1])
+    if variant == "det":
+
+        def bound(r: int) -> float:
+            log_r = math.log(r)
+            return _exp_or_inf(log_r - _LOG_2 + (log_a0 - p * log_r + xt / r))
+
+        return bound, ((log_a0 - _LOG_2, 2 * k),)
+
+    def bound(r: int) -> float:
+        log_r = math.log(r)
+        exp_arg = xt / r
+        return _combine_random(log_a0 - p * log_r + exp_arg, log_b0 - p * log_r + exp_arg, log_r)
+
+    return bound, ((2 * log_a0 - _LOG_2, 4 * k + 1), (log_b0, 2 * k))
+
+
+def _combine_random(log_a: float, log_b: float, log_r: float) -> float:
+    # (r/2)(a^2 + 2b) assembled in log space.
+    la2 = 2 * log_a
+    lb2 = _LOG_2 + log_b
+    m = max(la2, lb2)
+    if m == math.inf:
+        return math.inf
+    total = log_r - _LOG_2 + m + math.log(math.exp(la2 - m) + math.exp(lb2 - m))
+    return _exp_or_inf(total)
+
+
+def reference_product_bound(method, L: int, lam_max: float, t: float):
+    """(r -> bound, leading terms) for a product-formula method from the two builders above."""
+    if method.family == "trotter":
+        return _first_order_bound(L, lam_max, t, method.variant)
+    return _suzuki_bound(method.k, L, lam_max, t, method.variant)
 
 
 def log_sum(logs) -> float:

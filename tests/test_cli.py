@@ -122,6 +122,16 @@ class TestCompileCommand:
                      "--seed", "1", "--out", "run.circ"])
         assert code == EXIT_OK
         assert (tmp_path / "results" / "run.circ").exists()
+        # Without --out, each file is named after the input's stem.
+        for argv, name in [
+            (["compile", "--ham", str(ham_file), "--t", "1", "--eps", "1e-2", "--seed", "1"], "h.circ"),
+            (["truncate", "--ham", str(ham_file), "--eps", "0.3"], "h.truncated.txt"),
+        ]:
+            capsys.readouterr()
+            assert main(argv) == EXIT_OK
+            out = tmp_path / "results" / name
+            assert json.loads(capsys.readouterr().out)["file"] == str(out)
+            assert out.read_text()
 
 
 class TestCostCommand:
@@ -517,6 +527,17 @@ class TestVerifyCommand:
         assert main(["verify", "--ham", str(small_ham_file), "--tol", "1e-30"]) == EXIT_BOUND
         assert "channel validity" in capsys.readouterr().out
 
+    def test_violating_rows_are_listed(self, small_ham_file, monkeypatch, capsys):
+        # A bound below every measured distance fails each row.
+        monkeypatch.setattr(channels, "segment_error_bound", lambda lam, t, n: 1e-300)
+        assert main(["verify", "--ham", str(small_ham_file)]) == EXIT_BOUND
+        lines = capsys.readouterr().out.splitlines()
+        assert any(ln.startswith("[FAIL] bound small (") for ln in lines)
+        violating = [ln for ln in lines if ln.startswith("[INFO] violating row small: ")]
+        assert [ln.split(": ", 1)[1].split()[0] for ln in violating] == [f"N={n}" for n in cli.VERIFY_N_LIST]
+        assert all(ln.endswith(f" bound={cli._fmt(1e-300)}") for ln in violating)
+        assert lines[-1] == "VERIFY: FAIL"
+
 
 class TestTruncateCommand:
     def test_writes_canonical_truncation(self, tmp_path, capsys):
@@ -564,6 +585,12 @@ ERROR_TEXT = [
      "error: --points must be <= 1000000, got 10000000000000"),
     ("phase-est --lambda 1.0 --delta-e 1e-3 --pf-min 1e-3 --pf-max 0.1 --pf-points 10000000000000",
      "error: --pf-points must be <= 1000000, got 10000000000000"),
+    ("sweep --L 2 --Lambda 0.5 --lambda 1.0 --t-min 10 --t-max 1 --eps 1e-3",
+     "error: need --t-min < --t-max and --points >= 2"),
+    ("phase-est --lambda 1.0 --delta-e 1e-3 --pf 0.1 --L 0", "error: --L must be >= 1, got 0"),
+    ("phase-est --lambda 1.0 --delta-e 1e-3", "error: provide --pf or both --pf-min and --pf-max"),
+    ("phase-est --lambda 1.0 --delta-e 1e-3 --pf-min 0.5 --pf-max 0.1",
+     "error: need 0 < --pf-min < --pf-max < 1"),
 ]
 
 

@@ -1,5 +1,6 @@
 import math
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -58,6 +59,12 @@ class TestAllocateEps:
         eps = pe.allocate_eps(1.0, 6)
         for a, b in zip(eps, eps[1:]):
             assert b == pytest.approx(2 * a, rel=1e-12)
+
+    def test_depth_past_the_float_range_overflows(self):
+        # 2 (2^m - 1) is inf from m = 1023; an inf denominator would make every eps_j 0.
+        assert pe.allocate_eps(1.0, 1022)[-1] == 0.5
+        with pytest.raises(OverflowError):
+            pe.allocate_eps(1.0, 1023)
 
 
 class TestBitCosts:
@@ -290,6 +297,10 @@ class TestClosedFormTotals:
             assert abs(ratio - 1) < 0.15
 
 
+# The two entry points that cost a query at its optimized failure share.
+BOTH_PLANS = (pe.build_plan, pe.optimize_pf)
+
+
 class TestPlan:
     def test_invariants(self):
         q = pe.PEQuery(lam=2.0, delta_E=1e-4, P_f=0.03, L=20, lam_max=0.8)
@@ -339,26 +350,42 @@ class TestPlan:
         assert 0.2 < exact / closed.total < 5.0
 
     @pytest.mark.parametrize(
-        "methods, query",
+        "methods, query, plans",
         [
             # The trotter total, about 9.5e304, fits (test_trotter_totals_in_range).
-            (("qdrift",), pe.PEQuery(lam=1.0, delta_E=1e-200, P_f=0.05)),
-            (pe.METHODS, pe.PEQuery(lam=1e300, delta_E=1e-10, P_f=0.5, L=10, lam_max=1e300)),
+            (("qdrift",), pe.PEQuery(lam=1.0, delta_E=1e-200, P_f=0.05), BOTH_PLANS),
+            (pe.METHODS, pe.PEQuery(lam=1e300, delta_E=1e-10, P_f=0.5, L=10, lam_max=1e300), BOTH_PLANS),
             # The product under the root rounds to inf, and so does the total,
             # about 1.2e402 in log space.
-            (("trotter",), pe.PEQuery(lam=1.0, delta_E=1e-200, P_f=0.5, lam_max=1e66)),
+            (("trotter",), pe.PEQuery(lam=1.0, delta_E=1e-200, P_f=0.5, lam_max=1e66), BOTH_PLANS),
             # The continuous depth rounds to inf.
-            (pe.METHODS, pe.PEQuery(lam=1.0, delta_E=1e-308, P_f=0.5)),
-            (pe.METHODS, pe.PEQuery(lam=1.0, delta_E=1e-300, P_f=0.5)),
+            (pe.METHODS, pe.PEQuery(lam=1.0, delta_E=1e-308, P_f=0.5), BOTH_PLANS),
+            (pe.METHODS, pe.PEQuery(lam=1.0, delta_E=1e-300, P_f=0.5), BOTH_PLANS),
+            # The plan's depth is m = 1023, where 2 (2^m - 1) rounds to inf;
+            # the trotter continuous-depth total, about 1.6e89, fits.
+            (("trotter",), pe.PEQuery(lam=1.0, delta_E=2.5e-308, P_f=0.5, lam_max=1e-250), (pe.build_plan,)),
+            (
+                pe.METHODS,
+                pe.PEQuery(lam=1.0, delta_E=2.5e-308, P_f=0.5, lam_max=1e-250),
+                (partial(pe.build_plan, p_f=0.3),),
+            ),
         ],
-        ids=["tiny-delta-e", "huge-lambda", "infinite-product", "infinite-depth", "delta-e-1e-300"],
+        ids=[
+            "tiny-delta-e",
+            "huge-lambda",
+            "infinite-product",
+            "infinite-depth",
+            "delta-e-1e-300",
+            "depth-1023",
+            "depth-1023-given-pf",
+        ],
     )
-    def test_budget_overflow_names_the_query(self, methods, query):
+    def test_budget_overflow_names_the_query(self, methods, query, plans):
         message = (
             f"phase-estimation budget overflows a float (delta_E={query.delta_E}, P_f={query.P_f})"
         )
         for method in methods:
-            for plan in (pe.build_plan, pe.optimize_pf):
+            for plan in plans:
                 with pytest.raises(OverflowError) as excinfo:
                     plan(method, query)
                 assert str(excinfo.value) == message

@@ -12,6 +12,7 @@ from oracles import (
     closed_form_suzuki_count,
     max_search_evaluations,
     reference_doubling_search,
+    reference_product_bound,
 )
 from qdriftlab import cli, trotter
 from qdriftlab.hamiltonian import WeightProfile
@@ -162,13 +163,19 @@ class TestErrorFormulas:
         assert math.isinf(value)
         value = suzuki_error(3, 2, 1.0, 1e6, 1, "random")
         assert math.isinf(value)
+        # L lam_max t and the order-2k c overflow to inf, so 2 log a and
+        # log 2b are both inf; the random bound returns inf, not inf - inf = nan.
+        value = trotter_error_random(2, 1.0, 1e308, 1)
+        assert math.isinf(value)
+        value = suzuki_error(3, 2, 1e10, 1e300, 1, "random")
+        assert math.isinf(value)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             trotter_error_det(2, 1.0, 1.0, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"suzuki k must be in \(1, 2, 3\), got 4"):
             suzuki_error(4, 2, 1.0, 1.0, 5, "det")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="variant must be 'det' or 'random', got 'median'"):
             suzuki_error(1, 2, 1.0, 1.0, 5, "median")
 
 
@@ -278,12 +285,23 @@ class TestSolveRReference:
     @given(
         L=st.integers(1, 300_000),
         lam_max=st.floats(-3, 1).map(lambda e: 10.0**e),
-        t=st.floats(-4, 12).map(lambda e: 10.0**e),
+        t=st.one_of(
+            st.just(0.0),
+            st.floats(-4, 12).map(lambda e: 10.0**e),
+            st.floats(300, 308.25).map(lambda e: 10.0**e),
+        ),
         r=st.integers(1, 2**63),
+        eps=st.floats(-300, 0).map(lambda e: 10.0**e),
     )
-    def test_callable_is_bit_identical_to_public_bound(self, method, L, lam_max, t, r):
+    @example(L=1, lam_max=1.0, t=0.0, r=1, eps=1e-3)
+    @example(L=300_000, lam_max=10.0, t=1e308, r=2**63, eps=1e-300)
+    @example(L=1, lam_max=1e-3, t=1e308, r=1, eps=0.5)
+    def test_callable_is_bit_identical_to_public_bound(self, method, L, lam_max, t, r, eps):
+        # The oracle is the pair of builders that one builder replaced.
+        bound, terms = reference_product_bound(method, L, lam_max, t)
         err = error_function(method, WeightProfile(L, lam_max, lam_max), t)
-        assert err(r) == public_bound(method, L, lam_max, t)(r)
+        assert err(r) == public_bound(method, L, lam_max, t)(r) == bound(r)
+        assert err.start(eps) == trotter._leading_root(terms, eps)
 
     def test_error_function_checks_its_arguments_once(self):
         with pytest.raises(ValueError, match="t must be >= 0"):
