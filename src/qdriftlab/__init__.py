@@ -29,7 +29,6 @@ from .trotter import (
     segment_error_bound,
     solve_r,
     suzuki_error,
-    suzuki_prefactor,
     total_error_bound,
     trotter_error_det,
     trotter_error_random,
@@ -60,7 +59,6 @@ __all__ = [
     "segment_error_bound",
     "solve_r",
     "suzuki_error",
-    "suzuki_prefactor",
     "total_error_bound",
     "trotter_error_det",
     "trotter_error_random",

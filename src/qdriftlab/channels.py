@@ -270,7 +270,8 @@ def composition_check(
     M_x[u, u'] = s^2 sum_k p_k (-1)^{z_k . x} [u ^ u' = x_k].  The d blocks
     are built once; a step is one gather into sigma, one batched real
     product of the blocks with the states' real and imaginary parts, one
-    gather back and the product K rho, whatever L.  The states come from
+    gather back and the product K rho, added with its adjoint in place,
+    whatever L.  The states come from
     the generator in the order psi_0, phi_0, psi_1, ...
     """
     _check_qubits(h.n_qubits, MAX_POWER_QUBITS)
@@ -302,7 +303,9 @@ def composition_check(
         b = drift @ rho
         sigma = np.take(rho, into).view(np.float64)
         mixed = np.matmul(blocks, sigma).view(np.complex128)
-        rho = b + b.conj().swapaxes(1, 2) + np.take(mixed, back)
+        rho = np.take(mixed, back)
+        rho += b
+        rho += b.conj().swapaxes(1, 2)
     diff = rho - exact
     d_tr = 0.5 * np.linalg.svd(diff, compute_uv=False).sum(axis=1)
     expval_err = np.abs(np.einsum("ta,tab,tb->t", phi.conj(), diff, phi))

@@ -22,12 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from . import channels, phase_estimation as pe, trotter
-from .compiler import (
-    AliasSampler,
-    compile_circuit,
-    elementary_gate_estimate,
-    rng_from_seed,
-)
+from .compiler import compile_circuit, elementary_gate_estimate, rng_from_seed
 from .hamiltonian import (
     Hamiltonian,
     HamiltonianError,
@@ -383,8 +378,10 @@ def cmd_verify(args) -> int:
             slope_rows = rows
         slope = channels.decay_slope(slope_rows)
         in_band = SLOPE_BAND[0] <= slope <= SLOPE_BAND[1]
-        if h.L == 1 or math.isnan(slope):
+        if h.L == 1:
             report.info(f"slope {name}", "distances identically zero (single term)")
+        elif math.isnan(slope):
+            report.info(f"slope {name}", "fewer than two nonzero distances, slope undefined")
         elif args.negative_control:
             # The corrupted angle is expected to push the slope out of band;
             # the failure is flagged but gates only under --strict.
@@ -417,34 +414,6 @@ def cmd_verify(args) -> int:
             "expectation-value cap",
             all(tr.expval_ok for tr in trials),
             "2 ||M|| d_tr per trial",
-        )
-
-    rng = np.random.Generator(np.random.Philox(key=args.seed + 1))
-    draws = 100_000
-    worst_sigma = 0.0
-    for _ in range(4):
-        weights = rng.uniform(0.05, 1.0, size=int(rng.integers(2, 9)))
-        sampler = AliasSampler(weights)
-        counts = np.bincount(sampler.sample_many(rng, draws), minlength=weights.size)
-        p = sampler.probabilities
-        pulls = np.abs(counts / draws - p) / np.sqrt(p * (1 - p) / draws)
-        worst_sigma = max(worst_sigma, pulls.max())
-    report.check(
-        False, "sampling distribution", worst_sigma <= 5.0, f"worst pull {worst_sigma:.2f} sigma"
-    )
-
-    c1 = trotter.suzuki_prefactor(1)
-    report.check(
-        False,
-        "order-2 closed-form constant",
-        abs(c1 - 4 * math.sqrt(2)) <= 1e-12,
-        f"C1 = {c1!r}",
-    )
-    for k in (2, 3):
-        report.info(
-            f"order-{2 * k} constant discrepancy",
-            f"general formula {trotter.suzuki_prefactor(k):.6g} vs printed "
-            f"{trotter.PRINTED_NK_CONSTANTS[k]:.6g} (known mismatch, reported only)",
         )
 
     for line in report.lines:

@@ -238,6 +238,8 @@ def _product_bound(method: Method, L: int, lam_max: float, t: float):
     module docstring).  A leading term (log C, p) is C / r^p, the bound's
     term without its exponential factor (which is >= 1).
     """
+    if t == 0.0:  # before the products: an overflowed L * lam_max times 0.0 is nan
+        return (lambda r: 0.0), ()
     first_order = method.family == "trotter"
     if first_order:
         x, c, p, q = L * lam_max * t, lam_max * t, 2, 3
@@ -530,28 +532,6 @@ def best_method(query: CostQuery, candidates: Sequence[Method] = DEFAULT_CANDIDA
     if not reports:
         raise OverflowError("every candidate method overflowed the segment solver")
     return min(reports, key=_tie_key)
-
-
-def suzuki_b_constant(k: int) -> float:
-    """B_k = (2 * 5^(k-1))^(2k+1) / (2k-1)!."""
-    if k not in SUPPORTED_K:
-        raise ValueError(f"k must be in {SUPPORTED_K}, got {k}")
-    return (2 * 5 ** (k - 1)) ** (2 * k + 1) / _FACTORIAL[2 * k - 1]
-
-
-def suzuki_prefactor(k: int) -> float:
-    """C_k = 2 * 5^(k-1) * B_k^(1/2k), the closed-form gate-count constant."""
-    return 2 * 5 ** (k - 1) * suzuki_b_constant(k) ** (1.0 / (2 * k))
-
-
-# Widely quoted explicit constants for the order-2k closed-form counts.
-# k=1 agrees with suzuki_prefactor; k=2 and k=3 do not, and the verify
-# command surfaces the mismatch instead of silently reconciling it.
-PRINTED_NK_CONSTANTS = {
-    1: 4 * math.sqrt(2),
-    2: 500 * 10 ** 0.25 / 3,
-    3: 156250 * 2 ** (1 / 6) * 5 ** (1 / 3) / 3,
-}
 
 
 def crossover_time(

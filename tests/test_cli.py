@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from oracles import log_bit_counts, log_sum
-from qdriftlab import channels, cli, trotter
+from qdriftlab import channels, cli, compiler, trotter
 from qdriftlab.cli import EXIT_BOUND, EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, main
 from qdriftlab.hamiltonian import WeightProfile, parse_hamiltonian
 
@@ -537,6 +537,35 @@ class TestVerifyCommand:
         assert [ln.split(": ", 1)[1].split()[0] for ln in violating] == [f"N={n}" for n in cli.VERIFY_N_LIST]
         assert all(ln.endswith(f" bound={cli._fmt(1e-300)}") for ln in violating)
         assert lines[-1] == "VERIFY: FAIL"
+
+    def test_undefined_slope_does_not_claim_a_single_term(self, ham_file, monkeypatch, capsys):
+        # Distances that all underflow to 0 leave the slope undefined on a 3-term input.
+        monkeypatch.setattr(channels, "decay_slope", lambda rows: math.nan)
+        assert main(["verify", "--ham", str(ham_file)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert "[INFO] slope h: fewer than two nonzero distances, slope undefined" in lines
+        assert not any("single term" in ln for ln in lines)
+
+    def test_builds_no_sampler(self, ham_file, monkeypatch, capsys):
+        # verify certifies its input; the alias sampler is tested in the suite.
+        def refuse(self, weights):
+            raise AssertionError("verify built an AliasSampler")
+
+        monkeypatch.setattr(compiler.AliasSampler, "__init__", refuse)
+        assert main(["verify"]) == EXIT_OK
+        assert main(["verify", "--ham", str(ham_file)]) == EXIT_OK
+        assert "VERIFY: PASS" in capsys.readouterr().out
+
+    def test_seed_reaches_only_the_composition_probes(self, ham_file, capsys):
+        runs = []
+        for seed in ("1", "2"):
+            assert main(["verify", "--ham", str(ham_file), "--seed", seed]) == EXIT_OK
+            runs.append(capsys.readouterr().out.splitlines())
+        assert len(runs[0]) == len(runs[1])
+        differ = [(a, b) for a, b in zip(*runs) if a != b]
+        assert differ
+        composition = ("[PASS] composition subadditivity ", "[PASS] expectation-value cap ")
+        assert all(a.startswith(composition) and b.startswith(composition) for a, b in differ)
 
 
 class TestTruncateCommand:

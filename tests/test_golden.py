@@ -20,6 +20,7 @@ import pytest
 
 from oracles import (
     reference_parse_hamiltonian,
+    reference_verify_self_test_lines,
     scrambled_hamiltonian,
     sha256_indices,
     sha256_text,
@@ -165,8 +166,9 @@ def test_wide_cli_compile_matches_golden_hash(case, wide_file, tmp_path, capsys)
 # These come from the code before the gate-count and segment-count searches
 # were merged into one and the finite-and-positive checks into one; never
 # regenerate them.  The exceptions are the verify CSV hashes (see
-# PARENT_VERIFY_ROWS below) and the three phase-est stdout hashes (see
-# PARENT_PE_ROWS below).  The cost rows at t = 1e80 hold `overflow` and
+# PARENT_VERIFY_ROWS below), the three phase-est stdout hashes (see
+# PARENT_PE_ROWS below) and the verify stdout hashes (see
+# PARENT_VERIFY_STDOUT below).  The cost rows at t = 1e80 hold `overflow` and
 # `log10_gates=` cells, sweep-a and sweep-c end in a crossover row and
 # sweep-b has none, and verify-top uses the largest seed, 2**64 - 1.
 CLI_GOLDEN = [
@@ -199,14 +201,14 @@ CLI_GOLDEN = [
      "1a524b346f612193484b026559dc60c665ea1b2d20aedfe17f243ca8dca823f5", None),
     ("pe-single", "phase-est --lambda 10.0 --L 20 --Lambda 1.0 --delta-e 0.01 --pf 0.05", 3,
      "d083feca4e58226690de48076cb9aaa76343f3ba4a0750133ff2becbe5a5e665", None),
-    ("verify-42", "verify", 31,
-     "6a548864fcca97173b85aaacbb0bc6c4de2f31dfd53b529104691c59df8cf658",
+    ("verify-42", "verify", 27,
+     "01e52cca1343f556fd4f1050be5989a52c565e3d028088b06cb0939d798a50e5",
      "079f155edabe4538d82ef31ba9a7fe3484e8112526af964bdf095b1615f55a37"),
-    ("verify-7", "verify --seed 7", 31,
-     "1450815b9a581afe5078e9b4a949226859896561579a949b5a59a7e05454fffb",
+    ("verify-7", "verify --seed 7", 27,
+     "6c72477077ceb50a9d4174c99ca6d56b7435980d1baf3de0b1f67e9d4d5033a6",
      "f5691b3a95aaf87f0e91b44f6b4d31505fb2b539c0a24b63e69d1cc8404be182"),
-    ("verify-top", "verify --seed 18446744073709551615", 31,
-     "3e37486b0ef837e1c6d65c7449e43ecfa311a0813fdaef8c137f5d0098745f06",
+    ("verify-top", "verify --seed 18446744073709551615", 27,
+     "58bdac96b08535d25fb0349b33f80cdfbe1ef37cb048698933724612a4153161",
      "2c93b8667e4c04ab2f76600335305fb135d18389d49f4944a4c7f92fe9ce5713"),
 ]
 
@@ -509,6 +511,37 @@ def _check_parent_pe_rows(case_id: str, out: str) -> None:
             assert float(got) == pytest.approx(want, rel=2e-6, abs=0)
 
 
+# `verify` stdout as pinned before `verify` stopped printing four lines
+# that did not read its input: the alias-sampling and Suzuki-constant
+# self-tests, just before the verdict.  oracles.reference_verify_self_test_lines
+# rebuilds them from the seed, and today's stdout with them put back must
+# hash to the old pin, so every other line is unchanged.  The old pins of
+# the built-in suite predate the merged searches (see CLI_GOLDEN), and
+# those of VERIFY_GOLDEN predate building each segment and mixing channel
+# once per N.  (id: (seed, line count, sha256 of the old stdout))
+PARENT_VERIFY_STDOUT = {
+    "verify-42": (42, 31, "6a548864fcca97173b85aaacbb0bc6c4de2f31dfd53b529104691c59df8cf658"),
+    "verify-7": (7, 31, "1450815b9a581afe5078e9b4a949226859896561579a949b5a59a7e05454fffb"),
+    "verify-top": (TOP_SEED, 31, "3e37486b0ef837e1c6d65c7449e43ecfa311a0813fdaef8c137f5d0098745f06"),
+    "ham-4q": (42, 10, "a475b2b006ff318cccd00cde4b414cbbc7c52a872d3afc4cfde7f3bd54f8241b"),
+    "ham-4q-negative-control": (
+        42, 11, "3de4e12fe3975c9f952d10652ad8448c2805130c063ddc9b23eaebc31b706571"),
+    "ham-5q": (42, 9, "9cdad6b25b6d8bebc57f0d602b58a0123b1aa868a13214865439721a80421197"),
+    "negative-control": (42, 39, "37a577c59e8356b587d8ef73e4ba35662972f0b70a7bb06959c6a3eb56fa9b42"),
+    "negative-control-strict": (
+        42, 39, "b0c470ea5cb1ca992ad31e0c4efb8a1f0784b78fb915ace52e2d84b1a4afde96"),
+}
+
+
+def _check_parent_stdout(case_id: str, out: str) -> None:
+    seed, n_lines, digest = PARENT_VERIFY_STDOUT[case_id]
+    *report, verdict = out.splitlines(keepends=True)
+    old = "".join(report) + "".join(f"{line}\n" for line in reference_verify_self_test_lines(seed))
+    old += verdict
+    assert old.count("\n") == n_lines
+    assert sha256_text(old) == digest
+
+
 @pytest.mark.parametrize("case", CLI_GOLDEN, ids=lambda c: c[0])
 def test_cli_report_matches_golden_hash(case, tmp_path, capsys):
     _, command, n_lines, digest, csv_digest = case
@@ -521,6 +554,8 @@ def test_cli_report_matches_golden_hash(case, tmp_path, capsys):
     assert out.count("\n") == n_lines
     if case[0] in PARENT_PE_ROWS:
         _check_parent_pe_rows(case[0], out)
+    if case[0] in PARENT_VERIFY_STDOUT:
+        _check_parent_stdout(case[0], out)
     assert sha256_text(out) == digest
     if csv_digest is not None:
         _check_parent_rows(case[0], csv.read_text())
@@ -531,29 +566,29 @@ def test_cli_report_matches_golden_hash(case, tmp_path, capsys):
 # and with the mismatched-angle negative control, plus its --strict exit;
 # the 5-qubit input is over the channel-power cap, so it skips the
 # composition check.  (id, argv, exit code, line count, sha256 of stdout,
-# sha256 of the --out CSV).  The stdout hashes come from the code before
-# `verify` built each segment and mixing channel once per N; never
-# regenerate them.  The CSV hashes were retaken on purpose; see
-# PARENT_VERIFY_ROWS below.
+# sha256 of the --out CSV).  Never regenerate these hashes.  The stdout
+# hashes were retaken on purpose when `verify` stopped self-testing on
+# every run; the older ones stay pinned in PARENT_VERIFY_STDOUT below.  The
+# CSV hashes were retaken on purpose; see PARENT_VERIFY_ROWS below.
 VERIFY_HAMS = {
     "dense4": "0.8 ZZII\n-0.45 IXXI\n0.3 IIYY\n0.25 XIIZ\n-0.2 YZXI\n0.15 IIZX\n0.1 ZYIY\n",
     "wide5": "0.7 ZZIIX\n-0.4 IXXIY\n0.3 IIYYZ\n0.2 XIIZI\n-0.15 YZXIX\n",
 }
 VERIFY_GOLDEN = [
-    ("ham-4q", "verify --ham {dense4}", EXIT_OK, 10,
-     "a475b2b006ff318cccd00cde4b414cbbc7c52a872d3afc4cfde7f3bd54f8241b",
+    ("ham-4q", "verify --ham {dense4}", EXIT_OK, 6,
+     "3c9778224dba4366bdc7cbede49d37958d6ba9103732abfd6a74ce5cc73e6fd5",
      "0a4fb4e9859dc16d8e9feb295971180988e8e2b8dff0463df0fa1a17d4ea4a0c"),
-    ("ham-4q-negative-control", "verify --ham {dense4} --negative-control", EXIT_OK, 11,
-     "3de4e12fe3975c9f952d10652ad8448c2805130c063ddc9b23eaebc31b706571",
+    ("ham-4q-negative-control", "verify --ham {dense4} --negative-control", EXIT_OK, 7,
+     "5ddfc5e051d1a8ce89cc149e6842ff0dd7fff8d8c54e7b05043922271a3c0fe9",
      "0a4fb4e9859dc16d8e9feb295971180988e8e2b8dff0463df0fa1a17d4ea4a0c"),
-    ("ham-5q", "verify --ham {wide5}", EXIT_OK, 9,
-     "9cdad6b25b6d8bebc57f0d602b58a0123b1aa868a13214865439721a80421197",
+    ("ham-5q", "verify --ham {wide5}", EXIT_OK, 5,
+     "eac6d0c6e7bcb4c052c87846bd5314f92a19b1b5f0a37a93cfc50c189f326ae2",
      "27ca059a1aa8d5c44e8c5486103fc0998712683ca79fd9623b3215336fb5a75d"),
-    ("negative-control", "verify --negative-control", EXIT_OK, 39,
-     "37a577c59e8356b587d8ef73e4ba35662972f0b70a7bb06959c6a3eb56fa9b42",
+    ("negative-control", "verify --negative-control", EXIT_OK, 35,
+     "8e9d94dc2f11169d6d2a834222eb7dcf4c32c0f9520c9eee869ca7c8365d252e",
      "079f155edabe4538d82ef31ba9a7fe3484e8112526af964bdf095b1615f55a37"),
-    ("negative-control-strict", "verify --negative-control --strict", EXIT_BOUND, 39,
-     "b0c470ea5cb1ca992ad31e0c4efb8a1f0784b78fb915ace52e2d84b1a4afde96", None),
+    ("negative-control-strict", "verify --negative-control --strict", EXIT_BOUND, 35,
+     "8faca19870b9bad580fcb5c64329cc6999391e07713c76b245dc83729e3339e7", None),
 ]
 
 
@@ -573,6 +608,8 @@ def test_verify_report_matches_golden_hash(case, tmp_path, capsys):
     assert out.count("\n") == n_lines
     if case[0] in PARENT_PE_ROWS:
         _check_parent_pe_rows(case[0], out)
+    if case[0] in PARENT_VERIFY_STDOUT:
+        _check_parent_stdout(case[0], out)
     assert sha256_text(out) == digest
     if csv_digest is not None:
         _check_parent_rows(case[0], csv.read_text())

@@ -36,7 +36,6 @@ PUBLIC_NAMES = [
     "segment_error_bound",
     "solve_r",
     "suzuki_error",
-    "suzuki_prefactor",
     "total_error_bound",
     "trotter_error_det",
     "trotter_error_random",
@@ -44,7 +43,7 @@ PUBLIC_NAMES = [
 
 
 def test_all_lists_exactly_the_public_names():
-    assert len(PUBLIC_NAMES) == 26
+    assert len(PUBLIC_NAMES) == 25
     assert sorted(qdriftlab.__all__) == PUBLIC_NAMES
 
 
@@ -118,6 +117,11 @@ def test_every_public_name_resolves():
         (trotter, "_first_order_bound"),
         (trotter, "_suzuki_bound"),
         (trotter, "_combine_random"),
+        # verify certifies its input only; the Suzuki constants it used to
+        # self-test each run are checked in the tests, from tests/oracles.py.
+        (trotter, "suzuki_prefactor"),
+        (trotter, "suzuki_b_constant"),
+        (trotter, "PRINTED_NK_CONSTANTS"),
     ],
 )
 def test_removed_names_stay_removed(owner, name):

@@ -8,18 +8,20 @@ from hypothesis import strategies as st
 
 from oracles import (
     ANSWER_RANGES,
+    PRINTED_NK_CONSTANTS,
     answer_range,
     closed_form_suzuki_count,
     max_search_evaluations,
     reference_doubling_search,
     reference_product_bound,
+    suzuki_b_constant,
+    suzuki_prefactor,
 )
 from qdriftlab import cli, trotter
 from qdriftlab.hamiltonian import WeightProfile
 from qdriftlab.trotter import (
     COST_CSV_HEADER,
     DEFAULT_CANDIDATES,
-    PRINTED_NK_CONSTANTS,
     QDRIFT,
     R_MAX,
     SUZUKI_DET,
@@ -36,9 +38,7 @@ from qdriftlab.trotter import (
     gates_per_segment,
     qdrift_costs_more,
     solve_r,
-    suzuki_b_constant,
     suzuki_error,
-    suzuki_prefactor,
     trotter_error_det,
     trotter_error_random,
 )
@@ -169,6 +169,27 @@ class TestErrorFormulas:
         assert math.isinf(value)
         value = suzuki_error(3, 2, 1e10, 1e300, 1, "random")
         assert math.isinf(value)
+
+    # At t = 0 every bound is exactly 0, also where L lam_max or
+    # 2 5^(k-1) lam_max overflows and the product with t would be inf * 0 = nan.
+    @pytest.mark.parametrize("method", DEFAULT_CANDIDATES, ids=lambda m: m.label)
+    def test_zero_time_is_zero_when_the_product_overflows(self, method):
+        err = error_function(method, WeightProfile(10**12, 1.7e308, 1.7e308), 0.0)
+        assert [err(r) for r in (1, 2, 10**6, 2**62)] == [0.0] * 4
+        assert err.start(1e-3) == 1.0
+
+    @pytest.mark.parametrize(
+        "bound",
+        [
+            partial(trotter_error_det, 10**12, 1e299),
+            partial(trotter_error_random, 10**12, 1e299),
+            partial(suzuki_error, 1, 1, 1.7e308),
+            partial(suzuki_error, 3, 10**12, 1e307, variant="random"),
+        ],
+        ids=["trotter-det", "trotter-random", "suzuki2-det", "suzuki6-random"],
+    )
+    def test_public_zero_time_bound_is_zero_when_the_product_overflows(self, bound):
+        assert bound(0.0, 1) == 0.0
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
