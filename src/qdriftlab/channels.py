@@ -23,11 +23,17 @@ Validity.  A mixed-unitary map is trace preserving iff
 sum_k p_k U_k^dag U_k = I, and its Choi state's nonzero spectrum is that of
 R diag(p) R^dag for the R factor of its Kraus columns.
 
-Composition.  ``composition_check`` applies the N-fold step in XOR
-coordinates sigma[x, u] = rho[u, u ^ x], with bit masks whose most
-significant bit is a word's first letter.  There the step's Pauli-conjugation
-sum is block diagonal: d real d x d blocks (d^3 numbers), built once per
-check, so a step costs two gathers and two small products for any L.
+Composition.  ``composition_check`` applies the N-fold step in one of two
+coordinate systems, picked from L and d alone.  Both use bit masks whose
+most significant bit is a word's first letter.  When L + 1 <= d the states
+are carried as real Pauli coordinates r[x d + z] = Tr(P(x, z) rho), with
+P(x, z) = i^{|x & z|} X^x Z^z.  Each Pauli conjugation keeps P(x, z) up to
+sign, and the commutator i c s [A, rho] sends it to one signed Pauli per
+anticommuting term, so a step is one gather of L + 1 entries per row and
+one small product.  Larger L uses XOR coordinates
+sigma[x, u] = rho[u, u ^ x].  There the conjugation sum is block diagonal:
+d real d x d blocks (d^3 numbers) whatever L, so a step costs two gathers
+and two small products.
 
 ``verify`` runs exactly the three public checks: ``verify_bound`` (one
 eigendecomposition of H for all rows), ``validity_check`` (closed-form
@@ -64,9 +70,14 @@ def _check_qubits(n: int, cap: int) -> None:
         raise ValueError(f"{n} qubits exceeds the {cap}-qubit dense cap")
 
 
+def _letter_codes(h: Hamiltonian) -> np.ndarray:
+    """The (L, n) indices of each word's letters in PAULI_AXES."""
+    return np.array([[PAULI_AXES.index(c) for c in word] for word in h.words])
+
+
 def _signed_paulis(h: Hamiltonian) -> np.ndarray:
     """The L x d x d stack of s_k P_k, one exact Kronecker step per qubit for all k at once."""
-    codes = np.array([[PAULI_AXES.index(c) for c in word] for word in h.words])
+    codes = _letter_codes(h)
     out = _PAULIS[codes[:, 0]]
     for q in range(1, h.n_qubits):
         m = _PAULIS[codes[:, q]][:, None, :, None, :]
@@ -229,6 +240,68 @@ def _random_pure_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
+def _letter_masks(h: Hamiltonian) -> tuple[np.ndarray, np.ndarray]:
+    """Each word's X-or-Y and Y-or-Z letters as bit masks, the first letter most significant."""
+    codes = _letter_codes(h)
+    bits = 1 << np.arange(h.n_qubits - 1, -1, -1)
+    return ((codes == 1) | (codes == 2)) @ bits, (codes >= 2) @ bits
+
+
+def _popcount(a: np.ndarray) -> np.ndarray:
+    # bitwise_count returns uint8, where 1 - 2 * count would wrap.
+    return np.bitwise_count(a).astype(np.int64)
+
+
+def _pauli_products(n: int, xk: np.ndarray, zk: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(anti, e, partner), each (d^2, L): P(q) against P(x_k, z_k) for every q = x d + z.
+
+    anti is 1 where the two anticommute, and P(q) P(x_k, z_k) = i^e P(partner)
+    with partner = q ^ (x_k d + z_k) and e in 0..3.
+    """
+    dim = 1 << n
+    q = np.arange(dim * dim)
+    qx, qz = (q >> n)[:, None], (q & (dim - 1))[:, None]
+    anti = (_popcount(qx & zk) + _popcount(qz & xk)) & 1
+    x3, z3 = qx ^ xk, qz ^ zk
+    # X^x Z^z X^x' Z^z' = (-1)^{z . x'} X^{x ^ x'} Z^{z ^ z'}; the i^{|x & z|} factors close it.
+    e = (_popcount(qx & qz) + _popcount(xk & zk) + 2 * _popcount(qz & xk) - _popcount(x3 & z3)) & 3
+    return anti, e, (x3 << n) | z3
+
+
+def _pauli_rows(h: Hamiltonian, c: float, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """The (d^2, L + 1) gather table of one step in Pauli coordinates and its (d^2, 1, L + 1) weights.
+
+    Row q holds q itself, with weight c^2 + s^2 sum_k p_k chi_k(q), then
+    q ^ (x_k d + z_k) for each term, with weight 2 c s s_k p_k i^{e+1} when
+    P_k anticommutes with P(q) (chi_k(q) = -1) and 0 otherwise, where
+    P(q) P_k = i^e P(q ^ (x_k d + z_k)).
+    """
+    dim = 1 << h.n_qubits
+    anti, e, partner = _pauli_products(h.n_qubits, *_letter_masks(h))
+    table = np.concatenate((np.arange(dim * dim)[:, None], partner), axis=1)
+    weights = np.empty((dim * dim, 1, h.L + 1))
+    weights[:, 0, 0] = c * c + (s * s) * ((1 - 2 * anti) @ (h.weights / h.lam))
+    # e is odd on anticommuting pairs, where i^{e+1} = 1 - ((e + 1) & 2).
+    weights[:, 0, 1:] = (2 * c * s) * (anti * (1 - ((e + 1) & 2))) * (h.coefficients / h.lam)
+    return table, weights
+
+
+def _pauli_steps(h: Hamiltonian, rho: np.ndarray, n: int, c: float, s: float, into, back) -> np.ndarray:
+    """Apply the step n times to the states in Pauli coordinates (for L + 1 <= d)."""
+    trials, dim, _ = rho.shape
+    u = np.arange(dim)
+    parity = _popcount(u[:, None] & u)
+    hadamard = 1.0 - 2.0 * (parity & 1)  # (-1)^{z . u}
+    phase = np.array([1, 1j, -1, -1j])[parity & 3]  # i^{|x & z|}
+    # r[x, z] = i^{|x & z|} sum_u (-1)^{z . u} rho[u, u ^ x]: real for Hermitian rho.
+    r = (phase[:, :, None] * (hadamard @ np.take(rho, into))).real.reshape(dim * dim, trials)
+    table, weights = _pauli_rows(h, c, s)
+    for _ in range(n):
+        r = np.matmul(weights, np.take(r, table, axis=0)).reshape(dim * dim, trials)
+    sigma = hadamard @ ((phase.conj() / dim)[:, :, None] * r.reshape(dim, dim, trials))
+    return np.take(sigma, back)
+
+
 def _mixing_blocks(paulis: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """The d real d x d blocks M_x[u, u'] = sum_k scale_k (-1)^{z_k . x} [u ^ u' = x_k].
 
@@ -246,6 +319,22 @@ def _mixing_blocks(paulis: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return by_flip.T[:, u[:, None] ^ u]
 
 
+def _xor_steps(data: _KrausData, rho: np.ndarray, n: int, c: float, s: float, into, back) -> np.ndarray:
+    """Apply the step n times to the states in XOR coordinates, whatever L."""
+    dim = data.dim
+    drift = (1j * c * s) * np.tensordot(data.probs, data.paulis, axes=1)
+    drift[np.diag_indices(dim)] += 0.5 * c * c  # K = (c^2 / 2) I + i c s A
+    blocks = _mixing_blocks(data.paulis, (s * s) * data.probs)
+    for _ in range(n):
+        b = drift @ rho
+        sigma = np.take(rho, into).view(np.float64)
+        mixed = np.matmul(blocks, sigma).view(np.complex128)
+        rho = np.take(mixed, back)
+        rho += b
+        rho += b.conj().swapaxes(1, 2)
+    return rho
+
+
 def composition_check(
     h: Hamiltonian, t: float, n: int, trials: int = 20, seed: int = 1234
 ) -> list[CompositionTrial]:
@@ -256,23 +345,37 @@ def composition_check(
     checks |Tr[M (E^N - U)(rho)]| <= 2 ||M|| d_tr with the measured d_tr.
 
     The step at tau = lam t / n is applied n times to all probe states at
-    once, in d x d form: with U_k = c I + i s S_k (c = cos tau, s = sin tau,
-    S_k the signed Pauli) and A = sum_k p_k S_k,
+    once.  With U_k = c I + i s S_k (c = cos tau, s = sin tau, S_k = s_k P_k
+    the signed Pauli) and A = sum_k p_k S_k,
 
-        sum_k p_k U_k rho U_k^dag = K rho + (K rho)^dag + s^2 sum_k p_k S_k rho S_k,
+        sum_k p_k U_k rho U_k^dag = c^2 rho + i c s [A, rho] + s^2 sum_k p_k P_k rho P_k.
 
-    where K = (c^2 / 2) I + i c s A.  The last sum is taken in XOR
-    coordinates sigma[x, u] = rho[u, u ^ x].  Let x_k mask word k's X and Y
-    letters and z_k its Y and Z letters, the first letter as the most
-    significant bit.  Then (S_k rho S_k)[u, w] is
-    (-1)^{z_k . (u ^ w)} rho[u ^ x_k, w ^ x_k], so the sum maps each row
-    sigma[x] by one real d x d block,
-    M_x[u, u'] = s^2 sum_k p_k (-1)^{z_k . x} [u ^ u' = x_k].  The d blocks
-    are built once; a step is one gather into sigma, one batched real
-    product of the blocks with the states' real and imaginary parts, one
-    gather back and the product K rho, added with its adjoint in place,
-    whatever L.  The states come from
-    the generator in the order psi_0, phi_0, psi_1, ...
+    Let x_k mask word k's X and Y letters and z_k its Y and Z letters, the
+    first letter as the most significant bit.  The form of the step is
+    picked from L and d alone:
+
+    - L + 1 <= d: Pauli coordinates r[x d + z] = Tr(P(x, z) rho), with
+      P(x, z) = i^{|x & z|} X^x Z^z.  P_k P(q) P_k = chi_k(q) P(q) with
+      chi_k = -1 when the two anticommute, and then [P_k, P(q)] is a
+      multiple of P(q ^ (x_k d + z_k)).  So a step is one real matrix with
+      at most L + 1 entries per row: one gather of a (d^2, L + 1) table,
+      built once per check, and one batched product.  The states enter
+      through the XOR gather below and one Walsh-Hadamard product, and
+      leave the same way, once each.
+    - L + 1 > d: XOR coordinates sigma[x, u] = rho[u, u ^ x].  The step is
+      K rho + (K rho)^dag plus the conjugation sum, with
+      K = (c^2 / 2) I + i c s A.  (S_k rho S_k)[u, w] is
+      (-1)^{z_k . (u ^ w)} rho[u ^ x_k, w ^ x_k], so the sum maps each row
+      sigma[x] by one real d x d block,
+      M_x[u, u'] = s^2 sum_k p_k (-1)^{z_k . x} [u ^ u' = x_k].  The d
+      blocks are built once; a step is one gather into sigma, one batched
+      real product of the blocks with the states' real and imaginary parts,
+      one gather back and the product K rho, added with its adjoint in
+      place, whatever L.
+
+    Pauli rows cost about L + 1 numbers per coordinate and the blocks d,
+    which is where the forms cross.  The states come from the generator in
+    the order psi_0, phi_0, psi_1, ...
     """
     _check_qubits(h.n_qubits, MAX_POWER_QUBITS)
     if n < 1:
@@ -290,22 +393,16 @@ def composition_check(
 
     tau = h.lam * t / n
     c, s = math.cos(tau), math.sin(tau)
-    drift = (1j * c * s) * np.tensordot(data.probs, data.paulis, axes=1)
-    drift[np.diag_indices(dim)] += 0.5 * c * c  # K = (c^2 / 2) I + i c s A
-    blocks = _mixing_blocks(data.paulis, (s * s) * data.probs)
     # Flat positions of sigma[x, u, t] = rho[t, u, u ^ x] in the (trials, d, d)
     # states, and of rho[t, u, w] = sigma[u ^ w, u, t] in the (d, d, trials) sigma.
     rows = np.arange(dim)
     xor = rows[:, None] ^ rows
     into = (rows * dim + xor)[:, :, None] + np.arange(trials) * dim * dim
     back = ((xor * dim + rows[:, None]) * trials)[None] + np.arange(trials)[:, None, None]
-    for _ in range(n):
-        b = drift @ rho
-        sigma = np.take(rho, into).view(np.float64)
-        mixed = np.matmul(blocks, sigma).view(np.complex128)
-        rho = np.take(mixed, back)
-        rho += b
-        rho += b.conj().swapaxes(1, 2)
+    if h.L + 1 <= dim:
+        rho = _pauli_steps(h, rho, n, c, s, into, back)
+    else:
+        rho = _xor_steps(data, rho, n, c, s, into, back)
     diff = rho - exact
     d_tr = 0.5 * np.linalg.svd(diff, compute_uv=False).sum(axis=1)
     expval_err = np.abs(np.einsum("ta,tab,tb->t", phi.conj(), diff, phi))

@@ -76,14 +76,13 @@ def _write_text(path: Path, text: str | Iterable[str]) -> None:
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _emit_table(header: str, rows: list[list], fmt: str, out: Path | None) -> None:
+def _emit_table(header: str, rows: list[list[str]], fmt: str, out: Path | None) -> None:
+    """Write rows of cells already formatted by ``_fmt`` as CSV or JSON."""
     if fmt == "json":
         keys = header.split(",")
-        payload = [dict(zip(keys, [_fmt(c) for c in row])) for row in rows]
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps([dict(zip(keys, row)) for row in rows], indent=2) + "\n"
     else:
-        lines = [header] + [",".join(_fmt(c) for c in row) for row in rows]
-        text = "\n".join(lines) + "\n"
+        text = "\n".join([header] + [",".join(row) for row in rows]) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -166,7 +165,7 @@ def cmd_truncate(args) -> int:
 _ROW_METHODS = (trotter.QDRIFT, *trotter.DEFAULT_CANDIDATES)
 
 
-def _cost_rows(query: trotter.CostQuery, reports: list[trotter.CostReport | None]) -> list[list]:
+def _cost_rows(query: trotter.CostQuery, reports: list[trotter.CostReport | None]) -> list[list[str]]:
     # The query's cells are the same on every row: format them once.
     profile = query.profile
     shared = [_fmt(query.t), _fmt(query.eps), _fmt(profile.L), _fmt(profile.lam_max), _fmt(profile.lam)]
@@ -183,17 +182,15 @@ def _cost_rows(query: trotter.CostQuery, reports: list[trotter.CostReport | None
                 if report.gates <= trotter.INT64_MAX
                 else f"log10_gates={_fmt(report.log10_gates)}"
             )
-        rows.append(
-            [
-                method.family,
-                method.order if method.family != "qdrift" else None,
-                method.variant or None,
-                r_cell,
-                gates_cell,
-                bound_cell,
-                *shared,
-            ]
+        cells = (
+            method.family,
+            method.order if method.family != "qdrift" else None,
+            method.variant or None,
+            r_cell,
+            gates_cell,
+            bound_cell,
         )
+        rows.append([*map(_fmt, cells), *shared])
     return rows
 
 
@@ -235,21 +232,8 @@ def cmd_sweep(args) -> int:
     if args.crossover:
         t_star = trotter.crossover_time(profile, args.eps, (args.t_min, args.t_max), verdicts=verdicts)
         if t_star is not None:
-            rows.append(
-                [
-                    "crossover",
-                    None,
-                    None,
-                    None,
-                    None,
-                    None,
-                    t_star,
-                    args.eps,
-                    profile.L,
-                    profile.lam_max,
-                    profile.lam,
-                ]
-            )
+            cells = (t_star, args.eps, profile.L, profile.lam_max, profile.lam)
+            rows.append(["crossover", "", "", "", "", "", *map(_fmt, cells)])
     _emit_table(trotter.COST_CSV_HEADER, rows, args.format, _resolve_out(args.out))
     return EXIT_OK
 
@@ -289,18 +273,16 @@ def cmd_phase_est(args) -> int:
         ratio = plans["trotter"].total / plans["qdrift"].total
         for method in pe.METHODS:
             plan = plans[method]
-            rows.append(
-                [
-                    method,
-                    float(p),
-                    plan.p_f,
-                    plan.eps_tot,
-                    plan.m,
-                    plan.total,
-                    pe.closed_form_total(method, query),
-                    ratio,
-                ]
+            cells = (
+                float(p),
+                plan.p_f,
+                plan.eps_tot,
+                plan.m,
+                plan.total,
+                pe.closed_form_total(method, query),
+                ratio,
             )
+            rows.append([method, *map(_fmt, cells)])
     _emit_table(pe.PE_CSV_HEADER, rows, args.format, _resolve_out(args.out))
     return EXIT_OK
 
@@ -351,13 +333,13 @@ def cmd_verify(args) -> int:
     else:
         suite = _builtin_suite(args.seed)
 
-    csv_rows: list[list] = []
+    csv_rows: list[list[str]] = []
     for name, h in suite:
         rows = channels.verify_bound(h, args.t, VERIFY_N_LIST)
         tp_error, cp_min = channels.validity_check(h, args.t, VERIFY_N_LIST[0])
         valid = tp_error <= args.tol and cp_min >= -args.tol
         for row in rows:
-            csv_rows.append([row.N, row.d_lower, row.bound, row.ratio])
+            csv_rows.append([_fmt(row.N), _fmt(row.d_lower), _fmt(row.bound), _fmt(row.ratio)])
         worst = max(rows, key=lambda r: r.ratio if not math.isnan(r.ratio) else 0.0)
         report.check(
             True,

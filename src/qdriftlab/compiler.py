@@ -49,6 +49,33 @@ def _index_dtype(size: int) -> np.dtype:
     return np.dtype(np.uint16 if size <= 1 << 16 else np.uint32)
 
 
+def _deficit_walk(deficits: list[float], large: list[float]) -> tuple[int, list[int], list[float]]:
+    """Vose's pairing of small columns with large ones, as one pass over the deficits.
+
+    Returns how many small columns were paired, and for each large column
+    that retired with a partner after it, the index of the small column at
+    which it retired and its scaled weight then.  The subtractions are
+    those of the stack form, in its order, so every float is the same.
+    """
+    cuts: list[int] = []
+    left: list[float] = []
+    if not large:
+        return 0, cuts, left
+    last = len(large) - 1
+    j = 0
+    x = large[0]
+    for i, deficit in enumerate(deficits):
+        x -= deficit
+        while x < 1.0:
+            if j == last:
+                return i + 1, cuts, left
+            cuts.append(i)
+            left.append(x)
+            j += 1
+            x = large[j] - (1.0 - x)
+    return len(deficits), cuts, left
+
+
 class AliasSampler:
     """Vose alias table over a positive weight vector: O(L) build, O(1) draw.
 
@@ -68,26 +95,26 @@ class AliasSampler:
         n = w.size
         scaled = self._p * n
         below = scaled < 1.0
-        small = np.flatnonzero(below).tolist()
-        large = np.flatnonzero(~below).tolist()
-        # The loop runs on Python floats, which round exactly as numpy
-        # float64 scalars do but index far faster.
-        scaled = scaled.tolist()
-        prob = [1.0] * n
-        alias = list(range(n))
-        while small and large:
-            s = small.pop()
-            g = large.pop()
-            prob[s] = scaled[s]
-            alias[s] = g
-            scaled[g] -= 1.0 - scaled[s]
-            if scaled[g] < 1.0:
-                small.append(g)
-            else:
-                large.append(g)
-        # Leftovers are 1 up to roundoff; both stacks keep prob = 1.
-        self._prob = np.array(prob)
-        self._alias = np.array(alias, dtype=np.int64)
+        # Vose pairs the small columns, highest index first, with the large
+        # ones, also highest first.  The current large column absorbs each
+        # deficit 1 - scaled[s]; once it drops below 1 it becomes the next
+        # small column, and the next large one absorbs its deficit first.
+        small = np.flatnonzero(below)[::-1]
+        large = np.flatnonzero(~below)[::-1]
+        paired, cuts, left = _deficit_walk((1.0 - scaled[small]).tolist(), scaled[large].tolist())
+        self._prob = np.ones(n)
+        self._alias = np.arange(n, dtype=np.int64)
+        # The i-th paired small column went to the large column after the
+        # ones that retired before it (cuts < i), and the j-th retired large
+        # column to large column j + 1.  The walk runs on Python floats,
+        # which round exactly as numpy float64 scalars do.  Leftovers of
+        # either kind are 1 up to roundoff and keep prob = 1.
+        small = small[:paired]
+        self._prob[small] = scaled[small]
+        self._alias[small] = large[np.searchsorted(cuts, np.arange(paired))]
+        retired = large[: len(cuts)]
+        self._prob[retired] = left
+        self._alias[retired] = large[1 : len(cuts) + 1]
         # Entry 2j is what column j draws when its coin fails (its alias),
         # entry 2j + 1 what it draws when the coin holds (j itself).
         self._outcomes = np.empty(2 * n, dtype=_index_dtype(n))

@@ -825,6 +825,38 @@ def test_unwritable_out_is_a_domain_error(command, ham_file, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "command, first",
+    [
+        ("cost --ham {ham} --t 1 --eps 1e-3", "qdrift"),
+        ("sweep --L 2000 --Lambda 0.01 --lambda 5.0 --t-min 0.001 --t-max 1e10 --points 8"
+         " --eps 0.001 --crossover", "crossover"),
+        ("sweep --L 10 --Lambda 1 --lambda 10 --t-min 1 --t-max 1e80 --points 5 --eps 1e-3",
+         "qdrift"),
+        ("phase-est --lambda 1 --Lambda 1 --L 100 --delta-e 1e-4 --pf-min 0.01 --pf-max 0.1"
+         " --pf-points 3", "qdrift"),
+        ("verify --ham {ham} --out {out}", None),
+    ],
+    ids=["cost", "sweep-crossover", "sweep-overflow", "phase-est", "verify"],
+)
+def test_tables_reach_the_writer_formatted(command, first, fmt, ham_file, tmp_path, monkeypatch, capsys):
+    # Every row builder formats each cell once; the writer only joins or zips.
+    tables = []
+    emit = cli._emit_table
+    monkeypatch.setattr(cli, "_emit_table", lambda *args: tables.append(args[1]) or emit(*args))
+    argv = command.format(ham=ham_file, out=tmp_path / "out").split()
+    if not command.startswith("verify"):
+        argv += ["--format", fmt]
+    assert main(argv) == EXIT_OK
+    (rows,) = tables
+    assert rows and all(type(cell) is str for row in rows for cell in row)
+    if first == "crossover":
+        assert rows[-1][:6] == ["crossover", "", "", "", "", ""]
+    elif first is not None:
+        assert rows[0][0] == first
+
+
 @pytest.mark.parametrize(
     "command",
     [

@@ -26,6 +26,7 @@ from oracles import (
     sha256_text,
     wide_hamtxt,
 )
+from qdriftlab import channels
 from qdriftlab.cli import EXIT_BOUND, EXIT_OK, main
 from qdriftlab.compiler import AliasSampler, compile_circuit, rng_from_seed
 from qdriftlab.hamiltonian import Hamiltonian, parse_hamiltonian
@@ -590,6 +591,25 @@ VERIFY_GOLDEN = [
     ("negative-control-strict", "verify --negative-control --strict", EXIT_BOUND, 35,
      "8faca19870b9bad580fcb5c64329cc6999391e07713c76b245dc83729e3339e7", None),
 ]
+
+
+@pytest.mark.parametrize(
+    "argv, form",
+    [(["verify", "--ham", "{dense4}"], "_pauli_steps"), (["verify"], "_xor_steps")],
+    ids=["ham-4q-pauli", "builtin-two-term-1q-xor"],
+)
+def test_golden_verify_runs_pin_both_composition_forms(argv, form, tmp_path, monkeypatch, capsys):
+    # L + 1 <= d picks Pauli rows: the 7-term 4-qubit input takes them, and
+    # the built-in suite's first input (two terms on one qubit) the XOR blocks.
+    path = tmp_path / "dense4.txt"
+    path.write_text(VERIFY_HAMS["dense4"])
+    calls = []
+    for name in ("_pauli_steps", "_xor_steps"):
+        step = getattr(channels, name)
+        monkeypatch.setattr(channels, name, lambda *a, _n=name, _f=step: calls.append(_n) or _f(*a))
+    assert main([a.format(dense4=path) for a in argv]) == EXIT_OK
+    capsys.readouterr()
+    assert calls == [form]
 
 
 @pytest.mark.parametrize("case", VERIFY_GOLDEN, ids=lambda c: c[0])

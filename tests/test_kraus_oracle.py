@@ -12,6 +12,8 @@ orders of magnitude above 1e-12.
 """
 
 import itertools
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -71,15 +73,45 @@ def test_validity_numbers_equal_the_dense_path(h, t, n):
     assert abs(min(cp_min, 0.0) - min(dense.choi_min_eigenvalue(superop), 0.0)) <= TOL
 
 
-@settings(max_examples=25, deadline=None)
+def _composition_form(h, *args, **kwargs):
+    """composition_check's trials and the form of its step: "pauli" or "xor"."""
+    with mock.patch.object(ch, "_pauli_steps", wraps=ch._pauli_steps) as pauli:
+        with mock.patch.object(ch, "_xor_steps", wraps=ch._xor_steps) as xor:
+            trials = ch.composition_check(h, *args, **kwargs)
+    assert pauli.call_count + xor.call_count == 1
+    return trials, "pauli" if pauli.call_count else "xor"
+
+
+@st.composite
+def composition_inputs(draw) -> Hamiltonian:
+    """Inputs of at most 3 qubits on both sides of L + 1 <= d, the side drawn first."""
+    pauli = draw(st.booleans())
+    n = draw(st.integers(1, 3 if pauli else 2))
+    dim = 2**n
+    size = draw(st.integers(1, min(dim - 1, 6)) if pauli else st.integers(dim, min(4**n - 1, 6)))
+    words = draw(
+        st.lists(
+            st.text("IXYZ", min_size=n, max_size=n).filter(lambda w: w.strip("I")),
+            min_size=size,
+            max_size=size,
+            unique=True,
+        )
+    )
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=size, max_size=size))
+    signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=size, max_size=size))
+    return Hamiltonian([(s * w, word) for s, w, word in zip(signs, weights, words)])
+
+
+@settings(max_examples=40, deadline=None)
 @given(
-    h=hamiltonians(max_qubits=3),
+    h=composition_inputs(),
     t=st.floats(0.05, 2.0),
     n=st.integers(1, 120),
     seed=st.integers(0, 2**64 - 1),
 )
 def test_composition_trials_equal_the_dense_path(h, t, n, seed):
-    fast = ch.composition_check(h, t, n, trials=4, seed=seed)
+    fast, form = _composition_form(h, t, n, trials=4, seed=seed)
+    assert form == ("pauli" if h.L + 1 <= 2**h.n_qubits else "xor")
     slow = dense.dense_composition_check(h, t, n, trials=4, seed=seed)
     for got, want in zip(fast, slow):
         assert (got.index, got.budget) == (want.index, want.budget)
@@ -105,7 +137,8 @@ DENSE4 = [
 
 def _assert_composition_equals_dense(terms, t, n, trials, seed):
     h = Hamiltonian(terms)
-    fast = ch.composition_check(h, t, n, trials=trials, seed=seed)
+    fast, form = _composition_form(h, t, n, trials=trials, seed=seed)
+    assert form == ("pauli" if h.L < 16 else "xor")
     slow = dense.dense_composition_check(h, t, n, trials=trials, seed=seed)
     assert len(fast) == len(slow) == trials
     for got, want in zip(fast, slow):
@@ -145,6 +178,65 @@ def test_four_qubit_shared_flip_masks_equal_the_dense_path(terms):
 )
 def test_four_qubit_edge_compositions_equal_the_dense_path(terms, n, trials):
     _assert_composition_equals_dense(terms, 0.8, n, trials, seed=3)
+
+
+@pytest.mark.parametrize(
+    "terms, form",
+    [
+        ([(0.5, "Z"), (0.5, "X")], "xor"),  # the built-in suite's two-term-1q
+        ([(-0.8, "XY")], "pauli"),
+        (DENSE4, "pauli"),
+    ],
+    ids=["two-term-1q", "single-term-2q", "dense4"],
+)
+@pytest.mark.parametrize("t", [1e-3, 1e-5, 1e-7])
+def test_small_t_compositions_pass(terms, form, t):
+    # The 1e-12 slack of state_ok and expval_ok holds at small t on both forms.
+    trials, taken = _composition_form(Hamiltonian(terms), t, 100, trials=20, seed=42)
+    assert taken == form
+    assert all(tr.state_ok and tr.expval_ok for tr in trials)
+
+
+def _pauli_word(n_qubits: int, q: int) -> str:
+    """The word of P(x, z), q = x d + z, the first letter the most significant bit."""
+    x, z = q >> n_qubits, q & (2**n_qubits - 1)
+    bits = [(x >> j & 1, z >> j & 1) for j in reversed(range(n_qubits))]
+    return "".join("IZXY"[2 * bx + bz] for bx, bz in bits)
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3])
+def test_pauli_products_equal_kronecker_products(n_qubits):
+    dim = 2**n_qubits
+    words = [_pauli_word(n_qubits, q) for q in range(dim * dim)]
+    mats = [dense.pauli_to_matrix(w) for w in words]
+    # The letter masks index each word's own coordinate.
+    xk, zk = ch._letter_masks(Hamiltonian([(1.0, w) for w in words[1:]]))
+    assert (xk * dim + zk).tolist() == list(range(1, dim * dim))
+    q = np.arange(dim * dim)
+    anti, e, partner = ch._pauli_products(n_qubits, q >> n_qubits, q & (dim - 1))
+    powers = np.array([1, 1j, -1, -1j])
+    for a, b in itertools.product(range(dim * dim), repeat=2):
+        product = mats[a] @ mats[b]
+        assert anti[a, b] == (not np.array_equal(product, mats[b] @ mats[a]))
+        assert np.array_equal(product, powers[e[a, b]] * mats[partner[a, b]])
+
+
+@settings(max_examples=30, deadline=None)
+@given(h=hamiltonians(max_qubits=3), tau=st.floats(1e-4, 3.0))
+def test_pauli_rows_equal_the_dense_transfer_matrix(h, tau):
+    n = h.n_qubits
+    dim = 2**n
+    table, weights = ch._pauli_rows(h, math.cos(tau), math.sin(tau))
+    assert table.shape == (dim * dim, h.L + 1) and weights.shape == (dim * dim, 1, h.L + 1)
+    rows = np.zeros((dim * dim, dim * dim))
+    np.add.at(rows, (np.arange(dim * dim)[:, None], table), weights[:, 0])
+    # R[q, q'] = Tr(P(q) E(P(q'))) / d, with Tr(P X) = vec(P)^dag vec(X) for Hermitian P.
+    basis = np.stack(
+        [dense.vec(dense.pauli_to_matrix(_pauli_word(n, q))) for q in range(dim * dim)], axis=1
+    )
+    transfer = basis.conj().T @ dense.qdrift_channel(h, tau) @ basis / dim
+    assert np.max(np.abs(transfer.imag)) <= 1e-13
+    assert np.max(np.abs(rows - transfer.real)) <= 1e-13
 
 
 def test_all_255_four_qubit_words_equal_the_dense_path():
