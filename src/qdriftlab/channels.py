@@ -247,9 +247,13 @@ def _letter_masks(h: Hamiltonian) -> tuple[np.ndarray, np.ndarray]:
     return ((codes == 1) | (codes == 2)) @ bits, (codes >= 2) @ bits
 
 
+# Set bits of every mask of at most MAX_POWER_QUBITS bits, as int64 so that
+# 1 - 2 * count cannot wrap.
+_BIT_COUNTS = np.array([bin(m).count("1") for m in range(1 << MAX_POWER_QUBITS)], dtype=np.int64)
+
+
 def _popcount(a: np.ndarray) -> np.ndarray:
-    # bitwise_count returns uint8, where 1 - 2 * count would wrap.
-    return np.bitwise_count(a).astype(np.int64)
+    return _BIT_COUNTS[a]
 
 
 def _pauli_products(n: int, xk: np.ndarray, zk: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -302,20 +306,13 @@ def _pauli_steps(h: Hamiltonian, rho: np.ndarray, n: int, c: float, s: float, in
     return np.take(sigma, back)
 
 
-def _mixing_blocks(paulis: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """The d real d x d blocks M_x[u, u'] = sum_k scale_k (-1)^{z_k . x} [u ^ u' = x_k].
-
-    Row u of S_k holds its one entry phi_k(u) in column u ^ x_k, and
-    phi_k(0) conj(phi_k(x)) = (-1)^{z_k . x}, so both masks are read off the
-    signed Pauli stack.
-    """
-    count, dim, _ = paulis.shape
-    u = np.arange(dim)
-    flips = np.argmax(np.abs(paulis[:, 0]), axis=1)
-    phases = paulis[np.arange(count)[:, None], u, u ^ flips[:, None]]
-    signs = (phases[:, :1] * phases.conj()).real
-    by_flip = np.zeros((dim, dim))  # by_flip[m, x]: the terms with x_k = m
-    np.add.at(by_flip, flips, scale[:, None] * signs)
+def _mixing_blocks(h: Hamiltonian, scale: np.ndarray) -> np.ndarray:
+    """The d real d x d blocks M_x[u, u'] = sum_k scale_k (-1)^{z_k . x} [u ^ u' = x_k]."""
+    xk, zk = _letter_masks(h)
+    u = np.arange(1 << h.n_qubits)
+    signs = 1 - 2 * (_popcount(zk[:, None] & u) & 1)
+    by_flip = np.zeros((u.size, u.size))  # by_flip[m, x]: the terms with x_k = m
+    np.add.at(by_flip, xk, scale[:, None] * signs)
     return by_flip.T[:, u[:, None] ^ u]
 
 
@@ -324,7 +321,7 @@ def _xor_steps(data: _KrausData, rho: np.ndarray, n: int, c: float, s: float, in
     dim = data.dim
     drift = (1j * c * s) * np.tensordot(data.probs, data.paulis, axes=1)
     drift[np.diag_indices(dim)] += 0.5 * c * c  # K = (c^2 / 2) I + i c s A
-    blocks = _mixing_blocks(data.paulis, (s * s) * data.probs)
+    blocks = _mixing_blocks(data.h, (s * s) * data.probs)
     for _ in range(n):
         b = drift @ rho
         sigma = np.take(rho, into).view(np.float64)

@@ -375,36 +375,8 @@ def sha256_indices(indices: np.ndarray) -> str:
     return hashlib.sha256(np.asarray(indices, dtype="<i8").tobytes()).hexdigest()
 
 
-def reference_vose_stack_tables(weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``AliasSampler``'s (prob, alias, outcomes) from Vose's two-stack loop on Python floats."""
-    w = np.asarray(weights, dtype=float)
-    p = w / math.fsum(w.tolist())
-    n = w.size
-    scaled = p * n
-    below = scaled < 1.0
-    small = np.flatnonzero(below).tolist()
-    large = np.flatnonzero(~below).tolist()
-    scaled = scaled.tolist()
-    prob = [1.0] * n
-    alias = list(range(n))
-    while small and large:
-        s = small.pop()
-        g = large.pop()
-        prob[s] = scaled[s]
-        alias[s] = g
-        scaled[g] -= 1.0 - scaled[s]
-        if scaled[g] < 1.0:
-            small.append(g)
-        else:
-            large.append(g)
-    outcomes = np.empty(2 * n, dtype=np.uint16 if n <= 1 << 16 else np.uint32)
-    outcomes[0::2] = alias
-    outcomes[1::2] = np.arange(n)
-    return np.array(prob), np.array(alias, dtype=np.int64), outcomes
-
-
-def reference_alias_tables(weights) -> tuple[np.ndarray, np.ndarray]:
-    """Vose's (prob, alias) arrays, built by indexing numpy scalars."""
+def reference_alias_tables(weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``AliasSampler``'s (prob, alias, outcomes) from Vose's two-stack loop on numpy scalars."""
     w = np.asarray(weights, dtype=float)
     p = w / math.fsum(w.tolist())
     n = w.size
@@ -423,7 +395,10 @@ def reference_alias_tables(weights) -> tuple[np.ndarray, np.ndarray]:
             small.append(g)
         else:
             large.append(g)
-    return prob, alias
+    outcomes = np.empty(2 * n, dtype=np.uint16 if n <= 1 << 16 else np.uint32)
+    outcomes[0::2] = alias
+    outcomes[1::2] = np.arange(n)
+    return prob, alias, outcomes
 
 
 @dataclass(frozen=True)

@@ -415,15 +415,52 @@ def _weights(kind: str, n: int) -> np.ndarray:
         return 0.1 + 0.9 * rng.random(n)
     if kind == "equal":
         return np.full(n, 0.37)
+    if kind == "exponential":
+        return rng.exponential(1.0, n) + 1e-9
+    if kind == "lognormal":
+        return rng.lognormal(0.0, 2.0, n)
+    if kind == "two-valued":
+        return np.where(rng.random(n) < 0.3, 5.0, 0.2)
+    if kind == "rounded-ties":
+        return np.round(rng.random(n), 1) + 0.1
     return rng.pareto(1.2, n) + 1e-3  # heavy-tailed
 
 
-@pytest.mark.parametrize("kind", ["uniform", "equal", "heavy"])
+def _assert_same_alias_tables(weights):
+    sampler = AliasSampler(weights)
+    want = reference_alias_tables(weights)
+    for got, ref in zip((sampler._prob, sampler._alias, sampler._outcomes), want):
+        assert got.dtype == ref.dtype
+        np.testing.assert_array_equal(got, ref)
+
+
+@pytest.mark.parametrize(
+    "kind", ["uniform", "equal", "heavy", "exponential", "lognormal", "two-valued", "rounded-ties"]
+)
 @pytest.mark.parametrize("n", [1, 2, 7, 2000, 30000, 70000])
 def test_alias_tables_equal_numpy_scalar_builder(kind, n):
-    weights = _weights(kind, n)
-    sampler = AliasSampler(weights)
-    prob, alias = reference_alias_tables(weights)
-    assert sampler._prob.dtype == prob.dtype and sampler._alias.dtype == alias.dtype
-    np.testing.assert_array_equal(sampler._prob, prob)
-    np.testing.assert_array_equal(sampler._alias, alias)
+    _assert_same_alias_tables(_weights(kind, n))
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        [2.5],
+        [1.0, 1.0],
+        [0.1, 0.1, 0.1],
+        [1.0, 3.0],
+        [3.0, 1.0, 1.0, 1.0],
+        [1e-300, 1.0, 1e300],
+        [1.0] * 7 + [1e-9],
+        [1e-9] * 7 + [1.0],
+        [0.3, 0.3, 0.3, 0.1, 0.1, 0.1, 0.9, 0.9, 0.9],
+    ],
+)
+def test_tied_alias_weights_equal_numpy_scalar_builder(weights):
+    _assert_same_alias_tables(weights)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=40))
+def test_any_alias_weights_equal_numpy_scalar_builder(weights):
+    _assert_same_alias_tables(weights)

@@ -14,7 +14,6 @@ from oracles import (
     max_search_evaluations,
     reference_doubling_search,
     reference_segment_error_bound,
-    reference_vose_stack_tables,
     scrambled_hamiltonian,
 )
 from qdriftlab import compiler, trotter
@@ -278,63 +277,6 @@ class TestAliasSampler:
             AliasSampler([])
         with pytest.raises(ValueError):
             AliasSampler([1.0, 0.0])
-
-
-def _assert_same_alias_tables(weights):
-    sampler = AliasSampler(weights)
-    prob, alias, outcomes = reference_vose_stack_tables(weights)
-    for got, want in ((sampler._prob, prob), (sampler._alias, alias), (sampler._outcomes, outcomes)):
-        assert got.dtype == want.dtype
-        np.testing.assert_array_equal(got, want)
-
-
-WEIGHT_SHAPES = {
-    "uniform": lambda rng, n: rng.random(n) + 1e-3,
-    "exponential": lambda rng, n: rng.exponential(1.0, n) + 1e-9,
-    "equal": lambda rng, n: np.full(n, 0.37),
-    "pareto": lambda rng, n: rng.pareto(1.2, n) + 1e-3,
-    "two-valued": lambda rng, n: np.where(rng.random(n) < 0.3, 5.0, 0.2),
-    "rounded-ties": lambda rng, n: np.round(rng.random(n), 1) + 0.1,
-}
-
-
-class TestDeficitWalk:
-    """``AliasSampler``'s deficit walk builds the tables of Vose's two-stack loop, bit for bit."""
-
-    @pytest.mark.parametrize("shape", sorted(WEIGHT_SHAPES))
-    def test_random_vectors_equal_the_stack_loop(self, shape):
-        rng = np.random.Generator(np.random.Philox(key=len(shape)))
-        for n in [1, 2, 3, 5, 8, 13, 64, 257, 1000, 70_000]:
-            for _ in range(3 if n < 1000 else 1):
-                _assert_same_alias_tables(WEIGHT_SHAPES[shape](rng, n))
-
-    @pytest.mark.parametrize(
-        "weights",
-        [
-            [2.5],
-            [1.0, 1.0],
-            [0.1, 0.1, 0.1],
-            [1.0, 3.0],
-            [3.0, 1.0, 1.0, 1.0],
-            [1e-300, 1.0, 1e300],
-            [1.0] * 7 + [1e-9],
-            [1e-9] * 7 + [1.0],
-            [0.3, 0.3, 0.3, 0.1, 0.1, 0.1, 0.9, 0.9, 0.9],
-        ],
-    )
-    def test_tied_and_single_column_weights_equal_the_stack_loop(self, weights):
-        _assert_same_alias_tables(weights)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=40))
-    def test_any_weights_equal_the_stack_loop(self, weights):
-        _assert_same_alias_tables(weights)
-
-    def test_compile_workload_weights_equal_the_stack_loop(self):
-        # The two compile shapes: 2000 terms in [0.1, 1] and 1e5 heavy-tailed terms.
-        rng = np.random.Generator(np.random.Philox(key=22))
-        _assert_same_alias_tables(rng.uniform(0.1, 1.0, 2000))
-        _assert_same_alias_tables(rng.lognormal(0.0, 2.0, 100_000))
 
 
 class TestCompile:
