@@ -161,36 +161,29 @@ def cmd_truncate(args) -> int:
 # cost / sweep
 
 
-# One cost-table row per method, qDRIFT first.
+# One cost-table row per method, qDRIFT first, and its method cells.
 _ROW_METHODS = (trotter.QDRIFT, *trotter.DEFAULT_CANDIDATES)
+_METHOD_CELLS = [
+    [method.family, _fmt(method.order if method.family != "qdrift" else None), method.variant]
+    for method in _ROW_METHODS
+]
 
 
-def _cost_rows(query: trotter.CostQuery, reports: list[trotter.CostReport | None]) -> list[list[str]]:
+def _cost_rows(query: trotter.CostQuery, counts: list) -> list[list[str]]:
+    """Cost-table rows from ``trotter._count`` tuples, one per ``_ROW_METHODS`` entry."""
     # The query's cells are the same on every row: format them once.
     profile = query.profile
     shared = [_fmt(query.t), _fmt(query.eps), _fmt(profile.L), _fmt(profile.lam_max), _fmt(profile.lam)]
     rows = []
-    for method, report in zip(_ROW_METHODS, reports):
-        if report is None:
+    for method_cells, count in zip(_METHOD_CELLS, counts):
+        if count is None:
             # Needs more than 2**63 segments; keep the row shape with an
             # explicit sentinel instead of a silent infinity.
-            r_cell, gates_cell, bound_cell = None, "overflow", None
-        else:
-            r_cell, bound_cell = report.r, report.bound
-            gates_cell = (
-                report.gates
-                if report.gates <= trotter.INT64_MAX
-                else f"log10_gates={_fmt(report.log10_gates)}"
-            )
-        cells = (
-            method.family,
-            method.order if method.family != "qdrift" else None,
-            method.variant or None,
-            r_cell,
-            gates_cell,
-            bound_cell,
-        )
-        rows.append([*map(_fmt, cells), *shared])
+            rows.append([*method_cells, "", "overflow", "", *shared])
+            continue
+        r, gates, bound = count
+        gates_cell = _fmt(gates) if gates <= trotter.INT64_MAX else f"log10_gates={_fmt(math.log10(gates))}"
+        rows.append([*method_cells, _fmt(r), gates_cell, _fmt(bound), *shared])
     return rows
 
 
@@ -205,7 +198,7 @@ def cmd_cost(args) -> int:
     _check_positive(args.t, "--t")
     _check_positive(args.eps, "--eps")
     query = trotter.CostQuery(_fair_profile(args, args.eps), args.t, args.eps)
-    rows = _cost_rows(query, trotter.gate_counts(_ROW_METHODS, query))
+    rows = _cost_rows(query, list(trotter._counts(_ROW_METHODS, query)))
     _emit_table(trotter.COST_CSV_HEADER, rows, args.format, _resolve_out(args.out))
     return EXIT_OK
 
@@ -226,9 +219,9 @@ def cmd_sweep(args) -> int:
     verdicts = {}
     for t in map(float, grid):
         query = trotter.CostQuery(profile, t, args.eps)
-        reports = trotter.gate_counts(_ROW_METHODS, query)
-        rows.extend(_cost_rows(query, reports))
-        verdicts[t] = trotter.qdrift_costs_more(reports)
+        counts = list(trotter._counts(_ROW_METHODS, query))
+        rows.extend(_cost_rows(query, counts))
+        verdicts[t] = trotter.qdrift_costs_more(counts)
     if args.crossover:
         t_star = trotter.crossover_time(profile, args.eps, (args.t_min, args.t_max), verdicts=verdicts)
         if t_star is not None:

@@ -109,7 +109,8 @@ def bits_m(delta: float, p_f: float) -> int:
 def allocate_eps(eps_tot: float, m: int) -> list[float]:
     """Optimal geometric split eps_j = eps_tot * 2^j / (2 (2^m - 1)), j = 1..m.
 
-    Raises OverflowError where 2 (2^m - 1) does not fit in a float (m >= 1023).
+    Raises OverflowError where 2 (2^m - 1) does not fit in a float (m >= 1023)
+    or eps_1 underflows to 0, so that bit 1 would need infinitely many gates.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -118,6 +119,8 @@ def allocate_eps(eps_tot: float, m: int) -> list[float]:
     denom = 2.0 * (2.0**m - 1.0)
     if denom == math.inf:
         raise OverflowError(f"2 (2^m - 1) overflows a float (m={m})")
+    if eps_tot * 2.0 / denom == 0.0:
+        raise OverflowError(f"eps_1 underflows to 0 (eps_tot={eps_tot}, m={m})")
     return [eps_tot * 2.0**j / denom for j in range(1, m + 1)]
 
 
@@ -188,7 +191,7 @@ def _smooth_total(method: str, p_f: float, query: PEQuery) -> float:
     which is > 0 for every p_f < 1 when 0 < delta <= 1/2."""
     y = (1.0 / p_f + 1.0) / (4.0 * query.delta) - 1.0
     eps_tot = (query.P_f - p_f) / 2.0
-    with contextlib.suppress(OverflowError):
+    with contextlib.suppress(OverflowError, ZeroDivisionError):  # eps_tot 0 at a subnormal P_f
         total = _model_count(method, 2.0 * y, eps_tot, query.L, query.lam_max_rescaled)
         if total < math.inf:
             return total
@@ -262,12 +265,20 @@ def build_plan(method: str, query: PEQuery, p_f: float | None = None) -> PEPlan:
             raise ValueError(f"p_f must be in (0, P_f), got {p_f!r}")
         eps_tot = (query.P_f - p_f) / 2.0
         m = bits_m(query.delta, p_f)
-        rows = []
+        rows, L, lam_a = [], query.L, query.lam_max_rescaled
+        try:  # trotter_bit_cost's loop invariants; a bit they do not cost goes to it
+            cube = lam_a**3
+            scale, head = 8.0 * L**2, 2.0 * math.pi**3 * cube
+        except OverflowError:
+            cube = 0.0
         for j, eps_j in enumerate(allocate_eps(eps_tot, m), start=1):
             if method == "qdrift":
                 gates = qdrift_bit_cost(j, eps_j)
             else:
-                gates = trotter_bit_cost(j, eps_j, query.L, query.lam_max_rescaled)
+                normal = cube >= sys.float_info.min and j < 342  # 8.0**342 overflows
+                gates = scale * math.sqrt(head * 8.0**j / eps_j) if normal else math.inf
+                if not gates < math.inf:
+                    gates = trotter_bit_cost(j, eps_j, L, lam_a)
             rows.append(BitRow(j, math.pi * 2.0**j, eps_j, gates))
         total = math.fsum(r.gates for r in rows)
     except OverflowError:

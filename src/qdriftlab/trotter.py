@@ -22,7 +22,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -112,22 +112,16 @@ def _smallest_within(
     if above < _MARGIN:
         return above, above_value
     low_cut, high_cut = below - below // _MARGIN, above + above // _MARGIN
-
-    def value(n: int) -> float:
-        # bound(n), evaluated only inside the window; outside it a value
-        # that decides the probe the same way.
-        if n > high_cut:
-            return -math.inf
-        if n == above:
-            return above_value
-        if n < low_cut or n == below:
-            return math.inf
-        return bound(n)
-
-    # Every power of two below low_cut fails.
+    # A probe calls bound only inside [low_cut, high_cut]; past high_cut it
+    # passes, below low_cut and at ``below`` it fails, and at ``above`` it
+    # passes with the value already evaluated.  Every power of two below
+    # low_cut fails.
     hi = 1 << (low_cut - 1).bit_length()
     lo = hi // 2
-    while not (hi_value := value(hi)) <= target:
+    while not (
+        hi_value := -math.inf if hi > high_cut else above_value if hi == above
+        else math.inf if hi == below else bound(hi)
+    ) <= target:
         lo, hi = hi, hi * 2
         if hi > limit:
             return None
@@ -135,18 +129,21 @@ def _smallest_within(
     # element with the most trailing zeros.  The midpoints before it lie
     # outside the window and are decided without an evaluation; if they
     # moved hi, it now lies past high_cut.
-    first, last = max(low_cut, lo + 1), min(high_cut, hi - 1)
+    first, last = (low_cut if low_cut > lo else lo + 1), (high_cut if high_cut < hi else hi - 1)
     if first <= last:
         step = 1 << ((first - 1) ^ last).bit_length() - 1
         mid = last // step * step
         lo, hi, hi_value = mid - step, mid + step, hi_value if mid + step == hi else -math.inf
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        mid_value = value(mid)
-        if mid_value <= target:
-            hi, hi_value = mid, mid_value
-        else:
+        if mid > high_cut:
+            hi, hi_value = mid, -math.inf
+        elif mid == above:
+            hi, hi_value = mid, above_value
+        elif mid < low_cut or mid == below or not (mid_value := bound(mid)) <= target:
             lo = mid
+        else:
+            hi, hi_value = mid, mid_value
     return hi, hi_value
 
 
@@ -164,7 +161,8 @@ def _locate(
     takes over after _SECANT_STEPS secant steps, so a step function is
     searched in about log2 of its bracket.
     """
-    log_target = target if logs else math.log(target)
+    log, exp = math.log, math.exp
+    log_target = target if logs else log(target)
     below, above, above_value = 0, None, None
     if not start >= 1:  # also a NaN start
         n = 1
@@ -178,28 +176,28 @@ def _locate(
         if logs:
             gap = value - target
         else:
-            gap = math.log(value) - log_target if value > 0 else -math.inf
+            gap = log(value) - log_target if value > 0 else -math.inf
         failed = not value <= target
         if failed:
             below = n
         else:
             above, above_value = n, value
-        point = (math.log(n), gap)
+        point = (log(n), gap)
         if above is None:
             if below >= top:
                 return below, None, None
             # The 1/n step passes the root; a second failure in a row doubles.
-            step = min(gap, _MAX_LOG_STEP) if gap == gap else _LOG_2
-            n = min(top, max(below + 1, math.ceil(math.exp(min(point[0] + step, 700.0)))))
-            if last_failed:
-                n = max(n, min(top, 2 * below))
-        elif above - below <= max(1, above // _MARGIN):
+            u = point[0] + ((gap if gap < _MAX_LOG_STEP else _MAX_LOG_STEP) if gap == gap else _LOG_2)
+            low = 2 * below if last_failed else below + 1
+            n = math.ceil(exp(u if u < 700.0 else 700.0))
+            n = top if n >= top or low >= top else low if n < low else n
+        elif above - below <= (above // _MARGIN or 1):
             return below, above, above_value
         elif below == 0:
-            step = max(gap, -_MAX_LOG_STEP) if gap == gap else -_LOG_2
-            n = max(1, min(above - 1, math.floor(math.exp(min(point[0] + step, 700.0)))))
-            if last is not None and not last_failed:
-                n = min(n, max(1, above // 2))
+            u = point[0] + ((gap if gap > -_MAX_LOG_STEP else -_MAX_LOG_STEP) if gap == gap else -_LOG_2)
+            high = above // 2 if last is not None and not last_failed else above - 1
+            n = math.floor(exp(u if u < 700.0 else 700.0))
+            n = high if n > high else n if n > 1 else 1
         else:
             n = 0
             if secant_steps < _SECANT_STEPS:
@@ -211,8 +209,8 @@ def _locate(
                         # Past _MARGIN, step half the wanted width beyond the
                         # root estimate, away from the last probe's side.
                         half = above // _MARGIN // 2
-                        n = math.ceil(math.exp(min(u, 700.0))) + (half if failed else -half)
-                        n = min(above - 1, max(below + 1, n))
+                        n = math.ceil(exp(u if u < 700.0 else 700.0)) + (half if failed else -half)
+                        n = below + 1 if n <= below else above - 1 if n >= above else n
             if n == 0:
                 n = (below + above) // 2 if above <= 4 * below else math.isqrt(below * above)
         last, last_failed = point, failed
@@ -254,28 +252,36 @@ def _product_bound(method: Method, L: int, lam_max: float, t: float):
     else:
         log_a = math.log(2) + p * (math.log(x) + math.log(L)) - math.log(_FACTORIAL[p])
         log_b = p * math.log(x) + 2 * k * math.log(L) - math.log(_FACTORIAL[2 * k - 1])
+    # The closures bind log and exp and inline _exp_or_inf's guard.
+    log, exp, inf = math.log, math.exp, math.inf
     if method.variant == "det":
         # The two families round (r/2) a in different orders; each keeps its own.
         if first_order:
-            bound = lambda r: _exp_or_inf(log_a - math.log(2 * r) + c / r)
+
+            def bound(r: int) -> float:
+                v = log_a - log(2 * r) + c / r
+                return inf if v > 709.0 else exp(v)
+
         else:
 
             def bound(r: int) -> float:
-                log_r = math.log(r)
-                return _exp_or_inf(log_r - _LOG_2 + (log_a - p * log_r + c / r))
+                log_r = log(r)
+                v = log_r - _LOG_2 + (log_a - p * log_r + c / r)
+                return inf if v > 709.0 else exp(v)
 
         return bound, ((log_a - _LOG_2, p - 1),)
 
     def bound(r: int) -> float:
         # (r/2)(a^2 + 2b) assembled in log space.
-        log_r = math.log(r)
+        log_r = log(r)
         exp_arg = c / r
         la2 = 2 * (log_a - p * log_r + exp_arg)
         lb2 = _LOG_2 + (log_b - q * log_r + exp_arg)
-        m = max(la2, lb2)
-        if m == math.inf:
-            return math.inf
-        return _exp_or_inf(log_r - _LOG_2 + m + math.log(math.exp(la2 - m) + math.exp(lb2 - m)))
+        m = la2 if la2 >= lb2 else lb2
+        if m == inf:
+            return inf
+        v = log_r - _LOG_2 + m + log(exp(la2 - m) + exp(lb2 - m))
+        return inf if v > 709.0 else exp(v)
 
     return bound, ((2 * log_a - _LOG_2, 2 * p - 1), (log_b, q - 1))
 
@@ -297,6 +303,8 @@ def segment_error_bound(lam: float, t: float, n: int) -> float:
 
     Returns inf instead of raising once the bound exceeds the float range.
     """
+    if t == 0.0:  # before the products: an overflowed 2.0 * lam times 0.0 is nan
+        return 0.0
     x = 2.0 * lam * t / n
     return 0.5 * x * x * _exp_or_inf(x)
 
@@ -306,8 +314,10 @@ def total_error_bound(lam: float, t: float, n: int) -> float:
     return n * segment_error_bound(lam, t, n)
 
 
-def _log_total_bound(lam: float, t: float, n: int) -> float:
-    return _LOG_2 + 2.0 * math.log(lam * t) - math.log(n) + 2.0 * lam * t / n
+def _log_total_bound(lam: float, t: float) -> Callable[[int], float]:
+    """n -> log total_error_bound(lam, t, n), in log space; lam * t > 0."""
+    head, x, log = _LOG_2 + 2.0 * math.log(lam * t), 2.0 * lam * t, math.log
+    return lambda n: head - log(n) + x / n
 
 
 def gate_count_approx(lam: float, t: float, eps: float) -> int:
@@ -335,7 +345,7 @@ def gate_count_exact(lam: float, t: float, eps: float) -> int:
     if lam * t == 0.0:
         return 1
     start = _leading_root(((_LOG_2 + 2.0 * math.log(lam * t), 1),), eps)
-    found = _smallest_within(partial(_log_total_bound, lam, t), math.log(eps), _N_LIMIT, start, logs=True)
+    found = _smallest_within(_log_total_bound(lam, t), math.log(eps), _N_LIMIT, start, logs=True)
     if found is None:
         raise OverflowError(f"no gate count <= 2**512 reaches eps={eps}")
     return found[0]
@@ -373,17 +383,12 @@ def solve_r(error_fn: Callable[[int], float], eps: float) -> int:
     ``error_function`` carries ``start(eps)``, where the search begins;
     any other callable starts at r = 1.
     """
-    return _solve(error_fn, eps)[0]
-
-
-def _solve(error_fn: Callable[[int], float], eps: float) -> tuple[int, float]:
-    """(solve_r(error_fn, eps), error_fn at that r), as the search evaluated it."""
     _check_positive(eps, "eps")
     start = getattr(error_fn, "start", None)
     found = _smallest_within(error_fn, eps, R_MAX, 1.0 if start is None else start(eps))
     if found is None:
         raise OverflowError(f"no segment count <= 2**63 reaches eps={eps}")
-    return found
+    return found[0]
 
 
 @dataclass(frozen=True)
@@ -451,7 +456,7 @@ class CostQuery:
         _check_positive(self.t, "t")
         _check_positive(self.eps, "eps")
         if self.eps >= 1:
-            warnings.warn(f"target precision eps={self.eps} >= 1 is unusually loose", stacklevel=2)
+            warnings.warn(f"target precision eps={self.eps} >= 1 is unusually loose", stacklevel=3)
 
 
 @dataclass(frozen=True)
@@ -492,14 +497,36 @@ def gates_per_segment(method: Method, L: int) -> int:
     return 2 * 5 ** (method.k - 1) * L
 
 
+def _count(method: Method, profile: WeightProfile, t: float, eps: float) -> tuple[int | None, int, float] | None:
+    """(r, gates, bound) for one method at (t, eps), or None where the count overflows;
+    r is None for qDRIFT.  The one place a count is made; a CostQuery checks the arguments."""
+    if method.family == "qdrift":
+        try:
+            n = gate_count_exact(profile.lam, t, eps)
+        except OverflowError:
+            return None
+        return None, n, total_error_bound(profile.lam, t, n)
+    bound, terms = _product_bound(method, profile.L, profile.lam_max, t)
+    found = _smallest_within(bound, eps, R_MAX, _leading_root(terms, eps))
+    if found is None:
+        return None
+    r, value = found
+    return r, gates_per_segment(method, profile.L) * r, value
+
+
+def _counts(methods: Iterable[Method], query: CostQuery) -> Iterator[tuple | None]:
+    """_count for each method at the query, computed as it is read."""
+    profile, t, eps = query.profile, query.t, query.eps
+    return (_count(method, profile, t, eps) for method in methods)
+
+
 def gate_count(method: Method, query: CostQuery) -> CostReport:
     """Minimal-gate CostReport for one method at the query's (t, eps)."""
-    profile = query.profile
-    if method.family == "qdrift":
-        n = gate_count_exact(profile.lam, query.t, query.eps)
-        return CostReport(method, None, n, total_error_bound(profile.lam, query.t, n))
-    r, bound = _solve(error_function(method, profile, query.t), query.eps)
-    return CostReport(method, r, gates_per_segment(method, profile.L) * r, bound)
+    count = _count(method, query.profile, query.t, query.eps)
+    if count is None:
+        limit = "gate count <= 2**512" if method.family == "qdrift" else "segment count <= 2**63"
+        raise OverflowError(f"no {limit} reaches eps={query.eps}")
+    return CostReport(method, *count)
 
 
 def _tie_key(report: CostReport) -> tuple:
@@ -510,20 +537,17 @@ def _tie_key(report: CostReport) -> tuple:
 
 def gate_counts(methods: Sequence[Method], query: CostQuery) -> list[CostReport | None]:
     """A CostReport per method, or None where its count overflows."""
-    reports = []
-    for method in methods:
-        try:
-            reports.append(gate_count(method, query))
-        except OverflowError:
-            reports.append(None)
-    return reports
+    counts = zip(methods, _counts(methods, query))
+    return [None if count is None else CostReport(method, *count) for method, count in counts]
 
 
-def qdrift_costs_more(reports: Sequence[CostReport | None]) -> bool:
-    """qDRIFT, reports[0], needs more gates than the cheapest of reports[1:]; an
-    overflowed count (None) costs infinitely many gates, and inf against inf is no crossing."""
-    gates = [math.inf if report is None else report.gates for report in reports]
-    return gates[0] > min(gates[1:], default=math.inf)
+def qdrift_costs_more(counts: Iterable[tuple | None]) -> bool:
+    """qDRIFT's count, the first of ``counts`` (``_count`` tuples), needs more gates than
+    a later one, and reading stops there.  An overflowed count (None) costs infinitely
+    many gates, and inf against inf is no crossing."""
+    gates = (math.inf if count is None else count[1] for count in counts)
+    qdrift = next(gates)
+    return any(other < qdrift for other in gates)
 
 
 def best_method(query: CostQuery, candidates: Sequence[Method] = DEFAULT_CANDIDATES) -> CostReport:
@@ -559,7 +583,8 @@ def crossover_time(
     def qdrift_exceeds(t: float) -> bool:
         if t in known:
             return known[t]
-        return qdrift_costs_more(gate_counts((QDRIFT, *candidates), CostQuery(profile, t, eps)))
+        # qDRIFT first, then the candidates until one is cheaper.
+        return qdrift_costs_more(_counts((QDRIFT, *candidates), CostQuery(profile, t, eps)))
 
     grid = np.logspace(math.log10(t_lo), math.log10(t_hi), points)
     previous = qdrift_exceeds(float(grid[0]))

@@ -8,7 +8,10 @@ select over blocks of uniforms) and before the Hamiltonian became columnar
 alias table built on numpy scalars), the canonical order taken with one
 lexsort over a string array of the words, plus the doubling-plus-bisection loop
 that ``gate_count_exact`` and ``solve_r`` each carried before they shared
-one search, and the dense d^2 x d^2 superoperator path that ``verify``
+one search, the qDRIFT log bound as the one expression it was before the
+search bound it to (lam, t), the crossover scan that costed every method at
+every time before it stopped at the first candidate cheaper than qDRIFT,
+and the dense d^2 x d^2 superoperator path that ``verify``
 measured before it certified from Kraus data, with the seed-averaged
 channel of compiled circuits that converges to E^N, and the golden-section
 search that ``phase_estimation.optimize_pf`` ran before it solved the
@@ -28,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -38,10 +42,14 @@ from qdriftlab.phase_estimation import _smooth_total
 from qdriftlab.trotter import (
     _FACTORIAL,
     _LOG_2,
+    DEFAULT_CANDIDATES,
+    QDRIFT,
     SUPPORTED_K,
+    CostQuery,
     _check_positive,
     _check_profile_args,
     _exp_or_inf,
+    gate_counts,
     segment_error_bound,
     total_error_bound,
 )
@@ -90,6 +98,11 @@ def reference_segment_error_bound(lam: float, t: float, n: int) -> float:
     return 0.5 * x * x * math.exp(x)
 
 
+def reference_log_total_bound(lam: float, t: float, n: int) -> float:
+    """log total_error_bound(lam, t, n) as one expression, before the qDRIFT search bound it to (lam, t)."""
+    return _LOG_2 + 2.0 * math.log(lam * t) - math.log(n) + 2.0 * lam * t / n
+
+
 def reference_doubling_search(bound, target: float, limit: int) -> int | None:
     """Smallest n >= 1 with bound(n) <= target by doubling then bisection; None past ``limit``."""
     if bound(1) <= target:
@@ -106,6 +119,41 @@ def reference_doubling_search(bound, target: float, limit: int) -> int | None:
         else:
             lo = mid
     return hi
+
+
+def reference_count(method, profile, t: float, eps: float):
+    """(r, gates, bound) of ``trotter._count`` from the reference doubling search
+    on the reference bounds, or None past the search limit; r is None for qDRIFT."""
+    if method.family == "qdrift":
+        lam = profile.lam
+        log_bound = partial(reference_log_total_bound, lam, t)
+        n = 1 if lam * t == 0.0 else reference_doubling_search(log_bound, math.log(eps), 2**512)
+        return None if n is None else (None, n, total_error_bound(lam, t, n))
+    bound = reference_product_bound(method, profile.L, profile.lam_max, t)[0]
+    r = reference_doubling_search(bound, eps, 2**63)
+    order_factor = 1 if method.family == "trotter" else 2 * 5 ** (method.k - 1)
+    return None if r is None else (r, order_factor * profile.L * r, bound(r))
+
+
+def reference_crossover_time(profile, eps: float, t_range, points: int = 50, candidates=DEFAULT_CANDIDATES):
+    """``trotter.crossover_time`` as it stood before the scan stopped at the first
+    candidate cheaper than qDRIFT: every method is costed at every time."""
+    methods = (QDRIFT, *candidates)
+
+    def qdrift_exceeds(t: float) -> bool:
+        gates = [math.inf if r is None else r.gates for r in gate_counts(methods, CostQuery(profile, t, eps))]
+        return gates[0] > min(gates[1:], default=math.inf)
+
+    grid = np.logspace(math.log10(t_range[0]), math.log10(t_range[1]), points)
+    verdicts = [qdrift_exceeds(float(t)) for t in grid]
+    for i in range(1, points):
+        if verdicts[i] and not verdicts[i - 1]:
+            lo, hi = float(grid[i - 1]), float(grid[i])
+            while hi / lo > 1.001:
+                mid = math.sqrt(lo * hi)
+                lo, hi = (lo, mid) if qdrift_exceeds(mid) else (mid, hi)
+            return math.sqrt(lo * hi)
+    return None
 
 
 def _golden_section(fn, lo: float, hi: float, rel_tol: float = 1e-6) -> float:

@@ -13,6 +13,7 @@ from oracles import (
     answer_range,
     max_search_evaluations,
     reference_doubling_search,
+    reference_log_total_bound,
     reference_segment_error_bound,
     scrambled_hamiltonian,
 )
@@ -83,14 +84,13 @@ class TestGateCountExact:
     @staticmethod
     def solve_and_count(lam, t, eps):
         """gate_count_exact's answer (None on overflow) and the log-bound evaluations it made."""
-        log_bound = trotter._log_total_bound
+        search = trotter._smallest_within
         calls = []
 
-        def recorded(lam, t, n):
-            calls.append(n)
-            return log_bound(lam, t, n)
+        def recorded(bound, *args, **kwargs):
+            return search(lambda n: calls.append(n) or bound(n), *args, **kwargs)
 
-        with mock.patch.object(trotter, "_log_total_bound", recorded):
+        with mock.patch.object(trotter, "_smallest_within", recorded):
             try:
                 n = gate_count_exact(lam, t, eps)
             except OverflowError:
@@ -114,7 +114,7 @@ class TestGateCountExact:
         # The located search returns exactly what doubling then bisection
         # returns on the same log bound, within the stated evaluation cost.
         n, evaluations = self.solve_and_count(lam, t, eps)
-        bound = partial(trotter._log_total_bound, lam, t)
+        bound = partial(reference_log_total_bound, lam, t)
         assert n == reference_doubling_search(bound, math.log(eps), trotter._N_LIMIT)
         assert evaluations <= max_search_evaluations(n)
 
@@ -123,7 +123,7 @@ class TestGateCountExact:
         for eps in (0.3, 1e-9):
             for t in np.logspace(-4, 80, 85):
                 n, evaluations = self.solve_and_count(1.0, float(t), eps)
-                bound = partial(trotter._log_total_bound, 1.0, float(t))
+                bound = partial(reference_log_total_bound, 1.0, float(t))
                 assert n == reference_doubling_search(bound, math.log(eps), trotter._N_LIMIT)
                 assert evaluations <= max_search_evaluations(n)
                 seen.add(answer_range(n))

@@ -65,6 +65,9 @@ class TestAllocateEps:
         assert pe.allocate_eps(1.0, 1022)[-1] == 0.5
         with pytest.raises(OverflowError):
             pe.allocate_eps(1.0, 1023)
+        # eps_1 = 1e-300 / (2^100 - 1) underflows to 0: bit 1 would need infinitely many gates.
+        with pytest.raises(OverflowError, match="eps_1 underflows to 0"):
+            pe.allocate_eps(1e-300, 100)
 
 
 class TestBitCosts:
@@ -314,6 +317,31 @@ class TestPlan:
             for a, b in zip(plan.rows, plan.rows[1:]):
                 assert b.t_j == pytest.approx(2 * a.t_j, rel=1e-12)
             assert plan.rows[0].t_j == pytest.approx(2 * math.pi, rel=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lam=st.floats(-3, 3).map(lambda e: 10.0**e),
+        delta=st.floats(-120, -0.31).map(lambda e: 10.0**e),
+        P_f=st.floats(-8, -0.01).map(lambda e: 10.0**e),
+        L=st.integers(1, 10**6),
+        lam_a=st.floats(-150, 150).map(lambda e: 10.0**e),
+    )
+    @example(lam=1.0, delta=1e-110, P_f=0.5, L=3, lam_a=1e-30)  # m = 367: 8.0**j overflows from j = 342
+    def test_rows_are_the_per_bit_costs(self, lam, delta, P_f, L, lam_a):
+        # build_plan computes trotter_bit_cost's loop invariants once; the
+        # per-bit functions stay the reference, bit for bit.
+        query = pe.PEQuery(lam, 2.0 * lam * delta, P_f, L, 2.0 * lam * lam_a)
+        for method in pe.METHODS:
+            try:
+                plan = pe.build_plan(method, query)
+            except OverflowError:
+                continue
+            assert [row.eps_j for row in plan.rows] == pe.allocate_eps(plan.eps_tot, plan.m)
+            if method == "qdrift":
+                expected = [pe.qdrift_bit_cost(row.j, row.eps_j) for row in plan.rows]
+            else:
+                expected = [pe.trotter_bit_cost(row.j, row.eps_j, L, query.lam_max_rescaled) for row in plan.rows]
+            assert [row.gates for row in plan.rows] == expected
 
     def test_qdrift_plan_total_matches_geometric_exactly(self):
         q = pe.PEQuery(lam=1.0, delta_E=1e-4, P_f=0.05)

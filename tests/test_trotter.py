@@ -12,6 +12,8 @@ from oracles import (
     answer_range,
     closed_form_suzuki_count,
     max_search_evaluations,
+    reference_count,
+    reference_crossover_time,
     reference_doubling_search,
     reference_product_bound,
     suzuki_b_constant,
@@ -397,22 +399,11 @@ class TestGateCount:
         make, search = trotter.error_function, trotter._smallest_within
         evaluated, at_return = [], []
 
-        def recording_error_function(*args):
-            err = make(*args)
-
-            def recorded(r):
-                evaluated.append(r)
-                return err(r)
-
-            recorded.start = err.start
-            return recorded
-
-        def recording_search(*args, **kwargs):
-            found = search(*args, **kwargs)
+        def recording_search(bound, *args, **kwargs):
+            found = search(lambda r: evaluated.append(r) or bound(r), *args, **kwargs)
             at_return.append(len(evaluated))
             return found
 
-        monkeypatch.setattr(trotter, "error_function", recording_error_function)
         monkeypatch.setattr(trotter, "_smallest_within", recording_search)
         seen = set()
         for method in DEFAULT_CANDIDATES:
@@ -503,8 +494,59 @@ class TestBestMethod:
         assert report.method.variant == "det"
 
 
+def drawn_profile(L: int, lam_max: float, spread: float) -> WeightProfile:
+    """A valid profile: lam from lam_max (spread 0) to L lam_max (spread 1)."""
+    return WeightProfile(L, lam_max * (1.0 + spread * (L - 1)), lam_max)
+
+
+class TestCountCore:
+    """trotter._count is the one place a count is made: it gives the reference
+    search's answer on the reference bounds, field by field."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        L=st.integers(1, 10**6),
+        lam_max=st.floats(-3, 3).map(lambda e: 10.0**e),
+        spread=st.floats(0.0, 1.0),
+        t=st.floats(-4, 80).map(lambda e: 10.0**e),
+        eps=st.floats(-12, -0.3).map(lambda e: 10.0**e),
+    )
+    @example(L=10, lam_max=1.0, spread=1.0, t=1e20, eps=1e-3)  # every product formula overflows
+    @example(L=10, lam_max=1.0, spread=1.0, t=1e80, eps=1e-3)  # qDRIFT overflows too
+    def test_count_equals_the_reference_search(self, L, lam_max, spread, t, eps):
+        profile = drawn_profile(L, lam_max, spread)
+        for method in cli._ROW_METHODS:
+            assert trotter._count(method, profile, t, eps) == reference_count(method, profile, t, eps)
+
+    def test_reports_wrap_the_counts(self):
+        query = CostQuery(WeightProfile(2, 2.0, 1.0), 1e15, 1e-3)
+        counts = list(trotter._counts(cli._ROW_METHODS, query))
+        assert None in counts
+        assert gate_counts(cli._ROW_METHODS, query) == [
+            None if count is None else CostReport(method, *count) for method, count in zip(cli._ROW_METHODS, counts)
+        ]
+
+
 class TestCrossover:
     PROFILE = WeightProfile(100, 10.0, 1.0)  # lam = lam_max * sqrt(L)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        L=st.integers(1, 10**4),
+        lam_max=st.floats(0.01, 10.0),
+        spread=st.floats(0.0, 1.0),
+        eps=st.floats(-6, -1).map(lambda e: 10.0**e),
+        t_min=st.floats(-4, 2).map(lambda e: 10.0**e),
+        decades=st.floats(0.5, 14.0),
+        points=st.integers(2, 50),
+    )
+    @example(L=2000, lam_max=0.01, spread=(5.0 / 0.01 - 1) / 1999, eps=1e-3, t_min=1e-3, decades=13.0, points=50)
+    def test_scan_equals_the_all_methods_verdict(self, L, lam_max, spread, eps, t_min, decades, points):
+        # The scan stops at the first candidate cheaper than qDRIFT; t_star
+        # is the one the verdict over all methods gives.
+        profile, t_range = drawn_profile(L, lam_max, spread), (t_min, t_min * 10.0**decades)
+        expected = reference_crossover_time(profile, eps, t_range, points)
+        assert crossover_time(profile, eps, t_range, points) == expected
 
     def test_crossover_exists_for_sqrt_l_profile(self):
         t_star = crossover_time(self.PROFILE, 1e-3, (1.0, 1e12))
@@ -532,10 +574,10 @@ class TestCrossover:
         assert crossover_time(WeightProfile(10, 10.0, 1.0), 1e-3, (1.0, 1e80), points=5) is None
 
     def test_overflowed_count_is_infinite_cost(self):
-        # None is a count that overflowed; qDRIFT's report comes first.
-        five = CostReport(TROTTER_DET, 1, 5, 0.0)
+        # None is a count that overflowed; qDRIFT's (r, gates, bound) comes first.
+        five = (1, 5, 0.0)
         assert qdrift_costs_more([None, five, None])
-        assert not qdrift_costs_more([CostReport(QDRIFT, None, 5, 0.0), None, None])
+        assert not qdrift_costs_more([(None, 5, 0.0), None, None])
         assert not qdrift_costs_more([None, None])
         assert not qdrift_costs_more([None])
 
@@ -552,11 +594,11 @@ class TestCrossover:
             verdicts[t] = gate_count(QDRIFT, query).gates > best_method(query).gates
         expected = crossover_time(self.PROFILE, 1e-3, (1.0, 1e12))
         calls = []
-        solve = trotter._solve
-        monkeypatch.setattr(trotter, "_solve", lambda *args: calls.append(args) or solve(*args))
+        count = trotter._count
+        monkeypatch.setattr(trotter, "_count", lambda *args: calls.append(args) or count(*args))
         assert crossover_time(self.PROFILE, 1e-3, (1.0, 1e12), verdicts=verdicts) == expected
-        # Only the bisection between two grid times is solved: 8 methods per step.
-        assert 0 < len(calls) <= 8 * 12
+        # Only the bisection between two grid times is solved: at most 9 methods per step.
+        assert 0 < len(calls) <= 9 * 12
 
 
 class TestCsvRow:
@@ -568,7 +610,7 @@ class TestCsvRow:
 
     @staticmethod
     def cost_rows(query):
-        return cli._cost_rows(query, gate_counts(cli._ROW_METHODS, query))
+        return cli._cost_rows(query, list(trotter._counts(cli._ROW_METHODS, query)))
 
     def test_plain_row_shape(self):
         rows = self.cost_rows(CostQuery(WeightProfile(2, 1.0, 0.5), 1.0, 1e-3))
@@ -585,5 +627,7 @@ class TestCsvRow:
         assert len(line.split(",")) == 11
 
     def test_eps_above_one_warns(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             CostQuery(WeightProfile(2, 1.0, 0.5), 1.0, 2.0)
+        # The warning names the caller's line, not the dataclass's generated __init__.
+        assert record[0].filename == __file__
