@@ -70,9 +70,14 @@ def _check_qubits(n: int, cap: int) -> None:
         raise ValueError(f"{n} qubits exceeds the {cap}-qubit dense cap")
 
 
+# The index in PAULI_AXES of each ASCII letter a word may hold.
+_LETTER_CODES = np.zeros(256, dtype=np.intp)
+_LETTER_CODES[np.frombuffer(PAULI_AXES.encode("ascii"), np.uint8)] = np.arange(4)
+
+
 def _letter_codes(h: Hamiltonian) -> np.ndarray:
     """The (L, n) indices of each word's letters in PAULI_AXES."""
-    return np.array([[PAULI_AXES.index(c) for c in word] for word in h.words])
+    return _LETTER_CODES[h._letter_bytes()]
 
 
 def _signed_paulis(h: Hamiltonian) -> np.ndarray:

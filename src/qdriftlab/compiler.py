@@ -26,7 +26,7 @@ from .hamiltonian import Hamiltonian
 from .trotter import _check_positive, gate_count_approx, gate_count_exact
 
 MAX_SEED = 2**64 - 1
-# Gates are drawn, counted and serialized in blocks of this many, so the
+# Gates are drawn, marked and serialized in blocks of this many, so the
 # memory a compile needs beyond its index array does not grow with N.  A
 # block's buffers (uniforms, keys, a text piece and its encoded copy) stay
 # at a few hundred KB, so each block reuses the heap pages of the one
@@ -224,37 +224,84 @@ class Circuit:
             and self.source == other.source
         )
 
+    def _line_table(self) -> tuple[str, np.ndarray]:
+        """The header, and an object table of the drawn terms' gate lines indexed by term.
+
+        The drawn terms are found one ``_CHUNK``-gate block (2**12) at a
+        time; the slots of terms never drawn stay ``None``.
+        """
+        tau_text = format(self.tau, ".17g")
+        head = f"# qdrift-circ v1\n# seed={self.meta.seed}\n# N={self.meta.N}\n# tau={tau_text}\n"
+        h = self.source
+        seen = np.zeros(h.L, dtype=bool)
+        for start in range(0, self._indices.size, _CHUNK):
+            seen[self._indices[start : start + _CHUNK]] = True
+        drawn = np.flatnonzero(seen)
+        table = np.empty(h.L, dtype=object)
+        op = "CROT" if self.meta.controlled else "ROT"
+        table[drawn] = _gate_lines(h, drawn, f"{op} ", f" {tau_text}\n").splitlines(keepends=True)
+        return head, table
+
     def iter_text(self) -> Iterator[str]:
         """Yield the ``qdrift-circ v1`` text in pieces: the header, then one piece per ``_CHUNK`` gates.
 
-        The drawn terms are counted one ``_CHUNK``-gate block (2**12) at a
-        time.  The gate line of each of them is formatted once into an
-        object array indexed by term; the slots of terms never drawn stay
-        ``None``.  A piece is the join of one gather from that table over
-        one block, so no Python int is made per gate.  Memory beyond the
-        index array is L counts, L pointers, the lines of the drawn terms
-        and one piece of text, a few hundred KB at most line widths.
+        A piece is the join of one gather from the line table over one
+        block, so no Python int is made per gate.  Memory beyond the index
+        array is L flags, L pointers, the lines of the drawn terms and one
+        piece of text, a few hundred KB at most line widths.
         """
-        tau_text = format(self.tau, ".17g")
-        yield f"# qdrift-circ v1\n# seed={self.meta.seed}\n# N={self.meta.N}\n# tau={tau_text}\n"
-        op = "CROT" if self.meta.controlled else "ROT"
-        h = self.source
-        counts = np.zeros(h.L, dtype=np.intp)
-        for start in range(0, self._indices.size, _CHUNK):
-            np.add.at(counts, self._indices[start : start + _CHUNK], 1)
-        drawn = np.flatnonzero(counts)
-        words = h.words
-        table = np.empty(h.L, dtype=object)
-        table[drawn] = [
-            f"{op} {j} {'+' if c > 0 else '-'}{words[j]} {tau_text}\n"
-            for j, c in zip(drawn.tolist(), h.coefficients[drawn].tolist())
-        ]
+        head, table = self._line_table()
+        yield head
         for start in range(0, self._indices.size, _CHUNK):
             yield "".join(table[self._indices[start : start + _CHUNK]].tolist())
 
     def to_text(self) -> str:
-        """Serialize as ``qdrift-circ v1``: header comments then one gate per line."""
-        return "".join(self.iter_text())
+        """Serialize as ``qdrift-circ v1``: header comments then one gate per line.
+
+        The text is one join over one gather of the line table, so the peak
+        is the text and one pointer per gate.
+        """
+        head, table = self._line_table()
+        lines = table[self._indices].tolist()
+        lines.insert(0, head)
+        return "".join(lines)
+
+
+def _gate_lines(h: Hamiltonian, drawn: np.ndarray, prefix: str, tail: str) -> str:
+    """The gate lines ``<prefix><j> <sign><word><tail>`` of the ascending terms ``drawn``, as one str.
+
+    The lines are written into one uint8 buffer, the terms with the same
+    number of decimal digits in j at a time: each such group is a table of
+    equal-width rows, filled a column range at a time.
+    """
+    if not drawn.size:
+        return ""
+    n = h.n_qubits
+    letters = h._letter_bytes()
+    signs = np.where(h.coefficients[drawn] > 0, ord("+"), ord("-"))
+    prefix_bytes = np.frombuffer(prefix.encode("ascii"), np.uint8)
+    tail_bytes = np.frombuffer(tail.encode("ascii"), np.uint8)
+    p = prefix_bytes.size
+    digits = len(str(drawn[-1]))
+    # drawn is ascending, so the terms with k digits are one slice of it.
+    cuts = [0, *np.searchsorted(drawn, [10**k for k in range(1, digits)]).tolist(), drawn.size]
+    widths = [p + k + 2 + n + tail_bytes.size for k in range(1, digits + 1)]
+    buffer = np.empty(sum((b - a) * w for a, b, w in zip(cuts, cuts[1:], widths)), dtype=np.uint8)
+    offset = 0
+    for k, a, b, width in zip(range(1, digits + 1), cuts, cuts[1:], widths):
+        group = drawn[a:b]
+        rows = buffer[offset : offset + group.size * width].reshape(group.size, width)
+        offset += group.size * width
+        rows[:, :p] = prefix_bytes
+        value = group
+        for column in range(p + k - 1, p - 1, -1):
+            value, digit = np.divmod(value, 10)
+            rows[:, column] = digit + ord("0")
+        rows[:, p + k] = ord(" ")
+        rows[:, p + k + 1] = signs[a:b]
+        rows[:, p + k + 2 : p + k + 2 + n] = letters[group]
+        rows[:, p + k + 2 + n :] = tail_bytes
+    return str(buffer, "ascii")
 
 
 def compile_circuit(

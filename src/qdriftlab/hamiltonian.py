@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import compress
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -29,7 +28,7 @@ PAULI_AXES = "IXYZ"
 _AGG_RTOL = 1e-12
 
 _BLOCK_LINES = 4096  # hamtxt lines split and checked at a time
-_DELETE_PAULI = str.maketrans("", "", PAULI_AXES)
+_LETTERS = PAULI_AXES.encode("ascii")
 
 
 class HamiltonianError(ValueError):
@@ -56,13 +55,49 @@ def _check_term(weight: float, word: str) -> None:
 
 
 class _Columns(NamedTuple):
-    """Checked input for ``Hamiltonian``: distinct non-empty words of
-    ``n_qubits`` letters over {I, X, Y, Z} and their finite float64
+    """Checked input for ``Hamiltonian``: a read-only ``S<n_qubits>`` column
+    of distinct words over {I, X, Y, Z} and their finite float64
     coefficients."""
 
-    n_qubits: int | None
-    words: list[str]
+    n_qubits: int
+    column: np.ndarray
     coeffs: np.ndarray
+
+
+def _word_column(words: list[str], n_qubits: int) -> np.ndarray:
+    """The equal-length ASCII ``words`` as one read-only ``S<n_qubits>`` column."""
+    return np.frombuffer("".join(words).encode("ascii"), dtype=f"S{n_qubits}")
+
+
+def _decoded(column: np.ndarray) -> tuple[str, ...]:
+    """The words of an ``S<n>`` column as a tuple of str."""
+    text = column.tobytes().decode("ascii")
+    n = column.itemsize
+    return tuple([text[i : i + n] for i in range(0, len(text), n)])
+
+
+# Multiplier of the 64-bit mix in ``_may_repeat``; odd, so each step is a bijection.
+_MIX = np.uint64(0x100000001B3)
+
+
+def _may_repeat(column: np.ndarray) -> bool:
+    """False only if every word of ``column`` is distinct.
+
+    Each word is mixed into one uint64 from its 8-byte pieces.  Equal words
+    mix equal; words of at most 8 letters mix equal only if they are equal,
+    and longer distinct words almost never do, so a True is checked by the
+    caller's exact merge.
+    """
+    n = column.itemsize
+    padded = np.zeros((column.size, -(-n // 8) * 8), dtype=np.uint8)
+    padded[:, :n] = column.view(np.uint8).reshape(column.size, n)
+    pieces = padded.view(np.uint64)
+    mixed = pieces[:, 0].copy()
+    for q in range(1, pieces.shape[1]):
+        mixed *= _MIX
+        mixed ^= pieces[:, q]
+    mixed.sort()
+    return bool((mixed[1:] == mixed[:-1]).any())
 
 
 def _checked_columns(entries: Iterable[tuple[float, str]]) -> _Columns:
@@ -88,8 +123,10 @@ def _checked_columns(entries: Iterable[tuple[float, str]]) -> _Columns:
             merged[word] += coeff
         else:
             merged[word] = coeff
+    if not merged:
+        raise HamiltonianError("Hamiltonian has no terms")
     coeffs = np.fromiter(merged.values(), dtype=float, count=len(merged))
-    return _Columns(n_qubits, list(merged), coeffs)
+    return _Columns(n_qubits, _word_column(list(merged), n_qubits), coeffs)
 
 
 @dataclass(frozen=True)
@@ -123,47 +160,49 @@ class Hamiltonian:
     ``parse_hamiltonian`` passes columns it has already checked and
     merged, which skip the per-entry checks.
 
-    The columns are the only representation: ``words``, a tuple of Pauli
-    words, and ``coefficients``, a read-only float64 array of signed
-    coefficients; ``weights`` is their absolute value, and ``lam`` and
-    ``lam_max`` are computed once from it.  Term k is the operator
-    ``coefficients[k] * P(words[k])``, drawn by qDRIFT with probability
-    ``weights[k] / lam``.  Instances are immutable and safe to share
-    across threads.
+    The columns are the only representation: a read-only ``S<n_qubits>``
+    numpy column of the Pauli words, and ``coefficients``, a read-only
+    float64 array of signed coefficients; ``weights`` is their absolute
+    value, and ``lam`` and ``lam_max`` are computed once from it.  ``words``
+    decodes the column to a tuple of str on first use.  Term k is the
+    operator ``coefficients[k] * P(words[k])``, drawn by qDRIFT with
+    probability ``weights[k] / lam``.  Instances are immutable and safe to
+    share across threads (two threads may both decode ``words``; they get
+    equal tuples).
     """
 
-    __slots__ = ("_n_qubits", "_words", "_coeffs", "_weights", "_lam", "_lam_max")
+    __slots__ = ("_n_qubits", "_column", "_words", "_coeffs", "_weights", "_lam", "_lam_max")
 
     def __init__(self, entries: Iterable[tuple[float, str]]):
         if not isinstance(entries, _Columns):
             entries = _checked_columns(entries)
-        n_qubits, words, coeffs = entries
+        n_qubits, column, coeffs = entries
         keep = coeffs != 0.0
         if not keep.all():
-            words = list(compress(words, keep.tolist()))
+            column = column[keep]
             coeffs = coeffs[keep]
-        words = tuple(words)
         weights = np.abs(coeffs)
-        if not words:
+        if not column.size:
             raise HamiltonianError("Hamiltonian has no terms")
-        if not np.isfinite(weights).all() or "I" * n_qubits in words:
+        if not np.isfinite(weights).all() or (column == b"I" * n_qubits).any():
             # Check each term in order, so the first failing term
             # raises its usual error.
-            for weight, word in zip(weights.tolist(), words):
+            for weight, word in zip(weights.tolist(), _decoded(column)):
                 _check_term(weight, word)
         try:
             lam = math.fsum(weights.tolist())
         except OverflowError:
             raise HamiltonianError(
-                f"l1 norm lam of the {len(words)} term weights overflows a float"
+                f"l1 norm lam of the {column.size} term weights overflows a float"
             ) from None
-        self._set(n_qubits, words, coeffs, weights, lam, float(weights.max()))
+        self._set(n_qubits, column, coeffs, weights, lam, float(weights.max()))
 
-    def _set(self, n_qubits, words, coeffs, weights, lam, lam_max) -> None:
-        coeffs.flags.writeable = False
-        weights.flags.writeable = False
+    def _set(self, n_qubits, column, coeffs, weights, lam, lam_max) -> None:
+        for array in (column, coeffs, weights):
+            array.flags.writeable = False
         self._n_qubits = n_qubits
-        self._words = words
+        self._column = column
+        self._words = None
         self._coeffs = coeffs
         self._weights = weights
         self._lam = lam
@@ -172,10 +211,9 @@ class Hamiltonian:
     def _select(self, index: np.ndarray, lam: float, lam_max: float) -> "Hamiltonian":
         """New instance holding the terms at ``index``; skips validation and merging."""
         out = Hamiltonian.__new__(Hamiltonian)
-        words = self._words
         out._set(
             self._n_qubits,
-            tuple([words[i] for i in index.tolist()]),
+            self._column[index],
             self._coeffs[index],
             self._weights[index],
             lam,
@@ -190,7 +228,13 @@ class Hamiltonian:
     @property
     def words(self) -> tuple[str, ...]:
         """Pauli word of each term."""
+        if self._words is None:
+            self._words = _decoded(self._column)
         return self._words
+
+    def _letter_bytes(self) -> np.ndarray:
+        """The words' ASCII letters as a read-only (L, n_qubits) uint8 array, a view of the column."""
+        return self._column.view(np.uint8).reshape(self._column.size, self._n_qubits)
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -204,7 +248,7 @@ class Hamiltonian:
 
     @property
     def L(self) -> int:
-        return len(self._words)
+        return self._column.size
 
     @property
     def lam(self) -> float:
@@ -220,14 +264,14 @@ class Hamiltonian:
         return WeightProfile(self.L, self._lam, self._lam_max)
 
     def __len__(self) -> int:
-        return len(self._words)
+        return self._column.size
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Hamiltonian):
             return NotImplemented
         return (
             self._n_qubits == other._n_qubits
-            and self._words == other._words
+            and np.array_equal(self._column, other._column)
             and np.array_equal(self._coeffs, other._coeffs)
         )
 
@@ -251,10 +295,7 @@ class Hamiltonian:
             in_run[1:] = tied
             in_run[:-1] |= tied
             run = order[in_run]
-            words = np.frombuffer(
-                "".join(self._words).encode("ascii"), dtype=f"S{self._n_qubits}"
-            )
-            order[in_run] = run[np.lexsort((words[run], ranked[in_run]))]
+            order[in_run] = run[np.lexsort((self._column[run], ranked[in_run]))]
         return order
 
     def canonical(self) -> "Hamiltonian":
@@ -264,7 +305,7 @@ class Hamiltonian:
     def serialize(self) -> str:
         """Canonical ``hamtxt v1`` text; parse(serialize(h)) == h.canonical()."""
         order = self._canonical_order().tolist()
-        coeffs, words = self._coeffs.tolist(), self._words
+        coeffs, words = self._coeffs.tolist(), self.words
         lines = ["# hamtxt v1"]
         lines.extend(f"{coeffs[i]!r} {words[i]}" for i in order)
         return "\n".join(lines) + "\n"
@@ -328,47 +369,58 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
 
 def _parse_blocks(text: str) -> _Columns | None:
     """Columns of ASCII ``text``; None if a block fails a check or no term is found."""
-    words, blocks, identity = [], [], None
+    columns, blocks, n_qubits = [], [], None
     if "\r" in text:  # str.splitlines reads \r\n as one break, like \n
         text = text.replace("\r\n", "\n")
-    for match in re.finditer(rf"(?:.*\n){{,{_BLOCK_LINES - 1}}}(?:.*\n|.+)", text):
-        block = re.sub(r"#[\t -\x7f]*", "", match[0]) if "#" in match[0] else match[0]
-        data = np.frombuffer(block.encode("ascii"), np.uint8)
-        breaks = np.flatnonzero(data == 10)
+    encoded = np.frombuffer(text.encode("ascii"), np.uint8)
+    newlines = np.flatnonzero(encoded == 10)
+    # A block ends after every _BLOCK_LINES-th newline; the last may end without one.
+    ends = (newlines[_BLOCK_LINES - 1 :: _BLOCK_LINES] + 1).tolist()
+    if not ends or ends[-1] < len(text):
+        ends.append(len(text))
+    for first, start, stop in zip(range(0, newlines.size + 1, _BLOCK_LINES), [0, *ends], ends):
+        block, data = text[start:stop], encoded[start:stop]
+        breaks = newlines[first : first + _BLOCK_LINES] - start
+        if "#" in block:
+            block = re.sub(r"#[\t -\x7f]*", "", block)
+            data = np.frombuffer(block.encode("ascii"), np.uint8)
+            breaks = np.flatnonzero(data == 10)
         # str.split and str.splitlines disagree on \r \v \f \x1c-\x1f; a comment stops at them.
         if np.count_nonzero(data < 32) != breaks.size + np.count_nonzero(data == 9):
             return None
         tokens = block.split()
         if not tokens:
             continue
-        # A token starts after a space, tab or newline (the only bytes <= 32
-        # left) or at 0; each line with a token must hold a coefficient and a word.
-        space = np.concatenate(([True], data <= 32))
-        line = breaks.searchsorted(np.flatnonzero(space[:-1] > space[1:]))
+        # Tokens start and end where a space, tab or newline (the only bytes
+        # <= 32 left) meets another byte; the block's ends count as spaces.
+        # Each line with a token must hold a coefficient and a word.
+        space = np.concatenate(([True], data <= 32, [True]))
+        edges = np.flatnonzero(space[:-1] != space[1:])
+        line = breaks.searchsorted(edges[::2])
         if len(tokens) % 2 or (line[::2] != line[1::2]).any() or (line[2::2] == line[1:-1:2]).any():
             return None
-        block_words = tokens[1::2]
-        identity = identity or "I" * len(block_words[0])
+        lengths = edges[3::4] - edges[2::4]
+        n_qubits = n_qubits or int(lengths[0])
+        words = "".join(tokens[1::2]).encode("ascii")
         try:
-            coeffs = np.fromiter(map(float, tokens[::2]), dtype=float, count=len(block_words))
+            coeffs = np.fromiter(map(float, tokens[::2]), dtype=float, count=lengths.size)
         except ValueError:
             return None
-        del tokens, space, line  # freed before the next split and the final merge
-        if (
-            not np.isfinite(coeffs).all()
-            or "".join(block_words).translate(_DELETE_PAULI)
-            or {*map(len, block_words)} != {len(identity)}
-            or identity in block_words
-        ):
+        del tokens, space, edges, line  # freed before the next split and the final merge
+        if (lengths != n_qubits).any() or words.translate(None, _LETTERS):
+            return None
+        column = np.frombuffer(words, f"S{n_qubits}")
+        if not np.isfinite(coeffs).all() or (column == b"I" * n_qubits).any():
             return None
         blocks.append(coeffs)
-        words.extend(block_words)
-    if not words:
+        columns.append(column)
+    if not columns:
         return None
-    # A dict of the words takes about half the memory of a set of them.
-    if len(dict.fromkeys(words)) < len(words):
-        return _checked_columns(zip(np.concatenate(blocks).tolist(), words))
-    return _Columns(len(identity), words, np.concatenate(blocks))
+    del encoded, newlines, data, breaks  # the column and the float blocks are all that is left
+    column = np.concatenate(columns)
+    if _may_repeat(column):
+        return _checked_columns(zip(np.concatenate(blocks).tolist(), _decoded(column)))
+    return _Columns(n_qubits, column, np.concatenate(blocks))
 
 
 def _parse_lines(text: str) -> _Columns:

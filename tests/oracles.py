@@ -6,7 +6,9 @@ select over blocks of uniforms) and before the Hamiltonian became columnar
 (an object-based Hamiltonian that keeps a tuple of the ``Term`` and
 ``PauliString`` objects defined here, its per-character parser, and the
 alias table built on numpy scalars), the canonical order taken with one
-lexsort over a string array of the words, plus the doubling-plus-bisection loop
+lexsort over a string array of the words, the per-letter loop that gave
+each word's letter codes before they were looked up on the byte column of
+the words, plus the doubling-plus-bisection loop
 that ``gate_count_exact`` and ``solve_r`` each carried before they shared
 one search, the qDRIFT log bound as the one expression it was before the
 search bound it to (lam, t), the crossover scan that costed every method at
@@ -604,6 +606,11 @@ def reference_parse_hamiltonian(text: str) -> ReferenceHamiltonian:
         raise
     except HamiltonianError as exc:
         raise HamiltonianParseError(str(exc)) from exc
+
+
+def reference_letter_codes(h: Hamiltonian) -> np.ndarray:
+    """The (L, n) indices of each word's letters in PAULI_AXES, one letter at a time."""
+    return np.array([[PAULI_AXES.index(c) for c in word] for word in h.words])
 
 
 def reference_canonical_order(h: Hamiltonian) -> np.ndarray:

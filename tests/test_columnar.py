@@ -24,10 +24,12 @@ from oracles import (
     reference_alias_tables,
     reference_canonical_order,
     reference_circuit_text,
+    reference_letter_codes,
     reference_parse_hamiltonian,
     scrambled_hamiltonian,
     wide_hamtxt,
 )
+from qdriftlab.channels import _letter_codes
 from qdriftlab.cli import EXIT_OK, main
 from qdriftlab.compiler import AliasSampler, compile_circuit
 from qdriftlab import hamiltonian
@@ -324,6 +326,98 @@ def test_columns_are_read_only():
     assert h.coefficients.tolist() == [0.5, -0.25]
 
 
+def _assert_words_are_the_reference(h, ref):
+    words = h.words
+    assert type(words) is tuple and all(type(word) is str for word in words)
+    assert words == tuple(t.op.axes for t in ref.terms)
+    assert h.words is words  # decoded once
+    assert h._column.dtype == np.dtype(f"S{h.n_qubits}") and not h._column.flags.writeable
+
+
+# A 40-qubit document whose words share their first 32 letters and differ
+# only in the last eight, the fifth and last 8-byte piece of each word;
+# every fifth word is written twice.
+LONG_WORD_LINES = [f"{0.5 + k / 64!r} {'XYZI' * 8}{format(k, '08b').replace('0', 'X').replace('1', 'Z')}"
+                   for k in range(40)]
+LONG_WORD_TEXT = "\n".join(LONG_WORD_LINES + LONG_WORD_LINES[::5]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "make_text, path",
+    [
+        (lambda: scrambled_hamiltonian(3000, 12, key=5).serialize(), "blocks"),
+        (lambda: "# caf\xe9\n" + scrambled_hamiltonian(300, 12, key=6).serialize(), "lines"),
+        (wide_hamtxt, "merge"),
+        (lambda: LONG_WORD_TEXT, "merge"),
+    ],
+    ids=["block-path", "line-path", "merge-path", "long-words"],
+)
+def test_words_decode_to_the_reference_tuple(make_text, path):
+    text = make_text()
+    ref = reference_parse_hamiltonian(text)
+    with mock.patch.object(hamiltonian, "_checked_columns", wraps=hamiltonian._checked_columns) as merge, \
+            mock.patch.object(hamiltonian, "_parse_lines", wraps=hamiltonian._parse_lines) as lines:
+        h = parse_hamiltonian(text)
+    assert (lines.called, merge.called) == {"blocks": (False, False), "lines": (True, True),
+                                            "merge": (False, True)}[path]
+    _assert_words_are_the_reference(h, ref)
+    _assert_words_are_the_reference(h.canonical(), ref.canonical())
+    for frac in (0.1, 0.5):
+        _assert_words_are_the_reference(h.truncate(frac * h.lam), ref.truncate(frac * ref.lam))
+    entries = list(zip(h.coefficients.tolist(), h.words))
+    _assert_words_are_the_reference(Hamiltonian(entries + entries[:3]), ReferenceHamiltonian(entries + entries[:3]))
+
+
+def test_a_repeat_guess_only_sends_the_document_through_the_merge():
+    # Distinct words whose 64-bit mixes collided would take the exact merge,
+    # which finds no repeat and keeps every term in place.
+    text = scrambled_hamiltonian(3000, 40, key=8).serialize()
+    with mock.patch.object(hamiltonian, "_may_repeat", return_value=True):
+        merged = parse_hamiltonian(text)
+    assert merged == parse_hamiltonian(text)
+    assert_same_hamiltonian(merged, reference_parse_hamiltonian(text))
+
+
+@pytest.mark.parametrize("n_qubits", [1, 7, 8, 9, 16, 17, 40])
+def test_words_one_letter_apart_are_told_apart_in_every_piece(n_qubits):
+    # Words are mixed from their 8-letter pieces; each step is a bijection,
+    # so words that differ in one piece only never mix equal.
+    base = "X" * n_qubits
+    words = [base] + [base[:q] + c + base[q + 1 :] for q in range(n_qubits) for c in "YZ"]
+    assert not hamiltonian._may_repeat(hamiltonian._word_column(words, n_qubits))
+    assert hamiltonian._may_repeat(hamiltonian._word_column([*words, words[-1]], n_qubits))
+    assert hamiltonian._may_repeat(hamiltonian._word_column([words[1], *words], n_qubits))
+
+
+@pytest.mark.parametrize("controlled", [False, True])
+@pytest.mark.parametrize("make_text", [
+    wide_hamtxt,
+    # Two-qubit words that tie in weight in runs and repeat up to three times.
+    lambda: "\n".join(f"{(k % 3 + 1) / 8!r} {WORDS[k % len(WORDS)]}" for k in range(17)),
+], ids=["wide", "two-qubit-ties"])
+def test_tied_weights_and_repeated_words_compile_as_the_reference(make_text, controlled):
+    text = make_text()
+    h = parse_hamiltonian(text)
+    circuit = compile_circuit(h, 1.0, 1e-2 * h.lam**2, seed=9, controlled=controlled)
+    ref = reference_parse_hamiltonian(text).canonical()
+    assert_same_terms(circuit.source, ref)
+    assert circuit.to_text() == reference_circuit_text(circuit)
+    assert "".join(circuit.iter_text()) == reference_circuit_text(circuit)
+
+
+@pytest.mark.parametrize("make_h", [
+    lambda: parse_hamiltonian(wide_hamtxt()),
+    lambda: Hamiltonian([(0.5, "IXYZ"), (-0.25, "ZYXI"), (1.0, "XXXX")]),
+    lambda: scrambled_hamiltonian(60, 3, key=2).canonical(),
+    lambda: Hamiltonian([(1.0, "Y")]),
+], ids=["wide", "entries", "canonical", "one-letter"])
+def test_letter_codes_equal_the_per_letter_loop(make_h):
+    h = make_h()
+    codes = _letter_codes(h)
+    np.testing.assert_array_equal(codes, reference_letter_codes(h))
+    assert codes.shape == (h.L, h.n_qubits)
+
+
 def test_compile_creates_one_hamiltonian_and_no_term(monkeypatch, tmp_path, capsys):
     text = wide_hamtxt()
     expected = reference_circuit_text(
@@ -341,6 +435,21 @@ def test_compile_creates_one_hamiltonian_and_no_term(monkeypatch, tmp_path, caps
     assert main(argv) == EXIT_OK
     capsys.readouterr()
     assert constructions == [1]
+    assert out.read_text() == expected
+
+
+def test_compile_decodes_no_word(tmp_path, capsys):
+    # Parse, canonical order, sampling and the gate lines all read the byte
+    # column; only a document with a repeated word decodes it, to merge.
+    h = scrambled_hamiltonian(3000, 30, key=9)
+    ham, out = tmp_path / "s.txt", tmp_path / "s.circ"
+    ham.write_text(h.serialize())
+    argv = ["compile", "--ham", str(ham), "--t", "0.01", "--eps", "0.001", "--seed", "3",
+            "--out", str(out)]
+    with mock.patch.object(hamiltonian, "_decoded", side_effect=AssertionError("decoded")):
+        assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    expected = reference_circuit_text(compile_circuit(h, 0.01, 0.001, seed=3))
     assert out.read_text() == expected
 
 

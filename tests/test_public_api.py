@@ -224,3 +224,59 @@ def test_dependencies_are_declared():
     allowed = set(sys.stdlib_module_names) | {"numpy", "qdriftlab"}
     assert top_level(SRC) <= allowed
     assert top_level(TESTS) <= allowed | {"pytest", "hypothesis", "oracles", "conftest"}
+
+
+# numpy names that the declared floor, numpy 1.24, does not have: added in
+# 1.25 (dtypes, exceptions) or in 2.x.  A dotted name is an attribute of a
+# numpy submodule.
+NUMPY_AFTER_FLOOR = {
+    "acos", "acosh", "asin", "asinh", "astype", "atan", "atan2", "atanh", "bitwise_count",
+    "bitwise_invert", "bitwise_left_shift", "bitwise_right_shift", "concat", "cumulative_prod",
+    "cumulative_sum", "dtypes", "exceptions", "isdtype", "matrix_transpose", "matvec",
+    "permute_dims", "pow", "strings", "trapezoid", "unique_all", "unique_counts",
+    "unique_inverse", "unique_values", "unstack", "vecdot", "vecmat",
+    "linalg.cross", "linalg.diagonal", "linalg.matmul", "linalg.matrix_norm",
+    "linalg.matrix_transpose", "linalg.outer", "linalg.svdvals", "linalg.tensordot",
+    "linalg.trace", "linalg.vecdot", "linalg.vector_norm",
+}
+
+
+def numpy_names(source: str) -> set[str]:
+    """The numpy attributes ``source`` reads, dotted below ``numpy``: ``np.linalg.norm`` gives
+    ``linalg`` and ``linalg.norm``."""
+    tree = ast.parse(source)
+    aliases = {"numpy"}
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases.update(a.asname or a.name for a in node.names if a.name == "numpy")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            base = node.module.split(".", 1)[1:]
+            found.update(".".join([*base, a.name]) for a in node.names)
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and node.id in aliases and chain:
+            chain.reverse()
+            found.update(".".join(chain[: k + 1]) for k in range(len(chain)))
+    return found
+
+
+def test_the_scan_finds_numpy_names_past_the_floor():
+    snippet = (
+        "import numpy as np\nfrom numpy.linalg import vector_norm\n"
+        "def f(x):\n    return np.bitwise_count(x) + np.strings.upper(x) + np.linalg.vecdot(x, x)\n"
+    )
+    assert numpy_names(snippet) & NUMPY_AFTER_FLOOR == {
+        "bitwise_count", "strings", "linalg.vecdot", "linalg.vector_norm"
+    }
+
+
+def test_src_uses_no_numpy_name_past_the_declared_floor():
+    # pyproject.toml declares numpy>=1.24, and the tests run on a newer numpy.
+    assert "numpy>=1.24" in (TESTS.parent / "pyproject.toml").read_text(encoding="utf-8")
+    for path in SRC.glob("*.py"):
+        used = numpy_names(path.read_text(encoding="utf-8")) & NUMPY_AFTER_FLOOR
+        assert not used, (path.name, sorted(used))

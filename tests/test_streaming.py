@@ -18,7 +18,8 @@ from oracles import reference_circuit_text, reference_sample_many, scrambled_ham
 import qdriftlab
 from qdriftlab.cli import EXIT_OK, main
 from qdriftlab.compiler import _CHUNK as CHUNK
-from qdriftlab.compiler import AliasSampler, compile_circuit, rng_from_seed
+from qdriftlab.compiler import AliasSampler, Circuit, CircuitMeta, compile_circuit, rng_from_seed
+from qdriftlab.hamiltonian import Hamiltonian
 
 # The block size before 2**12, whose edges the sampler tests keep covering.
 OLD_CHUNK = 1 << 16
@@ -96,6 +97,80 @@ def test_streamed_text_peak_memory_does_not_grow_with_gates():
         tracemalloc.stop()
     assert abs(len(circuit) - 2_000_000) <= 1 and size > 40 * len(circuit)
     assert peak < 1_000_000
+
+
+def test_to_text_peak_memory_stays_near_its_text():
+    # 4e5 gates over 2,000 terms: one gather of the line table over every
+    # gate, with the header put at the front of that list, and one join.  The
+    # peak is the text and one pointer per gate, about 1.2 times the text;
+    # joining the pieces of iter_text peaked at 2.0 times.
+    h = scrambled_hamiltonian(2000, 12, key=43)
+    circuit = _compile_near(h, 400_000, seed=13, controlled=False)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        text = circuit.to_text()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(len(circuit) - 400_000) <= 1 and text.count("\n") == 4 + len(circuit)
+    assert peak <= 1.4 * len(text)
+
+
+def _circuit_of(h, indices, controlled):
+    """A circuit of the given term indices on ``h``, with an arbitrary angle."""
+    indices = np.asarray(indices, dtype=np.int64)
+    meta = CircuitMeta(seed=3, N=indices.size, t=1.0, eps=0.1, lam=h.lam, mode="approx",
+                       controlled=controlled)
+    return Circuit(indices, 0.1 * h.lam / max(indices.size, 1), meta, h)
+
+
+def _assert_text_equals_reference(circuit):
+    expected = reference_circuit_text(circuit)
+    assert "".join(circuit.iter_text()) == expected
+    assert circuit.to_text() == expected
+
+
+# Term counts on either side of each change in the number of digits of j,
+# and past 2**16 terms, where the indices are uint32.
+DIGIT_EDGES = [1, 9, 10, 11, 99, 100, 101, 1000, 10001, 65_537]
+
+
+@pytest.mark.parametrize("controlled", [False, True])
+@pytest.mark.parametrize("L", DIGIT_EDGES)
+def test_line_table_equals_per_gate_serializer_at_digit_edges(L, controlled):
+    # Every term drawn, in scrambled order and some twice, then a compiled
+    # circuit of about 3,000 gates.  About half the coefficients are negative.
+    h = scrambled_hamiltonian(L, 9, key=L)
+    order = np.random.Generator(np.random.Philox(key=L)).permutation(L)
+    circuit = _circuit_of(h, np.concatenate([order, order[: L // 3]]), controlled)
+    assert circuit._indices.dtype == (np.uint16 if L <= 1 << 16 else np.uint32)
+    _assert_text_equals_reference(circuit)
+    _assert_text_equals_reference(_compile_near(h, 3000, seed=L, controlled=controlled))
+
+
+@pytest.mark.parametrize("controlled", [False, True])
+@pytest.mark.parametrize(
+    "L, indices",
+    [
+        (10001, [10000]),  # only the five-digit group
+        (10001, [0, 10000, 0]),  # one and five digits
+        (10001, [3, 99, 10000, 3]),  # no three- or four-digit term
+        (10001, [1000, 999, 9999, 10]),  # no one- or five-digit term
+        (1000, [999, 5, 999]),  # no two-digit term
+        (65_537, [65_536, 0, 65_535]),  # uint32 indices; no two- to four-digit term
+        (10, []),  # no gate: the header alone
+    ],
+)
+def test_line_table_skips_digit_groups_with_no_drawn_term(L, indices, controlled):
+    _assert_text_equals_reference(_circuit_of(scrambled_hamiltonian(L, 9, key=7), indices, controlled))
+
+
+@pytest.mark.parametrize("controlled", [False, True])
+def test_line_table_of_one_negative_term(controlled):
+    h = Hamiltonian([(-0.75, "XIZ")])
+    _assert_text_equals_reference(_circuit_of(h, [0, 0, 0], controlled))
+    _assert_text_equals_reference(compile_circuit(h, 1.0, 1e-2, seed=4, controlled=controlled))
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="the fault count is pinned for glibc on Linux")
