@@ -305,8 +305,12 @@ def _pauli_steps(h: Hamiltonian, rho: np.ndarray, n: int, c: float, s: float, in
     # r[x, z] = i^{|x & z|} sum_u (-1)^{z . u} rho[u, u ^ x]: real for Hermitian rho.
     r = (phase[:, :, None] * (hadamard @ np.take(rho, into))).real.reshape(dim * dim, trials)
     table, weights = _pauli_rows(h, c, s)
+    # One gather buffer for every step; mode="wrap" lets np.take write it
+    # unbuffered, and every index is in range.
+    gathered = np.empty((*table.shape, trials))
     for _ in range(n):
-        r = np.matmul(weights, np.take(r, table, axis=0)).reshape(dim * dim, trials)
+        np.take(r, table, axis=0, out=gathered, mode="wrap")
+        r = np.matmul(weights, gathered).reshape(dim * dim, trials)
     sigma = hadamard @ ((phase.conj() / dim)[:, :, None] * r.reshape(dim, dim, trials))
     return np.take(sigma, back)
 

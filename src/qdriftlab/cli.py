@@ -90,13 +90,21 @@ def _emit_table(header: str, rows: list[list[str]], fmt: str, out: Path | None) 
 
 
 def _load_hamiltonian(path: str) -> Hamiltonian:
+    """The Hamiltonian in the file at ``path``, read as bytes.
+
+    An ASCII file is parsed as bytes; any other is decoded as UTF-8 first.
+    Either way the lines end where ``read_text`` would end them.
+    """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise HamiltonianParseError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise HamiltonianParseError(f"cannot decode {path} as UTF-8: {exc}") from exc
-    return parse_hamiltonian(text)
+    if not data.isascii():
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise HamiltonianParseError(f"cannot decode {path} as UTF-8: {exc}") from exc
+    return parse_hamiltonian(data)
 
 
 def _profile_from_args(args) -> tuple[WeightProfile, Hamiltonian | None]:
@@ -115,7 +123,8 @@ def _profile_from_args(args) -> tuple[WeightProfile, Hamiltonian | None]:
 def cmd_compile(args) -> int:
     _check_positive(args.t, "--t")
     _check_positive(args.eps, "--eps")
-    h = _load_hamiltonian(args.ham)
+    # Canonical at load, so the parsed order is freed before the alias build.
+    h = _load_hamiltonian(args.ham).canonical()
     circuit = compile_circuit(
         h, args.t, args.eps, args.seed, mode=args.mode, controlled=args.controlled
     )

@@ -16,13 +16,12 @@ platform.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .hamiltonian import Hamiltonian
+from .hamiltonian import Hamiltonian, exact_sum
 from .trotter import _check_positive, gate_count_approx, gate_count_exact
 
 MAX_SEED = 2**64 - 1
@@ -91,7 +90,7 @@ class AliasSampler:
             raise ValueError("weights must be a non-empty 1-d sequence")
         if not np.all(np.isfinite(w)) or np.any(w <= 0):
             raise ValueError("weights must be finite and > 0")
-        self._p = w / math.fsum(w.tolist())
+        self._p = w / exact_sum(w)
         n = w.size
         scaled = self._p * n
         below = scaled < 1.0
@@ -228,7 +227,9 @@ class Circuit:
         """The header, and an object table of the drawn terms' gate lines indexed by term.
 
         The drawn terms are found one ``_CHUNK``-gate block (2**12) at a
-        time; the slots of terms never drawn stay ``None``.
+        time, and their lines are built ``_CHUNK`` terms at a time, so only
+        one chunk's text is alive beside the table.  The slots of terms
+        never drawn stay ``None``.
         """
         tau_text = format(self.tau, ".17g")
         head = f"# qdrift-circ v1\n# seed={self.meta.seed}\n# N={self.meta.N}\n# tau={tau_text}\n"
@@ -239,7 +240,9 @@ class Circuit:
         drawn = np.flatnonzero(seen)
         table = np.empty(h.L, dtype=object)
         op = "CROT" if self.meta.controlled else "ROT"
-        table[drawn] = _gate_lines(h, drawn, f"{op} ", f" {tau_text}\n").splitlines(keepends=True)
+        for start in range(0, drawn.size, _CHUNK):
+            terms = drawn[start : start + _CHUNK]
+            table[terms] = _gate_lines(h, terms, f"{op} ", f" {tau_text}\n").splitlines(keepends=True)
         return head, table
 
     def iter_text(self) -> Iterator[str]:

@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from itertools import chain
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -28,6 +29,8 @@ PAULI_AXES = "IXYZ"
 _AGG_RTOL = 1e-12
 
 _BLOCK_LINES = 4096  # hamtxt lines split and checked at a time
+_SCAN_BYTES = 1 << 22  # bytes of a document searched for newlines at a time
+_SUM_CHUNK = 1 << 16  # floats listed at a time by exact_sum
 _LETTERS = PAULI_AXES.encode("ascii")
 
 
@@ -76,17 +79,25 @@ def _decoded(column: np.ndarray) -> tuple[str, ...]:
     return tuple([text[i : i + n] for i in range(0, len(text), n)])
 
 
-# Multiplier of the 64-bit mix in ``_may_repeat``; odd, so each step is a bijection.
+def exact_sum(values: np.ndarray) -> float:
+    """``math.fsum`` of a float64 array, listed ``_SUM_CHUNK`` floats at a time.
+
+    fsum sees the floats of ``values.tolist()`` in the same order, so the
+    sum is the same, without a list of every float at once.
+    """
+    chunks = (values[i : i + _SUM_CHUNK].tolist() for i in range(0, values.size, _SUM_CHUNK))
+    return math.fsum(chain.from_iterable(chunks))
+
+
+# Multiplier of the 64-bit mix in ``_word_mixes``; odd, so each step is a bijection.
 _MIX = np.uint64(0x100000001B3)
 
 
-def _may_repeat(column: np.ndarray) -> bool:
-    """False only if every word of ``column`` is distinct.
+def _word_mixes(column: np.ndarray) -> np.ndarray:
+    """Each word of ``column`` mixed into one uint64 from its 8-byte pieces.
 
-    Each word is mixed into one uint64 from its 8-byte pieces.  Equal words
-    mix equal; words of at most 8 letters mix equal only if they are equal,
-    and longer distinct words almost never do, so a True is checked by the
-    caller's exact merge.
+    Equal words mix equal; words of at most 8 letters mix equal only if
+    they are equal, and longer distinct words almost never do.
     """
     n = column.itemsize
     padded = np.zeros((column.size, -(-n // 8) * 8), dtype=np.uint8)
@@ -96,8 +107,17 @@ def _may_repeat(column: np.ndarray) -> bool:
     for q in range(1, pieces.shape[1]):
         mixed *= _MIX
         mixed ^= pieces[:, q]
-    mixed.sort()
-    return bool((mixed[1:] == mixed[:-1]).any())
+    return mixed
+
+
+def _may_repeat(mixes: np.ndarray) -> bool:
+    """True if two of the words' ``_word_mixes`` agree; sorts ``mixes`` in place.
+
+    False means every word is distinct.  Distinct words almost never mix
+    equal, so a True is checked by the caller's exact merge.
+    """
+    mixes.sort()
+    return bool((mixes[1:] == mixes[:-1]).any())
 
 
 def _checked_columns(entries: Iterable[tuple[float, str]]) -> _Columns:
@@ -171,7 +191,9 @@ class Hamiltonian:
     equal tuples).
     """
 
-    __slots__ = ("_n_qubits", "_column", "_words", "_coeffs", "_weights", "_lam", "_lam_max")
+    __slots__ = (
+        "_n_qubits", "_column", "_words", "_coeffs", "_weights", "_lam", "_lam_max", "_canonical"
+    )
 
     def __init__(self, entries: Iterable[tuple[float, str]]):
         if not isinstance(entries, _Columns):
@@ -190,7 +212,7 @@ class Hamiltonian:
             for weight, word in zip(weights.tolist(), _decoded(column)):
                 _check_term(weight, word)
         try:
-            lam = math.fsum(weights.tolist())
+            lam = exact_sum(weights)
         except OverflowError:
             raise HamiltonianError(
                 f"l1 norm lam of the {column.size} term weights overflows a float"
@@ -207,6 +229,7 @@ class Hamiltonian:
         self._weights = weights
         self._lam = lam
         self._lam_max = lam_max
+        self._canonical = False  # set once the terms are known to be in canonical order
 
     def _select(self, index: np.ndarray, lam: float, lam_max: float) -> "Hamiltonian":
         """New instance holding the terms at ``index``; skips validation and merging."""
@@ -299,8 +322,20 @@ class Hamiltonian:
         return order
 
     def canonical(self) -> "Hamiltonian":
-        """Copy with terms in canonical order: weight descending, then word."""
-        return self._select(self._canonical_order(), self._lam, self._lam_max)
+        """The terms in canonical order: weight descending, then word.
+
+        Returns the instance itself when its terms are already in that
+        order, and a copy otherwise.  Either result records that it is
+        canonical, so ``canonical()`` on it sorts nothing.
+        """
+        if not self._canonical:
+            order = self._canonical_order()
+            if not (order[1:] > order[:-1]).all():  # an ascending permutation is the identity
+                out = self._select(order, self._lam, self._lam_max)
+                out._canonical = True
+                return out
+            self._canonical = True
+        return self
 
     def serialize(self) -> str:
         """Canonical ``hamtxt v1`` text; parse(serialize(h)) == h.canonical()."""
@@ -330,7 +365,7 @@ class Hamiltonian:
             raise HamiltonianError("Hamiltonian has no terms")
         kept = np.sort(order[removed:])
         kept_weights = self._weights[kept]
-        return self._select(kept, math.fsum(kept_weights.tolist()), float(kept_weights.max()))
+        return self._select(kept, exact_sum(kept_weights), float(kept_weights.max()))
 
 
 def random_hamiltonian(rng: np.random.Generator, n_qubits: int) -> Hamiltonian:
@@ -351,42 +386,81 @@ def random_hamiltonian(rng: np.random.Generator, n_qubits: int) -> Hamiltonian:
     return Hamiltonian([(w * scale, word) for w, word in entries])
 
 
-def parse_hamiltonian(text: str) -> Hamiltonian:
+def parse_hamiltonian(text: str | bytes) -> Hamiltonian:
     """Parse ``hamtxt v1`` text into a normalized Hamiltonian.
 
-    Raises HamiltonianParseError (with line number) on malformed
-    coefficients, bad Pauli characters, inconsistent word lengths, or an
-    empty term list.  ASCII text is split a block of ``_BLOCK_LINES`` lines
-    at a time; other text, text holding a control character besides tab,
-    newline and ``\\r\\n``, and text with a bad line are parsed line by line.
+    ``text`` is a str, or the bytes of an ASCII document as read from a
+    file (other bytes raise UnicodeDecodeError).  ``\\r\\n`` and a lone
+    ``\\r`` end a line as ``\\n`` does.  Raises HamiltonianParseError
+    (with line number) on malformed coefficients, bad Pauli characters,
+    inconsistent word lengths, or an empty term list.  An ASCII document is
+    split as bytes a block of ``_BLOCK_LINES`` lines at a time; other text,
+    text holding a control character besides tab and the line ends, and
+    text with a bad line are parsed line by line.
     """
-    columns = (_parse_blocks(text) if text.isascii() else None) or _parse_lines(text)
+    columns = _parse_blocks(text) if text.isascii() else None
+    if columns is None:
+        columns = _parse_lines(text if isinstance(text, str) else text.decode("ascii"))
     try:
         return Hamiltonian(columns)
     except HamiltonianError as exc:
         raise HamiltonianParseError(str(exc)) from exc
 
 
-def _parse_blocks(text: str) -> _Columns | None:
-    """Columns of ASCII ``text``; None if a block fails a check or no term is found."""
-    columns, blocks, n_qubits = [], [], None
-    if "\r" in text:  # str.splitlines reads \r\n as one break, like \n
-        text = text.replace("\r\n", "\n")
-    encoded = np.frombuffer(text.encode("ascii"), np.uint8)
-    newlines = np.flatnonzero(encoded == 10)
-    # A block ends after every _BLOCK_LINES-th newline; the last may end without one.
-    ends = (newlines[_BLOCK_LINES - 1 :: _BLOCK_LINES] + 1).tolist()
-    if not ends or ends[-1] < len(text):
-        ends.append(len(text))
-    for first, start, stop in zip(range(0, newlines.size + 1, _BLOCK_LINES), [0, *ends], ends):
-        block, data = text[start:stop], encoded[start:stop]
-        breaks = newlines[first : first + _BLOCK_LINES] - start
-        if "#" in block:
-            block = re.sub(r"#[\t -\x7f]*", "", block)
-            data = np.frombuffer(block.encode("ascii"), np.uint8)
-            breaks = np.flatnonzero(data == 10)
-        # str.split and str.splitlines disagree on \r \v \f \x1c-\x1f; a comment stops at them.
-        if np.count_nonzero(data < 32) != breaks.size + np.count_nonzero(data == 9):
+def _ascii_bytes(document: str | bytes, start: int, stop: int) -> bytes:
+    """``document[start:stop]`` of an ASCII str or bytes, as bytes."""
+    piece = document[start:stop]
+    return piece.encode("ascii") if isinstance(piece, str) else piece
+
+
+def _blocks(document: str | bytes) -> Iterator[tuple[bytes, np.ndarray]]:
+    """Each block of ``_BLOCK_LINES`` lines of an ASCII document, as bytes, and its newline offsets.
+
+    A block ends after a newline; the last may end without one.  The
+    newlines are found ``_SCAN_BYTES`` of the document at a time, so a str
+    is never encoded whole.
+    """
+    size = len(document)
+    start, found = 0, np.empty(0, dtype=np.intp)
+    for lo in range(0, size, _SCAN_BYTES):
+        codes = np.frombuffer(_ascii_bytes(document, lo, lo + _SCAN_BYTES), np.uint8)
+        found = np.concatenate((found, lo + np.flatnonzero(codes == 10)))
+        del codes  # the window is freed before its blocks are parsed
+        for first in range(0, found.size - _BLOCK_LINES + 1, _BLOCK_LINES):
+            breaks = found[first : first + _BLOCK_LINES]
+            stop = int(breaks[-1]) + 1
+            yield _ascii_bytes(document, start, stop), breaks - start
+            start = stop
+        found = found[found.size - found.size % _BLOCK_LINES :]
+    if start < size:
+        yield _ascii_bytes(document, start, size), found - start
+
+
+def _parse_blocks(document: str | bytes) -> _Columns | None:
+    """Columns of an ASCII document; None if a block fails a check or no term is found.
+
+    The word, coefficient and word-mix columns are allocated once, with a
+    slot for each line that can hold a term, and filled a block at a time.
+    """
+    newline, cr, crlf = ("\n", "\r", "\r\n") if isinstance(document, str) else (b"\n", b"\r", b"\r\n")
+    lines = document.count(newline) + 1
+    if cr in document:  # \r\n and a lone \r end a line, as in str.splitlines
+        lines += document.count(cr) - document.count(crlf)
+    column = coeffs = mixes = None
+    filled = 0
+    for block, breaks in _blocks(document):
+        if b"\r" in block:  # a block ends after a \n, so it holds each \r\n whole
+            block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            breaks = None
+        if b"#" in block:
+            block = re.sub(rb"#[\t -\x7f]*", b"", block)
+            breaks = None
+        codes = np.frombuffer(block, np.uint8)
+        if breaks is None:
+            breaks = np.flatnonzero(codes == 10)
+        # Any other control byte (\v, \f and \x1c-\x1e end a line for
+        # str.splitlines) sends the document to the line path; a comment stops at one.
+        if np.count_nonzero(codes < 32) != breaks.size + np.count_nonzero(codes == 9):
             return None
         tokens = block.split()
         if not tokens:
@@ -394,33 +468,46 @@ def _parse_blocks(text: str) -> _Columns | None:
         # Tokens start and end where a space, tab or newline (the only bytes
         # <= 32 left) meets another byte; the block's ends count as spaces.
         # Each line with a token must hold a coefficient and a word.
-        space = np.concatenate(([True], data <= 32, [True]))
+        space = np.concatenate(([True], codes <= 32, [True]))
         edges = np.flatnonzero(space[:-1] != space[1:])
         line = breaks.searchsorted(edges[::2])
         if len(tokens) % 2 or (line[::2] != line[1::2]).any() or (line[2::2] == line[1:-1:2]).any():
             return None
         lengths = edges[3::4] - edges[2::4]
-        n_qubits = n_qubits or int(lengths[0])
-        words = "".join(tokens[1::2]).encode("ascii")
+        if column is None:
+            n_qubits = int(lengths[0])
+            # A term line takes at least n_qubits + 3 bytes with its line end.
+            size = min(lines, (len(document) + 1) // (n_qubits + 3))
+            column = np.empty(size, dtype=f"S{n_qubits}")
+            coeffs = np.empty(size)
+            mixes = np.empty(size, dtype=np.uint64)
+        words = b"".join(tokens[1::2])
         try:
-            coeffs = np.fromiter(map(float, tokens[::2]), dtype=float, count=lengths.size)
+            block_coeffs = np.fromiter(map(float, tokens[::2]), dtype=float, count=lengths.size)
         except ValueError:
             return None
-        del tokens, space, edges, line  # freed before the next split and the final merge
+        del tokens, space, edges, line  # freed before the next block's split
         if (lengths != n_qubits).any() or words.translate(None, _LETTERS):
             return None
-        column = np.frombuffer(words, f"S{n_qubits}")
-        if not np.isfinite(coeffs).all() or (column == b"I" * n_qubits).any():
+        words = np.frombuffer(words, f"S{n_qubits}")
+        if not np.isfinite(block_coeffs).all() or (words == b"I" * n_qubits).any():
             return None
-        blocks.append(coeffs)
-        columns.append(column)
-    if not columns:
+        stop = filled + words.size
+        column[filled:stop] = words
+        coeffs[filled:stop] = block_coeffs
+        mixes[filled:stop] = _word_mixes(words)
+        filled = stop
+    if not filled:
         return None
-    del encoded, newlines, data, breaks  # the column and the float blocks are all that is left
-    column = np.concatenate(columns)
-    if _may_repeat(column):
-        return _checked_columns(zip(np.concatenate(blocks).tolist(), _decoded(column)))
-    return _Columns(n_qubits, column, np.concatenate(blocks))
+    # Views of the filled slots; the columns are copied only if most slots
+    # held no term.  (Shrinking them in place with realloc left the heap
+    # fragmented: RSS grew by about 0.14 MB a compile over 60 compiles.)
+    column, coeffs, mixes = column[:filled], coeffs[:filled], mixes[:filled]
+    if 2 * filled < size:
+        column, coeffs = column.copy(), coeffs.copy()
+    if _may_repeat(mixes):
+        return _checked_columns(zip(coeffs.tolist(), _decoded(column)))
+    return _Columns(n_qubits, column, coeffs)
 
 
 def _parse_lines(text: str) -> _Columns:

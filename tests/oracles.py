@@ -25,7 +25,9 @@ constants with the widely printed ones they are compared against.  They are
 kept for tests only, as are the separate first-order and order-2k bound
 builders that one product-formula builder replaced and the four
 self-test lines that ``verify`` printed on every run, whatever its input.
-The dense builders read a ``Hamiltonian``'s columns.
+The dense builders read a ``Hamiltonian``'s columns.  The file loader that
+``cli`` used before it read files as bytes is kept as the oracle of its
+read path.
 """
 
 from __future__ import annotations
@@ -34,12 +36,19 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
 from qdriftlab.channels import MAX_CHANNEL_QUBITS, MAX_POWER_QUBITS, BoundRow, CompositionTrial
 from qdriftlab.compiler import AliasSampler, compile_circuit, rng_from_seed
-from qdriftlab.hamiltonian import PAULI_AXES, Hamiltonian, HamiltonianError, HamiltonianParseError
+from qdriftlab.hamiltonian import (
+    PAULI_AXES,
+    Hamiltonian,
+    HamiltonianError,
+    HamiltonianParseError,
+    parse_hamiltonian,
+)
 from qdriftlab.phase_estimation import _smooth_total
 from qdriftlab.trotter import (
     _FACTORIAL,
@@ -606,6 +615,21 @@ def reference_parse_hamiltonian(text: str) -> ReferenceHamiltonian:
         raise
     except HamiltonianError as exc:
         raise HamiltonianParseError(str(exc)) from exc
+
+
+def reference_load_hamiltonian(path) -> Hamiltonian:
+    """The Hamiltonian in a file as ``cli`` loaded it before it read bytes.
+
+    The whole file is decoded as UTF-8 text with universal newlines, and
+    the text goes to ``parse_hamiltonian``.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise HamiltonianParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise HamiltonianParseError(f"cannot decode {path} as UTF-8: {exc}") from exc
+    return parse_hamiltonian(text)
 
 
 def reference_letter_codes(h: Hamiltonian) -> np.ndarray:

@@ -117,6 +117,25 @@ def test_to_text_peak_memory_stays_near_its_text():
     assert peak <= 1.4 * len(text)
 
 
+def test_line_table_peak_memory_stays_near_its_lines():
+    # Every one of 20,000 terms drawn: the lines are built 2^12 terms at a
+    # time, so beside the finished table only one chunk's buffer and text are
+    # alive, about 1.18 times the table.  Building every line in one buffer
+    # and one str before splitting them peaked at 1.67 times.
+    h = scrambled_hamiltonian(20_000, 30, key=7)
+    circuit = _compile_near(h, 1_000_000, seed=3, controlled=False)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        _, table = circuit._line_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lines = table.tolist()
+    assert None not in lines
+    assert peak <= 1.3 * (table.nbytes + sum(sys.getsizeof(line) for line in lines))
+
+
 def _circuit_of(h, indices, controlled):
     """A circuit of the given term indices on ``h``, with an arbitrary angle."""
     indices = np.asarray(indices, dtype=np.int64)
