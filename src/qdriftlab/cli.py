@@ -66,14 +66,25 @@ def _resolve_out(path: str | None, default_name: str | None = None) -> Path | No
     return outdir / default_name
 
 
-def _write_text(path: Path, text: str | Iterable[str]) -> None:
-    """Write ``text``, or each piece of an iterable of text, with \\n line ends."""
+def _write_text(path: Path | None, text: str | Iterable[str]) -> None:
+    """Write ``text``, or each piece of an iterable of text, to the file at
+    ``path`` with \\n line ends, or to the current ``sys.stdout`` where
+    ``path`` is None."""
+    pieces = [text] if isinstance(text, str) else text
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="\n") as fh:
-            fh.writelines([text] if isinstance(text, str) else text)
+        if path is None:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+        else:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            with open(path, "w", newline="\n") as fh:
+                fh.writelines(pieces)
     except OSError as exc:
-        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        if path is None:
+            # A failed stdout keeps its unwritten bytes; drop it, so the
+            # interpreter's exit flush does not report them a second time.
+            sys.stdout = None
+        raise ValueError(f"cannot write {'stdout' if path is None else path}: {exc.strerror or exc}") from exc
 
 
 def _emit_table(header: str, rows: list[list[str]], fmt: str, out: Path | None) -> None:
@@ -83,10 +94,7 @@ def _emit_table(header: str, rows: list[list[str]], fmt: str, out: Path | None) 
         text = json.dumps([dict(zip(keys, row)) for row in rows], indent=2) + "\n"
     else:
         text = "\n".join([header] + [",".join(row) for row in rows]) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        _write_text(out, text)
+    _write_text(out, text)
 
 
 def _load_hamiltonian(path: str) -> Hamiltonian:
@@ -140,7 +148,7 @@ def cmd_compile(args) -> int:
     }
     if args.controlled:
         summary["elementary"] = elementary_gate_estimate(circuit)
-    print(json.dumps(summary, sort_keys=True))
+    _write_text(None, json.dumps(summary, sort_keys=True) + "\n")
     return EXIT_OK
 
 
@@ -150,19 +158,15 @@ def cmd_truncate(args) -> int:
     truncated = h.truncate(args.eps)
     out = _resolve_out(args.out, Path(args.ham).stem + ".truncated.txt")
     _write_text(out, truncated.serialize())
-    print(
-        json.dumps(
-            {
-                "L_before": h.L,
-                "L_after": truncated.L,
-                "lam_before": h.lam,
-                "lam_after": truncated.lam,
-                "removed_weight": h.lam - truncated.lam,
-                "file": str(out),
-            },
-            sort_keys=True,
-        )
-    )
+    summary = {
+        "L_before": h.L,
+        "L_after": truncated.L,
+        "lam_before": h.lam,
+        "lam_after": truncated.lam,
+        "removed_weight": h.lam - truncated.lam,
+        "file": str(out),
+    }
+    _write_text(None, json.dumps(summary, sort_keys=True) + "\n")
     return EXIT_OK
 
 
@@ -306,30 +310,18 @@ def _builtin_suite(seed: int) -> list[tuple[str, Hamiltonian]]:
     return suite
 
 
-class _Report:
-    def __init__(self):
-        self.lines: list[str] = []
-        self.rigorous_failure = False
-        self.any_failure = False
-
-    def check(self, rigorous: bool, name: str, ok: bool, detail: str = "") -> None:
-        tag = "PASS" if ok else "FAIL"
-        suffix = f" ({detail})" if detail else ""
-        self.lines.append(f"[{tag}] {name}{suffix}")
-        if not ok:
-            self.any_failure = True
-            if rigorous:
-                self.rigorous_failure = True
-
-    def info(self, name: str, detail: str) -> None:
-        self.lines.append(f"[INFO] {name}: {detail}")
-
-
 def cmd_verify(args) -> int:
     _check_positive(args.t, "--t")
     _check_positive(args.tol, "--tol")
     rng_from_seed(args.seed)  # reject a seed outside [0, 2**64) before any channel work
-    report = _Report()
+    lines: list[str] = []
+    failed: list[bool] = []  # the rigour of each check that failed
+
+    def check(rigorous: bool, name: str, ok: bool, detail: str) -> None:
+        lines.append(f"[{'PASS' if ok else 'FAIL'}] {name} ({detail})")
+        if not ok:
+            failed.append(rigorous)
+
     if args.ham is not None:
         suite = [(Path(args.ham).stem, _load_hamiltonian(args.ham))]
     else:
@@ -343,7 +335,7 @@ def cmd_verify(args) -> int:
         for row in rows:
             csv_rows.append([_fmt(row.N), _fmt(row.d_lower), _fmt(row.bound), _fmt(row.ratio)])
         worst = max(rows, key=lambda r: r.ratio if not math.isnan(r.ratio) else 0.0)
-        report.check(
+        check(
             True,
             f"bound {name}",
             all(r.ok for r in rows),
@@ -351,11 +343,9 @@ def cmd_verify(args) -> int:
         )
         for row in rows:
             if not row.ok:
-                report.info(
-                    f"violating row {name}",
-                    f"N={row.N} d_lower={_fmt(row.d_lower)} bound={_fmt(row.bound)}",
-                )
-        report.check(True, f"channel validity {name}", valid, f"TP and CP to {args.tol:g}")
+                detail = f"N={row.N} d_lower={_fmt(row.d_lower)} bound={_fmt(row.bound)}"
+                lines.append(f"[INFO] violating row {name}: {detail}")
+        check(True, f"channel validity {name}", valid, f"TP and CP to {args.tol:g}")
         if args.negative_control:
             slope_rows = channels.verify_bound(h, args.t, VERIFY_N_LIST, tau_scale=2.0)
         else:
@@ -363,53 +353,51 @@ def cmd_verify(args) -> int:
         slope = channels.decay_slope(slope_rows)
         in_band = SLOPE_BAND[0] <= slope <= SLOPE_BAND[1]
         if h.L == 1:
-            report.info(f"slope {name}", "distances identically zero (single term)")
+            lines.append(f"[INFO] slope {name}: distances identically zero (single term)")
         elif math.isnan(slope):
-            report.info(f"slope {name}", "fewer than two nonzero distances, slope undefined")
+            lines.append(f"[INFO] slope {name}: fewer than two nonzero distances, slope undefined")
         elif args.negative_control:
             # The corrupted angle is expected to push the slope out of band;
             # the failure is flagged but gates only under --strict.
-            report.check(
+            check(
                 False,
                 f"slope {name} [negative control]",
                 in_band,
                 f"slope {slope:.3f}, band {SLOPE_BAND}",
             )
-            report.info(
-                f"slope {name} degradation",
-                "present" if slope > NEGATIVE_CONTROL_FLOOR else "ABSENT",
-            )
+            degradation = "present" if slope > NEGATIVE_CONTROL_FLOOR else "ABSENT"
+            lines.append(f"[INFO] slope {name} degradation: {degradation}")
         else:
-            report.check(False, f"slope {name}", in_band, f"slope {slope:.3f}, band {SLOPE_BAND}")
+            check(False, f"slope {name}", in_band, f"slope {slope:.3f}, band {SLOPE_BAND}")
 
     first = suite[0][1]
     if first.n_qubits > channels.MAX_POWER_QUBITS:
-        report.info("composition", "skipped: input exceeds the channel-power qubit cap")
+        lines.append("[INFO] composition: skipped: input exceeds the channel-power qubit cap")
     else:
         trials = channels.composition_check(first, args.t, 100, trials=20, seed=args.seed)
-        report.check(
+        check(
             True,
             "composition subadditivity",
             all(tr.state_ok for tr in trials),
             f"max d_tr {max(tr.d_tr for tr in trials):.3e} vs budget {trials[0].budget:.3e}",
         )
-        report.check(
+        check(
             True,
             "expectation-value cap",
             all(tr.expval_ok for tr in trials),
             "2 ||M|| d_tr per trial",
         )
 
-    for line in report.lines:
-        print(line)
+    _write_text(None, [line + "\n" for line in lines])
     out = _resolve_out(args.out)
     if out is not None:
         _emit_table("N,d_lower,bound,ratio", csv_rows, "csv", out)
 
-    if report.rigorous_failure or (args.strict and report.any_failure):
-        print("VERIFY: FAIL")
+    # A rigorous failure always gates; any failure gates under --strict.
+    if any(failed) or (args.strict and failed):
+        _write_text(None, "VERIFY: FAIL\n")
         return EXIT_BOUND
-    print("VERIFY: PASS")
+    _write_text(None, "VERIFY: PASS\n")
     return EXIT_OK
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -30,7 +29,6 @@ _AGG_RTOL = 1e-12
 
 _BLOCK_LINES = 4096  # hamtxt lines split and checked at a time
 _SCAN_BYTES = 1 << 22  # bytes of a document searched for newlines at a time
-_SUM_CHUNK = 1 << 16  # floats listed at a time by exact_sum
 _LETTERS = PAULI_AXES.encode("ascii")
 
 
@@ -80,13 +78,12 @@ def _decoded(column: np.ndarray) -> tuple[str, ...]:
 
 
 def exact_sum(values: np.ndarray) -> float:
-    """``math.fsum`` of a float64 array, listed ``_SUM_CHUNK`` floats at a time.
+    """``math.fsum`` of a 1-D native float64 array.
 
-    fsum sees the floats of ``values.tolist()`` in the same order, so the
-    sum is the same, without a list of every float at once.
+    fsum is correctly rounded, and a memoryview hands it one float at a
+    time, so no list of every float is made.
     """
-    chunks = (values[i : i + _SUM_CHUNK].tolist() for i in range(0, values.size, _SUM_CHUNK))
-    return math.fsum(chain.from_iterable(chunks))
+    return math.fsum(memoryview(values))
 
 
 # Multiplier of the 64-bit mix in ``_word_mixes``; odd, so each step is a bijection.

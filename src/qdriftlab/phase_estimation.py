@@ -216,6 +216,13 @@ class PfOptimum:
     total_at_small_limit: float
 
 
+def _optimal_share(method: str, query: PEQuery) -> float:
+    """The closed-form minimizer p* of ``optimize_pf``."""
+    a, b = _TOTAL_EXPONENTS[method]
+    P_f, c = query.P_f, 1.0 - 4.0 * query.delta
+    return 2.0 * a * P_f / ((a + b) + math.sqrt((a + b) ** 2 + 4.0 * a * b * c * P_f))
+
+
 def optimize_pf(method: str, query: PEQuery) -> PfOptimum:
     """Minimize the continuous-depth total over p_f in (0, P_f), in closed form.
 
@@ -238,13 +245,12 @@ def optimize_pf(method: str, query: PEQuery) -> PfOptimum:
     """
     _check_method(method)
     a, b = _TOTAL_EXPONENTS[method]
-    P_f, c = query.P_f, 1.0 - 4.0 * query.delta
-    p_star = 2.0 * a * P_f / ((a + b) + math.sqrt((a + b) ** 2 + 4.0 * a * b * c * P_f))
-    p_small = a / (a + b) * P_f
+    p_star = _optimal_share(method, query)
+    p_small = a / (a + b) * query.P_f
     return PfOptimum(
         method=method,
         p_f=p_star,
-        eps_tot=(P_f - p_star) / 2.0,
+        eps_tot=(query.P_f - p_star) / 2.0,
         total=_smooth_total(method, p_star, query),
         p_f_small_limit=p_small,
         total_at_small_limit=_smooth_total(method, p_small, query),
@@ -258,27 +264,21 @@ def build_plan(method: str, query: PEQuery, p_f: float | None = None) -> PEPlan:
     does not fit in a float raises one OverflowError that names the query.
     """
     _check_method(method)
+    if p_f is None:
+        p_f = _optimal_share(method, query)
+    elif not (0 < p_f < query.P_f):
+        raise ValueError(f"p_f must be in (0, P_f), got {p_f!r}")
+    eps_tot = (query.P_f - p_f) / 2.0
+    if eps_tot <= 0.0:  # at a subnormal P_f, (P_f - p_f) / 2 can round to 0
+        raise _budget_overflow(query)
+    rows = []
     try:
-        if p_f is None:
-            p_f = optimize_pf(method, query).p_f
-        if not (0 < p_f < query.P_f):
-            raise ValueError(f"p_f must be in (0, P_f), got {p_f!r}")
-        eps_tot = (query.P_f - p_f) / 2.0
         m = bits_m(query.delta, p_f)
-        rows, L, lam_a = [], query.L, query.lam_max_rescaled
-        try:  # trotter_bit_cost's loop invariants; a bit they do not cost goes to it
-            cube = lam_a**3
-            scale, head = 8.0 * L**2, 2.0 * math.pi**3 * cube
-        except OverflowError:
-            cube = 0.0
         for j, eps_j in enumerate(allocate_eps(eps_tot, m), start=1):
             if method == "qdrift":
                 gates = qdrift_bit_cost(j, eps_j)
             else:
-                normal = cube >= sys.float_info.min and j < 342  # 8.0**342 overflows
-                gates = scale * math.sqrt(head * 8.0**j / eps_j) if normal else math.inf
-                if not gates < math.inf:
-                    gates = trotter_bit_cost(j, eps_j, L, lam_a)
+                gates = trotter_bit_cost(j, eps_j, query.L, query.lam_max_rescaled)
             rows.append(BitRow(j, math.pi * 2.0**j, eps_j, gates))
         total = math.fsum(r.gates for r in rows)
     except OverflowError:

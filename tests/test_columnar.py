@@ -400,14 +400,18 @@ def test_compile_frees_the_parsed_order_before_the_alias_build(tmp_path, capsys)
     assert sorts == [1]
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 1 << 16])
-def test_exact_sum_is_fsum_of_the_whole_list(chunk):
+@pytest.mark.parametrize("step", [1, 3, 1 << 16])
+def test_exact_sum_is_fsum_of_the_whole_list(step):
+    # A contiguous array (step 1) and strided views of one: exact_sum reads
+    # each float in place, in order.
     rng = np.random.Generator(np.random.Philox(key=17))
-    values = np.concatenate([rng.random(1000) * 10.0 ** rng.integers(-300, 300, 1000), [0.1] * 7, [-1e300, 1e300]])
-    with mock.patch.object(hamiltonian, "_SUM_CHUNK", chunk):
-        assert hamiltonian.exact_sum(values) == math.fsum(values.tolist())
-        with pytest.raises(OverflowError):
-            hamiltonian.exact_sum(np.full(5, 1e308))
+    values = rng.random(9 << 16) * 10.0 ** rng.integers(-300, 300, 9 << 16)
+    values[: 9 * step : step] = [0.1] * 7 + [-1e300, 1e300]
+    view = values[::step]
+    assert view.flags.c_contiguous == (step == 1)
+    assert hamiltonian.exact_sum(view) == math.fsum(view.tolist())
+    with pytest.raises(OverflowError):
+        hamiltonian.exact_sum(np.full(5 * step, 1e308)[::step])
 
 
 def test_columns_are_read_only():

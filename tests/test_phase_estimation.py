@@ -1,6 +1,7 @@
 import math
 import sys
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -397,6 +398,8 @@ class TestPlan:
                 pe.PEQuery(lam=1.0, delta_E=2.5e-308, P_f=0.5, lam_max=1e-250),
                 (partial(pe.build_plan, p_f=0.3),),
             ),
+            # eps_tot = (P_f - p_f) / 2 rounds to 0 at the optimal share.
+            (pe.METHODS, pe.PEQuery(lam=1.6e-198, delta_E=5.5e-273, P_f=1.5e-323, lam_max=2.2e253), BOTH_PLANS),
         ],
         ids=[
             "tiny-delta-e",
@@ -406,6 +409,7 @@ class TestPlan:
             "delta-e-1e-300",
             "depth-1023",
             "depth-1023-given-pf",
+            "subnormal-pf",
         ],
     )
     def test_budget_overflow_names_the_query(self, methods, query, plans):
@@ -417,6 +421,21 @@ class TestPlan:
                 with pytest.raises(OverflowError) as excinfo:
                     plan(method, query)
                 assert str(excinfo.value) == message
+
+    def test_a_plan_just_below_the_float_ceiling_fits(self):
+        # The continuous-depth totals at the same share overflow, so the plan
+        # must not depend on them.
+        query = pe.PEQuery(1.0, 9.97957073039286e-153, 0.21295128612232445, 2192, 4.105338743489765e-195)
+        plan = pe.build_plan("qdrift", query)
+        assert (plan.m, plan.total) == (507, 1.7970783733701548e308)
+        with pytest.raises(OverflowError):
+            pe.optimize_pf("qdrift", query)
+
+    def test_plans_take_the_closed_form_share_alone(self, monkeypatch):
+        queries = [pe.PEQuery(1.0, 1e-4, 0.05, 100, 0.5), pe.PEQuery(2.0, 1e-9, 0.9, 3, 2.0)]
+        shares = [pe.optimize_pf(method, q).p_f for q in queries for method in pe.METHODS]
+        monkeypatch.setattr(pe, "_smooth_total", mock.Mock(side_effect=AssertionError("smooth total")))
+        assert [pe.build_plan(method, q).p_f for q in queries for method in pe.METHODS] == shares
 
     @pytest.mark.parametrize("m, eps_tot", [(600, 1e-300), (2000, 1e-3)], ids=["infinite-sum", "huge-m"])
     def test_geometric_total_overflow_names_its_arguments(self, m, eps_tot):

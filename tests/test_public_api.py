@@ -124,6 +124,8 @@ def test_every_public_name_resolves():
         (trotter, "PRINTED_NK_CONSTANTS"),
         # trotter._count is the one place a count is made; solve_r calls the search itself.
         (trotter, "_solve"),
+        # verify keeps plain lists of lines and failed checks' rigour.
+        (cli, "_Report"),
     ],
 )
 def test_removed_names_stay_removed(owner, name):
