@@ -35,9 +35,11 @@ sigma[x, u] = rho[u, u ^ x].  There the conjugation sum is block diagonal:
 d real d x d blocks (d^3 numbers) whatever L, so a step costs two gathers
 and two small products.
 
-``verify`` runs exactly the three public checks: ``verify_bound`` (one
-eigendecomposition of H for all rows), ``validity_check`` (closed-form
-gates only) and ``composition_check`` (one eigendecomposition of H).
+Each check reads a ``_KrausData``: the signed Pauli stack, the mixing
+probabilities and, from the first target formed, one eigendecomposition of
+H, so the validity check alone takes none.  Inside a ``shared_kraus_data``
+block, as ``verify`` runs its checks, each Hamiltonian gets one
+``_KrausData``: its stack is built and H diagonalized once for all checks.
 
 Dimension caps: 6 qubits for one segment, 4 qubits for N-fold compositions.
 """
@@ -45,6 +47,8 @@ Dimension caps: 6 qubits for one segment, 4 qubits for N-fold compositions.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -101,12 +105,12 @@ def _rotations(signed_paulis: np.ndarray, tau: float) -> np.ndarray:
 
 
 class _KrausData:
-    """The d x d data of one Hamiltonian that the row and composition checks read.
+    """The d x d data of one Hamiltonian that the row, validity and composition checks read.
 
-    Holds the signed Pauli matrices, the mixing probabilities h_k / lam and
-    one eigendecomposition of the dense H = sum_k h_k s_k P_k, from which
-    every segment target e^{i t H / N} and the composition target e^{i t H}
-    are formed.
+    Holds the signed Pauli matrices, the mixing probabilities h_k / lam and,
+    from the first ``evolution`` on, one eigendecomposition of the dense
+    H = sum_k h_k s_k P_k, from which every segment target e^{i t H / N} and
+    the composition target e^{i t H} are formed.
     """
 
     def __init__(self, h: Hamiltonian):
@@ -115,20 +119,47 @@ class _KrausData:
         self.dim = 2**h.n_qubits
         self.paulis = _signed_paulis(h)
         self.probs = h.weights / h.lam
-        self._eigvals, self._eigvecs = np.linalg.eigh(np.tensordot(h.weights, self.paulis, axes=1))
-        v = self._eigvecs
-        dev = float(np.max(np.abs(v @ v.conj().T - np.eye(self.dim))))
-        if dev > UNITARITY_TOL:
-            raise ValueError(f"eigenvectors of H lost unitarity (deviation {dev:.2e})")
+        self._eigh: tuple[np.ndarray, np.ndarray] | None = None
 
     def evolution(self, theta: float) -> np.ndarray:
         """e^{i theta H}."""
-        v = self._eigvecs
-        return (v * np.exp(1j * theta * self._eigvals)) @ v.conj().T
+        if self._eigh is None:
+            eigvals, v = np.linalg.eigh(np.tensordot(self.h.weights, self.paulis, axes=1))
+            dev = float(np.max(np.abs(v @ v.conj().T - np.eye(self.dim))))
+            if dev > UNITARITY_TOL:
+                raise ValueError(f"eigenvectors of H lost unitarity (deviation {dev:.2e})")
+            self._eigh = eigvals, v
+        eigvals, v = self._eigh
+        return (v * np.exp(1j * theta * eigvals)) @ v.conj().T
 
     def gates(self, tau: float) -> np.ndarray:
         """The Kraus unitaries e^{i tau s_k P_k} of the mixing channel at angle tau."""
         return _rotations(self.paulis, tau)
+
+
+# id(h) -> the Kraus data of h, for the Hamiltonians checked in the current
+# ``shared_kraus_data`` block; None outside any block.
+_SHARED: ContextVar[dict[int, _KrausData] | None] = ContextVar("shared_kraus_data", default=None)
+
+
+@contextmanager
+def shared_kraus_data():
+    """Within the block, every check of one Hamiltonian object reads one ``_KrausData``."""
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _kraus_data(h: Hamiltonian) -> _KrausData:
+    shared = _SHARED.get()
+    if shared is None:
+        return _KrausData(h)
+    # Each entry holds its h, so no id is reused while the block runs.
+    if id(h) not in shared:
+        shared[id(h)] = _KrausData(h)
+    return shared[id(h)]
 
 
 def _kraus_r(unitaries: np.ndarray) -> np.ndarray:
@@ -154,13 +185,13 @@ def validity_check(h: Hamiltonian, t: float, n: int) -> tuple[float, float]:
     R diag(p) R^dag, the Choi state's nonzero spectrum, and >= -tol
     certifies complete positivity.  No eigendecomposition of H is needed.
     """
-    _check_qubits(h.n_qubits, MAX_CHANNEL_QUBITS)
+    data = _kraus_data(h)
     if n < 1:
         raise ValueError(f"N must be >= 1, got {n}")
-    gates = _rotations(_signed_paulis(h), h.lam * t / n)
-    probs = h.weights / h.lam
+    gates = _rotations(data.paulis, h.lam * t / n)
+    probs = data.probs
     s = np.tensordot(probs, gates.conj().swapaxes(1, 2) @ gates, axes=1)
-    tp_error = float(np.max(np.abs(s - np.eye(gates.shape[-1]))))
+    tp_error = float(np.max(np.abs(s - np.eye(data.dim))))
     r = _kraus_r(gates)
     cp_min = float(np.min(np.linalg.eigvalsh((r * probs) @ r.conj().T)))
     return tp_error, cp_min
@@ -197,7 +228,7 @@ def verify_bound(
     for n in n_list:
         if n < 1:
             raise ValueError(f"N must be >= 1, got {n}")
-    data = _KrausData(h)
+    data = _kraus_data(h)
     lam = h.lam
     rows = []
     for n in n_list:
@@ -208,13 +239,16 @@ def verify_bound(
 
 
 def decay_slope(rows: Sequence[BoundRow]) -> float:
-    """Least-squares slope of log d_lower vs log N; nan when distances vanish."""
-    pts = [(r.N, r.d_lower) for r in rows if r.d_lower > 0]
-    if len(pts) < 2:
+    """Least-squares slope of log d_lower vs log N; nan when fewer than two
+    distinct N have a nonzero distance."""
+    pts = [(math.log(r.N), math.log(r.d_lower)) for r in rows if r.d_lower > 0]
+    if len({x for x, _ in pts}) < 2:
         return math.nan
-    logs_n = np.log([p[0] for p in pts])
-    logs_d = np.log([p[1] for p in pts])
-    return float(np.polyfit(logs_n, logs_d, 1)[0])
+    mean_x = sum(x for x, _ in pts) / len(pts)
+    mean_y = sum(y for _, y in pts) / len(pts)
+    sxy = sum((x - mean_x) * (y - mean_y) for x, y in pts)
+    sxx = sum((x - mean_x) ** 2 for x, _ in pts)
+    return sxy / sxx
 
 
 @dataclass(frozen=True)
@@ -240,9 +274,13 @@ class CompositionTrial:
         return self.state_ok and self.expval_ok
 
 
-def _random_pure_state(rng: np.random.Generator, dim: int) -> np.ndarray:
-    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return psi / np.linalg.norm(psi)
+def _probe_states(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
+    """``count`` random pure states from one draw: each state's real then imaginary parts."""
+    draws = rng.standard_normal((count, 2, dim))
+    states = draws[:, 0] + 1j * draws[:, 1]
+    # One norm per state, as for a lone vector: a norm along an axis sums in
+    # another order and moves the last bits.
+    return states / np.array([np.linalg.norm(state) for state in states])[:, None]
 
 
 def _letter_masks(h: Hamiltonian) -> tuple[np.ndarray, np.ndarray]:
@@ -388,10 +426,9 @@ def composition_check(
         raise ValueError(f"N must be >= 1, got {n}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    data = _KrausData(h)
+    data = _kraus_data(h)
     dim = data.dim
-    rng = rng_from_seed(seed)
-    states = np.array([_random_pure_state(rng, dim) for _ in range(2 * trials)])
+    states = _probe_states(rng_from_seed(seed), dim, 2 * trials)
     psi, phi = states[0::2], states[1::2]
     rho = psi[:, :, None] * psi.conj()[:, None, :]
     u = data.evolution(t)
@@ -410,7 +447,8 @@ def composition_check(
     else:
         rho = _xor_steps(data, rho, n, c, s, into, back)
     diff = rho - exact
-    d_tr = 0.5 * np.linalg.svd(diff, compute_uv=False).sum(axis=1)
+    # diff is Hermitian: its singular values are its eigenvalues' magnitudes.
+    d_tr = 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum(axis=1)
     expval_err = np.abs(np.einsum("ta,tab,tb->t", phi.conj(), diff, phi))
     budget = total_error_bound(h.lam, t, n)
     return [

@@ -310,6 +310,8 @@ def _builtin_suite(seed: int) -> list[tuple[str, Hamiltonian]]:
     return suite
 
 
+# One _KrausData per Hamiltonian for all of its checks.
+@channels.shared_kraus_data()
 def cmd_verify(args) -> int:
     _check_positive(args.t, "--t")
     _check_positive(args.tol, "--tol")
@@ -405,8 +407,23 @@ def cmd_verify(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose help goes out through ``_write_text``.
+
+    argparse swallows an OSError from its own write, so a help text sent to
+    a full stdout would be lost with exit 0, or be reported by the
+    interpreter's exit flush.  Subparsers take the parent's class.
+    """
+
+    def print_help(self, file=None) -> None:
+        if file is None:
+            _write_text(None, self.format_help())
+        else:
+            super().print_help(file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qdriftlab",
         description="Randomized product-formula compiler and gate-cost analyzer",
     )
@@ -495,8 +512,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        # Inside the guard: --help writes through _write_text.
+        args = _parser().parse_args(argv)
         return args.func(args)
     except HamiltonianParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

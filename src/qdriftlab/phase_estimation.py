@@ -30,6 +30,7 @@ import contextlib
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .trotter import _check_positive
 
@@ -166,8 +167,7 @@ def geometric_total(
     raise OverflowError(f"geometric total overflows a float (method={method!r}, m={m}, eps_tot={eps_tot})")
 
 
-@dataclass(frozen=True)
-class BitRow:
+class BitRow(NamedTuple):
     j: int
     t_j: float
     eps_j: float

@@ -836,6 +836,25 @@ def dense_verify_bound(h, t: float, n_list, tau_scale: float = 1.0) -> list:
     return rows
 
 
+def reference_probe_states(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
+    """``channels._probe_states`` one state at a time: two draws and one norm per state."""
+    states = []
+    for _ in range(count):
+        psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        states.append(psi / np.linalg.norm(psi))
+    return np.array(states)
+
+
+def reference_decay_slope(rows) -> float:
+    """``channels.decay_slope`` through ``np.polyfit``'s least-squares solve."""
+    pts = [(r.N, r.d_lower) for r in rows if r.d_lower > 0]
+    if len(pts) < 2:
+        return math.nan
+    logs_n = np.log([p[0] for p in pts])
+    logs_d = np.log([p[1] for p in pts])
+    return float(np.polyfit(logs_n, logs_d, 1)[0])
+
+
 def dense_composition_check(h, t: float, n: int, trials: int = 20, seed: int = 1234) -> list:
     """``channels.composition_check`` through a ``matrix_power`` of the step superoperator."""
     _check_qubits(h.n_qubits, MAX_POWER_QUBITS)

@@ -673,10 +673,10 @@ class TestVerifyChannelBuilds:
         argv = ["verify", "--ham", str(path)] + (["--negative-control"] if negative_control else [])
         assert main(argv) == EXIT_OK
         capsys.readouterr()
-        # verify_bound takes one eigh of the 16 x 16 H for its three segment
-        # targets, the composition check one more for its target, and the
-        # negative control's verify_bound a third; validity_check needs none.
-        assert [a[0].shape for a in calls["eigh"]] == [(16, 16)] * (3 if negative_control else 2)
+        # One Kraus build per Hamiltonian: one eigh of the 16 x 16 H gives
+        # the three segment targets, the negative control's three and the
+        # composition target; validity_check needs none.
+        assert [a[0].shape for a in calls["eigh"]] == [(16, 16)]
         assert len(calls["evolution"]) == (7 if negative_control else 4)
         assert len(calls["gates"]) == (6 if negative_control else 3)
 
@@ -692,29 +692,51 @@ class TestVerifyChannelBuilds:
         argv = ["verify", "--ham", str(ham_file)] + (["--negative-control"] if negative_control else [])
         assert main(argv) == EXIT_OK
         capsys.readouterr()
-        assert len(calls["eigh"]) == (3 if negative_control else 2)
+        assert len(calls["eigh"]) == 1
 
     def test_builtin_suite_eigendecompositions_per_hamiltonian(self, monkeypatch, capsys):
-        # Two per Hamiltonian with the negative control (matched and
-        # mismatched rows), plus one for the composition check's target.
+        # One per Hamiltonian with the negative control: the mismatched rows
+        # and the composition check read the matched rows' decomposition.
         calls = {}
         _record_calls(monkeypatch, np.linalg, "eigh", calls)
         assert main(["verify", "--negative-control"]) == EXIT_OK
         hamiltonians = capsys.readouterr().out.count("[PASS] bound ")
-        assert (hamiltonians, len(calls["eigh"])) == (8, 2 * 8 + 1)
+        assert (hamiltonians, len(calls["eigh"])) == (8, 8)
+
+    def test_standalone_validity_check_takes_no_eigh(self, monkeypatch):
+        calls = {}
+        _record_calls(monkeypatch, np.linalg, "eigh", calls)
+        tp_error, cp_min = channels.validity_check(parse_hamiltonian(CHANNEL_COUNT_HAMS[7]), 1.0, 10)
+        assert tp_error <= 1e-10 and cp_min >= -1e-10
+        assert "eigh" not in calls
 
     def test_validity_gets_n10_and_composition_gets_n100(self, ham_file, monkeypatch, capsys):
         seen = {}
-        for name in ("verify_bound", "validity_check", "composition_check"):
+        for name in ("verify_bound", "validity_check", "composition_check", "_KrausData"):
             _record_calls(monkeypatch, channels, name, seen)
         assert main(["verify", "--ham", str(ham_file), "--t", "0.8"]) == EXIT_OK
         capsys.readouterr()
         h = parse_hamiltonian(HAM_TEXT)
-        assert [len(seen[name]) for name in sorted(seen)] == [1, 1, 1]
+        # The three public checks, on one Kraus build.
+        assert [len(seen[name]) for name in sorted(seen)] == [1, 1, 1, 1]
         expected = {"verify_bound": (10, 100, 1000), "validity_check": 10, "composition_check": 100}
         for name, n in expected.items():
             got_h, t_arg, n_arg = seen[name][0][:3]
             assert (got_h.serialize(), t_arg, n_arg) == (h.serialize(), 0.8, n)
+
+    def test_checks_share_kraus_data_only_inside_the_block(self, monkeypatch):
+        h = parse_hamiltonian(CHANNEL_COUNT_HAMS[4])
+        calls = {}
+        _record_calls(monkeypatch, np.linalg, "eigh", calls)
+        channels.verify_bound(h, 1.0, (10,))
+        channels.composition_check(h, 1.0, 10, trials=2)
+        assert len(calls.pop("eigh")) == 2
+        with channels.shared_kraus_data():
+            channels.verify_bound(h, 1.0, (10,))
+            channels.composition_check(h, 1.0, 10, trials=2)
+            channels.verify_bound(parse_hamiltonian(CHANNEL_COUNT_HAMS[4]), 1.0, (10,))
+        assert len(calls.pop("eigh")) == 2
+        assert channels._SHARED.get() is None
 
     @pytest.mark.parametrize("power_cap, checks", [(channels.MAX_POWER_QUBITS, 3), (1, 2)])
     @pytest.mark.parametrize("negative_control", [False, True], ids=["matched", "negative-control"])

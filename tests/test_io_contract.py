@@ -55,10 +55,13 @@ def ham_file(tmp_path):
     return path
 
 
-def cli_process(argv, **kwargs) -> subprocess.Popen:
-    # PYTHONUNBUFFERED is dropped so stdout is block-buffered, as in a
-    # shell: a failed stdout then still holds its bytes at exit.
+def cli_process(argv, unbuffered=False, **kwargs) -> subprocess.Popen:
+    # PYTHONUNBUFFERED is dropped unless asked for, so stdout is
+    # block-buffered, as in a shell: a failed stdout then still holds its
+    # bytes at exit.
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     env["PYTHONPATH"] = SRC
     return subprocess.Popen([sys.executable, "-m", "qdriftlab.cli", *argv], env=env, **kwargs)
 
@@ -150,6 +153,30 @@ def test_stdout_on_dev_full_exits_3_with_one_line(command, ham_file, tmp_path):
         process = cli_process(argv, stdout=full, stderr=subprocess.PIPE, text=True)
         _, err = process.communicate(timeout=120)
     assert (process.returncode, err) == (EXIT_DOMAIN, "error: cannot write stdout: No space left on device\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]], ids=["help", "verify-help"])
+def test_help_on_dev_full_exits_3_with_one_line(argv, unbuffered):
+    # argparse swallows the OSError of its own write: buffered, the exit
+    # flush then reported it and exited 120; unbuffered, the run exited 0
+    # having written nothing.
+    with open("/dev/full", "w") as full:
+        process = cli_process(argv, unbuffered, stdout=full, stderr=subprocess.PIPE, text=True)
+        _, err = process.communicate(timeout=120)
+    assert (process.returncode, err) == (EXIT_DOMAIN, "error: cannot write stdout: No space left on device\n")
+
+
+@pytest.mark.parametrize("argv", [[], ["verify"]], ids=["help", "verify-help"])
+def test_help_is_the_parsers_format_help(argv, capsys):
+    parser = cli._parser()
+    if argv:
+        parser = parser._subparsers._group_actions[0].choices[argv[0]]
+    with pytest.raises(SystemExit) as stop:
+        main([*argv, "--help"])
+    assert stop.value.code == 0
+    assert capsys.readouterr() == (parser.format_help(), "")
 
 
 @pytest.mark.skipif(shutil.which("head") is None, reason="needs head")

@@ -120,6 +120,66 @@ def test_composition_trials_equal_the_dense_path(h, t, n, seed):
         assert got.state_ok == want.state_ok and got.expval_ok == want.expval_ok
 
 
+@pytest.mark.parametrize("dim", [2, 4, 8, 16])
+def test_one_draw_probe_states_equal_the_per_state_loop(dim):
+    for seed in range(50):
+        got = ch._probe_states(np.random.default_rng(seed), dim, 40)
+        want = dense.reference_probe_states(np.random.default_rng(seed), dim, 40)
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    # A single term composes exactly, so its differences are roundoff alone.
+    h=composition_inputs().filter(lambda h: h.L > 1),
+    t=st.floats(0.05, 2.0),
+    n=st.integers(1, 120),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_composition_trace_norms_equal_svd_ones(h, t, n, seed):
+    # The check's one eigvalsh is of the stacked differences (E^N - U)(rho).
+    # eigvalsh reads the lower triangle and the real diagonal, and on that
+    # Hermitian matrix the SVD trace norm must match to 1e-12 relative.  The
+    # raw differences are Hermitian only to the roundoff of the states'
+    # entries (each at most 1 in size), so against their own SVD the bound
+    # is 1e-15 absolute.
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(a):
+        seen.append(a)
+        return eigvalsh(a)
+
+    with mock.patch.object(np.linalg, "eigvalsh", recorded):
+        trials = ch.composition_check(h, t, n, trials=4, seed=seed)
+    (diff,) = [a for a in seen if a.shape == (4, 2**h.n_qubits, 2**h.n_qubits)]
+    lower = np.tril(diff, -1)
+    hermitian = lower + lower.conj().swapaxes(1, 2)
+    diag = np.arange(diff.shape[-1])
+    hermitian[:, diag, diag] = diff[:, diag, diag].real
+    by_svd = 0.5 * np.linalg.svd(hermitian, compute_uv=False).sum(axis=1)
+    raw = 0.5 * np.linalg.svd(diff, compute_uv=False).sum(axis=1)
+    for trial, want, near in zip(trials, by_svd, raw):
+        assert trial.d_tr == pytest.approx(want, rel=1e-12, abs=0)
+        assert abs(trial.d_tr - near) <= 1e-15
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ns=st.lists(st.integers(1, 10**6), min_size=2, max_size=6, unique=True),
+    logs=st.lists(st.floats(-700.0, 0.0), min_size=6, max_size=6),
+)
+def test_closed_form_slope_equals_polyfit(ns, logs):
+    rows = [ch.BoundRow(n, math.exp(x), 1.0) for n, x in zip(ns, logs)]
+    want = dense.reference_decay_slope(rows)
+    assert ch.decay_slope(rows) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_slope_of_one_distinct_n_is_undefined():
+    rows = [ch.BoundRow(10, 1e-3, 1.0), ch.BoundRow(10, 2e-3, 1.0), ch.BoundRow(100, 0.0, 1.0)]
+    assert math.isnan(ch.decay_slope(rows))
+
+
 def test_four_qubit_composition_equals_the_dense_path():
     h = Hamiltonian(
         [(0.8, "ZZII"), (-0.45, "IXXI"), (0.3, "IIYY"), (0.25, "XIIZ"), (-0.2, "YZXI")]
