@@ -23,17 +23,15 @@ Validity.  A mixed-unitary map is trace preserving iff
 sum_k p_k U_k^dag U_k = I, and its Choi state's nonzero spectrum is that of
 R diag(p) R^dag for the R factor of its Kraus columns.
 
-Composition.  ``composition_check`` applies the N-fold step in one of two
-coordinate systems, picked from L and d alone.  Both use bit masks whose
-most significant bit is a word's first letter.  When L + 1 <= d the states
-are carried as real Pauli coordinates r[x d + z] = Tr(P(x, z) rho), with
-P(x, z) = i^{|x & z|} X^x Z^z.  Each Pauli conjugation keeps P(x, z) up to
-sign, and the commutator i c s [A, rho] sends it to one signed Pauli per
-anticommuting term, so a step is one gather of L + 1 entries per row and
-one small product.  Larger L uses XOR coordinates
-sigma[x, u] = rho[u, u ^ x].  There the conjugation sum is block diagonal:
-d real d x d blocks (d^3 numbers) whatever L, so a step costs two gathers
-and two small products.
+Composition.  ``composition_check`` applies the N-fold step to the states
+in real Pauli coordinates r[x d + z] = Tr(P(x, z) rho), with
+P(x, z) = i^{|x & z|} X^x Z^z and bit masks whose most significant bit is
+a word's first letter.  Each Pauli conjugation keeps P(x, z) up to sign,
+and the commutator i c s [A, rho] sends it to one signed Pauli per
+anticommuting term, so the step is a real d^2 x d^2 matrix with at most
+L + 1 entries per row.  When L + 1 <= d a step is one gather of those
+entries and one small product; larger L scatters them into the whole
+matrix and a step is one product with it.
 
 Each check reads a ``_KrausData``: the signed Pauli stack, the mixing
 probabilities and, from the first target formed, one eigendecomposition of
@@ -333,50 +331,45 @@ def _pauli_rows(h: Hamiltonian, c: float, s: float) -> tuple[np.ndarray, np.ndar
     return table, weights
 
 
-def _pauli_steps(h: Hamiltonian, rho: np.ndarray, n: int, c: float, s: float, into, back) -> np.ndarray:
-    """Apply the step n times to the states in Pauli coordinates (for L + 1 <= d)."""
+def _dense_step(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The step's ``_pauli_rows`` scattered into one real (d^2, d^2) matrix.
+
+    Each row's columns are distinct: distinct non-identity words have
+    distinct partners, none of them the row itself.
+    """
+    step = np.zeros((table.shape[0], table.shape[0]))
+    step[np.arange(table.shape[0])[:, None], table] = weights[:, 0]
+    return step
+
+
+def _pauli_steps(h: Hamiltonian, rho: np.ndarray, n: int, c: float, s: float) -> np.ndarray:
+    """Apply the step n times to the states in Pauli coordinates."""
     trials, dim, _ = rho.shape
     u = np.arange(dim)
+    xor = u[:, None] ^ u
+    # Flat positions of sigma[x, u, t] = rho[t, u, u ^ x] in the (trials, d, d)
+    # states, and of rho[t, u, w] = sigma[u ^ w, u, t] in the (d, d, trials) sigma.
+    into = (u * dim + xor)[:, :, None] + np.arange(trials) * dim * dim
+    back = ((xor * dim + u[:, None]) * trials)[None] + np.arange(trials)[:, None, None]
     parity = _popcount(u[:, None] & u)
     hadamard = 1.0 - 2.0 * (parity & 1)  # (-1)^{z . u}
     phase = np.array([1, 1j, -1, -1j])[parity & 3]  # i^{|x & z|}
     # r[x, z] = i^{|x & z|} sum_u (-1)^{z . u} rho[u, u ^ x]: real for Hermitian rho.
     r = (phase[:, :, None] * (hadamard @ np.take(rho, into))).real.reshape(dim * dim, trials)
     table, weights = _pauli_rows(h, c, s)
-    # One gather buffer for every step; mode="wrap" lets np.take write it
-    # unbuffered, and every index is in range.
-    gathered = np.empty((*table.shape, trials))
-    for _ in range(n):
-        np.take(r, table, axis=0, out=gathered, mode="wrap")
-        r = np.matmul(weights, gathered).reshape(dim * dim, trials)
+    if h.L + 1 <= dim:
+        # One gather buffer for every step; mode="wrap" lets np.take write it
+        # unbuffered, and every index is in range.
+        gathered = np.empty((*table.shape, trials))
+        for _ in range(n):
+            np.take(r, table, axis=0, out=gathered, mode="wrap")
+            r = np.matmul(weights, gathered).reshape(dim * dim, trials)
+    else:
+        step = _dense_step(table, weights)
+        for _ in range(n):
+            r = step @ r
     sigma = hadamard @ ((phase.conj() / dim)[:, :, None] * r.reshape(dim, dim, trials))
     return np.take(sigma, back)
-
-
-def _mixing_blocks(h: Hamiltonian, scale: np.ndarray) -> np.ndarray:
-    """The d real d x d blocks M_x[u, u'] = sum_k scale_k (-1)^{z_k . x} [u ^ u' = x_k]."""
-    xk, zk = _letter_masks(h)
-    u = np.arange(1 << h.n_qubits)
-    signs = 1 - 2 * (_popcount(zk[:, None] & u) & 1)
-    by_flip = np.zeros((u.size, u.size))  # by_flip[m, x]: the terms with x_k = m
-    np.add.at(by_flip, xk, scale[:, None] * signs)
-    return by_flip.T[:, u[:, None] ^ u]
-
-
-def _xor_steps(data: _KrausData, rho: np.ndarray, n: int, c: float, s: float, into, back) -> np.ndarray:
-    """Apply the step n times to the states in XOR coordinates, whatever L."""
-    dim = data.dim
-    drift = (1j * c * s) * np.tensordot(data.probs, data.paulis, axes=1)
-    drift[np.diag_indices(dim)] += 0.5 * c * c  # K = (c^2 / 2) I + i c s A
-    blocks = _mixing_blocks(data.h, (s * s) * data.probs)
-    for _ in range(n):
-        b = drift @ rho
-        sigma = np.take(rho, into).view(np.float64)
-        mixed = np.matmul(blocks, sigma).view(np.complex128)
-        rho = np.take(mixed, back)
-        rho += b
-        rho += b.conj().swapaxes(1, 2)
-    return rho
 
 
 def composition_check(
@@ -395,31 +388,19 @@ def composition_check(
         sum_k p_k U_k rho U_k^dag = c^2 rho + i c s [A, rho] + s^2 sum_k p_k P_k rho P_k.
 
     Let x_k mask word k's X and Y letters and z_k its Y and Z letters, the
-    first letter as the most significant bit.  The form of the step is
-    picked from L and d alone:
-
-    - L + 1 <= d: Pauli coordinates r[x d + z] = Tr(P(x, z) rho), with
-      P(x, z) = i^{|x & z|} X^x Z^z.  P_k P(q) P_k = chi_k(q) P(q) with
-      chi_k = -1 when the two anticommute, and then [P_k, P(q)] is a
-      multiple of P(q ^ (x_k d + z_k)).  So a step is one real matrix with
-      at most L + 1 entries per row: one gather of a (d^2, L + 1) table,
-      built once per check, and one batched product.  The states enter
-      through the XOR gather below and one Walsh-Hadamard product, and
-      leave the same way, once each.
-    - L + 1 > d: XOR coordinates sigma[x, u] = rho[u, u ^ x].  The step is
-      K rho + (K rho)^dag plus the conjugation sum, with
-      K = (c^2 / 2) I + i c s A.  (S_k rho S_k)[u, w] is
-      (-1)^{z_k . (u ^ w)} rho[u ^ x_k, w ^ x_k], so the sum maps each row
-      sigma[x] by one real d x d block,
-      M_x[u, u'] = s^2 sum_k p_k (-1)^{z_k . x} [u ^ u' = x_k].  The d
-      blocks are built once; a step is one gather into sigma, one batched
-      real product of the blocks with the states' real and imaginary parts,
-      one gather back and the product K rho, added with its adjoint in
-      place, whatever L.
-
-    Pauli rows cost about L + 1 numbers per coordinate and the blocks d,
-    which is where the forms cross.  The states come from the generator in
-    the order psi_0, phi_0, psi_1, ...
+    first letter as the most significant bit.  The states are carried as
+    real Pauli coordinates r[x d + z] = Tr(P(x, z) rho), with
+    P(x, z) = i^{|x & z|} X^x Z^z.  P_k P(q) P_k = chi_k(q) P(q) with
+    chi_k = -1 when the two anticommute, and then [P_k, P(q)] is a multiple
+    of P(q ^ (x_k d + z_k)).  So a step is one real d^2 x d^2 matrix with
+    at most L + 1 entries per row, built once per check as a (d^2, L + 1)
+    gather table and its weights.  When L + 1 <= d a step is one gather of
+    the table and one batched product; otherwise the table is scattered
+    into the whole matrix and a step is one product with it.  The states
+    enter Pauli coordinates through the XOR gather sigma[x, u] =
+    rho[u, u ^ x] and one Walsh-Hadamard product, and leave the same way,
+    once each.  The states come from the generator in the order psi_0,
+    phi_0, psi_1, ...
     """
     _check_qubits(h.n_qubits, MAX_POWER_QUBITS)
     if n < 1:
@@ -427,25 +408,14 @@ def composition_check(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     data = _kraus_data(h)
-    dim = data.dim
-    states = _probe_states(rng_from_seed(seed), dim, 2 * trials)
+    states = _probe_states(rng_from_seed(seed), data.dim, 2 * trials)
     psi, phi = states[0::2], states[1::2]
     rho = psi[:, :, None] * psi.conj()[:, None, :]
     u = data.evolution(t)
     exact = u @ rho @ u.conj().T
 
     tau = h.lam * t / n
-    c, s = math.cos(tau), math.sin(tau)
-    # Flat positions of sigma[x, u, t] = rho[t, u, u ^ x] in the (trials, d, d)
-    # states, and of rho[t, u, w] = sigma[u ^ w, u, t] in the (d, d, trials) sigma.
-    rows = np.arange(dim)
-    xor = rows[:, None] ^ rows
-    into = (rows * dim + xor)[:, :, None] + np.arange(trials) * dim * dim
-    back = ((xor * dim + rows[:, None]) * trials)[None] + np.arange(trials)[:, None, None]
-    if h.L + 1 <= dim:
-        rho = _pauli_steps(h, rho, n, c, s, into, back)
-    else:
-        rho = _xor_steps(data, rho, n, c, s, into, back)
+    rho = _pauli_steps(h, rho, n, math.cos(tau), math.sin(tau))
     diff = rho - exact
     # diff is Hermitian: its singular values are its eigenvalues' magnitudes.
     d_tr = 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum(axis=1)

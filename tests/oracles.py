@@ -35,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
@@ -846,13 +847,18 @@ def reference_probe_states(rng: np.random.Generator, dim: int, count: int) -> np
 
 
 def reference_decay_slope(rows) -> float:
-    """``channels.decay_slope`` through ``np.polyfit``'s least-squares solve."""
-    pts = [(r.N, r.d_lower) for r in rows if r.d_lower > 0]
-    if len(pts) < 2:
+    """``channels.decay_slope`` as exact least squares: the same float logs, summed as fractions.
+
+    The only rounding is of the final quotient to a float.
+    """
+    pts = [(Fraction(math.log(r.N)), Fraction(math.log(r.d_lower))) for r in rows if r.d_lower > 0]
+    if len({x for x, _ in pts}) < 2:
         return math.nan
-    logs_n = np.log([p[0] for p in pts])
-    logs_d = np.log([p[1] for p in pts])
-    return float(np.polyfit(logs_n, logs_d, 1)[0])
+    mean_x = sum(x for x, _ in pts) / len(pts)
+    mean_y = sum(y for _, y in pts) / len(pts)
+    sxy = sum((x - mean_x) * (y - mean_y) for x, y in pts)
+    sxx = sum((x - mean_x) ** 2 for x, _ in pts)
+    return float(sxy / sxx)
 
 
 def dense_composition_check(h, t: float, n: int, trials: int = 20, seed: int = 1234) -> list:

@@ -594,22 +594,23 @@ VERIFY_GOLDEN = [
 
 
 @pytest.mark.parametrize(
-    "argv, form",
-    [(["verify", "--ham", "{dense4}"], "_pauli_steps"), (["verify"], "_xor_steps")],
-    ids=["ham-4q-pauli", "builtin-two-term-1q-xor"],
+    "argv, dense_steps",
+    [(["verify", "--ham", "{dense4}"], 0), (["verify"], 1)],
+    ids=["ham-4q-sparse", "builtin-two-term-1q-dense"],
 )
-def test_golden_verify_runs_pin_both_composition_forms(argv, form, tmp_path, monkeypatch, capsys):
-    # L + 1 <= d picks Pauli rows: the 7-term 4-qubit input takes them, and
-    # the built-in suite's first input (two terms on one qubit) the XOR blocks.
+def test_golden_verify_runs_pin_both_composition_forms(argv, dense_steps, tmp_path, monkeypatch, capsys):
+    # L + 1 <= d picks the sparse Pauli rows: the 7-term 4-qubit input takes
+    # them, and the built-in suite's first input (two terms on one qubit)
+    # the one dense step matrix.
     path = tmp_path / "dense4.txt"
     path.write_text(VERIFY_HAMS["dense4"])
     calls = []
-    for name in ("_pauli_steps", "_xor_steps"):
+    for name in ("_pauli_steps", "_dense_step"):
         step = getattr(channels, name)
         monkeypatch.setattr(channels, name, lambda *a, _n=name, _f=step: calls.append(_n) or _f(*a))
     assert main([a.format(dense4=path) for a in argv]) == EXIT_OK
     capsys.readouterr()
-    assert calls == [form]
+    assert calls == ["_pauli_steps"] + ["_dense_step"] * dense_steps
 
 
 @pytest.mark.parametrize("case", VERIFY_GOLDEN, ids=lambda c: c[0])

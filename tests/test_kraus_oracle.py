@@ -17,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles as dense
@@ -74,29 +74,30 @@ def test_validity_numbers_equal_the_dense_path(h, t, n):
 
 
 def _composition_form(h, *args, **kwargs):
-    """composition_check's trials and the form of its step: "pauli" or "xor"."""
-    with mock.patch.object(ch, "_pauli_steps", wraps=ch._pauli_steps) as pauli:
-        with mock.patch.object(ch, "_xor_steps", wraps=ch._xor_steps) as xor:
+    """composition_check's trials and the branch of its step: "sparse" rows or one "dense" matrix."""
+    with mock.patch.object(ch, "_pauli_steps", wraps=ch._pauli_steps) as steps:
+        with mock.patch.object(ch, "_dense_step", wraps=ch._dense_step) as dense_step:
             trials = ch.composition_check(h, *args, **kwargs)
-    assert pauli.call_count + xor.call_count == 1
-    return trials, "pauli" if pauli.call_count else "xor"
+    assert steps.call_count == 1 and dense_step.call_count <= 1
+    return trials, "dense" if dense_step.call_count else "sparse"
 
 
 @st.composite
 def composition_inputs(draw) -> Hamiltonian:
-    """Inputs of at most 3 qubits on both sides of L + 1 <= d, the side drawn first."""
-    pauli = draw(st.booleans())
-    n = draw(st.integers(1, 3 if pauli else 2))
+    """Inputs of at most 3 qubits on both sides of L + 1 <= d, the side drawn first.
+
+    The sparse side has L <= 6; the dense side has L <= 6 at 1-2 qubits and
+    L in [8, 63] at 3.
+    """
+    sparse = draw(st.booleans())
+    n = draw(st.integers(1, 3))
     dim = 2**n
-    size = draw(st.integers(1, min(dim - 1, 6)) if pauli else st.integers(dim, min(4**n - 1, 6)))
-    words = draw(
-        st.lists(
-            st.text("IXYZ", min_size=n, max_size=n).filter(lambda w: w.strip("I")),
-            min_size=size,
-            max_size=size,
-            unique=True,
-        )
-    )
+    if sparse:
+        size = draw(st.integers(1, min(dim - 1, 6)))
+    else:
+        size = draw(st.integers(dim, 4**n - 1 if n == 3 else min(4**n - 1, 6)))
+    every_word = ["".join(w) for w in itertools.product("IXYZ", repeat=n)][1:]
+    words = draw(st.permutations(every_word))[:size]
     weights = draw(st.lists(st.floats(0.05, 1.0), min_size=size, max_size=size))
     signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=size, max_size=size))
     return Hamiltonian([(s * w, word) for s, w, word in zip(signs, weights, words)])
@@ -111,7 +112,7 @@ def composition_inputs(draw) -> Hamiltonian:
 )
 def test_composition_trials_equal_the_dense_path(h, t, n, seed):
     fast, form = _composition_form(h, t, n, trials=4, seed=seed)
-    assert form == ("pauli" if h.L + 1 <= 2**h.n_qubits else "xor")
+    assert form == ("sparse" if h.L + 1 <= 2**h.n_qubits else "dense")
     slow = dense.dense_composition_check(h, t, n, trials=4, seed=seed)
     for got, want in zip(fast, slow):
         assert (got.index, got.budget) == (want.index, want.budget)
@@ -169,10 +170,20 @@ def test_composition_trace_norms_equal_svd_ones(h, t, n, seed):
     ns=st.lists(st.integers(1, 10**6), min_size=2, max_size=6, unique=True),
     logs=st.lists(st.floats(-700.0, 0.0), min_size=6, max_size=6),
 )
-def test_closed_form_slope_equals_polyfit(ns, logs):
+# The exact slope is 0 and decay_slope returns 0.0; np.polyfit gave 1.2e-12.
+@example(ns=[28, 29], logs=[-140.0, -140.0, 0.0, 0.0, 0.0, 0.0])
+def test_closed_form_slope_equals_exact_least_squares(ns, logs):
     rows = [ch.BoundRow(n, math.exp(x), 1.0) for n, x in zip(ns, logs)]
     want = dense.reference_decay_slope(rows)
-    assert ch.decay_slope(rows) == pytest.approx(want, rel=1e-12, abs=1e-12)
+    # The closed form's roundoff: a few ulps of each centred product's size,
+    # over sxx, which clustered N make small.
+    xs = [math.log(r.N) for r in rows]
+    ys = [math.log(r.d_lower) for r in rows]
+    mean_x, mean_y = sum(xs) / len(xs), sum(ys) / len(ys)
+    spread = sum(abs(x - mean_x) * (abs(y) + abs(mean_y)) for x, y in zip(xs, ys))
+    spread /= sum((x - mean_x) ** 2 for x in xs)
+    tol = 1e-12 * max(1.0, abs(want)) + 8 * 2**-52 * spread
+    assert abs(ch.decay_slope(rows) - want) <= tol
 
 
 def test_slope_of_one_distinct_n_is_undefined():
@@ -198,7 +209,7 @@ DENSE4 = [
 def _assert_composition_equals_dense(terms, t, n, trials, seed):
     h = Hamiltonian(terms)
     fast, form = _composition_form(h, t, n, trials=trials, seed=seed)
-    assert form == ("pauli" if h.L < 16 else "xor")
+    assert form == ("sparse" if h.L < 16 else "dense")
     slow = dense.dense_composition_check(h, t, n, trials=trials, seed=seed)
     assert len(fast) == len(slow) == trials
     for got, want in zip(fast, slow):
@@ -243,15 +254,15 @@ def test_four_qubit_edge_compositions_equal_the_dense_path(terms, n, trials):
 @pytest.mark.parametrize(
     "terms, form",
     [
-        ([(0.5, "Z"), (0.5, "X")], "xor"),  # the built-in suite's two-term-1q
-        ([(-0.8, "XY")], "pauli"),
-        (DENSE4, "pauli"),
+        ([(0.5, "Z"), (0.5, "X")], "dense"),  # the built-in suite's two-term-1q
+        ([(-0.8, "XY")], "sparse"),
+        (DENSE4, "sparse"),
     ],
     ids=["two-term-1q", "single-term-2q", "dense4"],
 )
 @pytest.mark.parametrize("t", [1e-3, 1e-5, 1e-7])
 def test_small_t_compositions_pass(terms, form, t):
-    # The 1e-12 slack of state_ok and expval_ok holds at small t on both forms.
+    # The 1e-12 slack of state_ok and expval_ok holds at small t on both branches.
     trials, taken = _composition_form(Hamiltonian(terms), t, 100, trials=20, seed=42)
     assert taken == form
     assert all(tr.state_ok and tr.expval_ok for tr in trials)
@@ -290,6 +301,8 @@ def test_pauli_rows_equal_the_dense_transfer_matrix(h, tau):
     assert table.shape == (dim * dim, h.L + 1) and weights.shape == (dim * dim, 1, h.L + 1)
     rows = np.zeros((dim * dim, dim * dim))
     np.add.at(rows, (np.arange(dim * dim)[:, None], table), weights[:, 0])
+    # No row repeats a column, so the dense branch's scatter is this sum.
+    assert np.array_equal(ch._dense_step(table, weights), rows)
     # R[q, q'] = Tr(P(q) E(P(q'))) / d, with Tr(P X) = vec(P)^dag vec(X) for Hermitian P.
     basis = np.stack(
         [dense.vec(dense.pauli_to_matrix(_pauli_word(n, q))) for q in range(dim * dim)], axis=1
@@ -305,6 +318,18 @@ def test_all_255_four_qubit_words_equal_the_dense_path():
     coeffs = rng.uniform(0.1, 1.0, len(words)) * rng.choice([-1.0, 1.0], len(words))
     coeffs *= 1.5 / np.abs(coeffs).sum()
     _assert_composition_equals_dense(list(zip(coeffs.tolist(), words)), 1.0, 100, 20, seed=255)
+
+
+@pytest.mark.parametrize("size", [16, 17])
+def test_four_qubit_dense_branch_equals_the_dense_path(size):
+    # L = 16 and 17 are the first sizes past L + 1 <= d = 16.
+    words = ["".join(w) for w in itertools.product("IXYZ", repeat=4)][1:]
+    rng = np.random.default_rng(size)
+    chosen = rng.choice(len(words), size, replace=False)
+    coeffs = rng.uniform(0.1, 1.0, size) * rng.choice([-1.0, 1.0], size)
+    coeffs *= 1.5 / np.abs(coeffs).sum()
+    terms = [(c, words[i]) for c, i in zip(coeffs.tolist(), chosen)]
+    _assert_composition_equals_dense(terms, 1.0, 100, 20, seed=size)
 
 
 def test_every_two_qubit_word_fills_the_choi_dimension():

@@ -126,6 +126,9 @@ def test_every_public_name_resolves():
         (trotter, "_solve"),
         # verify keeps plain lists of lines and failed checks' rigour.
         (cli, "_Report"),
+        # composition_check applies every step in Pauli coordinates.
+        (channels, "_xor_steps"),
+        (channels, "_mixing_blocks"),
     ],
 )
 def test_removed_names_stay_removed(owner, name):
