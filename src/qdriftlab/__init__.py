@@ -2,21 +2,8 @@
 dense channel verification, and phase-estimation resource planning for
 Pauli-sum Hamiltonians."""
 
-from .compiler import (
-    AliasSampler,
-    Circuit,
-    CircuitMeta,
-    compile_circuit,
-    elementary_gate_estimate,
-    rng_from_seed,
-)
-from .hamiltonian import (
-    Hamiltonian,
-    HamiltonianError,
-    HamiltonianParseError,
-    WeightProfile,
-    parse_hamiltonian,
-)
+import importlib
+
 from .trotter import (
     CostQuery,
     CostReport,
@@ -33,6 +20,20 @@ from .trotter import (
     trotter_error_det,
     trotter_error_random,
 )
+from .weights import HamiltonianError, HamiltonianParseError, WeightProfile
+
+# The numpy-backed names, imported from their modules on first use (PEP 562),
+# so that ``import qdriftlab`` loads no numpy.
+_LAZY = {
+    "AliasSampler": "compiler",
+    "Circuit": "compiler",
+    "CircuitMeta": "compiler",
+    "compile_circuit": "compiler",
+    "elementary_gate_estimate": "compiler",
+    "rng_from_seed": "compiler",
+    "Hamiltonian": "hamiltonian",
+    "parse_hamiltonian": "hamiltonian",
+}
 
 __version__ = "0.1.0"
 
@@ -63,3 +64,15 @@ __all__ = [
     "trotter_error_det",
     "trotter_error_random",
 ]
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))

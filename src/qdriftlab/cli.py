@@ -17,21 +17,17 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
-
-from . import channels, phase_estimation as pe, trotter
-from .compiler import compile_circuit, elementary_gate_estimate, rng_from_seed
-from .hamiltonian import (
-    Hamiltonian,
-    HamiltonianError,
-    HamiltonianParseError,
-    WeightProfile,
-    parse_hamiltonian,
-    random_hamiltonian,
-)
+from . import phase_estimation as pe, trotter
 from .trotter import _check_positive
+from .weights import HamiltonianError, HamiltonianParseError, WeightProfile
+
+# numpy and the modules built on it (channels, compiler, hamiltonian) are
+# imported by the subcommands that read a Hamiltonian or compile, so a
+# profile given as numbers is costed and planned without them.
+if TYPE_CHECKING:
+    from .hamiltonian import Hamiltonian
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -103,6 +99,8 @@ def _load_hamiltonian(path: str) -> Hamiltonian:
     An ASCII file is parsed as bytes; any other is decoded as UTF-8 first.
     Either way the lines end where ``read_text`` would end them.
     """
+    from .hamiltonian import parse_hamiltonian
+
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -129,6 +127,8 @@ def _profile_from_args(args) -> tuple[WeightProfile, Hamiltonian | None]:
 
 
 def cmd_compile(args) -> int:
+    from .compiler import compile_circuit, elementary_gate_estimate
+
     _check_positive(args.t, "--t")
     _check_positive(args.eps, "--eps")
     # Canonical at load, so the parsed order is freed before the alias build.
@@ -225,12 +225,12 @@ def cmd_sweep(args) -> int:
     if args.points > MAX_GRID_POINTS:
         raise ValueError(f"--points must be <= {MAX_GRID_POINTS}, got {args.points}")
     profile = _fair_profile(args, args.eps)
-    grid = np.logspace(math.log10(args.t_min), math.log10(args.t_max), args.points)
+    grid = trotter.log_grid(args.t_min, args.t_max, args.points)
     rows = []
     # Whether qDRIFT costs more at each grid time; the crossover scan
     # reuses these instead of solving those times again.
     verdicts = {}
-    for t in map(float, grid):
+    for t in grid:
         query = trotter.CostQuery(profile, t, args.eps)
         counts = list(trotter._counts(_ROW_METHODS, query))
         rows.extend(_cost_rows(query, counts))
@@ -265,22 +265,20 @@ def cmd_phase_est(args) -> int:
             raise ValueError(f"--pf-points must be >= 1, got {args.pf_points}")
         if args.pf_points > MAX_GRID_POINTS:
             raise ValueError(f"--pf-points must be <= {MAX_GRID_POINTS}, got {args.pf_points}")
-        pf_values = np.logspace(
-            math.log10(args.pf_min), math.log10(args.pf_max), args.pf_points
-        ).tolist()
+        pf_values = trotter.log_grid(args.pf_min, args.pf_max, args.pf_points)
     rows = []
     for p in pf_values:
         if not (0 < p < 1):
             raise ValueError(f"P_f values must be in (0, 1), got {p}")
         query = pe.PEQuery(
-            lam=args.lam, delta_E=args.delta_e, P_f=float(p), L=args.L, lam_max=args.lam_max
+            lam=args.lam, delta_E=args.delta_e, P_f=p, L=args.L, lam_max=args.lam_max
         )
         plans = {method: pe.build_plan(method, query) for method in pe.METHODS}
         ratio = plans["trotter"].total / plans["qdrift"].total
         for method in pe.METHODS:
             plan = plans[method]
             cells = (
-                float(p),
+                p,
                 plan.p_f,
                 plan.eps_tot,
                 plan.m,
@@ -298,6 +296,9 @@ def cmd_phase_est(args) -> int:
 
 
 def _builtin_suite(seed: int) -> list[tuple[str, Hamiltonian]]:
+    from .compiler import rng_from_seed
+    from .hamiltonian import Hamiltonian, random_hamiltonian
+
     suite = [
         ("two-term-1q", Hamiltonian([(0.5, "Z"), (0.5, "X")])),
         ("three-term-2q", Hamiltonian([(0.6, "ZZ"), (0.4, "XI"), (0.25, "IY")])),
@@ -310,97 +311,100 @@ def _builtin_suite(seed: int) -> list[tuple[str, Hamiltonian]]:
     return suite
 
 
-# One _KrausData per Hamiltonian for all of its checks.
-@channels.shared_kraus_data()
 def cmd_verify(args) -> int:
-    _check_positive(args.t, "--t")
-    _check_positive(args.tol, "--tol")
-    rng_from_seed(args.seed)  # reject a seed outside [0, 2**64) before any channel work
-    lines: list[str] = []
-    failed: list[bool] = []  # the rigour of each check that failed
+    from . import channels
+    from .compiler import rng_from_seed
 
-    def check(rigorous: bool, name: str, ok: bool, detail: str) -> None:
-        lines.append(f"[{'PASS' if ok else 'FAIL'}] {name} ({detail})")
-        if not ok:
-            failed.append(rigorous)
+    # One _KrausData per Hamiltonian for all of its checks.
+    with channels.shared_kraus_data():
+        _check_positive(args.t, "--t")
+        _check_positive(args.tol, "--tol")
+        rng_from_seed(args.seed)  # reject a seed outside [0, 2**64) before any channel work
+        lines: list[str] = []
+        failed: list[bool] = []  # the rigour of each check that failed
 
-    if args.ham is not None:
-        suite = [(Path(args.ham).stem, _load_hamiltonian(args.ham))]
-    else:
-        suite = _builtin_suite(args.seed)
+        def check(rigorous: bool, name: str, ok: bool, detail: str) -> None:
+            lines.append(f"[{'PASS' if ok else 'FAIL'}] {name} ({detail})")
+            if not ok:
+                failed.append(rigorous)
 
-    csv_rows: list[list[str]] = []
-    for name, h in suite:
-        rows = channels.verify_bound(h, args.t, VERIFY_N_LIST)
-        tp_error, cp_min = channels.validity_check(h, args.t, VERIFY_N_LIST[0])
-        valid = tp_error <= args.tol and cp_min >= -args.tol
-        for row in rows:
-            csv_rows.append([_fmt(row.N), _fmt(row.d_lower), _fmt(row.bound), _fmt(row.ratio)])
-        worst = max(rows, key=lambda r: r.ratio if not math.isnan(r.ratio) else 0.0)
-        check(
-            True,
-            f"bound {name}",
-            all(r.ok for r in rows),
-            f"worst ratio {worst.ratio:.3e} at N={worst.N}",
-        )
-        for row in rows:
-            if not row.ok:
-                detail = f"N={row.N} d_lower={_fmt(row.d_lower)} bound={_fmt(row.bound)}"
-                lines.append(f"[INFO] violating row {name}: {detail}")
-        check(True, f"channel validity {name}", valid, f"TP and CP to {args.tol:g}")
-        if args.negative_control:
-            slope_rows = channels.verify_bound(h, args.t, VERIFY_N_LIST, tau_scale=2.0)
+        if args.ham is not None:
+            suite = [(Path(args.ham).stem, _load_hamiltonian(args.ham))]
         else:
-            slope_rows = rows
-        slope = channels.decay_slope(slope_rows)
-        in_band = SLOPE_BAND[0] <= slope <= SLOPE_BAND[1]
-        if h.L == 1:
-            lines.append(f"[INFO] slope {name}: distances identically zero (single term)")
-        elif math.isnan(slope):
-            lines.append(f"[INFO] slope {name}: fewer than two nonzero distances, slope undefined")
-        elif args.negative_control:
-            # The corrupted angle is expected to push the slope out of band;
-            # the failure is flagged but gates only under --strict.
+            suite = _builtin_suite(args.seed)
+
+        csv_rows: list[list[str]] = []
+        for name, h in suite:
+            rows = channels.verify_bound(h, args.t, VERIFY_N_LIST)
+            tp_error, cp_min = channels.validity_check(h, args.t, VERIFY_N_LIST[0])
+            valid = tp_error <= args.tol and cp_min >= -args.tol
+            for row in rows:
+                csv_rows.append([_fmt(row.N), _fmt(row.d_lower), _fmt(row.bound), _fmt(row.ratio)])
+            worst = max(rows, key=lambda r: r.ratio if not math.isnan(r.ratio) else 0.0)
             check(
-                False,
-                f"slope {name} [negative control]",
-                in_band,
-                f"slope {slope:.3f}, band {SLOPE_BAND}",
+                True,
+                f"bound {name}",
+                all(r.ok for r in rows),
+                f"worst ratio {worst.ratio:.3e} at N={worst.N}",
             )
-            degradation = "present" if slope > NEGATIVE_CONTROL_FLOOR else "ABSENT"
-            lines.append(f"[INFO] slope {name} degradation: {degradation}")
+            for row in rows:
+                if not row.ok:
+                    detail = f"N={row.N} d_lower={_fmt(row.d_lower)} bound={_fmt(row.bound)}"
+                    lines.append(f"[INFO] violating row {name}: {detail}")
+            check(True, f"channel validity {name}", valid, f"TP and CP to {args.tol:g}")
+            if args.negative_control:
+                slope_rows = channels.verify_bound(h, args.t, VERIFY_N_LIST, tau_scale=2.0)
+            else:
+                slope_rows = rows
+            slope = channels.decay_slope(slope_rows)
+            in_band = SLOPE_BAND[0] <= slope <= SLOPE_BAND[1]
+            if h.L == 1:
+                lines.append(f"[INFO] slope {name}: distances identically zero (single term)")
+            elif math.isnan(slope):
+                lines.append(f"[INFO] slope {name}: fewer than two nonzero distances, slope undefined")
+            elif args.negative_control:
+                # The corrupted angle is expected to push the slope out of band;
+                # the failure is flagged but gates only under --strict.
+                check(
+                    False,
+                    f"slope {name} [negative control]",
+                    in_band,
+                    f"slope {slope:.3f}, band {SLOPE_BAND}",
+                )
+                degradation = "present" if slope > NEGATIVE_CONTROL_FLOOR else "ABSENT"
+                lines.append(f"[INFO] slope {name} degradation: {degradation}")
+            else:
+                check(False, f"slope {name}", in_band, f"slope {slope:.3f}, band {SLOPE_BAND}")
+
+        first = suite[0][1]
+        if first.n_qubits > channels.MAX_POWER_QUBITS:
+            lines.append("[INFO] composition: skipped: input exceeds the channel-power qubit cap")
         else:
-            check(False, f"slope {name}", in_band, f"slope {slope:.3f}, band {SLOPE_BAND}")
+            trials = channels.composition_check(first, args.t, 100, trials=20, seed=args.seed)
+            check(
+                True,
+                "composition subadditivity",
+                all(tr.state_ok for tr in trials),
+                f"max d_tr {max(tr.d_tr for tr in trials):.3e} vs budget {trials[0].budget:.3e}",
+            )
+            check(
+                True,
+                "expectation-value cap",
+                all(tr.expval_ok for tr in trials),
+                "2 ||M|| d_tr per trial",
+            )
 
-    first = suite[0][1]
-    if first.n_qubits > channels.MAX_POWER_QUBITS:
-        lines.append("[INFO] composition: skipped: input exceeds the channel-power qubit cap")
-    else:
-        trials = channels.composition_check(first, args.t, 100, trials=20, seed=args.seed)
-        check(
-            True,
-            "composition subadditivity",
-            all(tr.state_ok for tr in trials),
-            f"max d_tr {max(tr.d_tr for tr in trials):.3e} vs budget {trials[0].budget:.3e}",
-        )
-        check(
-            True,
-            "expectation-value cap",
-            all(tr.expval_ok for tr in trials),
-            "2 ||M|| d_tr per trial",
-        )
+        _write_text(None, [line + "\n" for line in lines])
+        out = _resolve_out(args.out)
+        if out is not None:
+            _emit_table("N,d_lower,bound,ratio", csv_rows, "csv", out)
 
-    _write_text(None, [line + "\n" for line in lines])
-    out = _resolve_out(args.out)
-    if out is not None:
-        _emit_table("N,d_lower,bound,ratio", csv_rows, "csv", out)
-
-    # A rigorous failure always gates; any failure gates under --strict.
-    if any(failed) or (args.strict and failed):
-        _write_text(None, "VERIFY: FAIL\n")
-        return EXIT_BOUND
-    _write_text(None, "VERIFY: PASS\n")
-    return EXIT_OK
+        # A rigorous failure always gates; any failure gates under --strict.
+        if any(failed) or (args.strict and failed):
+            _write_text(None, "VERIFY: FAIL\n")
+            return EXIT_BOUND
+        _write_text(None, "VERIFY: PASS\n")
+        return EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -16,34 +16,17 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-PAULI_AXES = "IXYZ"
+from .weights import HamiltonianError, HamiltonianParseError, WeightProfile
 
-# Float summation noise allowance for the lam <= lam_max * L invariant
-# (e.g. 0.1 + 0.1 + 0.1 rounds above 0.3).
-_AGG_RTOL = 1e-12
+PAULI_AXES = "IXYZ"
 
 _BLOCK_LINES = 4096  # hamtxt lines split and checked at a time
 _SCAN_BYTES = 1 << 22  # bytes of a document searched for newlines at a time
 _LETTERS = PAULI_AXES.encode("ascii")
-
-
-class HamiltonianError(ValueError):
-    """Invalid Hamiltonian data (domain errors)."""
-
-
-class HamiltonianParseError(HamiltonianError):
-    """Malformed hamtxt input; carries the offending 1-based line number."""
-
-    def __init__(self, message: str, line_no: int | None = None):
-        self.line_no = line_no
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
 
 
 def _check_term(weight: float, word: str) -> None:
@@ -144,28 +127,6 @@ def _checked_columns(entries: Iterable[tuple[float, str]]) -> _Columns:
         raise HamiltonianError("Hamiltonian has no terms")
     coeffs = np.fromiter(merged.values(), dtype=float, count=len(merged))
     return _Columns(n_qubits, _word_column(list(merged), n_qubits), coeffs)
-
-
-@dataclass(frozen=True)
-class WeightProfile:
-    """Aggregate view (L, lam, lam_max) detached from explicit Pauli data."""
-
-    L: int
-    lam: float
-    lam_max: float
-
-    def __post_init__(self):
-        if self.L < 1:
-            raise HamiltonianError(f"L must be >= 1, got {self.L}")
-        for name, value in (("lam", self.lam), ("lam_max", self.lam_max)):
-            if not (math.isfinite(value) and value > 0):
-                raise HamiltonianError(f"{name} must be finite and > 0, got {value!r}")
-        if self.lam_max > self.lam * (1 + _AGG_RTOL):
-            raise HamiltonianError(f"lam_max={self.lam_max} exceeds lam={self.lam}")
-        if self.lam > self.lam_max * self.L * (1 + _AGG_RTOL):
-            raise HamiltonianError(
-                f"lam={self.lam} exceeds lam_max*L={self.lam_max * self.L}"
-            )
 
 
 class Hamiltonian:

@@ -19,14 +19,13 @@ qDRIFT count for the randomized compiler (no L factor).
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-import numpy as np
-
-from .hamiltonian import WeightProfile
+from .weights import WeightProfile
 
 R_MAX = 2**63
 INT64_MAX = 2**63 - 1
@@ -217,7 +216,8 @@ def _locate(
 
 
 def _check_r(r: int) -> None:
-    if not isinstance(r, (int, np.integer)) or r < 1:
+    # numbers.Integral also holds numpy's integer types, without importing numpy.
+    if not isinstance(r, numbers.Integral) or r < 1:
         raise ValueError(f"segment count r must be an integer >= 1, got {r!r}")
 
 
@@ -558,6 +558,23 @@ def best_method(query: CostQuery, candidates: Sequence[Method] = DEFAULT_CANDIDA
     return min(reports, key=_tie_key)
 
 
+def log_grid(lo: float, hi: float, points: int) -> list[float]:
+    """``points`` floats from ``lo`` to ``hi``, evenly spaced in log10.
+
+    With a, b = log10(lo), log10(hi), the exponents are numpy's ``linspace``
+    arithmetic, y_i = i * ((b - a) / (points - 1)) + a and y[-1] = b, and
+    point i is 10.0 ** y_i.  numpy's ``logspace`` computes the same points,
+    but its power can round differently with the SIMD code numpy picks for
+    the CPU; this one is the C library's, which the bounds' log and exp
+    also use.  One point is [10.0 ** a], and no point is [].
+    """
+    a, b = math.log10(lo), math.log10(hi)
+    if points < 2:
+        return [10.0**a] * points
+    step = (b - a) / (points - 1)
+    return [10.0 ** (i * step + a) for i in range(points - 1)] + [10.0**b]
+
+
 def crossover_time(
     profile: WeightProfile,
     eps: float,
@@ -586,13 +603,13 @@ def crossover_time(
         # qDRIFT first, then the candidates until one is cheaper.
         return qdrift_costs_more(_counts((QDRIFT, *candidates), CostQuery(profile, t, eps)))
 
-    grid = np.logspace(math.log10(t_lo), math.log10(t_hi), points)
-    previous = qdrift_exceeds(float(grid[0]))
+    grid = log_grid(t_lo, t_hi, points)
+    previous = qdrift_exceeds(grid[0])
     bracket = None
     for i in range(1, points):
-        current = qdrift_exceeds(float(grid[i]))
+        current = qdrift_exceeds(grid[i])
         if current and not previous:
-            bracket = (float(grid[i - 1]), float(grid[i]))
+            bracket = (grid[i - 1], grid[i])
             break
         previous = current
     if bracket is None:

@@ -147,6 +147,14 @@ def reference_count(method, profile, t: float, eps: float):
     return None if r is None else (r, order_factor * profile.L * r, bound(r))
 
 
+def reference_log_grid(lo: float, hi: float, points: int) -> list[float]:
+    """``trotter.log_grid`` as numpy's linspace raised to powers of 10 by Python.
+
+    This is numpy.logspace without numpy's SIMD power, whose last bit
+    depends on the code numpy picks for the CPU."""
+    return [10.0**y for y in np.linspace(math.log10(lo), math.log10(hi), points).tolist()]
+
+
 def reference_crossover_time(profile, eps: float, t_range, points: int = 50, candidates=DEFAULT_CANDIDATES):
     """``trotter.crossover_time`` as it stood before the scan stopped at the first
     candidate cheaper than qDRIFT: every method is costed at every time."""
@@ -156,11 +164,11 @@ def reference_crossover_time(profile, eps: float, t_range, points: int = 50, can
         gates = [math.inf if r is None else r.gates for r in gate_counts(methods, CostQuery(profile, t, eps))]
         return gates[0] > min(gates[1:], default=math.inf)
 
-    grid = np.logspace(math.log10(t_range[0]), math.log10(t_range[1]), points)
-    verdicts = [qdrift_exceeds(float(t)) for t in grid]
+    grid = reference_log_grid(t_range[0], t_range[1], points)
+    verdicts = [qdrift_exceeds(t) for t in grid]
     for i in range(1, points):
         if verdicts[i] and not verdicts[i - 1]:
-            lo, hi = float(grid[i - 1]), float(grid[i])
+            lo, hi = grid[i - 1], grid[i]
             while hi / lo > 1.001:
                 mid = math.sqrt(lo * hi)
                 lo, hi = (lo, mid) if qdrift_exceeds(mid) else (mid, hi)

@@ -14,6 +14,11 @@ hashes: a mismatch means the output bytes changed.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +31,7 @@ from oracles import (
     sha256_text,
     wide_hamtxt,
 )
+import qdriftlab
 from qdriftlab import channels
 from qdriftlab.cli import EXIT_BOUND, EXIT_OK, main
 from qdriftlab.compiler import AliasSampler, compile_circuit, rng_from_seed
@@ -169,7 +175,13 @@ def test_wide_cli_compile_matches_golden_hash(case, wide_file, tmp_path, capsys)
 # regenerate them.  The exceptions are the verify CSV hashes (see
 # PARENT_VERIFY_ROWS below), the three phase-est stdout hashes (see
 # PARENT_PE_ROWS below) and the verify stdout hashes (see
-# PARENT_VERIFY_STDOUT below).  The cost rows at t = 1e80 hold `overflow` and
+# PARENT_VERIFY_STDOUT below), and the sweep-a, sweep-c and pe-grid-b hashes.
+# Those three were retaken on purpose when the grids moved from numpy's
+# logspace to ``trotter.log_grid``: numpy's AVX-512 power rounds some grid
+# points one ulp away from the C library's, so a t (or P_f) cell and the
+# bound printed at it moved, and no r, gate count or crossover did.  Each
+# new hash is what the old code printed with numpy's AVX-512 code turned
+# off.  The cost rows at t = 1e80 hold `overflow` and
 # `log10_gates=` cells, sweep-a and sweep-c end in a crossover row and
 # sweep-b has none, and verify-top uses the largest seed, 2**64 - 1.
 CLI_GOLDEN = [
@@ -187,19 +199,19 @@ CLI_GOLDEN = [
      "38ccea2294458fbf0e99da3ed3da9ac7e5082d98f63435865f27826cd841efdb", None),
     ("sweep-a", "sweep --L 2000 --Lambda 0.01 --lambda 5.0 --t-min 0.001 --t-max 1e10 --points 50 "
      "--eps 0.001 --crossover", 452,
-     "ce3a7952a72e4b07b1bb175976702704172c522b6c2a637e88fd0bf117485eba", None),
+     "9dd48d9d64e1707350f631fa3dff59637f9d2a751a7daa86274ccbe9472df54b", None),
     ("sweep-b", "sweep --L 30 --Lambda 1.0 --lambda 12.0 --t-min 0.01 --t-max 1e6 --points 25 "
      "--eps 1e-06 --crossover", 226,
      "1963c42983b8246712ab425b48c739df881db2d40f141bfb1f063f8264d1cd04", None),
     ("sweep-c", "sweep --L 500000 --Lambda 0.002 --lambda 40.0 --t-min 0.1 --t-max 1e12 --points 30 "
      "--eps 0.01 --crossover --format json", 3525,
-     "4e58db7dfa35fe9ead7a067ce18c8b995db04c228a42115d0587550bb543497c", None),
+     "b01b2e28d8f7101d86d31e3a6f848b0a3b84ad690c552f3b6d79abfb951059f1", None),
     ("pe-grid", "phase-est --lambda 100.0 --Lambda 1.0 --L 500 --delta-e 0.001 --pf-min 0.0001 "
      "--pf-max 0.5 --pf-points 20", 41,
      "ab20fb704916c3016d51f92ad9ef706a049653b5db9a447a6968fcd0811dfd48", None),
     ("pe-grid-b", "phase-est --lambda 3.0 --Lambda 0.05 --L 2000 --delta-e 0.003 --pf-min 0.001 "
      "--pf-max 0.1 --pf-points 20 --format json", 402,
-     "1a524b346f612193484b026559dc60c665ea1b2d20aedfe17f243ca8dca823f5", None),
+     "884d65b53ae0736620ec84af68ce98ce143235b05034782758d09b8ef6a2d375", None),
     ("pe-single", "phase-est --lambda 10.0 --L 20 --Lambda 1.0 --delta-e 0.01 --pf 0.05", 3,
      "d083feca4e58226690de48076cb9aaa76343f3ba4a0750133ff2becbe5a5e665", None),
     ("verify-42", "verify", 27,
@@ -319,7 +331,8 @@ def _check_parent_rows(case_id: str, csv_text: str) -> None:
 # stdout hashes above were retaken on purpose from the closed form.  These
 # rows keep the old numbers pinned: method, P_f, m and closed_form_gates
 # must match as text, p_f_opt to a relative 1e-6 and eps_tot, total_gates
-# and ratio to a relative 2e-6.
+# and ratio to a relative 2e-6.  pe-grid-b's third P_f and the two
+# closed_form_gates at it were retaken with its hash (see CLI_GOLDEN).
 # (method, P_f, p_f_opt, eps_tot, m, total_gates, closed_form_gates, ratio)
 PARENT_PE_ROWS = {
     "pe-grid": (
@@ -413,10 +426,10 @@ PARENT_PE_ROWS = {
          2.0426865486003683e+17, "64277972173004376", 0.079812847837127165),
         ("trotter", "0.0012742749857031334", 0.00095547814416797948, 0.00015939842076757697, "19",
          16303263068238766, "11565273050234954", 0.079812847837127165),
-        ("qdrift", "0.0016237767391887208", 0.0010821279874339343, 0.00027082437587739325, "19",
-         40069153189437952, "31065095538898684", 0.36040487075976552),
-        ("trotter", "0.0016237767391887208", 0.001217463053477402, 0.00020315684285565942, "19",
-         14441117976692632, "7122452718477327", 0.36040487075976552),
+        ("qdrift", "0.001623776739188721", 0.0010821279874339343, 0.00027082437587739325, "19",
+         40069153189437952, "31065095538898668", 0.36040487075976552),
+        ("trotter", "0.001623776739188721", 0.001217463053477402, 0.00020315684285565942, "19",
+         14441117976692632, "7122452718477324", 0.36040487075976552),
         ("qdrift", "0.0020691380811147901", 0.0013787929534275114, 0.00034517256384363935, "19",
          31438487704894576, "15013543959406354", 0.40686789902439158),
         ("trotter", "0.0020691380811147901", 0.0015512535533681998, 0.00025894226387329514, "19",
@@ -561,6 +574,59 @@ def test_cli_report_matches_golden_hash(case, tmp_path, capsys):
     if csv_digest is not None:
         _check_parent_rows(case[0], csv.read_text())
         assert hashlib.sha256(csv.read_bytes()).hexdigest() == csv_digest
+
+
+def _avx512_targets() -> list[str]:
+    """The AVX-512 entries of numpy's dispatch list that this CPU runs."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return [
+        name for name in umath.__cpu_dispatch__
+        if (name == "X86_V4" or name.startswith("AVX512")) and umath.__cpu_features__.get(name)
+    ]
+
+
+def test_cli_reports_match_golden_hashes_without_avx512(tmp_path):
+    # numpy picks SIMD code for the host at run time; its AVX-512 power, for
+    # one, rounds some of numpy.logspace's points one ulp away from the
+    # portable code.  Every CLI_GOLDEN pin must hold on a CPU without it.
+    targets = _avx512_targets()
+    if not targets:
+        pytest.skip("numpy dispatches no AVX-512 code on this CPU")
+    script = textwrap.dedent(
+        """
+        import contextlib, hashlib, io, json, sys
+        from qdriftlab.cli import main
+
+        digests = {}
+        for case_id, argv in json.load(sys.stdin):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(argv)
+            digests[case_id] = [code, hashlib.sha256(out.getvalue().encode()).hexdigest()]
+        print(json.dumps(digests))
+        """
+    )
+    runs = []
+    for case_id, command, _, _, csv_digest in CLI_GOLDEN:
+        argv = command.split()
+        if csv_digest is not None:
+            argv += ["--out", str(tmp_path / f"{case_id}.csv")]
+        runs.append((case_id, argv))
+    src = str(Path(qdriftlab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "NPY_DISABLE_CPU_FEATURES": " ".join(targets)}
+    done = subprocess.run(
+        [sys.executable, "-c", script], input=json.dumps(runs), env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    digests = json.loads(done.stdout)
+    for case_id, _, _, digest, csv_digest in CLI_GOLDEN:
+        assert digests[case_id] == [EXIT_OK, digest], case_id
+        if csv_digest is not None:
+            assert hashlib.sha256((tmp_path / f"{case_id}.csv").read_bytes()).hexdigest() == csv_digest
 
 
 # `verify` on explicit 4-qubit (7-term) and 5-qubit (5-term) Hamiltonians

@@ -2,13 +2,17 @@
 and the imports that keep its modules and dependencies in their places."""
 
 import ast
+import json
+import os
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
 import qdriftlab
-from qdriftlab import channels, cli, compiler, hamiltonian, phase_estimation, trotter
+from qdriftlab import channels, cli, compiler, hamiltonian, phase_estimation, trotter, weights
 
 SRC = Path(qdriftlab.__file__).parent
 TESTS = Path(__file__).parent
@@ -48,8 +52,16 @@ def test_all_lists_exactly_the_public_names():
 
 
 def test_every_public_name_resolves():
+    # compiler and hamiltonian names resolve lazily; each is the object its
+    # module defines, and hamiltonian re-exports the numpy-free names.
+    homes = {compiler, hamiltonian, trotter, weights}
     for name in PUBLIC_NAMES:
-        assert getattr(qdriftlab, name) is not None, name
+        value = getattr(qdriftlab, name)
+        home = sys.modules[value.__module__]
+        assert home in homes and getattr(home, name) is value, name
+    for name in ("HamiltonianError", "HamiltonianParseError", "WeightProfile"):
+        assert getattr(hamiltonian, name) is getattr(qdriftlab, name) is getattr(weights, name)
+    assert issubclass(hamiltonian.HamiltonianParseError, hamiltonian.HamiltonianError)
 
 
 @pytest.mark.parametrize(
@@ -129,6 +141,9 @@ def test_every_public_name_resolves():
         # composition_check applies every step in Pauli coordinates.
         (channels, "_xor_steps"),
         (channels, "_mixing_blocks"),
+        # Planning imports no numpy: the grids come from trotter.log_grid.
+        (cli, "np"),
+        (trotter, "np"),
     ],
 )
 def test_removed_names_stay_removed(owner, name):
@@ -136,16 +151,35 @@ def test_removed_names_stay_removed(owner, name):
     assert not hasattr(qdriftlab, name)
 
 
-def imported_paths(path: Path) -> list[str]:
-    """The dotted path of what each import in ``path`` binds, relative to qdriftlab."""
+def _bound_paths(nodes) -> list[str]:
     found = []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in nodes:
         if isinstance(node, ast.Import):
             found.extend(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             base = node.module if node.level == 0 else ".".join(filter(None, ("qdriftlab", node.module)))
             found.extend(f"{base}.{alias.name}" for alias in node.names)
     return found
+
+
+def imported_paths(path: Path) -> list[str]:
+    """The dotted path of what each import in ``path`` binds, relative to qdriftlab."""
+    return _bound_paths(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+
+
+def module_level_paths(path: Path) -> list[str]:
+    """``imported_paths`` of the imports that run when ``path`` is imported: none
+    inside a function or an ``if TYPE_CHECKING:`` block."""
+    nodes, stack = [], list(ast.parse(path.read_text(encoding="utf-8")).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING":
+            continue
+        nodes.append(node)
+        stack.extend(ast.iter_child_nodes(node))
+    return _bound_paths(nodes)
 
 
 def test_counts_and_bounds_live_in_trotter():
@@ -169,6 +203,60 @@ def test_counts_and_bounds_live_in_trotter():
     )
     for name in moved:
         assert name not in defined and hasattr(trotter, name), name
+
+
+def test_planning_modules_bind_no_numpy_module_at_import():
+    # cost, sweep and phase-est on a profile given as numbers load only these
+    # modules; numpy and the modules built on it load where they are used.
+    numpy_backed = ("numpy", "qdriftlab.channels", "qdriftlab.compiler", "qdriftlab.hamiltonian")
+    for stem in ("__init__", "cli", "trotter", "phase_estimation", "weights"):
+        for target in module_level_paths(SRC / f"{stem}.py"):
+            assert not any(target == m or target.startswith(f"{m}.") for m in numpy_backed), (stem, target)
+    assert "numpy" in module_level_paths(SRC / "hamiltonian.py")  # the scan sees module-level imports
+
+
+def test_planning_runs_import_no_numpy(tmp_path):
+    # The same boundary at run time, in a fresh interpreter: every planning
+    # subcommand on a profile given as numbers, then one that reads a file.
+    script = textwrap.dedent(
+        """
+        import contextlib, io, json, os, sys
+        import qdriftlab, qdriftlab.cli
+
+        work = sys.argv[1]
+        profile = ["--L", "200", "--Lambda", "0.5", "--lambda", "20.0"]
+        runs = [
+            ["cost", *profile, "--t", "3.0", "--eps", "1e-3"],
+            ["sweep", *profile, "--t-min", "1e-2", "--t-max", "1e4", "--points", "7", "--eps", "1e-3",
+             "--crossover"],
+            ["phase-est", "--lambda", "20.0", "--Lambda", "0.5", "--L", "200", "--delta-e", "1e-2",
+             "--pf-min", "1e-3", "--pf-max", "0.1", "--pf-points", "4"],
+            ["phase-est", "--lambda", "20.0", "--delta-e", "1e-2", "--pf", "0.05"],
+        ]
+        seen = [("import", "numpy" in sys.modules)]
+        for i, argv in enumerate(runs):
+            code = qdriftlab.cli.main([*argv, "--out", os.path.join(work, f"{i}.csv")])
+            seen.append((argv[0], code, "numpy" in sys.modules))
+        ham = os.path.join(work, "h.txt")
+        with open(ham, "w") as fh:
+            fh.write("0.5 ZZ\\n0.25 XI\\n")
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = qdriftlab.cli.main(["cost", "--ham", ham, "--t", "1.0", "--eps", "1e-3"])
+        seen.append(("cost --ham", code, "numpy" in sys.modules))
+        print(json.dumps(seen))
+        """
+    )
+    src = str(SRC.resolve().parent)
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [
+        ["import", False], ["cost", 0, False], ["sweep", 0, False], ["phase-est", 0, False],
+        ["phase-est", 0, False], ["cost --ham", 0, True],
+    ]
+    assert sorted(path.name for path in tmp_path.glob("*.csv")) == ["0.csv", "1.csv", "2.csv", "3.csv"]
 
 
 def test_segment_solver_is_assembled_only_in_trotter():

@@ -116,7 +116,7 @@ def test_ascii_file_is_parsed_as_bytes_without_a_text_copy(tmp_path):
     path = tmp_path / "wide.txt"
     path.write_bytes(wide_hamtxt().replace("\n", "\r\n").encode("ascii"))
     with mock.patch.object(hamiltonian, "_parse_lines", side_effect=AssertionError("line path")), \
-            mock.patch.object(cli, "parse_hamiltonian", wraps=cli.parse_hamiltonian) as parse:
+            mock.patch.object(hamiltonian, "parse_hamiltonian", wraps=hamiltonian.parse_hamiltonian) as parse:
         h = cli._load_hamiltonian(path)
     (data,), _ = parse.call_args
     assert type(data) is bytes

@@ -15,6 +15,7 @@ from oracles import (
     reference_count,
     reference_crossover_time,
     reference_doubling_search,
+    reference_log_grid,
     reference_product_bound,
     suzuki_b_constant,
     suzuki_prefactor,
@@ -38,6 +39,7 @@ from qdriftlab.trotter import (
     gate_count,
     gate_counts,
     gates_per_segment,
+    log_grid,
     qdrift_costs_more,
     solve_r,
     suzuki_error,
@@ -200,6 +202,13 @@ class TestErrorFormulas:
             suzuki_error(4, 2, 1.0, 1.0, 5, "det")
         with pytest.raises(ValueError, match="variant must be 'det' or 'random', got 'median'"):
             suzuki_error(1, 2, 1.0, 1.0, 5, "median")
+
+    def test_segment_count_takes_any_integer_type(self):
+        # numpy's integer types register as numbers.Integral; floats do not.
+        assert trotter_error_det(2, 1.0, 1.0, np.int64(3)) == trotter_error_det(2, 1.0, 1.0, 3)
+        for r in (3.0, 0, np.float64(3)):
+            with pytest.raises(ValueError, match="segment count r must be an integer >= 1"):
+                trotter_error_det(2, 1.0, 1.0, r)
 
 
 class TestSolveR:
@@ -527,6 +536,30 @@ class TestCountCore:
         ]
 
 
+class TestLogGrid:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lo_exp=st.floats(-300.0, 300.0),
+        decades=st.floats(0.0, 600.0),
+        points=st.integers(1, 60),
+    )
+    @example(lo_exp=-3.0, decades=2.0, points=20)  # pe-grid-b, whose third point numpy's AVX-512 moves
+    def test_grid_is_numpys_linspace_raised_by_python(self, lo_exp, decades, points):
+        lo, hi = 10.0**lo_exp, 10.0 ** min(lo_exp + decades, 300.0)
+        grid = log_grid(lo, hi, points)
+        assert len(grid) == points
+        assert grid == reference_log_grid(lo, hi, points)
+        assert grid[0] == 10.0 ** math.log10(lo)
+        if points > 1:
+            assert grid[-1] == 10.0 ** math.log10(hi)
+        # numpy.logspace may use another power; the bench's check allows a relative 1e-12.
+        for got, want in zip(grid, np.logspace(math.log10(lo), math.log10(hi), points).tolist()):
+            assert abs(got - want) <= 2 * math.ulp(want)
+
+    def test_no_point_is_empty(self):
+        assert log_grid(1.0, 10.0, 0) == []
+
+
 class TestCrossover:
     PROFILE = WeightProfile(100, 10.0, 1.0)  # lam = lam_max * sqrt(L)
 
@@ -587,9 +620,8 @@ class TestCrossover:
         assert reports == [gate_count(QDRIFT, query), None]
 
     def test_known_verdicts_are_not_solved_again(self, monkeypatch):
-        grid = np.logspace(0.0, 12.0, 50)
         verdicts = {}
-        for t in map(float, grid):
+        for t in log_grid(1.0, 1e12, 50):
             query = CostQuery(self.PROFILE, t, 1e-3)
             verdicts[t] = gate_count(QDRIFT, query).gates > best_method(query).gates
         expected = crossover_time(self.PROFILE, 1e-3, (1.0, 1e12))
