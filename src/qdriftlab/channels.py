@@ -28,10 +28,15 @@ in real Pauli coordinates r[x d + z] = Tr(P(x, z) rho), with
 P(x, z) = i^{|x & z|} X^x Z^z and bit masks whose most significant bit is
 a word's first letter.  Each Pauli conjugation keeps P(x, z) up to sign,
 and the commutator i c s [A, rho] sends it to one signed Pauli per
-anticommuting term, so the step is a real d^2 x d^2 matrix with at most
-L + 1 entries per row.  When L + 1 <= d a step is one gather of those
-entries and one small product; larger L scatters them into the whole
-matrix and a step is one product with it.
+anticommuting term, so the step is S = I + D with D a real d^2 x d^2
+matrix of at most L + 1 entries per row.  While (1 + b)^N <= 2^10, b the
+largest row sum of |D|, S^N is summed as the binomial series
+sum_k C(N, k) D^k up to a tail below 2^-60 of the states' size: about 26
+applications of D for a certify input in place of N = 100 steps.  Past
+that growth S itself is applied N times.  When L + 1 <= d a table is
+applied as one gather of its entries and one small product; larger L
+scatters them into the whole matrix and an application is one product
+with it.
 
 Each check reads a ``_KrausData``: the signed Pauli stack, the mixing
 probabilities and, from the first target formed, one eigendecomposition of
@@ -313,26 +318,32 @@ def _pauli_products(n: int, xk: np.ndarray, zk: np.ndarray) -> tuple[np.ndarray,
     return anti, e, (x3 << n) | z3
 
 
-def _pauli_rows(h: Hamiltonian, c: float, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """The (d^2, L + 1) gather table of one step in Pauli coordinates and its (d^2, 1, L + 1) weights.
+def _pauli_rows(h: Hamiltonian, c: float, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (d^2, L + 1) gather table of D = S - I, for S one step in Pauli coordinates, its
+    (d^2, 1, L + 1) weights, and S's own (d^2,) diagonal.
 
-    Row q holds q itself, with weight c^2 + s^2 sum_k p_k chi_k(q), then
-    q ^ (x_k d + z_k) for each term, with weight 2 c s s_k p_k i^{e+1} when
-    P_k anticommutes with P(q) (chi_k(q) = -1) and 0 otherwise, where
-    P(q) P_k = i^e P(q ^ (x_k d + z_k)).
+    Row q holds q itself, with weight -2 s^2 pi_q, where pi_q = sum_k p_k
+    over the terms P_k that anticommute with P(q); then q ^ (x_k d + z_k)
+    for each term, with weight 2 c s s_k p_k i^{e+1} when P_k anticommutes
+    with P(q) and 0 otherwise, where P(q) P_k = i^e P(q ^ (x_k d + z_k)).
+    S's diagonal is c^2 + s^2 sum_k p_k chi_k(q), with chi_k(q) = -1 on
+    anticommuting pairs and 1 otherwise: D's diagonal plus 1, summed as a
+    step has always summed it.
     """
     dim = 1 << h.n_qubits
     anti, e, partner = _pauli_products(h.n_qubits, *_letter_masks(h))
+    probs = h.weights / h.lam
     table = np.concatenate((np.arange(dim * dim)[:, None], partner), axis=1)
     weights = np.empty((dim * dim, 1, h.L + 1))
-    weights[:, 0, 0] = c * c + (s * s) * ((1 - 2 * anti) @ (h.weights / h.lam))
+    # c^2 + s^2 (1 - 2 pi_q) - 1 = -2 s^2 pi_q, without the cancellation.
+    weights[:, 0, 0] = (-2 * s * s) * (anti @ probs)
     # e is odd on anticommuting pairs, where i^{e+1} = 1 - ((e + 1) & 2).
     weights[:, 0, 1:] = (2 * c * s) * (anti * (1 - ((e + 1) & 2))) * (h.coefficients / h.lam)
-    return table, weights
+    return table, weights, c * c + (s * s) * ((1 - 2 * anti) @ probs)
 
 
 def _dense_step(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The step's ``_pauli_rows`` scattered into one real (d^2, d^2) matrix.
+    """The table and weights of ``_pauli_rows`` scattered into one real (d^2, d^2) matrix.
 
     Each row's columns are distinct: distinct non-identity words have
     distinct partners, none of them the row itself.
@@ -342,34 +353,63 @@ def _dense_step(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return step
 
 
-def _pauli_steps(h: Hamiltonian, rho: np.ndarray, n: int, c: float, s: float) -> np.ndarray:
-    """Apply the step n times to the states in Pauli coordinates."""
-    trials, dim, _ = rho.shape
-    u = np.arange(dim)
-    xor = u[:, None] ^ u
-    # Flat positions of sigma[x, u, t] = rho[t, u, u ^ x] in the (trials, d, d)
-    # states, and of rho[t, u, w] = sigma[u ^ w, u, t] in the (d, d, trials) sigma.
-    into = (u * dim + xor)[:, :, None] + np.arange(trials) * dim * dim
-    back = ((xor * dim + u[:, None]) * trials)[None] + np.arange(trials)[:, None, None]
-    parity = _popcount(u[:, None] & u)
-    hadamard = 1.0 - 2.0 * (parity & 1)  # (-1)^{z . u}
-    phase = np.array([1, 1j, -1, -1j])[parity & 3]  # i^{|x & z|}
-    # r[x, z] = i^{|x & z|} sum_u (-1)^{z . u} rho[u, u ^ x]: real for Hermitian rho.
-    r = (phase[:, :, None] * (hadamard @ np.take(rho, into))).real.reshape(dim * dim, trials)
-    table, weights = _pauli_rows(h, c, s)
+def _apply_rows(op: np.ndarray, table: np.ndarray, r: np.ndarray, gathered: np.ndarray | None) -> np.ndarray:
+    """op r: op a (d^2, d^2) matrix when ``gathered`` is None, else (d^2, 1, L + 1) row
+    weights whose columns are gathered through ``table`` into the buffer ``gathered``."""
+    if gathered is None:
+        return op @ r
+    # mode="wrap" lets np.take write the buffer unbuffered; every index is in range.
+    np.take(r, table, axis=0, out=gathered, mode="wrap")
+    return np.matmul(op, gathered).reshape(r.shape)
+
+
+# The binomial series runs while the sizes of its terms sum to at most this
+# many times the states' size, and drops a tail below this fraction of it.
+_SERIES_GROWTH = 2.0**10
+_SERIES_TAIL = 2.0**-60
+
+
+def _pauli_steps(h: Hamiltonian, r: np.ndarray, n: int, c: float, s: float) -> np.ndarray:
+    """S^n r for the (d^2, trials) Pauli coordinates r, S the step at c = cos tau, s = sin tau.
+
+    With S = I + D, S^n r = sum_k C(n, k) D^k r, each term the one before
+    after one application of D's table, times (n - k) / (k + 1).  With b
+    the largest row sum of |D|, ||D^k r||_inf <= b^k ||r||_inf, so the
+    terms' sizes sum to at most (1 + b)^n ||r||_inf.  The series runs only
+    where that growth, and so its roundoff, is at most 2^10.  After term k
+    the size bound C(n, k) b^k changes by the ratio (n - k) b / (k + 1) per
+    term; once the ratio is below 1, the dropped tail is at most
+    C(n, k) b^k ratio / (1 - ratio) ||r||_inf.  The sum stops at the first
+    k where that is at most 2^-60 ||r||_inf, far below one rounding of the
+    states, or at k = n.  Past the growth rule S's own table is applied n
+    times, as every step was before the series.  When L + 1 <= d a table is
+    applied as one gather and one batched product; otherwise it is
+    scattered into the whole matrix once and applied as one product.
+    """
+    dim = 1 << h.n_qubits
+    table, weights, step_diagonal = _pauli_rows(h, c, s)
+    b = float(np.abs(weights).sum(axis=-1).max())
+    series = n * math.log1p(b) <= math.log(_SERIES_GROWTH)
+    if not series:
+        weights[:, 0, 0] = step_diagonal
     if h.L + 1 <= dim:
-        # One gather buffer for every step; mode="wrap" lets np.take write it
-        # unbuffered, and every index is in range.
-        gathered = np.empty((*table.shape, trials))
-        for _ in range(n):
-            np.take(r, table, axis=0, out=gathered, mode="wrap")
-            r = np.matmul(weights, gathered).reshape(dim * dim, trials)
+        op, gathered = weights, np.empty((*table.shape, r.shape[1]))
     else:
-        step = _dense_step(table, weights)
+        op, gathered = _dense_step(table, weights), None
+    if not series:
         for _ in range(n):
-            r = step @ r
-    sigma = hadamard @ ((phase.conj() / dim)[:, :, None] * r.reshape(dim, dim, trials))
-    return np.take(sigma, back)
+            r = _apply_rows(op, table, r, gathered)
+        return r
+    total, term, size = r.copy(), r, 1.0
+    for k in range(n):
+        ratio = (n - k) / (k + 1) * b
+        if ratio < 1 and size * ratio / (1 - ratio) <= _SERIES_TAIL:
+            break
+        term = _apply_rows(op, table, term, gathered)
+        term *= (n - k) / (k + 1)
+        total += term
+        size *= ratio
+    return total
 
 
 def composition_check(
@@ -381,9 +421,9 @@ def composition_check(
     bound (2 lam^2 t^2 / N) e^{2 lam t / N}; for random rank-1 projectors M,
     checks |Tr[M (E^N - U)(rho)]| <= 2 ||M|| d_tr with the measured d_tr.
 
-    The step at tau = lam t / n is applied n times to all probe states at
-    once.  With U_k = c I + i s S_k (c = cos tau, s = sin tau, S_k = s_k P_k
-    the signed Pauli) and A = sum_k p_k S_k,
+    The n-fold step at tau = lam t / n acts on all probe states at once.
+    With U_k = c I + i s S_k (c = cos tau, s = sin tau, S_k = s_k P_k the
+    signed Pauli) and A = sum_k p_k S_k,
 
         sum_k p_k U_k rho U_k^dag = c^2 rho + i c s [A, rho] + s^2 sum_k p_k P_k rho P_k.
 
@@ -392,15 +432,16 @@ def composition_check(
     real Pauli coordinates r[x d + z] = Tr(P(x, z) rho), with
     P(x, z) = i^{|x & z|} X^x Z^z.  P_k P(q) P_k = chi_k(q) P(q) with
     chi_k = -1 when the two anticommute, and then [P_k, P(q)] is a multiple
-    of P(q ^ (x_k d + z_k)).  So a step is one real d^2 x d^2 matrix with
-    at most L + 1 entries per row, built once per check as a (d^2, L + 1)
-    gather table and its weights.  When L + 1 <= d a step is one gather of
-    the table and one batched product; otherwise the table is scattered
-    into the whole matrix and a step is one product with it.  The states
-    enter Pauli coordinates through the XOR gather sigma[x, u] =
-    rho[u, u ^ x] and one Walsh-Hadamard product, and leave the same way,
-    once each.  The states come from the generator in the order psi_0,
-    phi_0, psi_1, ...
+    of P(q ^ (x_k d + z_k)).  So a step is S = I + D, D one real
+    d^2 x d^2 matrix with at most L + 1 entries per row, built once per
+    check as a (d^2, L + 1) gather table and its weights.  S^n is the
+    binomial series sum_k C(n, k) D^k, cut once its tail is below 2^-60 of
+    the states' size, wherever its growth (1 + b)^n, b the largest row sum
+    of |D|, is at most 2^10; past that S is applied n times
+    (``_pauli_steps``).  The states enter Pauli coordinates through the XOR
+    gather sigma[x, w] = rho[w, w ^ x] and one Walsh-Hadamard product, and
+    leave the same way, once each.  The states come from the generator in
+    the order psi_0, phi_0, psi_1, ...
     """
     _check_qubits(h.n_qubits, MAX_POWER_QUBITS)
     if n < 1:
@@ -414,8 +455,21 @@ def composition_check(
     u = data.evolution(t)
     exact = u @ rho @ u.conj().T
 
+    # Into real Pauli coordinates r[x, z] = i^{|x & z|} sum_w (-1)^{z . w} rho[w, w ^ x]
+    # through the flat positions of sigma[x, w, t] = rho[t, w, w ^ x], and back
+    # through those of rho[t, w, v] = sigma[w ^ v, w, t] in the (d, d, trials) sigma.
+    dim = data.dim
+    w = np.arange(dim)
+    xor = w[:, None] ^ w
+    into = (w * dim + xor)[:, :, None] + np.arange(trials) * dim * dim
+    back = ((xor * dim + w[:, None]) * trials)[None] + np.arange(trials)[:, None, None]
+    parity = _popcount(w[:, None] & w)
+    hadamard = 1.0 - 2.0 * (parity & 1)  # (-1)^{z . w}
+    phase = np.array([1, 1j, -1, -1j])[parity & 3]  # i^{|x & z|}
+    r = (phase[:, :, None] * (hadamard @ np.take(rho, into))).real.reshape(dim * dim, trials)
     tau = h.lam * t / n
-    rho = _pauli_steps(h, rho, n, math.cos(tau), math.sin(tau))
+    r = _pauli_steps(h, r, n, math.cos(tau), math.sin(tau))
+    rho = np.take(hadamard @ ((phase.conj() / dim)[:, :, None] * r.reshape(dim, dim, trials)), back)
     diff = rho - exact
     # diff is Hermitian: its singular values are its eigenvalues' magnitudes.
     d_tr = 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum(axis=1)

@@ -313,13 +313,13 @@ def _builtin_suite(seed: int) -> list[tuple[str, Hamiltonian]]:
 
 def cmd_verify(args) -> int:
     from . import channels
-    from .compiler import rng_from_seed
+    from .compiler import check_seed
 
     # One _KrausData per Hamiltonian for all of its checks.
     with channels.shared_kraus_data():
         _check_positive(args.t, "--t")
         _check_positive(args.tol, "--tol")
-        rng_from_seed(args.seed)  # reject a seed outside [0, 2**64) before any channel work
+        check_seed(args.seed)  # reject a seed outside [0, 2**64) before any channel work
         lines: list[str] = []
         failed: list[bool] = []  # the rigour of each check that failed
 

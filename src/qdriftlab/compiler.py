@@ -34,13 +34,18 @@ MAX_SEED = 2**64 - 1
 _CHUNK = 1 << 12
 
 
-def rng_from_seed(seed: int) -> np.random.Generator:
-    """Counter-based generator keyed with the 64-bit seed."""
+def check_seed(seed: int) -> int:
+    """The seed as an int; ValueError unless it is an integer in [0, 2**64)."""
     if not isinstance(seed, (int, np.integer)):
         raise ValueError(f"seed must be an integer, got {seed!r}")
     if not (0 <= seed <= MAX_SEED):
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    return np.random.Generator(np.random.Philox(key=int(seed)))
+    return int(seed)
+
+
+def rng_from_seed(seed: int) -> np.random.Generator:
+    """Counter-based generator keyed with the 64-bit seed."""
+    return np.random.Generator(np.random.Philox(key=check_seed(seed)))
 
 
 def _index_dtype(size: int) -> np.dtype:

@@ -15,7 +15,8 @@ search bound it to (lam, t), the crossover scan that costed every method at
 every time before it stopped at the first candidate cheaper than qDRIFT,
 and the dense d^2 x d^2 superoperator path that ``verify``
 measured before it certified from Kraus data, with the seed-averaged
-channel of compiled circuits that converges to E^N, and the golden-section
+channel of compiled circuits that converges to E^N, the loop that applied
+the composition step n times before it summed a binomial series, and the golden-section
 search that ``phase_estimation.optimize_pf`` ran before it solved the
 failure-share split in closed form, and the per-bit phase-estimation counts
 summed in log space.  Helpers that no job calls moved here from the
@@ -41,7 +42,14 @@ from pathlib import Path
 
 import numpy as np
 
-from qdriftlab.channels import MAX_CHANNEL_QUBITS, MAX_POWER_QUBITS, BoundRow, CompositionTrial
+from qdriftlab.channels import (
+    MAX_CHANNEL_QUBITS,
+    MAX_POWER_QUBITS,
+    BoundRow,
+    CompositionTrial,
+    _letter_masks,
+    _pauli_products,
+)
 from qdriftlab.compiler import AliasSampler, compile_circuit, rng_from_seed
 from qdriftlab.hamiltonian import (
     PAULI_AXES,
@@ -888,6 +896,38 @@ def dense_composition_check(h, t: float, n: int, trials: int = 20, seed: int = 1
         expval_err = abs(np.trace(np.outer(phi, phi.conj()) @ diff))
         out.append(CompositionTrial(i, d_tr, budget, float(expval_err), 2.0 * d_tr))
     return out
+
+
+def reference_pauli_steps(h, r: np.ndarray, n: int, c: float, s: float, dtype=np.float64) -> np.ndarray:
+    """S^n r by n applications of the step S at c = cos tau, s = sin tau, as
+    ``channels._pauli_steps`` did before it summed a binomial series.
+
+    Row q of S holds c^2 + s^2 sum_k p_k chi_k(q) at q and
+    2 c s s_k p_k i^{e+1} at each anticommuting partner.  When L + 1 <= d a
+    step gathers the rows through their table; otherwise it is one product
+    with the whole matrix.  With ``dtype=np.longdouble`` the weights are
+    formed from c, s and the float probabilities in extended precision, and
+    the steps carried in it.
+    """
+    dim = 2**h.n_qubits
+    anti, e, partner = _pauli_products(h.n_qubits, *_letter_masks(h))
+    c, s = dtype(c), dtype(s)
+    table = np.concatenate((np.arange(dim * dim)[:, None], partner), axis=1)
+    weights = np.empty((dim * dim, 1, h.L + 1), dtype)
+    weights[:, 0, 0] = c * c + (s * s) * ((1 - 2 * anti) @ (h.weights / h.lam).astype(dtype))
+    weights[:, 0, 1:] = (2 * c * s) * (anti * (1 - ((e + 1) & 2))) * (h.coefficients / h.lam).astype(dtype)
+    r = r.astype(dtype)
+    if h.L + 1 <= dim:
+        gathered = np.empty((*table.shape, r.shape[1]), dtype)
+        for _ in range(n):
+            np.take(r, table, axis=0, out=gathered, mode="wrap")
+            r = np.matmul(weights, gathered).reshape(dim * dim, -1)
+    else:
+        step = np.zeros((dim * dim, dim * dim), dtype)
+        step[np.arange(dim * dim)[:, None], table] = weights[:, 0]
+        for _ in range(n):
+            r = step @ r
+    return r
 
 
 def circuit_unitary(circuit) -> np.ndarray:

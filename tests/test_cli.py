@@ -460,6 +460,30 @@ class TestVerifyCommand:
         assert main(["verify", "--ham", str(small_ham_file), "--seed", "-1"]) == EXIT_DOMAIN
         assert capsys.readouterr().err == "error: seed must be in [0, 2**64), got -1\n"
 
+    @pytest.mark.parametrize("with_ham", [True, False], ids=["ham", "builtin-suite"])
+    def test_seed_outside_domain_builds_no_kraus_data(self, with_ham, small_ham_file, monkeypatch, capsys):
+        built = []
+        kraus_data = channels._KrausData
+        monkeypatch.setattr(channels, "_KrausData", lambda h: built.append(h) or kraus_data(h))
+        argv = ["verify", "--seed", str(2**64)] + (["--ham", str(small_ham_file)] if with_ham else [])
+        assert main(argv) == EXIT_DOMAIN
+        assert capsys.readouterr().err == f"error: seed must be in [0, 2**64), got {2**64}\n"
+        assert built == []
+
+    @pytest.mark.parametrize("with_ham, generators", [(True, 1), (False, 2)], ids=["ham", "builtin-suite"])
+    def test_verify_builds_one_generator_per_use_of_the_seed(
+        self, with_ham, generators, ham_file, monkeypatch, capsys
+    ):
+        # The seed is checked without a generator: the composition probes build
+        # one, and the built-in suite one more for its random inputs.
+        keys = []
+        philox = np.random.Philox
+        monkeypatch.setattr(np.random, "Philox", lambda **kw: keys.append(kw["key"]) or philox(**kw))
+        argv = ["verify", "--seed", "5"] + (["--ham", str(ham_file)] if with_ham else [])
+        assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        assert keys == [5] * generators
+
     def test_huge_t_bound_is_inf_not_an_error(self, capsys):
         assert main(["verify", "--t", "5000"]) == EXIT_OK
         assert "VERIFY: PASS" in capsys.readouterr().out

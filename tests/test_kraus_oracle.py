@@ -83,19 +83,19 @@ def _composition_form(h, *args, **kwargs):
 
 
 @st.composite
-def composition_inputs(draw) -> Hamiltonian:
-    """Inputs of at most 3 qubits on both sides of L + 1 <= d, the side drawn first.
+def composition_inputs(draw, max_qubits: int = 3) -> Hamiltonian:
+    """Inputs of at most ``max_qubits`` qubits on both sides of L + 1 <= d, the side drawn first.
 
     The sparse side has L <= 6; the dense side has L <= 6 at 1-2 qubits and
-    L in [8, 63] at 3.
+    L in [d, 4^n - 1] from 3 qubits on.
     """
     sparse = draw(st.booleans())
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(1, max_qubits))
     dim = 2**n
     if sparse:
         size = draw(st.integers(1, min(dim - 1, 6)))
     else:
-        size = draw(st.integers(dim, 4**n - 1 if n == 3 else min(4**n - 1, 6)))
+        size = draw(st.integers(dim, 4**n - 1 if n >= 3 else min(4**n - 1, 6)))
     every_word = ["".join(w) for w in itertools.product("IXYZ", repeat=n)][1:]
     words = draw(st.permutations(every_word))[:size]
     weights = draw(st.lists(st.floats(0.05, 1.0), min_size=size, max_size=size))
@@ -268,6 +268,114 @@ def test_small_t_compositions_pass(terms, form, t):
     assert all(tr.state_ok and tr.expval_ok for tr in trials)
 
 
+def _growth(h: Hamiltonian, two_lam_t: float, n: int) -> float:
+    """log (1 + b)^n for the step of n segments over 2 lam t, b the largest row sum of |D|."""
+    tau = two_lam_t / (2 * n)
+    _, weights, _ = ch._pauli_rows(h, math.cos(tau), math.sin(tau))
+    return n * math.log1p(float(np.abs(weights).sum(axis=-1).max()))
+
+
+def _at_growth_cap(h: Hamiltonian, n: int) -> tuple[float, float]:
+    """Neighbouring 2 lam t on either side of (1 + b)^n = 2^10, found by bisection."""
+    lo, hi = 0.0, 64.0
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _growth(h, mid, n) <= 10 * math.log(2) else (lo, mid)
+    return lo, hi
+
+
+def _applications(fn, *args, **kwargs):
+    """fn's result and the number of times it applied a step table."""
+    with mock.patch.object(ch, "_apply_rows", wraps=ch._apply_rows) as apply:
+        out = fn(*args, **kwargs)
+    return out, apply.call_count
+
+
+def _pauli_state_coordinates(dim: int, trials: int, seed: int) -> np.ndarray:
+    """Uniform coordinates in [-1, 1] with r[0] = 1, the trace of a state."""
+    r = np.random.default_rng(seed).uniform(-1.0, 1.0, (dim * dim, trials))
+    r[0] = 1.0
+    return r
+
+
+# 8 terms on 4 qubits, the certify shape, scaled to lam = 2.
+CERTIFY8 = [(2 * c / 2.5, w) for c, w in DENSE4 + [(0.25, "XXYY")]]
+# The built-in suite's two-term-1q takes the dense matrix, DENSE4 the sparse rows.
+TWO_TERM_1Q = [(0.5, "Z"), (0.5, "X")]
+CAP_LO, CAP_HI = _at_growth_cap(Hamiltonian(DENSE4), 100)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    h=composition_inputs(max_qubits=4),
+    two_lam_t=st.floats(0.0, 30.0),
+    n=st.integers(1, 150),
+    trials=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(h=Hamiltonian(DENSE4), two_lam_t=0.0, n=100, trials=3, seed=0)
+@example(h=Hamiltonian(TWO_TERM_1Q), two_lam_t=0.0, n=100, trials=3, seed=0)
+@example(h=Hamiltonian(DENSE4), two_lam_t=2.0, n=1, trials=2, seed=1)
+@example(h=Hamiltonian(TWO_TERM_1Q), two_lam_t=2.0, n=1, trials=2, seed=1)
+@example(h=Hamiltonian(DENSE4), two_lam_t=CAP_LO, n=100, trials=4, seed=2)
+def test_pauli_steps_equal_the_reference_steps(h, two_lam_t, n, trials, seed):
+    tau = two_lam_t / (2 * n)
+    r = _pauli_state_coordinates(2**h.n_qubits, trials, seed)
+    got = ch._pauli_steps(h, r, n, math.cos(tau), math.sin(tau))
+    want = dense.reference_pauli_steps(h, r, n, math.cos(tau), math.sin(tau))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(r))
+    if two_lam_t == 0.0:
+        assert np.array_equal(got, r)
+
+
+def test_certify_shaped_composition_takes_at_most_35_applications():
+    h = Hamiltonian(CERTIFY8)
+    assert (h.n_qubits, h.L, h.lam) == (4, 8, pytest.approx(2.0))
+    assert _growth(h, 2 * h.lam, 100) <= 10 * math.log(2)
+    _, count = _applications(ch.composition_check, h, 1.0, 100, trials=20, seed=42)
+    assert count <= 35
+
+
+@pytest.mark.parametrize("terms", [DENSE4, TWO_TERM_1Q], ids=["sparse", "dense"])
+def test_past_the_growth_rule_steps_equal_the_reference_bit_for_bit(terms):
+    h = Hamiltonian(terms)
+    n, tau = 100, 12.0 / 200
+    assert _growth(h, 12.0, n) > 10 * math.log(2)
+    r = _pauli_state_coordinates(2**h.n_qubits, 5, 12)
+    got, count = _applications(ch._pauli_steps, h, r, n, math.cos(tau), math.sin(tau))
+    assert count == n
+    assert np.array_equal(got, dense.reference_pauli_steps(h, r, n, math.cos(tau), math.sin(tau)))
+
+
+def test_the_growth_rule_switches_at_the_cap():
+    h = Hamiltonian(DENSE4)
+    r = _pauli_state_coordinates(16, 3, 0)
+    counts = []
+    for two_lam_t in (CAP_LO, CAP_HI):
+        tau = two_lam_t / 200
+        counts.append(_applications(ch._pauli_steps, h, r, 100, math.cos(tau), math.sin(tau))[1])
+    assert counts[0] < 100 and counts[1] == 100
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= 2**-52, reason="long double is no wider than a float"
+)
+@pytest.mark.parametrize("two_lam_t", [1.0, 4.0])
+@pytest.mark.parametrize("terms", [DENSE4, TWO_TERM_1Q], ids=["sparse", "dense"])
+def test_series_is_at_least_as_accurate_as_the_steps(terms, two_lam_t):
+    # The reference steps in extended precision from an extended-precision
+    # cos and sin, so its step keeps the identity coordinate exactly.
+    h = Hamiltonian(terms)
+    n = 100
+    tau = two_lam_t / (2 * n)
+    r = _pauli_state_coordinates(2**h.n_qubits, 20, 7)
+    wide_tau = np.longdouble(two_lam_t) / (2 * n)
+    exact = dense.reference_pauli_steps(h, r, n, np.cos(wide_tau), np.sin(wide_tau), np.longdouble)
+    series = ch._pauli_steps(h, r, n, math.cos(tau), math.sin(tau))
+    steps = dense.reference_pauli_steps(h, r, n, math.cos(tau), math.sin(tau))
+    assert np.max(np.abs(series - exact)) <= np.max(np.abs(steps - exact))
+
+
 def _pauli_word(n_qubits: int, q: int) -> str:
     """The word of P(x, z), q = x d + z, the first letter the most significant bit."""
     x, z = q >> n_qubits, q & (2**n_qubits - 1)
@@ -297,7 +405,7 @@ def test_pauli_products_equal_kronecker_products(n_qubits):
 def test_pauli_rows_equal_the_dense_transfer_matrix(h, tau):
     n = h.n_qubits
     dim = 2**n
-    table, weights = ch._pauli_rows(h, math.cos(tau), math.sin(tau))
+    table, weights, step_diagonal = ch._pauli_rows(h, math.cos(tau), math.sin(tau))
     assert table.shape == (dim * dim, h.L + 1) and weights.shape == (dim * dim, 1, h.L + 1)
     rows = np.zeros((dim * dim, dim * dim))
     np.add.at(rows, (np.arange(dim * dim)[:, None], table), weights[:, 0])
@@ -309,7 +417,9 @@ def test_pauli_rows_equal_the_dense_transfer_matrix(h, tau):
     )
     transfer = basis.conj().T @ dense.qdrift_channel(h, tau) @ basis / dim
     assert np.max(np.abs(transfer.imag)) <= 1e-13
-    assert np.max(np.abs(rows - transfer.real)) <= 1e-13
+    # The rows are D = R - I, and the step's own diagonal is R's.
+    assert np.max(np.abs(np.eye(dim * dim) + rows - transfer.real)) <= 1e-13
+    assert np.max(np.abs(step_diagonal - np.diag(transfer.real))) <= 1e-13
 
 
 def test_all_255_four_qubit_words_equal_the_dense_path():
