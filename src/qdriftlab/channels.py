@@ -52,7 +52,6 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -60,6 +59,7 @@ import numpy as np
 from .compiler import rng_from_seed
 from .hamiltonian import PAULI_AXES, Hamiltonian
 from .trotter import segment_error_bound, total_error_bound
+from .weights import Record
 
 MAX_CHANNEL_QUBITS = 6
 MAX_POWER_QUBITS = 4
@@ -200,13 +200,15 @@ def validity_check(h: Hamiltonian, t: float, n: int) -> tuple[float, float]:
     return tp_error, cp_min
 
 
-@dataclass(frozen=True)
-class BoundRow:
+class BoundRow(Record):
     """One certification row: measured lower bound vs the analytic bound."""
 
-    N: int
-    d_lower: float
-    bound: float
+    __slots__ = ("N", "d_lower", "bound")
+
+    def __init__(self, N: int, d_lower: float, bound: float):
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "d_lower", d_lower)
+        object.__setattr__(self, "bound", bound)
 
     @property
     def ok(self) -> bool:
@@ -254,15 +256,17 @@ def decay_slope(rows: Sequence[BoundRow]) -> float:
     return sxy / sxx
 
 
-@dataclass(frozen=True)
-class CompositionTrial:
+class CompositionTrial(Record):
     """One random-state probe of the composed-channel bound."""
 
-    index: int
-    d_tr: float
-    budget: float
-    expval_err: float
-    expval_cap: float
+    __slots__ = ("index", "d_tr", "budget", "expval_err", "expval_cap")
+
+    def __init__(self, index: int, d_tr: float, budget: float, expval_err: float, expval_cap: float):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "d_tr", d_tr)
+        object.__setattr__(self, "budget", budget)
+        object.__setattr__(self, "expval_err", expval_err)
+        object.__setattr__(self, "expval_cap", expval_cap)
 
     @property
     def state_ok(self) -> bool:

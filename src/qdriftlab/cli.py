@@ -12,20 +12,21 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
-from . import phase_estimation as pe, trotter
+from . import trotter
 from .trotter import _check_positive
 from .weights import HamiltonianError, HamiltonianParseError, WeightProfile
 
 # numpy and the modules built on it (channels, compiler, hamiltonian) are
 # imported by the subcommands that read a Hamiltonian or compile, so a
 # profile given as numbers is costed and planned without them.
+# phase_estimation and json load likewise, only where a subcommand uses
+# them: a fresh process pays each import, and most runs need neither.
 if TYPE_CHECKING:
     from .hamiltonian import Hamiltonian
 
@@ -86,6 +87,8 @@ def _write_text(path: Path | None, text: str | Iterable[str]) -> None:
 def _emit_table(header: str, rows: list[list[str]], fmt: str, out: Path | None) -> None:
     """Write rows of cells already formatted by ``_fmt`` as CSV or JSON."""
     if fmt == "json":
+        import json
+
         keys = header.split(",")
         text = json.dumps([dict(zip(keys, row)) for row in rows], indent=2) + "\n"
     else:
@@ -127,6 +130,8 @@ def _profile_from_args(args) -> tuple[WeightProfile, Hamiltonian | None]:
 
 
 def cmd_compile(args) -> int:
+    import json
+
     from .compiler import compile_circuit, elementary_gate_estimate
 
     _check_positive(args.t, "--t")
@@ -153,6 +158,8 @@ def cmd_compile(args) -> int:
 
 
 def cmd_truncate(args) -> int:
+    import json
+
     _check_positive(args.eps, "--eps")
     h = _load_hamiltonian(args.ham)
     truncated = h.truncate(args.eps)
@@ -249,6 +256,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_phase_est(args) -> int:
+    from . import phase_estimation as pe
+
     _check_positive(args.lam, "--lambda")
     _check_positive(args.lam_max, "--Lambda")
     _check_positive(args.delta_e, "--delta-e")

@@ -16,13 +16,13 @@ platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .hamiltonian import Hamiltonian, exact_sum
 from .trotter import _check_positive, gate_count_approx, gate_count_exact
+from .weights import Record
 
 MAX_SEED = 2**64 - 1
 # Gates are drawn, marked and serialized in blocks of this many, so the
@@ -162,15 +162,17 @@ class AliasSampler:
         return out
 
 
-@dataclass(frozen=True)
-class CircuitMeta:
-    seed: int
-    N: int
-    t: float
-    eps: float
-    lam: float
-    mode: str
-    controlled: bool = False
+class CircuitMeta(Record):
+    __slots__ = ("seed", "N", "t", "eps", "lam", "mode", "controlled")
+
+    def __init__(self, seed: int, N: int, t: float, eps: float, lam: float, mode: str, controlled: bool = False):
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "controlled", controlled)
 
 
 class Circuit:

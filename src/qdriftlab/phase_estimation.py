@@ -29,10 +29,10 @@ from __future__ import annotations
 import contextlib
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .trotter import _check_positive
+from .weights import Record
 
 METHODS = ("qdrift", "trotter")
 
@@ -62,29 +62,29 @@ def _model_count(method: str, x: float, eps: float, L: int, lam_max_rescaled: fl
     return (c ** (1.0 / a) * (s * x) / eps ** (b / a)) ** a
 
 
-@dataclass(frozen=True)
-class PEQuery:
+class PEQuery(Record):
     """Inputs for one budget: aggregates, energy precision, failure probability."""
 
-    lam: float
-    delta_E: float
-    P_f: float
-    L: int = 1
-    lam_max: float = 1.0
+    __slots__ = ("lam", "delta_E", "P_f", "L", "lam_max")
 
-    def __post_init__(self):
-        _check_positive(self.lam, "lam")
-        _check_positive(self.delta_E, "delta_E")
-        if self.delta_E > self.lam:
-            raise ValueError(f"delta_E={self.delta_E} exceeds lam={self.lam}")
-        if not (0 < self.P_f < 1):
-            raise ValueError(f"P_f must be in (0, 1), got {self.P_f}")
-        if self.L < 1:
-            raise ValueError(f"L must be >= 1, got {self.L}")
-        _check_positive(self.lam_max, "lam_max")
-        for name, value in (("delta_E", self.delta_E), ("lam_max", self.lam_max)):
-            if value / (2.0 * self.lam) == 0.0:
-                raise ValueError(f"{name} / (2 lam) is 0 in floating point ({name}={value}, lam={self.lam})")
+    def __init__(self, lam: float, delta_E: float, P_f: float, L: int = 1, lam_max: float = 1.0):
+        _check_positive(lam, "lam")
+        _check_positive(delta_E, "delta_E")
+        if delta_E > lam:
+            raise ValueError(f"delta_E={delta_E} exceeds lam={lam}")
+        if not (0 < P_f < 1):
+            raise ValueError(f"P_f must be in (0, 1), got {P_f}")
+        if L < 1:
+            raise ValueError(f"L must be >= 1, got {L}")
+        _check_positive(lam_max, "lam_max")
+        for name, value in (("delta_E", delta_E), ("lam_max", lam_max)):
+            if value / (2.0 * lam) == 0.0:
+                raise ValueError(f"{name} / (2 lam) is 0 in floating point ({name}={value}, lam={lam})")
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "delta_E", delta_E)
+        object.__setattr__(self, "P_f", P_f)
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "lam_max", lam_max)
 
     @property
     def delta(self) -> float:
@@ -174,16 +174,18 @@ class BitRow(NamedTuple):
     gates: float
 
 
-@dataclass(frozen=True)
-class PEPlan:
+class PEPlan(Record):
     """Explicit per-bit budget: rows and their sum."""
 
-    method: str
-    p_f: float
-    eps_tot: float
-    m: int
-    rows: tuple[BitRow, ...]
-    total: float
+    __slots__ = ("method", "p_f", "eps_tot", "m", "rows", "total")
+
+    def __init__(self, method: str, p_f: float, eps_tot: float, m: int, rows: tuple[BitRow, ...], total: float):
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "p_f", p_f)
+        object.__setattr__(self, "eps_tot", eps_tot)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "total", total)
 
 
 def _smooth_total(method: str, p_f: float, query: PEQuery) -> float:
@@ -198,8 +200,7 @@ def _smooth_total(method: str, p_f: float, query: PEQuery) -> float:
     raise _budget_overflow(query)
 
 
-@dataclass(frozen=True)
-class PfOptimum:
+class PfOptimum(Record):
     """Optimal failure-share split, with the small-P_f asymptote for comparison.
 
     p_f is the closed-form minimizer of the continuous-depth total (see
@@ -208,12 +209,17 @@ class PfOptimum:
     (trotter), and total_at_small_limit the total at that share.
     """
 
-    method: str
-    p_f: float
-    eps_tot: float
-    total: float
-    p_f_small_limit: float
-    total_at_small_limit: float
+    __slots__ = ("method", "p_f", "eps_tot", "total", "p_f_small_limit", "total_at_small_limit")
+
+    def __init__(
+        self, method: str, p_f: float, eps_tot: float, total: float, p_f_small_limit: float, total_at_small_limit: float
+    ):
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "p_f", p_f)
+        object.__setattr__(self, "eps_tot", eps_tot)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "p_f_small_limit", p_f_small_limit)
+        object.__setattr__(self, "total_at_small_limit", total_at_small_limit)
 
 
 def _optimal_share(method: str, query: PEQuery) -> float:
@@ -322,10 +328,12 @@ def _budget_overflow(query: PEQuery) -> OverflowError:
     )
 
 
-@dataclass(frozen=True)
-class SpeedupReport:
-    closed_ratio: float
-    pipeline_ratio: float
+class SpeedupReport(Record):
+    __slots__ = ("closed_ratio", "pipeline_ratio")
+
+    def __init__(self, closed_ratio: float, pipeline_ratio: float):
+        object.__setattr__(self, "closed_ratio", closed_ratio)
+        object.__setattr__(self, "pipeline_ratio", pipeline_ratio)
 
 
 def pe_speedup(query: PEQuery) -> SpeedupReport:

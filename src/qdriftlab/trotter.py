@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import warnings
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .weights import WeightProfile
+from .weights import Record, WeightProfile
 
 R_MAX = 2**63
 INT64_MAX = 2**63 - 1
@@ -310,8 +310,16 @@ def segment_error_bound(lam: float, t: float, n: int) -> float:
 
 
 def total_error_bound(lam: float, t: float, n: int) -> float:
-    """N-step bound (2 lam^2 t^2 / N) e^{2 lam t / N} (subadditivity over segments)."""
-    return n * segment_error_bound(lam, t, n)
+    """N-step bound (2 lam^2 t^2 / N) e^{2 lam t / N} (subadditivity over segments).
+
+    Where the segment bound is below the smallest normal float, it keeps
+    too few digits (or none) for n times it to fall with n, and the total
+    is taken in log space instead.
+    """
+    segment = segment_error_bound(lam, t, n)
+    if segment < sys.float_info.min and lam * t > 0.0:
+        return _exp_or_inf(_log_total_bound(lam, t)(n))
+    return n * segment
 
 
 def _log_total_bound(lam: float, t: float) -> Callable[[int], float]:
@@ -391,21 +399,21 @@ def solve_r(error_fn: Callable[[int], float], eps: float) -> int:
     return found[0]
 
 
-@dataclass(frozen=True)
-class Method:
+class Method(Record):
     """Product-formula identifier: family trotter|suzuki|qdrift, det|random, 2k order."""
 
-    family: str
-    variant: str = "det"
-    k: int = 0
+    __slots__ = ("family", "variant", "k")
 
-    def __post_init__(self):
-        if self.family not in ("trotter", "suzuki", "qdrift"):
-            raise ValueError(f"unknown method family {self.family!r}")
-        if self.family == "suzuki" and self.k not in SUPPORTED_K:
-            raise ValueError(f"suzuki k must be in {SUPPORTED_K}, got {self.k}")
-        if self.family != "qdrift" and self.variant not in ("det", "random"):
-            raise ValueError(f"variant must be 'det' or 'random', got {self.variant!r}")
+    def __init__(self, family: str, variant: str = "det", k: int = 0):
+        if family not in ("trotter", "suzuki", "qdrift"):
+            raise ValueError(f"unknown method family {family!r}")
+        if family == "suzuki" and k not in SUPPORTED_K:
+            raise ValueError(f"suzuki k must be in {SUPPORTED_K}, got {k}")
+        if family != "qdrift" and variant not in ("det", "random"):
+            raise ValueError(f"variant must be 'det' or 'random', got {variant!r}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "variant", variant)
+        object.__setattr__(self, "k", k)
 
     @property
     def order(self) -> int:
@@ -444,29 +452,31 @@ DEFAULT_CANDIDATES: tuple[Method, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class CostQuery:
+class CostQuery(Record):
     """One (profile, t, eps) gate-count question."""
 
-    profile: WeightProfile
-    t: float
-    eps: float
+    __slots__ = ("profile", "t", "eps")
 
-    def __post_init__(self):
-        _check_positive(self.t, "t")
-        _check_positive(self.eps, "eps")
-        if self.eps >= 1:
-            warnings.warn(f"target precision eps={self.eps} >= 1 is unusually loose", stacklevel=3)
+    def __init__(self, profile: WeightProfile, t: float, eps: float):
+        _check_positive(t, "t")
+        _check_positive(eps, "eps")
+        if eps >= 1:
+            warnings.warn(f"target precision eps={eps} >= 1 is unusually loose", stacklevel=2)
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "eps", eps)
 
 
-@dataclass(frozen=True)
-class CostReport:
+class CostReport(Record):
     """Solved cost for one method: minimal segments, exact gate count, achieved bound."""
 
-    method: Method
-    r: int | None
-    gates: int
-    bound: float
+    __slots__ = ("method", "r", "gates", "bound")
+
+    def __init__(self, method: Method, r: int | None, gates: int, bound: float):
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "gates", gates)
+        object.__setattr__(self, "bound", bound)
 
     @property
     def log10_gates(self) -> float:

@@ -221,6 +221,15 @@ class TestErrorBoundOverflow:
             assert segment_error_bound(lam, t, n) == reference_segment_error_bound(lam, t, n)
             assert total_error_bound(lam, t, n) == n * reference_segment_error_bound(lam, t, n)
 
+    def test_total_of_an_underflowed_segment_bound_is_not_zero(self):
+        # At the count for eps = 2e-172 the segment bound (about 2e-326)
+        # rounds to 0, but the total is 2e-172; n times 0 printed 0.
+        n = gate_count_exact(1e-9, 1.0, 2e-172)
+        assert segment_error_bound(1e-9, 1.0, n) == 0.0
+        total = total_error_bound(1e-9, 1.0, n)
+        assert total == pytest.approx(math.exp(reference_log_total_bound(1e-9, 1.0, n)), rel=1e-12)
+        assert 0.0 < total <= 2e-172
+
     def test_one_exp_helper(self):
         # The qDRIFT bounds share the product-formula bounds' overflow guard.
         assert not hasattr(compiler, "_exp_or_inf")

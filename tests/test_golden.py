@@ -15,6 +15,7 @@ hashes: a mismatch means the output bytes changed.
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -627,6 +628,56 @@ def test_cli_reports_match_golden_hashes_without_avx512(tmp_path):
         assert digests[case_id] == [EXIT_OK, digest], case_id
         if csv_digest is not None:
             assert hashlib.sha256((tmp_path / f"{case_id}.csv").read_bytes()).hexdigest() == csv_digest
+
+
+# CLI pins whose runs import no numpy, so any CPython the package supports
+# can check them.
+NUMPY_FREE_PINS = ("sweep-a", "pe-grid-b")
+
+
+def _other_interpreters() -> list[str]:
+    """One path per CPython >= 3.10 on this machine, other than this
+    interpreter's version, that starts: ``python3.N`` on PATH and pyenv's
+    installed versions.  A pyenv shim for a version that is not selected
+    fails to start and is passed over."""
+    candidates = [shutil.which(f"python3.{minor}") for minor in range(10, 20)]
+    pyenv = shutil.which("pyenv")
+    if pyenv is not None:
+        root = subprocess.run([pyenv, "root"], capture_output=True, text=True, timeout=60).stdout.strip()
+        if root:
+            candidates += sorted(str(path) for path in Path(root).glob("versions/*/bin/python3"))
+    probe = "import sys; print(sys.implementation.name, *sys.version_info[:2])"
+    found: dict[tuple[int, int], str] = {}
+    for python in filter(None, candidates):
+        try:
+            done = subprocess.run([python, "-c", probe], capture_output=True, text=True, timeout=60)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        fields = done.stdout.split()
+        if done.returncode != 0 or len(fields) != 3 or fields[0] != "cpython":
+            continue
+        version = (int(fields[1]), int(fields[2]))
+        if version >= (3, 10) and version != sys.version_info[:2]:
+            found.setdefault(version, python)
+    return [found[version] for version in sorted(found)]
+
+
+def test_numpy_free_pins_hold_on_other_interpreters():
+    interpreters = _other_interpreters()
+    if not interpreters:
+        pytest.skip("no other CPython >= 3.10 starts on this machine")
+    src = str(Path(qdriftlab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    for case_id, command, n_lines, digest, _ in CLI_GOLDEN:
+        if case_id not in NUMPY_FREE_PINS:
+            continue
+        for python in interpreters:
+            done = subprocess.run(
+                [python, "-m", "qdriftlab.cli", *command.split()], env=env, capture_output=True, timeout=300,
+            )
+            assert done.returncode == EXIT_OK, (python, case_id, done.stderr)
+            assert done.stdout.count(b"\n") == n_lines, (python, case_id)
+            assert hashlib.sha256(done.stdout).hexdigest() == digest, (python, case_id)
 
 
 # `verify` on explicit 4-qubit (7-term) and 5-qubit (5-term) Hamiltonians

@@ -86,6 +86,8 @@ def test_product_formula_bounds_are_numbers_that_do_not_rise(L, lam_max, t, rs, 
 @given(lam=WEIGHTS, t=TIMES, ns=GATE_PROBES, eps=st.lists(PRECISIONS, min_size=2, max_size=4))
 # 2.0 * lam overflows, and inf * 0.0 would be nan.
 @example(lam=1.7e308, t=0.0, ns=[1, 10], eps=[1e-3, 0.5])
+# The segment bound is subnormal (1e-323 at both), so n times it rose with n.
+@example(lam=1.0, t=5.206e-157, ns=[235_479, 260_524], eps=[1e-3, 0.5])
 def test_qdrift_bounds_and_counts_are_numbers_that_do_not_rise(lam, t, ns, eps):
     assert_sound({n: segment_error_bound(lam, t, n) for n in ns})
     assert_sound({n: total_error_bound(lam, t, n) for n in ns})

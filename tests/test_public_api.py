@@ -215,13 +215,25 @@ def test_planning_modules_bind_no_numpy_module_at_import():
     assert "numpy" in module_level_paths(SRC / "hamiltonian.py")  # the scan sees module-level imports
 
 
+def test_no_src_module_imports_dataclasses():
+    # Records derive from weights.Record: dataclasses would load inspect at start-up.
+    for path in SRC.glob("*.py"):
+        assert not any(target.split(".")[0] == "dataclasses" for target in imported_paths(path)), path.name
+
+
 def test_planning_runs_import_no_numpy(tmp_path):
     # The same boundary at run time, in a fresh interpreter: every planning
     # subcommand on a profile given as numbers, then one that reads a file.
+    # modules.json lists which of the other modules each planning step
+    # loaded; the script imports json only after the runs.
     script = textwrap.dedent(
         """
-        import contextlib, io, json, os, sys
+        import contextlib, io, os, sys
         import qdriftlab, qdriftlab.cli
+
+        def loaded():
+            watched = ("dataclasses", "inspect", "json", "qdriftlab.phase_estimation")
+            return [name for name in watched if name in sys.modules]
 
         work = sys.argv[1]
         profile = ["--L", "200", "--Lambda", "0.5", "--lambda", "20.0"]
@@ -234,15 +246,20 @@ def test_planning_runs_import_no_numpy(tmp_path):
             ["phase-est", "--lambda", "20.0", "--delta-e", "1e-2", "--pf", "0.05"],
         ]
         seen = [("import", "numpy" in sys.modules)]
+        modules = [loaded()]
         for i, argv in enumerate(runs):
             code = qdriftlab.cli.main([*argv, "--out", os.path.join(work, f"{i}.csv")])
             seen.append((argv[0], code, "numpy" in sys.modules))
+            modules.append(loaded())
         ham = os.path.join(work, "h.txt")
         with open(ham, "w") as fh:
             fh.write("0.5 ZZ\\n0.25 XI\\n")
         with contextlib.redirect_stdout(io.StringIO()):
             code = qdriftlab.cli.main(["cost", "--ham", ham, "--t", "1.0", "--eps", "1e-3"])
         seen.append(("cost --ham", code, "numpy" in sys.modules))
+        import json
+        with open(os.path.join(work, "modules.json"), "w") as fh:
+            json.dump(modules, fh)
         print(json.dumps(seen))
         """
     )
@@ -257,6 +274,10 @@ def test_planning_runs_import_no_numpy(tmp_path):
         ["phase-est", 0, False], ["cost --ham", 0, True],
     ]
     assert sorted(path.name for path in tmp_path.glob("*.csv")) == ["0.csv", "1.csv", "2.csv", "3.csv"]
+    # Start-up loads no dataclasses, inspect, json or phase_estimation; cost
+    # and sweep keep it so, and phase-est adds only phase_estimation.
+    pe = ["qdriftlab.phase_estimation"]
+    assert json.loads((tmp_path / "modules.json").read_text()) == [[], [], [], pe, pe]
 
 
 def test_segment_solver_is_assembled_only_in_trotter():
@@ -271,7 +292,7 @@ def test_segment_solver_is_assembled_only_in_trotter():
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 assert name not in ("solve_r", "_solve", "error_function"), (path.name, node.lineno)
     imported = [path for path in imported_paths(SRC / "phase_estimation.py") if path.startswith("qdriftlab")]
-    assert imported == ["qdriftlab.trotter._check_positive"]
+    assert imported == ["qdriftlab.trotter._check_positive", "qdriftlab.weights.Record"]
 
 
 def test_no_unused_imports_or_private_names():

@@ -661,5 +661,5 @@ class TestCsvRow:
     def test_eps_above_one_warns(self):
         with pytest.warns(UserWarning) as record:
             CostQuery(WeightProfile(2, 1.0, 0.5), 1.0, 2.0)
-        # The warning names the caller's line, not the dataclass's generated __init__.
+        # The warning names the caller's line, not CostQuery's __init__.
         assert record[0].filename == __file__
